@@ -82,9 +82,3 @@ def mass_vector(params: CknParams, grid: LogGrid, clamp: bool = True) -> np.ndar
     which in scaled variables is int phi_U^{p-2} phi^2 dt."""
     d = trapezoid_weights(grid.n, grid.h) * extremal_scaled(params, grid) ** (params.p - 2.0)
     return d[keep_indices(grid.n)] if clamp else d
-
-
-def form_value(B: sp.csr_matrix, w: np.ndarray, phi: np.ndarray) -> float:
-    """phi^T B^T diag(w) B phi without building the product matrix."""
-    img = B @ phi
-    return float(np.sum(w * img * img))

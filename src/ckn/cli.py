@@ -11,7 +11,6 @@ convergence failure, 2 usage/validation error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -21,7 +20,8 @@ import numpy as np
 from . import closedform, identities, numerics, spectral, transforms, variational
 from .errors import (CknError, Diverged, MaxIters, NoConvergence, TailInadequate)
 from .numerics import RadialProfile, make_grid
-from .params import CknParams, RegionClass, beta_lower, derive, felli_schneider, region_of
+from .params import (CknParams, RegionClass, beta_lower, derive, exponents,
+                     felli_schneider, regions, second_variation_gap)
 
 _USAGE_ERRORS = 2
 _CHECK_ERRORS = 1
@@ -156,35 +156,6 @@ def _random_profiles(grid, seed: int, count: int):
         yield RadialProfile(grid=grid, values=amp * np.exp(-((t - c) / width) ** 2))
 
 
-def _nth_profile(t_min, t_max, n, seed, index):
-    grid = make_grid(t_min, t_max, n)
-    for i, prof in enumerate(_random_profiles(grid, seed, index + 1)):
-        if i == index:
-            return grid, prof
-    raise AssertionError
-
-
-def _identity_pair(task):
-    t_min, t_max, n, seed, index, k, N = task
-    _, prof = _nth_profile(t_min, t_max, n, seed, index)
-    return (identities.verify_iid(prof, k, N)[2],
-            identities.verify_hardy_identity(prof, k, N)[2])
-
-
-def _equivalence_one(task):
-    t_min, t_max, n, seed, index, k, N, alpha, beta = task
-    _, prof = _nth_profile(t_min, t_max, n, seed, index)
-    return identities.equivalence_ratio(prof, k, derive(N, alpha, beta))
-
-
-def _fan_out(fn, tasks, jobs):
-    """Deterministically ordered map, optionally over a process pool."""
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks, chunksize=8))
-    return [fn(t) for t in tasks]
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     checks = []
@@ -206,10 +177,9 @@ def cmd_verify(args) -> int:
     elif args.suite == "identities":
         P = _params_from(args)
         grid = _grid_from(args, cfg)
-        results = _fan_out(_identity_pair, [(grid.t_min, grid.t_max, grid.n,
-                                             args.seed, i, k, P.N)
-                                            for i in range(20) for k in range(4)],
-                           args.jobs)
+        results = [(identities.verify_iid(prof, k, P.N)[2],
+                    identities.verify_hardy_identity(prof, k, P.N)[2])
+                   for prof in _random_profiles(grid, args.seed, 20) for k in range(4)]
         check("iid_worst_relerr", max(r[0] for r in results), 1e-5)
         check("hardy_worst_relerr", max(r[1] for r in results), 1e-5)
         alphas = np.linspace(2 - P.N + 1e-3, 3.0, 200)
@@ -240,10 +210,8 @@ def cmd_verify(args) -> int:
         P = _params_from(args)
         grid = _grid_from(args, cfg)
         bracket = identities.equivalence_bracket(P)
-        ratios = _fan_out(_equivalence_one,
-                          [(grid.t_min, grid.t_max, grid.n, args.seed, i, k,
-                            P.N, P.alpha, P.beta)
-                           for i in range(20) for k in range(4)], args.jobs)
+        ratios = [identities.equivalence_ratio(prof, k, P)
+                  for prof in _random_profiles(grid, args.seed, 20) for k in range(4)]
         inside = all(1.0 / bracket <= r <= bracket for r in ratios)
         check("ratios_inside_bracket", max(ratios), bracket, ok=inside)
         if P.alpha == 0.0:
@@ -291,38 +259,45 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _region_row(task):
-    N, alpha, beta = task
-    tag = region_of(N, alpha, beta)
-    bfs = felli_schneider(N, alpha)
-    sv = ""
-    if tag not in (RegionClass.INVALID, RegionClass.RELLICH_BOUNDARY):
-        try:
-            sv = spectral.second_variation_sign(derive(N, alpha, beta))
-        except CknError:
-            sv = ""
-    return [alpha, beta, tag.value, bfs, sv]
-
-
 def cmd_region_map(args) -> int:
-    a_lo, a_hi = (float(x) for x in args.alpha_range.split(":"))
-    b_lo, b_hi = (float(x) for x in args.beta_range.split(":"))
-    if a_hi < a_lo or b_hi < b_lo or args.resolution < 1:
+    N, res = args.dim, args.resolution
+    try:
+        (a_lo, a_hi), (b_lo, b_hi) = ([float(x) for x in r.split(":")]
+                                      for r in (args.alpha_range, args.beta_range))
+    except ValueError:
+        raise CknError(f"malformed range: alpha {args.alpha_range!r}, "
+                       f"beta {args.beta_range!r}; need lo:hi") from None
+    if a_hi < a_lo or b_hi < b_lo or res < 1:
         raise CknError(f"empty or inverted ranges: alpha {args.alpha_range}, "
-                       f"beta {args.beta_range}, resolution {args.resolution}")
-    alphas = np.linspace(a_lo, a_hi, args.resolution)
-    betas = np.linspace(b_lo, b_hi, args.resolution)
-    tasks = [(args.dim, float(a), float(b)) for a in alphas for b in betas]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_region_row, tasks, chunksize=64))
+                       f"beta {args.beta_range}, resolution {res}")
+    alphas, betas = np.linspace(a_lo, a_hi, res), np.linspace(b_lo, b_hi, res)
+    # scalar curves, once per alpha: beta_fs and every tie match derive() bit for bit
+    bfs = [felli_schneider(N, float(a)) for a in alphas]
+    lo = [beta_lower(N, float(a)) for a in alphas]
+    a, b = alphas[:, None], betas[None, :]
+    tags = regions(N, a, b, np.array(lo)[:, None], np.array(bfs)[:, None])
+    with np.errstate(all="ignore"):
+        sv = np.sign(second_variation_gap(N, *exponents(N, a, b))).astype(int) + 1
+    sv[np.isin(tags, (RegionClass.INVALID.value, RegionClass.RELLICH_BOUNDARY.value))] = 3
+    as_json = args.format == "json"
+    sv_text = ["-1", "0", "1", '""' if as_json else ""]
+    tags, svs = tags.tolist(), [[sv_text[v] for v in row] for row in sv.tolist()]
+
+    def num(x) -> str:
+        return "null" if as_json and math.isnan(x) else _fmt(float(x))
+
+    bs = [num(x) for x in betas]
+    cells = [(num(a), num(f), zip(bs, tag_row, sv_row))
+             for a, f, tag_row, sv_row in zip(alphas, bfs, tags, svs)]
+    if as_json:
+        rows = ",\n".join([f'    {{\n      "alpha": {a},\n      "beta": {b},\n'
+                           f'      "beta_fs": {f},\n      "region": "{tag}",\n'
+                           f'      "sv_sign": {v}\n    }}'
+                           for a, f, row in cells for b, tag, v in row])
+        sys.stdout.write(f'{{\n  "N": {N},\n  "rows": [\n{rows}\n  ]\n}}\n')
     else:
-        rows = [_region_row(t) for t in tasks]
-    header = ["alpha", "beta", "region", "beta_fs", "sv_sign"]
-    if args.format == "json":
-        emit({"N": args.dim, "rows": [dict(zip(header, r)) for r in rows]}, "json")
-    else:
-        emit({}, "csv", csv_rows=rows, csv_header=header)
+        sys.stdout.write("alpha,beta,region,beta_fs,sv_sign\n" + "".join(
+            [f"{a},{b},{tag},{f},{v}\n" for a, f, row in cells for b, tag, v in row]))
     return 0
 
 
@@ -383,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="0.3,0.1,0.03,0.01",
                    help="comma list of eps for rellich-limit")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("spectrum", help="per-mode linearized eigenvalues")
@@ -396,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-range", required=True, help="lo:hi")
     p.add_argument("--beta-range", required=True, help="lo:hi")
     p.add_argument("--resolution", type=int, required=True, help="cells per axis")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
     p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_region_map)

@@ -15,6 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AlphaOutOfRange, BetaOutOfRange, InvalidDimension
 
 
@@ -33,7 +35,7 @@ class RegionClass(enum.Enum):
 class CknParams:
     """Validated parameter point with every derived scalar.
 
-    For beta = alpha - 2 (the p = 2 boundary) the subcritical-only fields
+    On the p = 2 boundary (see on_rellich_line) the subcritical-only fields
     m_exp, q_pow, M_dim and C_amp are NaN: the formulas divide by
     alpha - beta - 2 there and no operation on that boundary uses them.
     """
@@ -61,7 +63,7 @@ class CknParams:
     @property
     def subcritical(self) -> bool:
         """True away from the p = 2 boundary, where U, M and q exist."""
-        return self.beta < self.alpha - 2
+        return not on_rellich_line(self.alpha, self.beta)
 
 
 def beta_lower(N: int, alpha: float) -> float:
@@ -78,6 +80,51 @@ def felli_schneider(N: int, alpha: float) -> float:
     if not (isinstance(N, (int,)) and N >= 5):
         raise InvalidDimension(f"need integer N >= 5, got {N}")
     return N + 2.0 * alpha - 4.0 - math.sqrt((N - 2.0 + alpha) ** 2 + 4.0 * (N - 1.0))
+
+
+def on_rellich_line(alpha, beta):
+    """True on the p = 2 boundary beta = alpha - 2 (array-capable), and just
+    below it, where the denominator alpha - beta - 2 of M or 2 + beta - alpha
+    of q rounds to 0, so that the subcritical fields do not exist."""
+    return (beta == alpha - 2.0) | (alpha - beta - 2.0 == 0.0) | (2.0 + beta - alpha == 0.0)
+
+
+def exponents(N: int, alpha, beta):
+    """(q, M) = (2/(2+beta-alpha), 2(N+2alpha-beta-4)/(alpha-beta-2)),
+    array-capable; defined off the Rellich line only."""
+    return (2.0 / (2.0 + beta - alpha),
+            2.0 * (N + 2.0 * alpha - beta - 4.0) / (alpha - beta - 2.0))
+
+
+def second_variation_gap(N: int, q, M):
+    """chi - (M-1) with chi = q^2 (N-1), array-capable: its sign is that of
+    the second variation along Z1 (see spectral.second_variation_z1)."""
+    # libm pow, as CPython's ** is: NumPy's q ** 2 is q * q, 1 ULP off on some q
+    return np.float_power(q, 2) * (N - 1.0) - (M - 1.0)
+
+
+def _region_rules(N: int, alpha, beta, lo, bfs):
+    """(region, condition) pairs on floats or arrays, lo = beta_lower and
+    bfs = felli_schneider at alpha.  The first that holds names the region,
+    ConjecturedSymmetry the rest.  Ties are broken by exact comparison, so
+    sweeps must quantize beta onto grid values first."""
+    return (
+        (RegionClass.INVALID,
+         np.logical_not((alpha > 2 - N) & (lo <= beta) & (beta <= alpha - 2.0))),
+        (RegionClass.RELLICH_BOUNDARY, on_rellich_line(alpha, beta)),
+        (RegionClass.CRITICAL_UPPER_ALPHA_ZERO, (alpha == 0.0) & (beta == -4.0)),
+        (RegionClass.CRITICAL_UPPER_ALPHA_POS, (beta == lo) & (alpha > 0.0)),
+        (RegionClass.CRITICAL_UPPER_ALPHA_NEG, beta == lo),
+        (RegionClass.FS_CURVE, (beta == bfs) & (alpha >= 0.0)),
+        (RegionClass.SYMMETRY_BREAKING, (alpha > 0.0) & (lo < beta) & (beta < bfs)),
+    )
+
+
+def regions(N: int, alpha: np.ndarray, beta: np.ndarray, lo, bfs) -> np.ndarray:
+    """RegionClass value of every (alpha, beta) of broadcast arrays."""
+    rules = _region_rules(N, alpha, beta, lo, bfs)
+    return np.select([holds for _, holds in rules], [r.value for r, _ in rules],
+                     RegionClass.CONJECTURED_SYMMETRY.value)
 
 
 def derive(N: int, alpha: float, beta: float) -> CknParams:
@@ -104,10 +151,9 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
     K0 = cal_B ** 2
     nu = (alpha - beta - 2.0) / 2.0
     a_shift = N + alpha - 2.0
-    if beta < hi:
+    if not on_rellich_line(alpha, beta):
         m_exp = (N + beta) / (beta + 2.0 - alpha)
-        q_pow = 2.0 / (2.0 + beta - alpha)
-        M_dim = 2.0 * T / (alpha - beta - 2.0)
+        q_pow, M_dim = exponents(N, alpha, beta)
         try:
             # the amplitude blows up as beta -> alpha - 2; inf is the honest value
             C_amp = math.exp((N + beta) / (4.0 * (alpha - beta - 2.0)) *
@@ -119,31 +165,13 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
         m_exp = q_pow = M_dim = C_amp = math.nan
 
     bfs = felli_schneider(N, alpha)
-    region = _classify_raw(N, alpha, beta, lo, hi, bfs)
+    region = next((r for r, holds in _region_rules(N, alpha, beta, lo, bfs) if holds),
+                  RegionClass.CONJECTURED_SYMMETRY)
     return CknParams(N=N, alpha=alpha, beta=beta, gamma=gamma, p=p,
                      kappa1=kappa1, kappa2=kappa2, cal_A=cal_A, cal_B=cal_B,
                      K2=K2, K0=K0, m_exp=m_exp, nu=nu, C_amp=C_amp,
                      a_shift=a_shift, q_pow=q_pow, M_dim=M_dim,
                      beta_fs=bfs, region=region)
-
-
-def _classify_raw(N: int, alpha: float, beta: float,
-                  lo: float, hi: float, bfs: float) -> RegionClass:
-    # Boundary ties are broken by exact comparison on the derived values;
-    # sweeps must quantize beta onto grid values before classifying.
-    if beta == hi:
-        return RegionClass.RELLICH_BOUNDARY
-    if alpha == 0.0 and beta == -4.0:
-        return RegionClass.CRITICAL_UPPER_ALPHA_ZERO
-    if beta == lo:
-        if alpha > 0.0:
-            return RegionClass.CRITICAL_UPPER_ALPHA_POS
-        return RegionClass.CRITICAL_UPPER_ALPHA_NEG
-    if beta == bfs and alpha >= 0.0:
-        return RegionClass.FS_CURVE
-    if alpha > 0.0 and lo < beta < bfs:
-        return RegionClass.SYMMETRY_BREAKING
-    return RegionClass.CONJECTURED_SYMMETRY
 
 
 def classify(params: CknParams) -> RegionClass:

@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from . import _forms, numerics
 from .errors import NoConvergence, RellichBoundary, WrongRegion
 from .numerics import LogGrid, RadialProfile
-from .params import CknParams, RegionClass
+from .params import CknParams, RegionClass, second_variation_gap
 from .variational import ModeSpec, make_mode
 
 __all__ = ["SpectralResult", "mode_eigenvalue", "second_variation_z1",
@@ -173,8 +173,7 @@ def second_variation_sign(params: CknParams) -> int:
     always positive, so the sign is that of chi - (M-1))."""
     if not params.subcritical:
         raise RellichBoundary("second variation requires beta < alpha - 2")
-    gap = params.q_pow ** 2 * (params.N - 1.0) - (params.M_dim - 1.0)
-    return (gap > 0) - (gap < 0)
+    return int(np.sign(second_variation_gap(params.N, params.q_pow, params.M_dim)))
 
 
 def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,7 +6,11 @@ import numpy as np
 import pytest
 
 import ckn
-from ckn.cli import load_config, main
+from ckn import identities
+from ckn.cli import emit, load_config, main
+from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
+from ckn.spectral import second_variation_sign
+from conftest import random_profiles
 
 
 def run(capsys, *argv):
@@ -39,6 +44,17 @@ class TestConstants:
                         "--format", "json")
         assert code == 2
         assert json.loads(out)["error"] == "InvalidDimension"
+
+    def test_rellich_rounding_tie(self, capsys):
+        # beta is one ULP below alpha - 2, but alpha - beta - 2 rounds to 0:
+        # a point of the Rellich boundary, where derive used to divide by zero
+        code, out = run(capsys, "constants", "-N", "6", "--alpha=0.11055276381909548",
+                        "--beta=-1.8894472361809047", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["region"] == "RellichBoundary"
+        assert doc["M"] is None and doc["q"] is None and doc["p"] == 2.0
+        assert "S_rellich" in doc
 
     def test_seventeen_significant_digits_in_csv(self, capsys):
         code, out = run(capsys, "constants", "-N", "5", "-a", "1", "-b", "-2",
@@ -150,12 +166,125 @@ class TestRegionMap:
                       "--beta-range=-4:-3", "--resolution", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("alpha_range,beta_range", [
+        ("0:1", "-4:x"), ("1", "-4:-1"), ("0:1:2", "-4:-1"), ("a:b", "-4:-1")])
+    def test_malformed_range_exit_2(self, capsys, alpha_range, beta_range):
+        code, out = run(capsys, "region-map", "-N", "5", f"--alpha-range={alpha_range}",
+                        f"--beta-range={beta_range}", "--resolution", "3")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "CknError"
+        assert "malformed range" in doc["message"]
+
+    def test_rellich_rounding_ties(self, capsys):
+        # alpha - beta - 2 rounds to 0 at 28 cells strictly below beta = alpha - 2;
+        # they used to end in ZeroDivisionError
+        code, out = run(capsys, "region-map", "-N", "6", "--alpha-range=0:2",
+                        "--beta-range=-4:-1", "--resolution", "200")
+        assert code == 0
+        rellich = [line.split(",") for line in out.splitlines()[1:]
+                   if ",RellichBoundary," in line]
+        below = [(float(a), float(b)) for a, b, _, _, _ in rellich
+                 if float(b) < float(a) - 2.0]
+        assert len(below) > 0
+        assert all(row[4] == "" for row in rellich)
+        assert all(derive(6, a, b).region is RegionClass.RELLICH_BOUNDARY for a, b in below)
+
     def test_jobs_parallel_deterministic(self, capsys):
         args = ("region-map", "-N", "5", "--alpha-range=0:2",
                 "--beta-range=-4:-2", "--resolution", "3")
         _, serial = run(capsys, *args)
         _, parallel = run(capsys, *args, "--jobs", "2")
         assert serial == parallel
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rows(N, alpha_range, beta_range, resolution):
+    """Region-map rows from the scalar library, one call per cell."""
+    rows = []
+    for a in np.linspace(*alpha_range, resolution).tolist():
+        for b in np.linspace(*beta_range, resolution).tolist():
+            tag = region_of(N, a, b)
+            sv = ""
+            if tag not in (RegionClass.INVALID, RegionClass.RELLICH_BOUNDARY):
+                sv = second_variation_sign(derive(N, a, b))
+            rows.append([a, b, tag.value, felli_schneider(N, a), sv])
+    return rows
+
+
+def _oracle_windows():
+    rng = np.random.default_rng(2409)
+    windows = []
+    for N in (5, 6, 7, 8):
+        for _ in range(2):
+            a_lo, b_lo = float(rng.uniform(2.2 - N, 1.0)), float(rng.uniform(-6.0, -3.5))
+            windows.append((N, (a_lo, a_lo + 2.0), (b_lo, b_lo + 3.0), 30))
+        bfs, lo = felli_schneider(N, 1.0), beta_lower(N, 1.0)
+        windows += [
+            (N, (0.0, 0.0), (-4.0, -3.0), 5),           # alpha = 0 column, beta = -4
+            (N, (1.0, 1.0), (lo, -1.0), 7),             # beta = beta_lower ... alpha - 2
+            (N, (-1.0, -1.0), (beta_lower(N, -1.0), -3.0), 5),
+            (N, (1.0, 1.0), (bfs, bfs), 1),             # the single FS cell
+            (N, (0.0, 2.0), (-4.0, -1.0), 8),           # a rounding tie on the Rellich line
+            (N, (0.5, 3.0), (-4.0, 1.0), 40),           # 12 rounding ties
+        ]
+    return windows
+
+
+class TestRegionMapOracle:
+    """The whole-grid region map equals the scalar library, cell by cell,
+    rendered by the generic emitter, byte for byte."""
+
+    @pytest.mark.parametrize("N,alpha_range,beta_range,resolution", _oracle_windows())
+    def test_matches_scalar_rows(self, capsys, N, alpha_range, beta_range, resolution):
+        rows = _oracle_rows(N, alpha_range, beta_range, resolution)
+        header = ["alpha", "beta", "region", "beta_fs", "sv_sign"]
+        emit({}, "csv", csv_rows=rows, csv_header=header)
+        want_csv = capsys.readouterr().out
+        emit({"N": N, "rows": [dict(zip(header, r)) for r in rows]}, "json")
+        want_json = capsys.readouterr().out
+        argv = ("region-map", "-N", str(N),
+                "--alpha-range={!r}:{!r}".format(*alpha_range),
+                "--beta-range={!r}:{!r}".format(*beta_range), "--resolution", str(resolution))
+        assert run(capsys, *argv, "--format", "csv") == (0, want_csv)
+        assert run(capsys, *argv, "--format", "json") == (0, want_json)
+
+    def test_tie_cells_present(self):
+        tags = {row[2] for window in _oracle_windows() for row in _oracle_rows(*window)}
+        assert {"CriticalUpperAlphaZero", "CriticalUpperAlphaPos", "CriticalUpperAlphaNeg",
+                "FSCurve", "RellichBoundary", "SymmetryBreaking",
+                "ConjecturedSymmetry", "Invalid"} <= tags
+
+
+class TestVerifyDeterminism:
+    """The identities and equivalence suites depend on --seed only, and
+    their checks equal the library evaluated on the seeded profiles."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 20240918])
+    def test_identities(self, capsys, seed):
+        args = ("verify", "identities", "-N", "5", "-a", "1", "-b", "-2",
+                "--seed", str(seed), "--format", "json")
+        code, serial = run(capsys, *args, "--jobs", "1")
+        assert (code, serial) == run(capsys, *args, "--jobs", "2")
+        checks = {c["check"]: c["value"] for c in json.loads(serial)["checks"]}
+        grid = ckn.make_grid()
+        pairs = [(identities.verify_iid(prof, k, 5)[2],
+                  identities.verify_hardy_identity(prof, k, 5)[2])
+                 for prof in random_profiles(grid, seed, 20) for k in range(4)]
+        assert checks["iid_worst_relerr"] == max(p[0] for p in pairs)
+        assert checks["hardy_worst_relerr"] == max(p[1] for p in pairs)
+
+    @pytest.mark.parametrize("seed", [42, 7, 20240918])
+    def test_equivalence(self, capsys, seed):
+        args = ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5",
+                "--seed", str(seed), "--format", "json")
+        code, serial = run(capsys, *args, "--jobs", "1")
+        assert (code, serial) == run(capsys, *args, "--jobs", "2")
+        checks = {c["check"]: c["value"] for c in json.loads(serial)["checks"]}
+        P = derive(5, -1.0, -3.5)
+        ratios = [identities.equivalence_ratio(prof, k, P)
+                  for prof in random_profiles(ckn.make_grid(), seed, 20) for k in range(4)]
+        assert checks["ratios_inside_bracket"] == max(ratios)
 
 
 class TestMinimize:

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import ckn
-from ckn.errors import AlphaOutOfRange, BetaOutOfRange, InvalidDimension
-from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
+from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, InvalidDimension,
+                        RellichBoundary)
+from ckn.params import (RegionClass, beta_lower, derive, felli_schneider,
+                        on_rellich_line, region_of, second_variation_gap)
+from ckn.spectral import second_variation_sign
 from conftest import ORACLE
 
 # admissible sample points used by the invariant sweeps
@@ -101,6 +104,56 @@ class TestClassify:
 
     def test_conjectured_region_negative_alpha(self):
         assert derive(5, -1.0, -3.5).region is RegionClass.CONJECTURED_SYMMETRY
+
+
+
+class TestRellichRounding:
+    """Just below beta = alpha - 2 the denominators of M and q can round to 0.
+    Such points belong to the Rellich boundary; before, derive divided by
+    zero there."""
+
+    @pytest.mark.parametrize("N,alpha", [(6, 0.11055276381909548), (5, 0.5275249163611448),
+                                         (5, 3.543507865762125), (5, 4.4318055139293655),
+                                         (7, -2.8863034913502004), (8, 1.0)])
+    def test_nextafter_sweep_below_line(self, N, alpha):
+        beta = alpha - 2.0
+        for _ in range(8):
+            p = derive(N, alpha, beta)
+            rellich = alpha - beta - 2.0 == 0.0 or 2.0 + beta - alpha == 0.0 \
+                or beta == alpha - 2.0
+            assert on_rellich_line(alpha, beta) == rellich
+            assert p.subcritical is not rellich
+            assert (p.region is RegionClass.RELLICH_BOUNDARY) == rellich
+            if rellich:
+                assert all(map(math.isnan, (p.m_exp, p.q_pow, p.M_dim, p.C_amp)))
+                with pytest.raises(RellichBoundary):
+                    second_variation_sign(p)
+            else:
+                assert all(map(math.isfinite, (p.m_exp, p.q_pow, p.M_dim)))
+                assert second_variation_sign(p) in (-1, 0, 1)
+            beta = float(np.nextafter(beta, -np.inf))
+
+    def test_both_denominators_reach_zero(self):
+        # alpha - beta - 2 rounds to 0 at the first point, 2 + beta - alpha
+        # at the second; either one puts the point on the line
+        a1, b1 = 0.11055276381909548, -1.8894472361809047
+        a2, b2 = 4.4318055139293655, 2.431805513929365
+        assert b1 < a1 - 2.0 and a1 - b1 - 2.0 == 0.0
+        assert b2 < a2 - 2.0 and a2 - b2 - 2.0 != 0.0 and 2.0 + b2 - a2 == 0.0
+        for N, a, b in ((6, a1, b1), (5, a2, b2)):
+            assert derive(N, a, b).region is RegionClass.RELLICH_BOUNDARY
+            assert region_of(N, a, b) is RegionClass.RELLICH_BOUNDARY
+
+
+
+class TestSecondVariationGap:
+    def test_arrays_match_python_floats(self):
+        # NumPy's q ** 2 is q * q, which differs from CPython's pow by one ULP
+        # on about 0.1 % of inputs; the array path must round like derive().
+        rng = np.random.default_rng(1)
+        q, M = rng.uniform(-50.0, 50.0, 20000), rng.uniform(4.0, 60.0, 20000)
+        want = [x ** 2 * (7 - 1.0) - (m - 1.0) for x, m in zip(q.tolist(), M.tolist())]
+        assert second_variation_gap(7, q, M).tolist() == want
 
 
 class TestInvariants:
