@@ -246,11 +246,8 @@ def cmd_spectrum(args) -> int:
     grid = _grid_from(args, cfg)
     rows = []
     for k in range(args.kmax + 1):
-        mode = variational.make_mode(P, k)
-        indices = (1, 2) if k == 0 else (1,)
-        for idx in indices:
-            r = spectral.mode_eigenvalue(P, mode, idx, grid)
-            rows.append([k, idx, r.eigenvalue, r.residual, r.iters])
+        solves = spectral._mode_solves(P, variational.make_mode(P, k), grid, 2 if k == 0 else 1)
+        rows += [[k, idx, r.eigenvalue, r.residual, r.iters] for idx, r in enumerate(solves, 1)]
     doc = {"N": P.N, "alpha": P.alpha, "beta": P.beta, "p_minus_1": P.p - 1.0,
            "rows": [{"k": r[0], "index": r[1], "eigenvalue": r[2],
                      "residual": r[3], "iters": r[4]} for r in rows]}
@@ -262,11 +259,13 @@ def cmd_spectrum(args) -> int:
 def cmd_region_map(args) -> int:
     N, res = args.dim, args.resolution
     try:
-        (a_lo, a_hi), (b_lo, b_hi) = ([float(x) for x in r.split(":")]
-                                      for r in (args.alpha_range, args.beta_range))
+        (a_lo, a_hi), (b_lo, b_hi) = ends = [[float(x) for x in r.split(":")]
+                                             for r in (args.alpha_range, args.beta_range)]
+        if not np.isfinite(ends).all():
+            raise ValueError
     except ValueError:
         raise CknError(f"malformed range: alpha {args.alpha_range!r}, "
-                       f"beta {args.beta_range!r}; need lo:hi") from None
+                       f"beta {args.beta_range!r}; need finite lo:hi") from None
     if a_hi < a_lo or b_hi < b_lo or res < 1:
         raise CknError(f"empty or inverted ranges: alpha {args.alpha_range}, "
                        f"beta {args.beta_range}, resolution {res}")

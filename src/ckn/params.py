@@ -110,7 +110,8 @@ def _region_rules(N: int, alpha, beta, lo, bfs):
     sweeps must quantize beta onto grid values first."""
     return (
         (RegionClass.INVALID,
-         np.logical_not((alpha > 2 - N) & (lo <= beta) & (beta <= alpha - 2.0))),
+         np.logical_not((alpha > 2 - N) & (lo <= beta) & (beta <= alpha - 2.0))
+         | (N + beta == 0.0)),
         (RegionClass.RELLICH_BOUNDARY, on_rellich_line(alpha, beta)),
         (RegionClass.CRITICAL_UPPER_ALPHA_ZERO, (alpha == 0.0) & (beta == -4.0)),
         (RegionClass.CRITICAL_UPPER_ALPHA_POS, (beta == lo) & (alpha > 0.0)),
@@ -137,8 +138,9 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
         raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
     lo = beta_lower(N, alpha)
     hi = alpha - 2.0
-    if not (lo <= beta <= hi):
-        raise BetaOutOfRange(f"need beta in [{lo}, {hi}], got {beta}")
+    # beta = -N, the excluded alpha -> 2 - N limit of lo, is reached only by rounding
+    if not (lo <= beta <= hi) or N + beta == 0.0:
+        raise BetaOutOfRange(f"need beta in [{lo}, {hi}] and beta > -{N}, got {beta}")
 
     T = N + 2.0 * alpha - beta - 4.0          # = 2 kappa1 > 0
     gamma = T * T / (N + beta) - N

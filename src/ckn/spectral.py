@@ -43,7 +43,8 @@ class SpectralResult:
     """Converged eigenpair: profile normalized to unit weighted mass
     (int U^{p-2} f^2 r^{gamma+N-1} dr = 1) and positive at the first
     interior node; residual is the normwise backward error of the
-    weak-form eigenpair, far below 1e-8 |nu| at convergence."""
+    weak-form eigenpair, far below 1e-8 |nu| at convergence.  iters of an
+    index-2 result includes the index-1 solve it deflates against."""
 
     eigenvalue: float
     profile: RadialProfile
@@ -51,7 +52,7 @@ class SpectralResult:
     iters: int
 
 
-def _inverse_iteration(E: sp.csc_matrix, d: np.ndarray, sigma: float,
+def _inverse_iteration(E: sp.csc_matrix, d: np.ndarray, sigma: float, norm_e: float,
                        deflate: np.ndarray | None = None,
                        max_iters: int = MAX_EIG_ITERS,
                        tol: float = EIG_TOL) -> tuple[float, np.ndarray, float, int]:
@@ -60,13 +61,12 @@ def _inverse_iteration(E: sp.csc_matrix, d: np.ndarray, sigma: float,
     After a few fixed-shift sweeps the shift is refreshed with the current
     Rayleigh quotient, which keeps the cost at a handful of banded
     factorizations.  Deflation keeps the iterate d-orthogonal to an
-    already-converged eigenvector.
+    already-converged eigenvector.  norm_e is the 1-norm of E.
     """
     D = sp.diags(d)
     lu = spla.splu((E - sigma * D).tocsc())
     rng = np.random.RandomState(1234)
     x = rng.standard_normal(E.shape[0])
-    norm_e = float(np.max(np.abs(E).sum(axis=0)))
     nu_prev = math.inf
     stagnant = 0
 
@@ -96,6 +96,29 @@ def _inverse_iteration(E: sp.csc_matrix, d: np.ndarray, sigma: float,
     raise NoConvergence(f"eigen iteration residual {residual:.2e} after {max_iters} steps")
 
 
+def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid,
+                 top: int) -> list[SpectralResult]:
+    """Eigenpairs of index 1..top (top = 2 only for k = 0) of the mode-k
+    pencil, assembled once; index 2 deflates against the index-1 solve."""
+    if not params.subcritical:
+        raise RellichBoundary("mode_eigenvalue requires beta < alpha - 2")
+    E = _forms.energy_matrix(params, mode.lambda_k, grid, clamp=True)
+    d = _forms.mass_vector(params, grid, clamp=True)
+    norm_e = float(np.max(np.abs(E).sum(axis=0)))
+    solves = [_inverse_iteration(E, d, SHIFT_INDEX1, norm_e)]
+    if top == 2:
+        _, x1, _, it1 = solves[0]
+        nu, x, res, it = _inverse_iteration(E, d, params.p - 1.0 - 0.1, norm_e, deflate=x1)
+        solves.append((nu, x, res, it + it1))
+    results = []
+    for nu, x, res, it in solves:
+        # positive at the first interior node, zero at the clamped nodes
+        phi = np.pad(-x if x[0] < 0 else x, _forms.N_CLAMP)
+        profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, phi))
+        results.append(SpectralResult(eigenvalue=nu, profile=profile, residual=res, iters=it))
+    return results
+
+
 def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
                     grid: LogGrid) -> SpectralResult:
     """index-th eigenvalue of the mode-k pencil (index 2 only for k = 0).
@@ -108,22 +131,7 @@ def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
         raise ValueError("index must be 1 or 2")
     if index == 2 and mode.k != 0:
         raise ValueError("index 2 is only available for mode k = 0")
-    if not params.subcritical:
-        raise RellichBoundary("mode_eigenvalue requires beta < alpha - 2")
-    E = _forms.energy_matrix(params, mode.lambda_k, grid, clamp=True)
-    d = _forms.mass_vector(params, grid, clamp=True)
-    if index == 1:
-        nu, x, res, it = _inverse_iteration(E, d, SHIFT_INDEX1)
-    else:
-        nu1, x1, res1, it1 = _inverse_iteration(E, d, SHIFT_INDEX1)
-        nu, x, res, it = _inverse_iteration(E, d, params.p - 1.0 - 0.1, deflate=x1)
-        it += it1
-    if x[0] < 0:
-        x = -x
-    full = np.zeros(grid.n)
-    full[_forms.keep_indices(grid.n)] = x
-    profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, full))
-    return SpectralResult(eigenvalue=nu, profile=profile, residual=res, iters=it)
+    return _mode_solves(params, mode, grid, index)[-1]
 
 
 def _x1_integrals(M: float, grid: LogGrid | None = None) -> tuple[float, float]:

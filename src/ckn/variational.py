@@ -173,9 +173,8 @@ def minimize_radial(params: CknParams, init: RadialProfile,
             break
     if not converged:
         raise MaxIters(f"no stationary point within {max_iters} iterations")
-    full = np.zeros(n)
-    full[keep] = phi
-    profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, full))
+    profile = RadialProfile(grid=grid, values=_forms.from_scaled(
+        params, grid, np.pad(phi, _forms.N_CLAMP)))
     return pref * value, profile
 
 

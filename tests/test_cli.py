@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ckn
-from ckn import identities
+from ckn import _forms, identities, spectral
 from ckn.cli import emit, load_config, main
 from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
 from ckn.spectral import second_variation_sign
@@ -16,6 +16,20 @@ from conftest import random_profiles
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so that calls are counted; returns the counts."""
+    calls = {}
+    for module, name in targets:
+        calls[name] = 0
+
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestConstants:
@@ -44,6 +58,17 @@ class TestConstants:
                         "--format", "json")
         assert code == 2
         assert json.loads(out)["error"] == "InvalidDimension"
+
+    @pytest.mark.parametrize("N", [5, 6, 8])
+    def test_beta_lower_rounds_to_minus_n(self, capsys, N):
+        # at alpha = nextafter(2 - N, inf), beta_lower(alpha) rounds to -N,
+        # where gamma used to divide by N + beta = 0
+        alpha = math.nextafter(2.0 - N, math.inf)
+        assert beta_lower(N, alpha) == -N
+        code, out = run(capsys, "constants", "-N", str(N), f"--alpha={alpha!r}",
+                        f"--beta={-N}", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "BetaOutOfRange"
 
     def test_rellich_rounding_tie(self, capsys):
         # beta is one ULP below alpha - 2, but alpha - beta - 2 rounds to 0:
@@ -132,6 +157,26 @@ class TestSpectrum:
         code, _ = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "0")
         assert code == 2
 
+    def test_rows_match_mode_eigenvalue(self, capsys):
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
+                        "--kmax", "2", "--format", "json", "-n", "2001")
+        assert code == 0
+        P, grid = derive(5, 1.0, -3.0), ckn.make_grid(n=2001)
+        rows = json.loads(out)["rows"]
+        assert [(r["k"], r["index"]) for r in rows] == [(0, 1), (0, 2), (1, 1), (2, 1)]
+        for row in rows:
+            r = ckn.mode_eigenvalue(P, ckn.make_mode(P, row["k"]), row["index"], grid)
+            assert (row["eigenvalue"], row["residual"], row["iters"]) == (
+                r.eigenvalue, r.residual, r.iters)
+
+    def test_one_assembly_and_two_solves_for_mode0(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, (_forms, "energy_matrix"),
+                            (spectral, "_inverse_iteration"))
+        code, _ = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
+                      "--kmax", "0", "--format", "json", "-n", "2001")
+        assert code == 0
+        assert calls == {"energy_matrix": 1, "_inverse_iteration": 2}
+
 
 class TestRegionMap:
     def test_row_major_alpha_outer(self, capsys):
@@ -167,7 +212,9 @@ class TestRegionMap:
         assert code == 2
 
     @pytest.mark.parametrize("alpha_range,beta_range", [
-        ("0:1", "-4:x"), ("1", "-4:-1"), ("0:1:2", "-4:-1"), ("a:b", "-4:-1")])
+        ("0:1", "-4:x"), ("1", "-4:-1"), ("0:1:2", "-4:-1"), ("a:b", "-4:-1"),
+        ("nan:1", "-4:-1"), ("0:nan", "-4:-1"), ("0:1", "-inf:-1"), ("-inf:inf", "-4:-1"),
+        ("0:1", "-4:inf")])
     def test_malformed_range_exit_2(self, capsys, alpha_range, beta_range):
         code, out = run(capsys, "region-map", "-N", "5", f"--alpha-range={alpha_range}",
                         f"--beta-range={beta_range}", "--resolution", "3")

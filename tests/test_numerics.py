@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import ckn
 from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument
-from ckn.numerics import (RadialProfile, differentiate, gamma_fn, integrate,
-                          make_grid, simpson_weights, tail_fraction)
+from ckn.numerics import (RadialProfile, _fd_weights, diff_matrix, differentiate,
+                          gamma_fn, integrate, make_grid, simpson_weights,
+                          tail_fraction)
 from conftest import ORACLE
 
 
@@ -58,6 +60,43 @@ class TestDifferentiate:
         g = make_grid(-1.0, 1.0, 5)
         with pytest.raises(GridTooSmall):
             differentiate(RadialProfile(grid=g, values=np.zeros(5)), 2)
+
+
+def loop_diff_matrix(n, h, order):
+    """Reference builder: the row-by-row loop that diff_matrix replaced."""
+    central = _fd_weights(np.arange(-2, 3), order) / h ** order
+    rows, cols, vals = [], [], []
+    for i in range(3, n - 3):
+        rows.extend([i] * 5)
+        cols.extend(range(i - 2, i + 3))
+        vals.extend(central)
+    for i in range(3):
+        w = _fd_weights(np.arange(0, 7) - i, order) / h ** order
+        rows.extend([i] * 7)
+        cols.extend(range(0, 7))
+        vals.extend(w)
+        w = _fd_weights(np.arange(-6, 1) + i, order) / h ** order
+        rows.extend([n - 1 - i] * 7)
+        cols.extend(range(n - 7, n))
+        vals.extend(w)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestDiffMatrix:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [7, 9, 101, 4001])
+    @pytest.mark.parametrize("span", [28.0, 3.0])
+    def test_bit_identical_to_loop_builder(self, n, span, order):
+        h = span / (n - 1)
+        got, want = diff_matrix.__wrapped__(n, h, order), loop_diff_matrix(n, h, order)
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_cached(self):
+        assert diff_matrix(101, 0.02, 1) is diff_matrix(101, 0.02, 1)
 
 
 class TestIntegrate:

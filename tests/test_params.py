@@ -7,7 +7,7 @@ import ckn
 from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, InvalidDimension,
                         RellichBoundary)
 from ckn.params import (RegionClass, beta_lower, derive, felli_schneider,
-                        on_rellich_line, region_of, second_variation_gap)
+                        on_rellich_line, region_of, regions, second_variation_gap)
 from ckn.spectral import second_variation_sign
 from conftest import ORACLE
 
@@ -53,6 +53,17 @@ class TestDerive:
             derive(5, 1.0, -0.5)          # above alpha - 2
         with pytest.raises(BetaOutOfRange):
             derive(5, 1.0, -4.0)          # below (N-4)alpha/(N-2) - 4
+
+    @pytest.mark.parametrize("N", [5, 6, 8])
+    def test_beta_lower_rounds_to_minus_n(self, N):
+        # beta = -N is the alpha -> 2 - N limit of beta_lower, reached here by rounding
+        alpha = math.nextafter(2.0 - N, math.inf)
+        with pytest.raises(BetaOutOfRange):
+            derive(N, alpha, -float(N))
+        assert region_of(N, alpha, -float(N)) is RegionClass.INVALID
+        tags = regions(N, np.array([alpha]), np.array([-float(N)]),
+                       beta_lower(N, alpha), felli_schneider(N, alpha))
+        assert tags.tolist() == [RegionClass.INVALID.value]
 
 
 class TestFelliSchneider:

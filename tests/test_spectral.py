@@ -70,6 +70,23 @@ class TestModeEigenvalues:
         with pytest.raises(RellichBoundary):
             mode_eigenvalue(p, make_mode(ckn.derive(5, 1.0, -2.0), 0), 1, grid)
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_solves_and_iters_per_index(self, p513, grid_fast, monkeypatch, index):
+        # index 1 runs one solve; index 2 also runs the index-1 solve it
+        # deflates against, and its iters count both
+        iters = []
+        solve = spectral._inverse_iteration
+
+        def counted(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            iters.append(out[3])
+            return out
+
+        monkeypatch.setattr(spectral, "_inverse_iteration", counted)
+        r = mode_eigenvalue(p513, make_mode(p513, 0), index, grid_fast)
+        assert len(iters) == index
+        assert r.iters == sum(iters)
+
 
 class TestSecondVariation:
     def test_zero_on_fs_curve(self):
