@@ -19,7 +19,7 @@ P = ckn.derive(5, 1.0, -2.0)
 for k, idx in ((0, 1), (0, 2), (1, 1), (2, 1)):
     r = spectral.mode_eigenvalue(P, ckn.make_mode(P, k), idx, grid)
     print(f"  k = {k}, index = {idx}: nu = {r.eigenvalue:.8f}   "
-          f"(backward error {r.residual:.1e}, {r.iters} iterations)")
+          f"(backward error {r.residual:.1e}, {r.iters} factor solves)")
 print(f"  reference p - 1 = {P.p - 1:.8f}")
 
 print("\nmode-1 bottom eigenvalue across beta at (N, alpha) = (5, 1):")

@@ -246,7 +246,7 @@ def cmd_spectrum(args) -> int:
     grid = _grid_from(args, cfg)
     rows = []
     for k in range(args.kmax + 1):
-        solves = spectral._mode_solves(P, variational.make_mode(P, k), grid, 2 if k == 0 else 1)
+        solves = spectral._mode_solves(P, variational.make_mode(P, k), grid)
         rows += [[k, idx, r.eigenvalue, r.residual, r.iters] for idx, r in enumerate(solves, 1)]
     doc = {"N": P.N, "alpha": P.alpha, "beta": P.beta, "p_minus_1": P.p - 1.0,
            "rows": [{"k": r[0], "index": r[1], "eigenvalue": r[2],

@@ -24,6 +24,9 @@ DEFAULT_N = 4001
 TAIL_NODE_FRACTION = 0.025
 #: Largest tail fraction accepted by energy/quadrature consumers.
 TAIL_TOL = 1e-8
+#: Nodes skipped at each end when taking sup norms of residuals that
+#: involve stacked second-derivative stencils.
+RESIDUAL_MARGIN = 8
 
 
 @dataclass(frozen=True)

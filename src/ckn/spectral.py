@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from . import _forms, numerics
 from .errors import NoConvergence, RellichBoundary, WrongRegion
-from .numerics import LogGrid, RadialProfile
+from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile
 from .params import CknParams, RegionClass, second_variation_gap
 from .variational import ModeSpec, make_mode
 
@@ -32,19 +32,22 @@ __all__ = ["SpectralResult", "mode_eigenvalue", "second_variation_z1",
            "second_variation_bracket", "second_variation_sign",
            "linearized_residual", "gamma_comparison", "spectral_gap"]
 
-MAX_EIG_ITERS = 500
-RESIDUAL_MARGIN = 8
-EIG_TOL = 1e-13
-SHIFT_INDEX1 = 0.9
+#: Shift of the one shift-invert Lanczos run per mode.  Every mode-k
+#: eigenvalue is >= 1 (the mode-0 bottom eigenvalue), so the eigenvalues
+#: nearest 0.9 are the wanted ones: 1 and p - 1 for k = 0, the bottom
+#: eigenvalue for k >= 1.
+SHIFT = 0.9
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     """Converged eigenpair: profile normalized to unit weighted mass
     (int U^{p-2} f^2 r^{gamma+N-1} dr = 1) and positive at the first
-    interior node; residual is the normwise backward error of the
-    weak-form eigenpair, far below 1e-8 |nu| at convergence.  iters of an
-    index-2 result includes the index-1 solve it deflates against."""
+    interior node.  residual is the normwise backward error
+    ||E x - nu D x|| / ((||E||_1 + |nu| max D) ||x||) of the weak-form
+    eigenpair, far below 1e-8 |nu| at convergence.  iters is the number of
+    factor solves of the mode's one Lanczos run, which both mode-0
+    indices share."""
 
     eigenvalue: float
     profile: RadialProfile
@@ -52,86 +55,55 @@ class SpectralResult:
     iters: int
 
 
-def _inverse_iteration(E: sp.csc_matrix, d: np.ndarray, sigma: float, norm_e: float,
-                       deflate: np.ndarray | None = None,
-                       max_iters: int = MAX_EIG_ITERS,
-                       tol: float = EIG_TOL) -> tuple[float, np.ndarray, float, int]:
-    """Shifted inverse iteration on the pencil (E, diag(d)).
-
-    After a few fixed-shift sweeps the shift is refreshed with the current
-    Rayleigh quotient, which keeps the cost at a handful of banded
-    factorizations.  Deflation keeps the iterate d-orthogonal to an
-    already-converged eigenvector.  norm_e is the 1-norm of E.
-    """
-    D = sp.diags(d)
-    lu = spla.splu((E - sigma * D).tocsc())
-    rng = np.random.RandomState(1234)
-    x = rng.standard_normal(E.shape[0])
-    nu_prev = math.inf
-    stagnant = 0
-
-    def project(y: np.ndarray) -> np.ndarray:
-        if deflate is None:
-            return y
-        return y - deflate * (np.dot(deflate * d, y) / np.dot(deflate * d, deflate))
-
-    for it in range(1, max_iters + 1):
-        x = project(lu.solve(d * project(x)))
-        x /= math.sqrt(np.dot(x * d, x))
-        nu = float(x @ (E @ x))
-        r = E @ x - nu * (d * x)
-        # normwise backward error of the generalized eigenpair
-        residual = float(np.linalg.norm(r)
-                         / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
-        if residual < tol:
-            return nu, x, residual, it
-        # Rayleigh refreshes converge cubically; once the eigenvalue stops
-        # moving the residual has reached the rounding floor of the solve.
-        stagnant = stagnant + 1 if abs(nu - nu_prev) <= 1e-14 * abs(nu) else 0
-        if stagnant >= 2 and residual < 1e-10:
-            return nu, x, residual, it
-        if it >= 3 and abs(nu - nu_prev) > 1e-14 * abs(nu):
-            lu = spla.splu((E - nu * D).tocsc())
-        nu_prev = nu
-    raise NoConvergence(f"eigen iteration residual {residual:.2e} after {max_iters} steps")
-
-
-def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid,
-                 top: int) -> list[SpectralResult]:
-    """Eigenpairs of index 1..top (top = 2 only for k = 0) of the mode-k
-    pencil, assembled once; index 2 deflates against the index-1 solve."""
+def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
+    """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k
+    pencil (E, diag(d)): one assembly, one factorization of E - SHIFT diag(d)
+    and one shift-invert Lanczos run (ARPACK through eigsh)."""
     if not params.subcritical:
         raise RellichBoundary("mode_eigenvalue requires beta < alpha - 2")
     E = _forms.energy_matrix(params, mode.lambda_k, grid, clamp=True)
     d = _forms.mass_vector(params, grid, clamp=True)
+    D = sp.diags(d)
+    lu = spla.splu((E - SHIFT * D).tocsc())
+    solves = 0
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        return lu.solve(y)
+
+    # a fixed start vector keeps every answer reproducible bit for bit
+    v0 = np.random.RandomState(1234).standard_normal(E.shape[0])
+    try:
+        nus, X = spla.eigsh(E, 2 if mode.k == 0 else 1, M=D, sigma=SHIFT, which="LM",
+                            OPinv=spla.LinearOperator(E.shape, matvec=solve, dtype=float),
+                            v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergence(f"shift-invert Lanczos on mode {mode.k}: {exc}") from None
     norm_e = float(np.max(np.abs(E).sum(axis=0)))
-    solves = [_inverse_iteration(E, d, SHIFT_INDEX1, norm_e)]
-    if top == 2:
-        _, x1, _, it1 = solves[0]
-        nu, x, res, it = _inverse_iteration(E, d, params.p - 1.0 - 0.1, norm_e, deflate=x1)
-        solves.append((nu, x, res, it + it1))
     results = []
-    for nu, x, res, it in solves:
+    for j in np.argsort(nus):
+        nu, x = float(nus[j]), X[:, j]
+        x = x / math.sqrt(np.dot(x * d, x))
+        residual = float(np.linalg.norm(E @ x - nu * (d * x))
+                         / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
         # positive at the first interior node, zero at the clamped nodes
         phi = np.pad(-x if x[0] < 0 else x, _forms.N_CLAMP)
         profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, phi))
-        results.append(SpectralResult(eigenvalue=nu, profile=profile, residual=res, iters=it))
+        results.append(SpectralResult(eigenvalue=nu, profile=profile, residual=residual,
+                                      iters=solves))
     return results
 
 
 def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
                     grid: LogGrid) -> SpectralResult:
-    """index-th eigenvalue of the mode-k pencil (index 2 only for k = 0).
-
-    Inverse-iteration shifts: 0.9 for index 1 (below the whole spectrum,
-    which is bounded below by the mode-0 bottom eigenvalue 1), and
-    p - 1 - 0.1 for index 2 with deflation against the index-1 profile.
-    """
+    """index-th eigenvalue of the mode-k pencil (index 2 only for k = 0),
+    from the mode's one shift-invert Lanczos run about SHIFT = 0.9."""
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
     if index == 2 and mode.k != 0:
         raise ValueError("index 2 is only available for mode k = 0")
-    return _mode_solves(params, mode, grid, index)[-1]
+    return _mode_solves(params, mode, grid)[index - 1]
 
 
 def _x1_integrals(M: float, grid: LogGrid | None = None) -> tuple[float, float]:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import numerics
 from .errors import GridTooSmall, MOutOfRange, RellichBoundary
-from .numerics import LogGrid, RadialProfile, differentiate, integrate, require_tail
+from .numerics import (RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate, integrate,
+                       require_tail)
 from .params import CknParams
 
 __all__ = [
@@ -30,10 +31,6 @@ __all__ = [
     "cosh_profile", "cosh_constants", "ode_residual", "cosh_ansatz_check",
     "to_dimension_m", "from_dimension_m", "rayleigh_m",
 ]
-
-#: Nodes skipped at each end when taking sup norms of residuals that
-#: involve stacked second-derivative stencils.
-RESIDUAL_MARGIN = 8
 
 #: Default grid of the exact-solution ODE residual check: the node count
 #: balances the h^4 truncation of the stacked stencils against the

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_u, omega_sphere
-from .errors import AmplitudeTooLarge, Diverged, MaxIters, RellichBoundary, TailInadequate
+from .errors import AmplitudeTooLarge, Diverged, MaxIters, RellichBoundary
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
 from .params import CknParams
 
@@ -68,17 +68,6 @@ def make_mode(params: CknParams, k: int) -> ModeSpec:
                     multiplicity=mult)
 
 
-def _tail_guard(integrand: np.ndarray, what: str) -> None:
-    """Tail check on a plain-t integrand (uniform weights)."""
-    m = max(2, round(numerics.TAIL_NODE_FRACTION * len(integrand)))
-    total = float(np.sum(np.abs(integrand)))
-    if total == 0.0:
-        return
-    frac = float(np.sum(np.abs(integrand[:m])) + np.sum(np.abs(integrand[-m:]))) / total
-    if frac > numerics.TAIL_TOL:
-        raise TailInadequate(f"{what}: outermost nodes carry {frac:.3e} of the energy")
-
-
 def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
     """int [f'' + (N-1+alpha)/r f' - lambda_k/r^2 f]^2 r^{N+2alpha-beta-1} dr."""
     grid = u.grid
@@ -86,7 +75,7 @@ def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
     B = _forms.mode_operator(params, lambda_k, grid)
     img = B @ phi
     integrand = img * img
-    _tail_guard(integrand, "mode energy")
+    numerics.require_tail(integrand, grid, -1.0, "mode energy")
     return float(np.sum(trapezoid_weights(grid.n, grid.h) * integrand))
 
 
@@ -230,6 +219,6 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     vals = np.abs(u[:, None] + t_amp * f[:, None] *
                   (np.ones_like(cosines) if mode.k == 0 else cosines)[None, :]) ** p
     radial = vals @ wq                                  # per-radius sphere integral
-    _tail_guard(radial * np.exp((N + params.gamma) * grid.ts), "perturbed quotient denominator")
+    numerics.require_tail(radial, grid, params.gamma + N - 1.0, "perturbed quotient denominator")
     den = om_sub * numerics.integrate(radial, grid, params.gamma + N - 1.0)
     return numerator / den ** (2.0 / p)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import ckn
-from ckn import _forms, identities, spectral
+from ckn import _forms, identities
 from ckn.cli import emit, load_config, main
 from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
 from ckn.spectral import second_variation_sign
@@ -169,13 +170,30 @@ class TestSpectrum:
             assert (row["eigenvalue"], row["residual"], row["iters"]) == (
                 r.eigenvalue, r.residual, r.iters)
 
-    def test_one_assembly_and_two_solves_for_mode0(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, (_forms, "energy_matrix"),
-                            (spectral, "_inverse_iteration"))
+    def test_one_assembly_and_one_factorization_per_mode(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, (_forms, "energy_matrix"), (spla, "splu"))
         code, _ = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
-                      "--kmax", "0", "--format", "json", "-n", "2001")
+                      "--kmax", "2", "--format", "json", "-n", "2001")
         assert code == 0
-        assert calls == {"energy_matrix": 1, "_inverse_iteration": 2}
+        assert calls == {"energy_matrix": 3, "splu": 3}
+
+    def test_repeat_runs_byte_identical(self, capsys):
+        # the Lanczos start vector is fixed, so every digit repeats
+        argv = ("spectrum", "-N", "6", "-a", "2", "-b", "-2", "--kmax", "2",
+                "--format", "json")
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == 0
+        assert first == second
+
+    def test_lanczos_no_convergence_exit_1(self, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
+                        "--kmax", "0", "--format", "json", "-n", "2001")
+        assert code == 1
+        assert json.loads(out)["error"] == "NoConvergence"
 
 
 class TestRegionMap:

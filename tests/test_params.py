@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,46 @@ class TestDerive:
         tags = regions(N, np.array([alpha]), np.array([-float(N)]),
                        beta_lower(N, alpha), felli_schneider(N, alpha))
         assert tags.tolist() == [RegionClass.INVALID.value]
+
+
+def exact_p_gamma(N, alpha, beta):
+    """p and gamma of derive's formulas in exact rational arithmetic on the
+    float inputs."""
+    a, b = Fraction(alpha), Fraction(beta)
+    T = N + 2 * a - b - 4
+    return 2 * T / (N + b), T * T / (N + b) - N
+
+
+class TestDeriveExactArithmetic:
+    # Near alpha -> 2 - N, p moves away from 2N/(N-4) because fl(beta_lower)
+    # sits a few 1e-16 off the boundary, where p is steep in beta; derive
+    # itself loses nothing against exact arithmetic on its inputs.
+    CORNERS = [(5, -2.9999999999989995), (5, -3.0 + 1e-12), (6, -4.0 + 1e-12),
+               (8, -6.0 + 1e-12)]
+
+    @pytest.mark.parametrize("N,alpha", CORNERS)
+    def test_corners(self, N, alpha):
+        beta = beta_lower(N, alpha)
+        P = derive(N, alpha, beta)
+        p, gamma = exact_p_gamma(N, alpha, beta)
+        assert P.p == pytest.approx(float(p), rel=1e-14)
+        assert P.gamma == pytest.approx(float(gamma), rel=1e-14)
+        # on the exact boundary the same arithmetic gives 2N/(N-4)
+        lo = Fraction(N - 4) * Fraction(alpha) / (N - 2) - 4
+        assert exact_p_gamma(N, alpha, lo)[0] == Fraction(2 * N, N - 4)
+
+    def test_random_admissible_points(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            N = int(rng.integers(5, 11))
+            alpha = float(rng.uniform(2 - N, 6.0))
+            beta = float(rng.uniform(beta_lower(N, alpha), alpha - 2.0))
+            P = derive(N, alpha, beta)
+            p, gamma = exact_p_gamma(N, alpha, beta)
+            assert P.p == pytest.approx(float(p), rel=1e-14)
+            # gamma = T^2/(N+beta) - N cancels near gamma = 0, so its error
+            # is measured against the size N of the cancelling terms
+            assert abs(P.gamma - float(gamma)) <= 1e-14 * max(abs(float(gamma)), N)
 
 
 class TestFelliSchneider:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import ckn
-from ckn import spectral
+from ckn import _forms
 from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, scaling_direction
 from ckn.errors import RellichBoundary, WrongRegion
 from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
@@ -72,20 +73,48 @@ class TestModeEigenvalues:
 
     @pytest.mark.parametrize("index", [1, 2])
     def test_solves_and_iters_per_index(self, p513, grid_fast, monkeypatch, index):
-        # index 1 runs one solve; index 2 also runs the index-1 solve it
-        # deflates against, and its iters count both
-        iters = []
-        solve = spectral._inverse_iteration
+        # either index costs one assembly, one factorization and one Lanczos
+        # run; iters is that run's factor solves, the same for both indices
+        assemblies, factors = [], []
+        energy_matrix, splu = _forms.energy_matrix, spla.splu
 
-        def counted(*args, **kwargs):
-            out = solve(*args, **kwargs)
-            iters.append(out[3])
-            return out
+        class CountedFactor:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
 
-        monkeypatch.setattr(spectral, "_inverse_iteration", counted)
+            def solve(self, y):
+                self.solves += 1
+                return self.lu.solve(y)
+
+        def counted_energy(*args, **kwargs):
+            assemblies.append(1)
+            return energy_matrix(*args, **kwargs)
+
+        def counted_splu(*args, **kwargs):
+            factors.append(CountedFactor(splu(*args, **kwargs)))
+            return factors[-1]
+
+        monkeypatch.setattr(_forms, "energy_matrix", counted_energy)
+        monkeypatch.setattr(spla, "splu", counted_splu)
         r = mode_eigenvalue(p513, make_mode(p513, 0), index, grid_fast)
-        assert len(iters) == index
-        assert r.iters == sum(iters)
+        assert (len(assemblies), len(factors)) == (1, 1)
+        assert r.iters == factors[0].solves > 0
+        other = mode_eigenvalue(p513, make_mode(p513, 0), 3 - index, grid_fast)
+        assert other.iters == r.iters
+
+    def test_mode1_where_a_moving_shift_went_astray(self):
+        # a shift that follows the Rayleigh quotient can settle on a higher
+        # eigenvalue here (7.0306); a fixed shift below the spectrum cannot
+        p = ckn.derive(6, 2.678, -2.319)
+        grid = ckn.make_grid(-14.3, 14.3, 4077)
+        r = mode_eigenvalue(p, make_mode(p, 1), 1, grid)
+        assert r.eigenvalue == pytest.approx(2.0809807, abs=1e-6)
+
+    def test_mode0_bottom_on_gate_grid(self, p513, grid):
+        # the discretization error here is about 5e-8; a loose eigen stop
+        # test shows up as an error of 1e-6 or more
+        r = mode_eigenvalue(p513, make_mode(p513, 0), 1, grid)
+        assert abs(r.eigenvalue - 1.0) < 2e-7
 
 
 class TestSecondVariation:

@@ -6,7 +6,7 @@ import pytest
 import ckn
 from ckn import variational
 from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, radial_constant_sr
-from ckn.errors import AmplitudeTooLarge, RellichBoundary
+from ckn.errors import AmplitudeTooLarge, RellichBoundary, TailInadequate
 from ckn.numerics import RadialProfile
 from ckn.variational import (make_mode, minimize_radial, mode_energy,
                              perturbed_quotient, radial_energy)
@@ -167,6 +167,16 @@ class TestPerturbedQuotient:
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
         with pytest.raises(ValueError):
             perturbed_quotient(p512, 0.05, make_mode(p512, 2), z1)
+
+
+class TestTailAdequacy:
+    @pytest.mark.parametrize("center", [-13.8, 13.8])
+    def test_energy_at_grid_ends(self, p512, grid, center):
+        f = gaussian_profile(grid, center=center, width=0.3)
+        with pytest.raises(TailInadequate):
+            mode_energy(f, p512, make_mode(p512, 1))
+        with pytest.raises(TailInadequate):
+            perturbed_quotient(p512, 0.05, make_mode(p512, 1), f)
 
 
 def test_extremal_integrand_tails_negligible(p512, grid):
