@@ -58,16 +58,12 @@ def keep_indices(n: int) -> np.ndarray:
     return np.arange(N_CLAMP, n - N_CLAMP)
 
 
-def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid,
-                  clamp: bool = True) -> sp.csc_matrix:
+def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csc_matrix:
     """Quadratic form of int (B_k phi)^2 dt (trapezoid weights, clamped)."""
     B = mode_operator(params, lambda_k, grid)
     W = sp.diags(trapezoid_weights(grid.n, grid.h))
-    E = (B.T @ W @ B).tocsc()
-    if not clamp:
-        return E
     keep = keep_indices(grid.n)
-    return E[np.ix_(keep, keep)].tocsc()
+    return (B.T @ W @ B).tocsc()[np.ix_(keep, keep)].tocsc()
 
 
 def extremal_scaled(params: CknParams, grid: LogGrid) -> np.ndarray:
@@ -77,8 +73,8 @@ def extremal_scaled(params: CknParams, grid: LogGrid) -> np.ndarray:
     return to_scaled(params, grid, extremal_u(ExtremalSpec(params), grid.nodes))
 
 
-def mass_vector(params: CknParams, grid: LogGrid, clamp: bool = True) -> np.ndarray:
+def mass_vector(params: CknParams, grid: LogGrid) -> np.ndarray:
     """Diagonal of the weighted mass form int U^{p-2} f^2 r^{gamma+N-1} dr,
-    which in scaled variables is int phi_U^{p-2} phi^2 dt."""
+    which in scaled variables is int phi_U^{p-2} phi^2 dt (clamped)."""
     d = trapezoid_weights(grid.n, grid.h) * extremal_scaled(params, grid) ** (params.p - 2.0)
-    return d[keep_indices(grid.n)] if clamp else d
+    return d[keep_indices(grid.n)]

@@ -312,7 +312,7 @@ def cmd_minimize(args) -> int:
             raise CknError(f"unreadable init file {args.init}: {exc}") from exc
         if vals.ndim != 1 or len(vals) != grid.n:
             raise CknError(f"init file must hold {grid.n} values, got shape {vals.shape}")
-        init = RadialProfile(grid=grid, values=vals * np.exp(-P.kappa1 * t))
+        init = RadialProfile(grid=grid, values=vals)
     else:
         init = RadialProfile(grid=grid, values=np.exp(-t * t - P.kappa1 * t))
     value, profile = variational.minimize_radial(P, init, max_iters=args.max_iters)

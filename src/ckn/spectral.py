@@ -61,8 +61,8 @@ def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Spect
     and one shift-invert Lanczos run (ARPACK through eigsh)."""
     if not params.subcritical:
         raise RellichBoundary("mode_eigenvalue requires beta < alpha - 2")
-    E = _forms.energy_matrix(params, mode.lambda_k, grid, clamp=True)
-    d = _forms.mass_vector(params, grid, clamp=True)
+    E = _forms.energy_matrix(params, mode.lambda_k, grid)
+    d = _forms.mass_vector(params, grid)
     D = sp.diags(d)
     lu = spla.splu((E - SHIFT * D).tocsc())
     solves = 0

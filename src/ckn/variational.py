@@ -17,25 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_u, omega_sphere
-from .errors import AmplitudeTooLarge, Diverged, MaxIters, RellichBoundary
+from .errors import AmplitudeTooLarge, MaxIters, RellichBoundary
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
 from .params import CknParams
 
 __all__ = ["ModeSpec", "make_mode", "radial_energy", "mode_energy",
            "minimize_radial", "perturbed_quotient"]
-
-#: Armijo constant and initial step of the projected descent.
-ARMIJO_C = 1e-4
-STEP_SEED = 1e-2
-#: Descent stops when the preconditioned gradient norm falls below this
-#: multiple of the current quotient value.
-GRAD_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class ModeSpec:
@@ -98,73 +89,54 @@ def _star_norm_p(phi: np.ndarray, w: np.ndarray, p: float) -> float:
 def minimize_radial(params: CknParams, init: RadialProfile,
                     max_iters: int = 2000, tol: float = 1e-10
                     ) -> tuple[float, RadialProfile]:
-    """Minimize the radial quotient by projected descent from init.
+    """Minimize the radial quotient from init by nonlinear inverse power
+    iteration (Hein & Buehler, NIPS 2010).
 
-    Descent directions are preconditioned with the (factorized) energy
-    operator itself, i.e. this is gradient flow in the energy inner
-    product; the fixed points are exactly the discrete Euler-Lagrange
-    profiles, the same set as for the plain gradient.  Each accepted step
-    uses Armijo backtracking (constant 1e-4, halving, step seed 1e-2) and
-    the iterate is renormalized onto the unit constraint sphere.
+    The clamped energy form A is factored once; each step solves
+    A phi_new = w |phi|^{p-2} phi and renormalizes to unit sum w |phi|^p.
+    The quotient is a ratio of convex 2-homogeneous functionals, so no
+    step raises it and no step size is needed.  The value is the trapezoid
+    sum of (B phi)^2, as in mode_energy.  A step is kept only if it lowers
+    the value; the loop stops at the first step that lowers it by at most
+    tol times the value, and max_iters bounds the number of solves.
 
-    Returns (quotient value, normalized profile).  The value on success is
-    within 0.5% of radial_constant_sr; see the errors for the two failure
-    modes.
+    Returns (quotient value, normalized profile), the value within 0.5% of
+    radial_constant_sr.  Raises MaxIters after max_iters solves, and
+    TailInadequate when the outermost nodes carry more of the final
+    energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off).
     """
     if not params.subcritical:
         raise RellichBoundary("minimize_radial requires beta < alpha - 2")
     grid = init.grid
-    n, h = grid.n, grid.h
-    keep = _forms.keep_indices(n)
-    w = trapezoid_weights(n, h)[keep]
-    A = _forms.energy_matrix(params, 0.0, grid, clamp=True)
-    pre = spla.splu((A + 1e-10 * params.K0 * sp.diags(w)).tocsc())
+    keep = _forms.keep_indices(grid.n)
+    w_full = trapezoid_weights(grid.n, grid.h)
+    w = w_full[keep]
+    lu = spla.splu(_forms.energy_matrix(params, 0.0, grid))
+    B = _forms.mode_operator(params, 0.0, grid)
     p = params.p
-    om = omega_sphere(params.N)
-    pref = om ** (1.0 - 2.0 / p)
+
+    def normalized(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        x = x / _star_norm_p(x, w, p) ** (1.0 / p)
+        sq = (B @ np.pad(x, _forms.N_CLAMP)) ** 2
+        return x, float(w_full @ sq), sq
 
     phi = _forms.to_scaled(params, grid, init.values)[keep]
-    norm = _star_norm_p(phi, w, p)
-    if norm <= 0:
+    if _star_norm_p(phi, w, p) <= 0:
         raise ValueError("init profile must be nonzero")
-    phi = phi / norm ** (1.0 / p)
-    value = float(phi @ (A @ phi))
-    step = STEP_SEED
-    rises = 0
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        grad = 2.0 * (A @ phi - value * (w * np.abs(phi) ** (p - 2.0) * phi))
-        direction = pre.solve(grad)
-        slope = float(grad @ direction)
-        if math.sqrt(max(slope, 0.0)) < GRAD_TOL * max(value, 1.0):
-            converged = True
+    phi, value, sq = normalized(phi)
+    for _ in range(max_iters):
+        trial, trial_value, trial_sq = normalized(lu.solve(w * np.abs(phi) ** (p - 2.0) * phi))
+        drop = value - trial_value
+        if drop > 0:
+            phi, value, sq = trial, trial_value, trial_sq
+        if drop <= tol * value:
             break
-        accepted = False
-        for _ in range(60):
-            trial = phi - step * direction
-            trial /= _star_norm_p(trial, w, p) ** (1.0 / p)
-            trial_value = float(trial @ (A @ trial))
-            if trial_value <= value - ARMIJO_C * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True          # stalled at rounding level of the objective
-            break
-        rises = rises + 1 if trial_value > value else 0
-        if rises >= 10:
-            raise Diverged("quotient increased for 10 consecutive accepted steps")
-        prev_value, phi, value = value, trial, trial_value
-        step = min(step * 1.5, 1.0)
-        if abs(prev_value - value) < tol * max(value, 1e-300) and it > 5:
-            converged = True
-            break
-    if not converged:
-        raise MaxIters(f"no stationary point within {max_iters} iterations")
+    else:
+        raise MaxIters(f"no stationary point within {max_iters} solves")
+    numerics.require_tail(sq, grid, -1.0, "radial minimizer")
     profile = RadialProfile(grid=grid, values=_forms.from_scaled(
         params, grid, np.pad(phi, _forms.N_CLAMP)))
-    return pref * value, profile
+    return omega_sphere(params.N) ** (1.0 - 2.0 / p) * value, profile
 
 
 def _gauss_sphere(N: int, n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:

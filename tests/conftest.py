@@ -66,10 +66,10 @@ def random_profiles(grid, seed, count):
 def weighted_cosine(params, grid, f, g) -> float:
     """Cosine similarity in the weighted mass inner product of the
     linearized pencil, int U^{p-2} f g r^{gamma+N-1} dr."""
-    from ckn._forms import mass_vector, to_scaled
+    from ckn import _forms
 
-    d = mass_vector(params, grid, clamp=False)
-    a = to_scaled(params, grid, np.asarray(f, dtype=float))
-    b = to_scaled(params, grid, np.asarray(g, dtype=float))
+    d = np.pad(_forms.mass_vector(params, grid), _forms.N_CLAMP)
+    a = _forms.to_scaled(params, grid, np.asarray(f, dtype=float))
+    b = _forms.to_scaled(params, grid, np.asarray(g, dtype=float))
     return abs(float(np.sum(d * a * b))) / np.sqrt(float(np.sum(d * a * a))
                                                    * float(np.sum(d * b * b)))

@@ -374,6 +374,16 @@ class TestMinimize:
                         "--init", str(bad), "--format", "json")
         assert code == 2
 
+    def test_init_file_holds_u_samples(self, capsys, tmp_path):
+        P = derive(5, 1.0, -2.0)
+        grid = ckn.make_grid(n=2001)
+        init = tmp_path / "init.txt"
+        np.savetxt(init, ckn.extremal_u(ckn.ExtremalSpec(P), grid.nodes), fmt="%.17g")
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
+                        "-n", "2001", "--init", str(init), "--format", "json")
+        assert code == 0
+        assert abs(json.loads(out)["relative_gap"]) < 1e-6
+
     def test_wrong_length_init_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "init.txt"
         bad.write_text("\n".join(["1.0"] * 10))

@@ -56,8 +56,8 @@ class TestModeEigenvalues:
 
     def test_profile_sign_and_normalization(self, p512, grid):
         r = mode_eigenvalue(p512, make_mode(p512, 0), 1, grid)
-        from ckn._forms import mass_vector, to_scaled
-        d = mass_vector(p512, grid, clamp=False)
+        from ckn._forms import N_CLAMP, mass_vector, to_scaled
+        d = np.pad(mass_vector(p512, grid), N_CLAMP)
         phi = to_scaled(p512, grid, r.profile.values)
         assert float(np.sum(d * phi * phi)) == pytest.approx(1.0, rel=1e-12)
         assert phi[2] > 0

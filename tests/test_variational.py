@@ -95,24 +95,39 @@ class TestEnergies:
         assert math.isfinite(e) and e > 0
 
 
-class TestMinimizeRadial:
-    TARGETS = [((5, 1.0, -2.0), "S_r_5_1_-2"), ((5, 1.0, -3.0), "S_r_5_1_-3"),
-               ((6, 0.5, -2.5), "S_r_6_05_-25")]
+TARGETS = [((5, 1.0, -2.0), "S_r_5_1_-2"), ((5, 1.0, -3.0), "S_r_5_1_-3"),
+           ((6, 0.5, -2.5), "S_r_6_05_-25")]
+# the default grid (n = 4001) keeps the ids these cases had before n was a
+# parameter
+GAUSSIAN_SEEDS = [pytest.param(point, key, n, id=f"point{i}-{key}" + (f"-{n}" if n != 4001 else ""))
+                  for n in (4001, 8001) for i, (point, key) in enumerate(TARGETS)]
 
-    @pytest.mark.parametrize("point,key", TARGETS)
-    def test_gaussian_seed_converges(self, point, key, grid):
+
+class TestMinimizeRadial:
+    @pytest.mark.parametrize("point,key,n", GAUSSIAN_SEEDS)
+    def test_gaussian_seed_converges(self, point, key, n):
         N, alpha, beta = point
         P = ckn.derive(N, alpha, beta)
+        grid = ckn.make_grid(n=n)
         init = RadialProfile(grid=grid,
                              values=np.exp(-grid.ts ** 2 - P.kappa1 * grid.ts))
         value, profile = minimize_radial(P, init, max_iters=2000)
         target = ORACLE[key]
-        assert abs(value - target) / target < 5e-3
-        # discrete optimum never undershoots the closed form beyond tolerance
-        assert value >= target * (1.0 - 5e-3)
+        assert abs(value - target) / target < 1e-9
         # returned profile reproduces the value through the public quotient
         # (trapezoid forms inside the minimizer vs Simpson quadrature here)
         assert quotient(profile, P) == pytest.approx(value, rel=1e-6)
+
+    def test_far_apart_bumps(self, grid):
+        # two bumps of phi six apart in t: each step is one solve, so the
+        # value reaches S_r well within 50 of them
+        P = ckn.derive(7, 1.5, -2.0)
+        t = grid.ts
+        phi = np.exp(-(t - 3.0) ** 2) + np.exp(-(t + 3.0) ** 2)
+        init = RadialProfile(grid=grid, values=phi * np.exp(-P.kappa1 * t))
+        value, _ = minimize_radial(P, init, max_iters=50)
+        target = radial_constant_sr(P)
+        assert abs(value - target) / target < 1e-8
 
     def test_extremal_is_stationary(self, p512, grid):
         u = extremal_profile(p512, grid)
@@ -177,6 +192,14 @@ class TestTailAdequacy:
             mode_energy(f, p512, make_mode(p512, 1))
         with pytest.raises(TailInadequate):
             perturbed_quotient(p512, 0.05, make_mode(p512, 1), f)
+
+    def test_minimizer_near_rellich_boundary(self, grid):
+        # at beta = -1.001 the extremal is wider than t in [-14, 14]: the
+        # value would miss S_r by 0.56%, so the minimizer must raise
+        P = ckn.derive(5, 1.0, -1.001)
+        init = RadialProfile(grid=grid, values=np.exp(-grid.ts ** 2 - P.kappa1 * grid.ts))
+        with pytest.raises(TailInadequate):
+            minimize_radial(P, init)
 
 
 def test_extremal_integrand_tails_negligible(p512, grid):
