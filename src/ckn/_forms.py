@@ -23,17 +23,25 @@ The two outermost nodes on each side are clamped (phi = 0); without the
 clamp the discrete kernel of B_k admits truncated exponentials e^{kappa1 t},
 e^{-kappa2 t} that are not limits of admissible functions and show up as
 spurious near-zero energies.
+
+The solvers factor E_k = B_k^T W B_k by banded Cholesky in LAPACK band
+storage (energy_band); energy_matrix is the same form as a sparse matrix,
+kept as the reference that energy_band matches bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .numerics import LogGrid, diff_matrix, trapezoid_weights
+from .errors import GridTooSmall, NoConvergence
+from .numerics import LogGrid, diff_matrix, stencil_weights, trapezoid_weights
 from .params import CknParams
 
 N_CLAMP = 2
+#: Half-bandwidth of the clamped energy form: the clamp keeps 5 of the 7 end-row columns
+BAND = 4
 
 
 def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csr_matrix:
@@ -64,6 +72,65 @@ def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csc_m
     W = sp.diags(trapezoid_weights(grid.n, grid.h))
     keep = keep_indices(grid.n)
     return (B.T @ W @ B).tocsc()[np.ix_(keep, keep)].tocsc()
+
+
+def _mode_rows(params: CknParams, lambda_k: float, h: float):
+    """mode_operator's entries, in its order of operations, on the rows of
+    numerics.stencil_weights."""
+    (i2, l2, r2), (i1, l1, r1) = ([w / h ** o for w in stencil_weights(o)] for o in (2, 1))
+    c1, c0 = 2.0 * params.nu, params.cal_B + lambda_k
+    inner, left, right = i2 - c1 * i1, l2 - c1 * l1, r2 - c1 * r1
+    inner[2] -= c0
+    left[[0, 1, 2], [0, 1, 2]] -= c0
+    right[[0, 1, 2], [6, 5, 4]] -= c0
+    return inner, left, right
+
+
+def mode_image(params: CknParams, lambda_k: float, grid: LogGrid,
+               phi: np.ndarray) -> np.ndarray:
+    """mode_operator(params, lambda_k, grid) @ phi, without the sparse matrix."""
+    inner, left, right = _mode_rows(params, lambda_k, grid.h)
+    img = np.convolve(phi, inner[::-1], "same")
+    img[:3], img[-3:] = left @ phi[:7], right[::-1] @ phi[-7:]
+    return img
+
+
+def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray:
+    """energy_matrix in upper LAPACK band storage, ab[BAND - d, j] = E[j - d, j].
+    Each E[j, l] sums (B[i, j] w_i) B[i, l] over the rows i of B in rising
+    order, as the sparse product (B^T W) B does, so the two agree bit for
+    bit: interior rows as slice adds, the end rows as outer products."""
+    n, h = grid.n, grid.h
+    if n < 7:
+        raise GridTooSmall(f"need at least 7 nodes, got {n}")
+    inner, left, right = _mode_rows(params, lambda_k, h)
+    ab = np.zeros((BAND + 1, n))
+
+    def add_rows(rows, weights, at):
+        for row, w in zip(rows, weights):
+            block = np.outer(row * w, row)
+            for d in range(BAND + 1):
+                ab[BAND - d, at + d:at + 7] += np.diagonal(block, d)
+
+    add_rows(left, (h / 2.0, h, h), 0)
+    for d in range(BAND + 1):
+        for m in range(d - 2, 3):           # row i = j + m, ascending
+            ab[BAND - d, 3 - m + d:n - 3 - m + d] += (inner[2 - m] * h) * inner[2 + d - m]
+    add_rows(right[::-1], (h, h, h / 2.0), n - 7)
+    ab = ab[:, N_CLAMP:n - N_CLAMP]
+    for d in range(1, BAND + 1):            # couplings to clamped nodes
+        ab[BAND - d, :d] = 0.0
+    return ab
+
+
+def cholesky_solver(ab: np.ndarray, what: str):
+    """rhs -> A^{-1} rhs for the band form A, by one banded Cholesky factorization;
+    NoConvergence if A, positive definite in exact arithmetic, has no factor."""
+    try:
+        factor = sla.cholesky_banded(ab)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{what} has no Cholesky factor ({exc})") from None
+    return lambda rhs: sla.cho_solve_banded((factor, False), rhs, check_finite=False)
 
 
 def extremal_scaled(params: CknParams, grid: LogGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ convergence failure, 2 usage/validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import closedform, identities, numerics, spectral, transforms, variational
-from .errors import (CknError, Diverged, MaxIters, NoConvergence, TailInadequate)
+from .errors import CknError, MaxIters, NoConvergence, TailInadequate
 from .numerics import RadialProfile, make_grid
 from .params import (CknParams, RegionClass, beta_lower, derive, exponents,
                      felli_schneider, regions, second_variation_gap)
@@ -329,6 +330,7 @@ def cmd_minimize(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ckn", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         return args.fn(args)
-    except (TailInadequate, Diverged, MaxIters, NoConvergence) as exc:
+    except (TailInadequate, MaxIters, NoConvergence) as exc:
         _emit_error(exc, fmt)
         return _CHECK_ERRORS
     except CknError as exc:

@@ -62,7 +62,8 @@ class AmplitudeTooLarge(CknError):
 
 
 class Diverged(CknError):
-    """Descent iteration increased the objective repeatedly."""
+    """Iteration increased its objective repeatedly.  Nothing in this package
+    raises it since minimize_radial's value cannot rise; kept for callers."""
 
 
 class MaxIters(CknError):
@@ -70,4 +71,4 @@ class MaxIters(CknError):
 
 
 class NoConvergence(CknError):
-    """Eigenvalue iteration failed to converge within its cap."""
+    """Eigen iteration did not converge, or a positive definite form had no Cholesky factor."""

@@ -82,6 +82,19 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
+@lru_cache(maxsize=2)
+def stencil_weights(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """diff_matrix's rows for h = 1: the interior stencil on offsets -2..2,
+    rows 0, 1, 2 on columns 0..6 and rows n-1, n-2, n-3 on columns n-7..n-1
+    (read-only: every caller shares them)."""
+    weights = (_fd_weights(np.arange(-2, 3), order),
+               np.array([_fd_weights(np.arange(0, 7) - i, order) for i in range(3)]),
+               np.array([_fd_weights(np.arange(-6, 1) + i, order) for i in range(3)]))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
 @lru_cache(maxsize=64)
 def diff_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
     """Differentiation matrix in t: 4th-order central stencils at interior
@@ -89,14 +102,14 @@ def diff_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
     each boundary."""
     if n < 7:
         raise GridTooSmall(f"need at least 7 nodes, got {n}")
+    inner, left, right = (w / h ** order for w in stencil_weights(order))
     interior = np.arange(3, n - 3)
     # blocks in the old row-by-row loop's order: the CSR arrays match it bit for bit
     blocks = [(np.repeat(interior, 5), (interior[:, None] + np.arange(-2, 3)).ravel(),
-               np.tile(_fd_weights(np.arange(-2, 3), order) / h ** order, n - 6))]
+               np.tile(inner, n - 6))]
     for i in range(3):
-        for row, offsets in ((i, np.arange(0, 7) - i), (n - 1 - i, np.arange(-6, 1) + i)):
-            w = _fd_weights(offsets, order) / h ** order
-            blocks.append((np.full(7, row), row + offsets, w))
+        blocks.append((np.full(7, i), np.arange(7), left[i]))
+        blocks.append((np.full(7, n - 1 - i), np.arange(n - 7, n), right[i]))
     rows, cols, vals = (np.concatenate(b) for b in zip(*blocks))
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
 from .errors import NoConvergence, RellichBoundary, WrongRegion
@@ -33,9 +33,8 @@ __all__ = ["SpectralResult", "mode_eigenvalue", "second_variation_z1",
            "linearized_residual", "gamma_comparison", "spectral_gap"]
 
 #: Shift of the one shift-invert Lanczos run per mode.  Every mode-k
-#: eigenvalue is >= 1 (the mode-0 bottom eigenvalue), so the eigenvalues
-#: nearest 0.9 are the wanted ones: 1 and p - 1 for k = 0, the bottom
-#: eigenvalue for k >= 1.
+#: eigenvalue is >= 1 (the mode-0 bottom eigenvalue), so E - SHIFT D is
+#: positive definite and the eigenvalues nearest 0.9 are the wanted ones.
 SHIFT = 0.9
 
 
@@ -43,10 +42,11 @@ SHIFT = 0.9
 class SpectralResult:
     """Converged eigenpair: profile normalized to unit weighted mass
     (int U^{p-2} f^2 r^{gamma+N-1} dr = 1) and positive at the first
-    interior node.  residual is the normwise backward error
+    interior node.  eigenvalue is its Rayleigh quotient sum w (B_k phi)^2.
+    residual is the normwise backward error
     ||E x - nu D x|| / ((||E||_1 + |nu| max D) ||x||) of the weak-form
     eigenpair, far below 1e-8 |nu| at convergence.  iters is the number of
-    factor solves of the mode's one Lanczos run, which both mode-0
+    Cholesky solves of the mode's one Lanczos run, which both mode-0
     indices share."""
 
     eigenvalue: float
@@ -57,38 +57,48 @@ class SpectralResult:
 
 def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
     """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k
-    pencil (E, diag(d)): one assembly, one factorization of E - SHIFT diag(d)
-    and one shift-invert Lanczos run (ARPACK through eigsh)."""
+    pencil (E, D = diag(d)): one band assembly, one banded Cholesky factor
+    of E - SHIFT D (NoConvergence if there is none: then the pencil has an
+    eigenvalue below SHIFT) and one Lanczos run (ARPACK through eigsh) on
+    D^{1/2} (E - SHIFT D)^{-1} D^{1/2}, whose largest eigenvalues
+    theta = 1/(nu - SHIFT) are the wanted ones (ARPACK Users' Guide, 4.2)."""
     if not params.subcritical:
         raise RellichBoundary("mode_eigenvalue requires beta < alpha - 2")
-    E = _forms.energy_matrix(params, mode.lambda_k, grid)
+    ab = _forms.energy_band(params, mode.lambda_k, grid)
     d = _forms.mass_vector(params, grid)
-    D = sp.diags(d)
-    lu = spla.splu((E - SHIFT * D).tocsc())
+    solve = _forms.cholesky_solver(np.vstack([ab[:-1], ab[-1] - SHIFT * d]),
+                                   f"mode {mode.k}: E - {SHIFT} D")
+    root_d = np.sqrt(d)
     solves = 0
 
-    def solve(y: np.ndarray) -> np.ndarray:
+    def op(y: np.ndarray) -> np.ndarray:
         nonlocal solves
         solves += 1
-        return lu.solve(y)
+        return root_d * solve(root_d * y)
 
+    m = len(d)
     # a fixed start vector keeps every answer reproducible bit for bit
-    v0 = np.random.RandomState(1234).standard_normal(E.shape[0])
+    v0 = np.random.RandomState(1234).standard_normal(m)
     try:
-        nus, X = spla.eigsh(E, 2 if mode.k == 0 else 1, M=D, sigma=SHIFT, which="LM",
-                            OPinv=spla.LinearOperator(E.shape, matvec=solve, dtype=float),
-                            v0=v0)
+        thetas, Y = spla.eigsh(spla.LinearOperator((m, m), matvec=op, dtype=float),
+                               2 if mode.k == 0 else 1, which="LA", v0=v0)
     except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"shift-invert Lanczos on mode {mode.k}: {exc}") from None
-    norm_e = float(np.max(np.abs(E).sum(axis=0)))
+        raise NoConvergence(f"Lanczos on mode {mode.k}: {exc}") from None
+    # x = (E - SHIFT D)^{-1} D^{1/2} y is D^{-1/2} y up to scale, without dividing by d
+    X = solve(root_d[:, None] * Y)
+    norm_e = float(dsbmv(_forms.BAND, 1.0, np.abs(ab), np.ones(m)).max())
+    w = numerics.trapezoid_weights(grid.n, grid.h)
     results = []
-    for j in np.argsort(nus):
-        nu, x = float(nus[j]), X[:, j]
+    for j in np.argsort(-thetas):
+        x = X[:, j]
         x = x / math.sqrt(np.dot(x * d, x))
-        residual = float(np.linalg.norm(E @ x - nu * (d * x))
-                         / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
         # positive at the first interior node, zero at the clamped nodes
         phi = np.pad(-x if x[0] < 0 else x, _forms.N_CLAMP)
+        # the Rayleigh quotient of the unit-mass x as a sum of squares:
+        # SHIFT + 1/theta and x^T E x carry the eps/h^4 rounding of E
+        nu = float(w @ _forms.mode_image(params, mode.lambda_k, grid, phi) ** 2)
+        residual = float(np.linalg.norm(dsbmv(_forms.BAND, 1.0, ab, x) - nu * (d * x))
+                         / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
         profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, phi))
         results.append(SpectralResult(eigenvalue=nu, profile=profile, residual=residual,
                                       iters=solves))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_u, omega_sphere
@@ -92,8 +91,9 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     """Minimize the radial quotient from init by nonlinear inverse power
     iteration (Hein & Buehler, NIPS 2010).
 
-    The clamped energy form A is factored once; each step solves
-    A phi_new = w |phi|^{p-2} phi and renormalizes to unit sum w |phi|^p.
+    The clamped mode-0 energy form A (_forms.energy_band) is factored once
+    by banded Cholesky; each step solves A phi_new = w |phi|^{p-2} phi and
+    renormalizes to unit sum w |phi|^p.
     The quotient is a ratio of convex 2-homogeneous functionals, so no
     step raises it and no step size is needed.  The value is the trapezoid
     sum of (B phi)^2, as in mode_energy.  A step is kept only if it lowers
@@ -101,9 +101,10 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     tol times the value, and max_iters bounds the number of solves.
 
     Returns (quotient value, normalized profile), the value within 0.5% of
-    radial_constant_sr.  Raises MaxIters after max_iters solves, and
+    radial_constant_sr.  Raises MaxIters after max_iters solves,
     TailInadequate when the outermost nodes carry more of the final
-    energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off).
+    energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off),
+    and NoConvergence if rounding leaves A without a Cholesky factor.
     """
     if not params.subcritical:
         raise RellichBoundary("minimize_radial requires beta < alpha - 2")
@@ -111,13 +112,12 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     keep = _forms.keep_indices(grid.n)
     w_full = trapezoid_weights(grid.n, grid.h)
     w = w_full[keep]
-    lu = spla.splu(_forms.energy_matrix(params, 0.0, grid))
-    B = _forms.mode_operator(params, 0.0, grid)
+    solve = _forms.cholesky_solver(_forms.energy_band(params, 0.0, grid), "radial energy form")
     p = params.p
 
     def normalized(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         x = x / _star_norm_p(x, w, p) ** (1.0 / p)
-        sq = (B @ np.pad(x, _forms.N_CLAMP)) ** 2
+        sq = _forms.mode_image(params, 0.0, grid, np.pad(x, _forms.N_CLAMP)) ** 2
         return x, float(w_full @ sq), sq
 
     phi = _forms.to_scaled(params, grid, init.values)[keep]
@@ -125,7 +125,7 @@ def minimize_radial(params: CknParams, init: RadialProfile,
         raise ValueError("init profile must be nonzero")
     phi, value, sq = normalized(phi)
     for _ in range(max_iters):
-        trial, trial_value, trial_sq = normalized(lu.solve(w * np.abs(phi) ** (p - 2.0) * phi))
+        trial, trial_value, trial_sq = normalized(solve(w * np.abs(phi) ** (p - 2.0) * phi))
         drop = value - trial_value
         if drop > 0:
             phi, value, sq = trial, trial_value, trial_sq
@@ -171,14 +171,13 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     om_sub = omega_sphere(N - 1)
     sphere_sq = om if mode.k == 0 else om / N          # int_S Psi_k^2
 
-    e_u = _mode_form(RadialProfile(grid=grid, values=extremal_u(ExtremalSpec(params), grid.nodes)),
-                     params, 0.0)
+    u = extremal_u(ExtremalSpec(params), grid.nodes)
+    e_u = _mode_form(RadialProfile(grid=grid, values=u), params, 0.0)
     e_f = _mode_form(direction, params, mode.lambda_k)
     if e_f <= 0:
         raise ValueError("direction must have positive energy")
     scale = math.sqrt(om * e_u / (sphere_sq * e_f))
     f = direction.values * scale
-    u = extremal_u(ExtremalSpec(params), grid.nodes)
 
     if mode.k == 0:
         numerator = om * _mode_form(RadialProfile(grid=grid, values=u + t_amp * f), params, 0.0)

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 import ckn
 from ckn import _forms, identities
-from ckn.cli import emit, load_config, main
+from ckn.cli import build_parser, emit, load_config, main
 from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
 from ckn.spectral import second_variation_sign
 from conftest import random_profiles
@@ -171,11 +172,11 @@ class TestSpectrum:
                 r.eigenvalue, r.residual, r.iters)
 
     def test_one_assembly_and_one_factorization_per_mode(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, (_forms, "energy_matrix"), (spla, "splu"))
+        calls = count_calls(monkeypatch, (_forms, "energy_band"), (sla, "cholesky_banded"))
         code, _ = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
                       "--kmax", "2", "--format", "json", "-n", "2001")
         assert code == 0
-        assert calls == {"energy_matrix": 3, "splu": 3}
+        assert calls == {"energy_band": 3, "cholesky_banded": 3}
 
     def test_repeat_runs_byte_identical(self, capsys):
         # the Lanczos start vector is fixed, so every digit repeats
@@ -194,6 +195,34 @@ class TestSpectrum:
                         "--kmax", "0", "--format", "json", "-n", "2001")
         assert code == 1
         assert json.loads(out)["error"] == "NoConvergence"
+
+    def test_failed_cholesky_exit_1(self, capsys, monkeypatch):
+        # a mass form three times too large puts the bottom eigenvalue near
+        # 1/3, below the shift, so E - 0.9 D has no Cholesky factor
+        mass_vector = _forms.mass_vector
+        monkeypatch.setattr(_forms, "mass_vector", lambda *args: 3.0 * mass_vector(*args))
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
+                        "--kmax", "0", "--format", "json", "-n", "2001")
+        assert code == 1
+        assert json.loads(out)["error"] == "NoConvergence"
+
+
+class TestParser:
+    def test_cached_parser_output_matches_fresh(self, capsys):
+        argvs = [("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "1",
+                  "--format", "json", "-n", "2001"),
+                 ("constants", "-N", "4", "-a", "0", "-b", "-4", "--format", "json"),
+                 ("constants", "-N", "5", "-a", "1", "-b", "-2", "--format", "json")]
+        build_parser.cache_clear()
+        cached = [run(capsys, *argv) for argv in argvs]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _ in cached] == [0, 2, 0]
+        assert json.loads(cached[1][1])["error"] == "InvalidDimension"
+        assert cached == fresh
 
 
 class TestRegionMap:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 import ckn
 from ckn import _forms
 from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, scaling_direction
-from ckn.errors import RellichBoundary, WrongRegion
+from ckn.errors import NoConvergence, RellichBoundary, WrongRegion
 from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
                           second_variation_z1, spectral_gap)
@@ -74,33 +74,41 @@ class TestModeEigenvalues:
     @pytest.mark.parametrize("index", [1, 2])
     def test_solves_and_iters_per_index(self, p513, grid_fast, monkeypatch, index):
         # either index costs one assembly, one factorization and one Lanczos
-        # run; iters is that run's factor solves, the same for both indices
-        assemblies, factors = [], []
-        energy_matrix, splu = _forms.energy_matrix, spla.splu
-
-        class CountedFactor:
-            def __init__(self, lu):
-                self.lu, self.solves = lu, 0
-
-            def solve(self, y):
-                self.solves += 1
-                return self.lu.solve(y)
+        # run; iters is that run's solves (one right-hand side each), the
+        # same for both indices, and one more solve recovers the vectors
+        assemblies, factors, solves = [], [], []
+        energy_band, cholesky_banded, cho_solve_banded = (
+            _forms.energy_band, sla.cholesky_banded, sla.cho_solve_banded)
 
         def counted_energy(*args, **kwargs):
             assemblies.append(1)
-            return energy_matrix(*args, **kwargs)
+            return energy_band(*args, **kwargs)
 
-        def counted_splu(*args, **kwargs):
-            factors.append(CountedFactor(splu(*args, **kwargs)))
-            return factors[-1]
+        def counted_cholesky(*args, **kwargs):
+            factors.append(1)
+            return cholesky_banded(*args, **kwargs)
 
-        monkeypatch.setattr(_forms, "energy_matrix", counted_energy)
-        monkeypatch.setattr(spla, "splu", counted_splu)
+        def counted_solve(factor, b, **kwargs):
+            solves.append(np.ndim(b))
+            return cho_solve_banded(factor, b, **kwargs)
+
+        monkeypatch.setattr(_forms, "energy_band", counted_energy)
+        monkeypatch.setattr(sla, "cholesky_banded", counted_cholesky)
+        monkeypatch.setattr(sla, "cho_solve_banded", counted_solve)
         r = mode_eigenvalue(p513, make_mode(p513, 0), index, grid_fast)
         assert (len(assemblies), len(factors)) == (1, 1)
-        assert r.iters == factors[0].solves > 0
+        assert r.iters == solves.count(1) > 0
+        assert solves.count(2) == 1
         other = mode_eigenvalue(p513, make_mode(p513, 0), 3 - index, grid_fast)
         assert other.iters == r.iters
+
+    def test_failed_cholesky_raises_no_convergence(self, p513, grid_fast, monkeypatch):
+        # with the mass form tripled the pencil's eigenvalues fall to about
+        # 1/3, below the shift 0.9, so E - 0.9 D is indefinite
+        mass_vector = _forms.mass_vector
+        monkeypatch.setattr(_forms, "mass_vector", lambda *args: 3.0 * mass_vector(*args))
+        with pytest.raises(NoConvergence):
+            mode_eigenvalue(p513, make_mode(p513, 0), 1, grid_fast)
 
     def test_mode1_where_a_moving_shift_went_astray(self):
         # a shift that follows the Rayleigh quotient can settle on a higher
@@ -115,6 +123,14 @@ class TestModeEigenvalues:
         # test shows up as an error of 1e-6 or more
         r = mode_eigenvalue(p513, make_mode(p513, 0), 1, grid)
         assert abs(r.eigenvalue - 1.0) < 2e-7
+
+    def test_mode0_on_fine_grid(self, p513):
+        # the Ritz value carries the eps h^-4 rounding of E = B^T W B (1.5e-4
+        # here); the Rayleigh quotient summed as squares does not
+        grid = ckn.make_grid(-14.0, 14.0, 32001)
+        r0, r1 = ckn.spectral._mode_solves(p513, make_mode(p513, 0), grid)
+        assert abs(r0.eigenvalue - 1.0) < 1e-8
+        assert abs(r1.eigenvalue - (p513.p - 1.0)) < 1e-8 * (p513.p - 1.0)
 
 
 class TestSecondVariation:

@@ -161,6 +161,18 @@ class TestPerturbedQuotient:
         assert minus < s_r - 1e-4 * s_r
         assert abs(plus - minus) < 1e-8 * s_r
 
+    def test_one_extremal_evaluation_per_call(self, p513, grid, monkeypatch):
+        # U is evaluated once and its energy taken from it; the value is the
+        # one the two-evaluation version returned (x86-64, numpy 2.4), bit
+        # for bit
+        calls, extremal = [], variational.extremal_u
+        monkeypatch.setattr(variational, "extremal_u",
+                            lambda *args: calls.append(1) or extremal(*args))
+        z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
+        val = perturbed_quotient(p513, 0.05, make_mode(p513, 1), z1)
+        assert len(calls) == 1
+        assert val == float.fromhex("0x1.bb1984bedfcc5p+7")
+
     def test_rise_in_stable_region(self, p512, grid):
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
         s_r = radial_constant_sr(p512)
