@@ -12,7 +12,7 @@ from .numerics import (LogGrid, RadialProfile, differentiate, gamma_fn,
                        integrate, make_grid, sample, tail_fraction)
 from .params import (CknParams, RegionClass, beta_lower, classify, derive,
                      felli_schneider, region_of)
-from .spectral import (SpectralResult, gamma_comparison, linearized_residual,
+from .spectral import (SpectralResult, gamma_comparison, linearized_residual, mode_eigenpairs,
                        mode_eigenvalue, second_variation_z1, spectral_gap)
 from .transforms import (EmdenFowlerProfile, cosh_ansatz_check, cosh_profile,
                          from_dimension_m, from_emden_fowler, ode_residual,
@@ -35,7 +35,7 @@ __all__ = [
     "from_dimension_m", "rayleigh_m",
     "ModeSpec", "make_mode", "radial_energy", "mode_energy",
     "minimize_radial", "perturbed_quotient",
-    "SpectralResult", "mode_eigenvalue", "second_variation_z1",
+    "SpectralResult", "mode_eigenpairs", "mode_eigenvalue", "second_variation_z1",
     "linearized_residual", "gamma_comparison", "spectral_gap",
     "__version__",
 ]

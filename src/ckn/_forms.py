@@ -24,9 +24,10 @@ clamp the discrete kernel of B_k admits truncated exponentials e^{kappa1 t},
 e^{-kappa2 t} that are not limits of admissible functions and show up as
 spurious near-zero energies.
 
-The solvers factor E_k = B_k^T W B_k by banded Cholesky in LAPACK band
-storage (energy_band); energy_matrix is the same form as a sparse matrix,
-kept as the reference that energy_band matches bit for bit.
+B_k has one kernel, the rows of _mode_rows: mode_image applies B_k to a
+vector and energy_band assembles E_k = B_k^T W B_k in LAPACK band storage
+for banded Cholesky.  The sparse mode_operator and energy_matrix are only
+the test references that the two match bit for bit.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csc_m
     return (B.T @ W @ B).tocsc()[np.ix_(keep, keep)].tocsc()
 
 
-def _mode_rows(params: CknParams, lambda_k: float, h: float):
+def _mode_rows(params: CknParams, lambda_k: float, grid: LogGrid):
     """mode_operator's entries, in its order of operations, on the rows of
-    numerics.stencil_weights."""
-    (i2, l2, r2), (i1, l1, r1) = ([w / h ** o for w in stencil_weights(o)] for o in (2, 1))
+    numerics.stencil_weights; GridTooSmall below 7 nodes."""
+    if grid.n < 7:
+        raise GridTooSmall(f"need at least 7 nodes, got {grid.n}")
+    (i2, l2, r2), (i1, l1, r1) = ([w / grid.h ** o for w in stencil_weights(o)] for o in (2, 1))
     c1, c0 = 2.0 * params.nu, params.cal_B + lambda_k
     inner, left, right = i2 - c1 * i1, l2 - c1 * l1, r2 - c1 * r1
     inner[2] -= c0
@@ -88,10 +91,14 @@ def _mode_rows(params: CknParams, lambda_k: float, h: float):
 
 def mode_image(params: CknParams, lambda_k: float, grid: LogGrid,
                phi: np.ndarray) -> np.ndarray:
-    """mode_operator(params, lambda_k, grid) @ phi, without the sparse matrix."""
-    inner, left, right = _mode_rows(params, lambda_k, grid.h)
-    img = np.convolve(phi, inner[::-1], "same")
-    img[:3], img[-3:] = left @ phi[:7], right[::-1] @ phi[-7:]
+    """B_k phi, each row summed from 0 in rising column order as the sparse
+    product mode_operator(params, lambda_k, grid) @ phi does: bit for bit equal."""
+    inner, left, right = _mode_rows(params, lambda_k, grid)
+    n = grid.n
+    img = np.empty(n)
+    img[2:-2] = sum(inner[m] * phi[m:n - 4 + m] for m in range(5))
+    img[:3] = sum(left[:, m] * phi[m] for m in range(7))
+    img[-3:] = sum(right[::-1, m] * phi[m - 7] for m in range(7))
     return img
 
 
@@ -100,10 +107,8 @@ def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray
     Each E[j, l] sums (B[i, j] w_i) B[i, l] over the rows i of B in rising
     order, as the sparse product (B^T W) B does, so the two agree bit for
     bit: interior rows as slice adds, the end rows as outer products."""
+    inner, left, right = _mode_rows(params, lambda_k, grid)
     n, h = grid.n, grid.h
-    if n < 7:
-        raise GridTooSmall(f"need at least 7 nodes, got {n}")
-    inner, left, right = _mode_rows(params, lambda_k, h)
     ab = np.zeros((BAND + 1, n))
 
     def add_rows(rows, weights, at):

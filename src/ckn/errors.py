@@ -42,7 +42,7 @@ class NonPositiveRadius(CknError):
 
 
 class MOutOfRange(CknError):
-    """Effective dimension M must exceed 4."""
+    """Effective dimension M must exceed 4 (and, where B(M/2, M/2) is used, stay below ~1000)."""
 
 
 class EpsOutOfRange(CknError):

@@ -23,13 +23,14 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
-from .errors import NoConvergence, RellichBoundary, WrongRegion
-from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile
+from .closedform import omega_sphere
+from .errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
+from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, log_gamma
 from .params import CknParams, RegionClass, second_variation_gap
 from .variational import ModeSpec, make_mode
 
-__all__ = ["SpectralResult", "mode_eigenvalue", "second_variation_z1",
-           "second_variation_bracket", "second_variation_sign",
+__all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
+           "second_variation_z1", "second_variation_bracket", "second_variation_sign",
            "linearized_residual", "gamma_comparison", "spectral_gap"]
 
 #: Shift of the one shift-invert Lanczos run per mode.  Every mode-k
@@ -55,15 +56,15 @@ class SpectralResult:
     iters: int
 
 
-def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
+def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
     """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k
-    pencil (E, D = diag(d)): one band assembly, one banded Cholesky factor
-    of E - SHIFT D (NoConvergence if there is none: then the pencil has an
-    eigenvalue below SHIFT) and one Lanczos run (ARPACK through eigsh) on
-    D^{1/2} (E - SHIFT D)^{-1} D^{1/2}, whose largest eigenvalues
-    theta = 1/(nu - SHIFT) are the wanted ones (ARPACK Users' Guide, 4.2)."""
+    pencil (E, D = diag(d)), in that order, from one band assembly, one
+    banded Cholesky factor of E - SHIFT D (NoConvergence if there is none:
+    then the pencil has an eigenvalue below SHIFT) and one Lanczos run
+    (ARPACK through eigsh) on D^{1/2} (E - SHIFT D)^{-1} D^{1/2}, whose largest
+    eigenvalues theta = 1/(nu - SHIFT) are the wanted ones (ARPACK Users' Guide, 4.2)."""
     if not params.subcritical:
-        raise RellichBoundary("mode_eigenvalue requires beta < alpha - 2")
+        raise RellichBoundary("mode_eigenpairs requires beta < alpha - 2")
     ab = _forms.energy_band(params, mode.lambda_k, grid)
     d = _forms.mass_vector(params, grid)
     solve = _forms.cholesky_solver(np.vstack([ab[:-1], ab[-1] - SHIFT * d]),
@@ -107,39 +108,34 @@ def _mode_solves(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Spect
 
 def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
                     grid: LogGrid) -> SpectralResult:
-    """index-th eigenvalue of the mode-k pencil (index 2 only for k = 0),
-    from the mode's one shift-invert Lanczos run about SHIFT = 0.9."""
+    """index-th eigenpair of the mode-k pencil (index 2 only for k = 0):
+    entry index - 1 of mode_eigenpairs, whose one solve serves both mode-0
+    indices, so a caller that wants both calls that instead."""
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
     if index == 2 and mode.k != 0:
         raise ValueError("index 2 is only available for mode k = 0")
-    return _mode_solves(params, mode, grid)[index - 1]
+    return mode_eigenpairs(params, mode, grid)[index - 1]
 
 
-def _x1_integrals(M: float, grid: LogGrid | None = None) -> tuple[float, float]:
-    """(int X1'^2 s^{M-3} ds, int X1^2 s^{M-5} ds) for X1 = s (1+s^2)^{-(M-2)/2},
-    by quadrature on the given grid."""
-    g = grid if grid is not None else numerics.make_grid()
-    s = g.nodes
-    env = (1.0 + s ** 2)
-    x1 = s * env ** (-(M - 2.0) / 2.0)
-    x1p = (1.0 - (M - 3.0) * s ** 2) * env ** (-M / 2.0)
-    return (numerics.integrate(x1p ** 2, g, M - 3.0),
-            numerics.integrate(x1 ** 2, g, M - 5.0))
-
-
-def second_variation_bracket(params: CknParams, grid: LogGrid | None = None) -> float:
+def second_variation_bracket(params: CknParams) -> float:
     """Positive factor 2 int X1'^2 s^{M-3} ds + (3M - 9 + chi) int X1^2 s^{M-5} ds
-    multiplying chi - (M-1) in the second variation along the mode-1 direction."""
+    multiplying chi - (M-1) in the second variation along the mode-1
+    direction X1 = s (1+s^2)^{-(M-2)/2}.  Both are Beta integrals (s^2 =
+    x/(1-x)); MOutOfRange where B0 = B(M/2, M/2) underflows (M > ~1000)."""
     if not params.subcritical:
         raise RellichBoundary("second variation requires beta < alpha - 2")
     M = params.M_dim
     chi = params.q_pow ** 2 * (params.N - 1.0)
-    i1, i2 = _x1_integrals(M, grid)
+    b0 = math.exp(2.0 * log_gamma(M / 2.0) - log_gamma(M))
+    if b0 < np.finfo(float).tiny:
+        raise MOutOfRange(f"B(M/2, M/2) underflows at M = {M}")
+    i1 = 0.5 * b0 * ((M - 2.0) * (M - 4.0) + 4.0 / (M - 2.0))     # int X1'^2 s^{M-3} ds
+    i2 = 2.0 * b0 * (M - 1.0) / (M - 2.0)                           # int X1^2 s^{M-5} ds
     return 2.0 * i1 + (3.0 * M - 9.0 + chi) * i2
 
 
-def second_variation_z1(params: CknParams, grid: LogGrid | None = None) -> float:
+def second_variation_z1(params: CknParams) -> float:
     """Second variation of the energy at U along the mode-1 direction Z1:
 
         (omega_{N-1}/N) nu^3 [chi - (M-1)]
@@ -150,17 +146,14 @@ def second_variation_z1(params: CknParams, grid: LogGrid | None = None) -> float
     whether the radial extremal is a local minimum against mode-1
     perturbations.
     """
-    from .closedform import omega_sphere
-
     P = params
-    chi = P.q_pow ** 2 * (P.N - 1.0)
     return (omega_sphere(P.N) / P.N * P.nu ** 3
-            * (chi - (P.M_dim - 1.0)) * second_variation_bracket(P, grid))
+            * float(second_variation_gap(P.N, P.q_pow, P.M_dim)) * second_variation_bracket(P))
 
 
 def second_variation_sign(params: CknParams) -> int:
-    """Sign of second_variation_z1 without quadrature (the bracket is
-    always positive, so the sign is that of chi - (M-1))."""
+    """Sign of second_variation_z1 without the bracket (it is always
+    positive, so the sign is that of chi - (M-1))."""
     if not params.subcritical:
         raise RellichBoundary("second variation requires beta < alpha - 2")
     return int(np.sign(second_variation_gap(params.N, params.q_pow, params.M_dim)))
@@ -224,8 +217,6 @@ def gamma_comparison(M: float, k: int) -> tuple[float, float, bool]:
     is what rules out nontrivial higher-mode solutions.
     """
     if not M > 4:
-        from .errors import MOutOfRange
-
         raise MOutOfRange(f"need M > 4, got {M}")
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -13,6 +13,7 @@ between symmetry and symmetry breaking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,9 +62,7 @@ def make_mode(params: CknParams, k: int) -> ModeSpec:
 def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
     """int [f'' + (N-1+alpha)/r f' - lambda_k/r^2 f]^2 r^{N+2alpha-beta-1} dr."""
     grid = u.grid
-    phi = _forms.to_scaled(params, grid, u.values)
-    B = _forms.mode_operator(params, lambda_k, grid)
-    img = B @ phi
+    img = _forms.mode_image(params, lambda_k, grid, _forms.to_scaled(params, grid, u.values))
     integrand = img * img
     numerics.require_tail(integrand, grid, -1.0, "mode energy")
     return float(np.sum(trapezoid_weights(grid.n, grid.h) * integrand))
@@ -139,12 +138,15 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     return omega_sphere(params.N) ** (1.0 - 2.0 / p) * value, profile
 
 
-def _gauss_sphere(N: int, n_nodes: int = 64) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _gauss_sphere(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Polar-angle quadrature: nodes cos(theta_j) and weights for
-    int_0^pi (.) sin^{N-2}(theta) dtheta by Gauss-Legendre."""
-    x, wgl = np.polynomial.legendre.leggauss(n_nodes)
+    int_0^pi (.) sin^{N-2}(theta) dtheta by 64-point Gauss-Legendre (cached, read-only)."""
+    x, wgl = np.polynomial.legendre.leggauss(64)
     theta = math.pi * (x + 1.0) / 2.0
-    return np.cos(theta), wgl * (math.pi / 2.0) * np.sin(theta) ** (N - 2)
+    nodes, weights = np.cos(theta), wgl * (math.pi / 2.0) * np.sin(theta) ** (N - 2)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,

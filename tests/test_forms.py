@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import ckn
-from ckn import _forms
+from ckn import _forms, numerics
+from ckn.cli import main
 from ckn.errors import GridTooSmall
 
 POINTS = [(5, 1.0, -3.0), (6, -3.0, -5.4), (7, 1.5, -2.0), (8, -2.0, -4.5), (5, -2.5, -4.6)]
@@ -25,13 +28,44 @@ def test_energy_band_matches_energy_matrix_bit_for_bit(point, lam, n, width):
 
 
 def test_mode_image_matches_mode_operator():
-    P, grid = ckn.derive(6, -3.0, -5.4), ckn.make_grid(-10.0, 10.0, 201)
-    phi = np.random.RandomState(0).standard_normal(grid.n)
-    want = _forms.mode_operator(P, 5.0, grid) @ phi
-    got = _forms.mode_image(P, 5.0, grid, phi)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # each row is summed in the sparse product's column order: bit for bit
+    rng = np.random.RandomState(0)
+    for point in POINTS:
+        for lam, n, width in GRIDS:
+            P, grid = ckn.derive(*point), ckn.make_grid(-width, width, n)
+            phi = rng.standard_normal(n)
+            want = _forms.mode_operator(P, lam, grid) @ phi
+            assert np.array_equal(_forms.mode_image(P, lam, grid, phi), want), (point, lam, n)
 
 
 def test_energy_band_needs_seven_nodes():
     with pytest.raises(GridTooSmall):
         _forms.energy_band(ckn.derive(5, 1.0, -3.0), 0.0, ckn.make_grid(-1.0, 1.0, 5))
+
+
+def test_mode_image_needs_seven_nodes():
+    with pytest.raises(GridTooSmall):
+        _forms.mode_image(ckn.derive(5, 1.0, -3.0), 0.0, ckn.make_grid(-1.0, 1.0, 5), np.ones(5))
+
+
+def test_no_production_path_builds_sparse_forms(capsys, monkeypatch):
+    # with the sparse builders raising at every binding in the package, the
+    # spectrum, the minimizer, the certificate and the energies still run
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse form built")
+
+    for original in (_forms.mode_operator, _forms.energy_matrix, numerics.diff_matrix):
+        for name, module in list(sys.modules.items()):
+            if name == "ckn" or name.startswith("ckn."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+    assert main(["spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "3"]) == 0
+    assert main(["minimize", "-N", "5", "-a", "1", "-b", "-3", "--perturb", "0.05"]) == 0
+    capsys.readouterr()
+    P, grid = ckn.derive(5, 1.0, -3.0), ckn.make_grid()
+    z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(P, 1, r))
+    u = ckn.sample(grid, lambda r: ckn.extremal_u(ckn.ExtremalSpec(P), r))
+    assert ckn.radial_energy(u, P) > 0
+    assert ckn.mode_energy(z1, P, ckn.make_mode(P, 1)) > 0
+    assert ckn.perturbed_quotient(P, 0.05, ckn.make_mode(P, 1), z1) > 0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.linalg as sla
 import ckn
 from ckn import _forms
 from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, scaling_direction
-from ckn.errors import NoConvergence, RellichBoundary, WrongRegion
+from ckn.errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
                           second_variation_z1, spectral_gap)
@@ -128,9 +129,30 @@ class TestModeEigenvalues:
         # the Ritz value carries the eps h^-4 rounding of E = B^T W B (1.5e-4
         # here); the Rayleigh quotient summed as squares does not
         grid = ckn.make_grid(-14.0, 14.0, 32001)
-        r0, r1 = ckn.spectral._mode_solves(p513, make_mode(p513, 0), grid)
+        r0, r1 = ckn.mode_eigenpairs(p513, make_mode(p513, 0), grid)
         assert abs(r0.eigenvalue - 1.0) < 1e-8
         assert abs(r1.eigenvalue - (p513.p - 1.0)) < 1e-8 * (p513.p - 1.0)
+
+    def test_mode_eigenpairs_one_solve_for_both_pairs(self, p513, grid_fast, monkeypatch):
+        # both mode-0 pairs come from one assembly and one factorization, and
+        # mode_eigenvalue(..., i) is entry i - 1, field for field
+        calls = {"energy_band": 0, "cholesky_banded": 0}
+        for module, name in ((_forms, "energy_band"), (sla, "cholesky_banded")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        pairs = ckn.mode_eigenpairs(p513, make_mode(p513, 0), grid_fast)
+        assert calls == {"energy_band": 1, "cholesky_banded": 1}
+        assert len(pairs) == 2
+        for index, pair in enumerate(pairs, 1):
+            r = mode_eigenvalue(p513, make_mode(p513, 0), index, grid_fast)
+            assert (r.eigenvalue, r.residual, r.iters) == (pair.eigenvalue, pair.residual,
+                                                           pair.iters)
+            assert r.profile.grid == pair.profile.grid
+            assert np.array_equal(r.profile.values, pair.profile.values)
+        assert len(ckn.mode_eigenpairs(p513, make_mode(p513, 1), grid_fast)) == 1
 
 
 class TestSecondVariation:
@@ -153,6 +175,33 @@ class TestSecondVariation:
         assert second_variation_sign(p512) == +1
         pf = ckn.derive(6, 2.0, ckn.felli_schneider(6, 2.0))
         assert second_variation_sign(pf) == 0
+
+    @pytest.mark.parametrize("M", [4.5, 6.0, 10.0, 13.5, 30.0])
+    def test_bracket_matches_quadrature(self, M, grid):
+        # the Beta-function closed forms against the quadrature they replaced;
+        # the bracket reads only these fields, and M = 4.5 is below every N
+        P = SimpleNamespace(subcritical=True, N=5, q_pow=0.8, M_dim=M)
+        s = grid.nodes
+        x1 = s * (1.0 + s ** 2) ** (-(M - 2.0) / 2.0)
+        x1p = (1.0 - (M - 3.0) * s ** 2) * (1.0 + s ** 2) ** (-M / 2.0)
+        chi = 0.8 ** 2 * 4.0
+        want = (2.0 * ckn.integrate(x1p ** 2, grid, M - 3.0)
+                + (3.0 * M - 9.0 + chi) * ckn.integrate(x1 ** 2, grid, M - 5.0))
+        assert second_variation_bracket(P) == pytest.approx(want, rel=1e-12)
+
+    def test_finite_at_large_m(self):
+        # M = 82: the quadrature overflowed here
+        p = ckn.derive(5, 1.0, -1.1)
+        val = second_variation_z1(p)
+        assert math.isfinite(val)
+        assert int(np.sign(val)) == second_variation_sign(p) == 1
+
+    def test_underflow_raises(self):
+        # M = 1202: B(M/2, M/2) is below the normal floats
+        p = ckn.derive(5, 3.0, 0.99)
+        assert p.M_dim > 1000
+        with pytest.raises(MOutOfRange):
+            second_variation_z1(p)
 
     def test_sign_matches_eigenvalue_route(self, p512, p513, grid):
         for p in (p512, p513):

@@ -173,6 +173,18 @@ class TestPerturbedQuotient:
         assert len(calls) == 1
         assert val == float.fromhex("0x1.bb1984bedfcc5p+7")
 
+    def test_gauss_rule_computed_once(self, p513, grid, monkeypatch):
+        calls, leggauss = [], np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda *args: calls.append(1) or leggauss(*args))
+        variational._gauss_sphere.cache_clear()
+        z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
+        for t in (0.05, -0.05):
+            perturbed_quotient(p513, t, make_mode(p513, 1), z1)
+        assert len(calls) == 1
+        nodes, weights = variational._gauss_sphere(p513.N)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+
     def test_rise_in_stable_region(self, p512, grid):
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
         s_r = radial_constant_sr(p512)
