@@ -24,10 +24,10 @@ clamp the discrete kernel of B_k admits truncated exponentials e^{kappa1 t},
 e^{-kappa2 t} that are not limits of admissible functions and show up as
 spurious near-zero energies.
 
-B_k has one kernel, the rows of _mode_rows: mode_image applies B_k to a
-vector and energy_band assembles E_k = B_k^T W B_k in LAPACK band storage
-for banded Cholesky.  The sparse mode_operator and energy_matrix are only
-the test references that the two match bit for bit.
+B_k has one kernel, the rows of _mode_rows: mode_applier applies B_k to
+vectors (mode_image to one) and energy_band assembles E_k = B_k^T W B_k
+in LAPACK band storage for banded Cholesky.  The sparse mode_operator and
+energy_matrix are only the test references that the two match bit for bit.
 """
 
 from __future__ import annotations
@@ -89,17 +89,24 @@ def _mode_rows(params: CknParams, lambda_k: float, grid: LogGrid):
     return inner, left, right
 
 
-def mode_image(params: CknParams, lambda_k: float, grid: LogGrid,
-               phi: np.ndarray) -> np.ndarray:
-    """B_k phi, each row summed from 0 in rising column order as the sparse
-    product mode_operator(params, lambda_k, grid) @ phi does: bit for bit equal."""
+def mode_applier(params: CknParams, lambda_k: float, grid: LogGrid):
+    """phi -> B_k phi on the rows of _mode_rows, built once.  Each row is summed from 0
+    in rising column order as mode_operator(params, lambda_k, grid) @ phi: bit for bit."""
     inner, left, right = _mode_rows(params, lambda_k, grid)
     n = grid.n
-    img = np.empty(n)
-    img[2:-2] = sum(inner[m] * phi[m:n - 4 + m] for m in range(5))
-    img[:3] = sum(left[:, m] * phi[m] for m in range(7))
-    img[-3:] = sum(right[::-1, m] * phi[m - 7] for m in range(7))
-    return img
+    def apply(phi: np.ndarray) -> np.ndarray:
+        img = np.empty(n)
+        img[2:-2] = sum(inner[m] * phi[m:n - 4 + m] for m in range(5))
+        img[:3] = sum(left[:, m] * phi[m] for m in range(7))
+        img[-3:] = sum(right[::-1, m] * phi[m - 7] for m in range(7))
+        return img
+    return apply
+
+
+def mode_image(params: CknParams, lambda_k: float, grid: LogGrid,
+               phi: np.ndarray) -> np.ndarray:
+    """B_k phi for one vector: mode_applier(params, lambda_k, grid)(phi)."""
+    return mode_applier(params, lambda_k, grid)(phi)
 
 
 def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray:

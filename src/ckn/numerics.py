@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +19,8 @@ from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument
 DEFAULT_T_MIN = -14.0
 DEFAULT_T_MAX = 14.0
 DEFAULT_N = 4001
+#: Largest |t| whose exp(t) is a finite float, ln(float max) = 709.78
+T_LIMIT = math.log(np.finfo(float).max)
 
 #: Fraction of nodes (per end) counted as "tail" by the adequacy diagnostic.
 TAIL_NODE_FRACTION = 0.025
@@ -31,7 +33,7 @@ RESIDUAL_MARGIN = 8
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Uniform grid in t = ln s with node positions s_i = exp(t_i)."""
+    """Uniform grid in t = ln s, nodes s_i = exp(t_i); ts is cached and read-only."""
 
     t_min: float
     t_max: float
@@ -39,9 +41,11 @@ class LogGrid:
     h: float
     nodes: np.ndarray
 
-    @property
+    @cached_property
     def ts(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n)
+        ts = np.linspace(self.t_min, self.t_max, self.n)
+        ts.flags.writeable = False
+        return ts
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,10 @@ class RadialProfile:
 
 def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
               n: int = DEFAULT_N) -> LogGrid:
-    """Build a uniform log grid; n must be odd (Simpson) and >= 3."""
-    if not (t_min < t_max) or n < 3 or n % 2 == 0:
-        raise BadGridSpec(f"need t_min < t_max and odd n >= 3, got ({t_min}, {t_max}, {n})")
+    """Build a uniform log grid: odd n >= 3 (Simpson), -T_LIMIT <= t_min < t_max <= T_LIMIT."""
+    if not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or n < 3 or n % 2 == 0:
+        raise BadGridSpec(f"need -{T_LIMIT:.2f} <= t_min < t_max <= {T_LIMIT:.2f} and odd n >= 3,"
+                          f" got ({t_min}, {t_max}, {n})")
     h = (t_max - t_min) / (n - 1)
     nodes = np.exp(np.linspace(t_min, t_max, n))
     return LogGrid(t_min=float(t_min), t_max=float(t_max), n=int(n), h=h, nodes=nodes)

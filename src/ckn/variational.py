@@ -91,8 +91,9 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     iteration (Hein & Buehler, NIPS 2010).
 
     The clamped mode-0 energy form A (_forms.energy_band) is factored once
-    by banded Cholesky; each step solves A phi_new = w |phi|^{p-2} phi and
-    renormalizes to unit sum w |phi|^p.
+    by banded Cholesky and B_0's rows are built once (_forms.mode_applier);
+    each step solves A phi_new = w |phi|^{p-2} phi and renormalizes to unit
+    sum w |phi|^p.
     The quotient is a ratio of convex 2-homogeneous functionals, so no
     step raises it and no step size is needed.  The value is the trapezoid
     sum of (B phi)^2, as in mode_energy.  A step is kept only if it lowers
@@ -112,11 +113,14 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     w_full = trapezoid_weights(grid.n, grid.h)
     w = w_full[keep]
     solve = _forms.cholesky_solver(_forms.energy_band(params, 0.0, grid), "radial energy form")
-    p = params.p
+    apply_b0, p = _forms.mode_applier(params, 0.0, grid), params.p
 
     def normalized(x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         x = x / _star_norm_p(x, w, p) ** (1.0 / p)
-        sq = _forms.mode_image(params, 0.0, grid, np.pad(x, _forms.N_CLAMP)) ** 2
+        # a fresh array per step: one reused buffer fragmented the heap (peak RSS)
+        padded = np.zeros(grid.n)
+        padded[keep] = x
+        sq = apply_b0(padded) ** 2
         return x, float(w_full @ sq), sq
 
     phi = _forms.to_scaled(params, grid, init.values)[keep]
@@ -155,9 +159,9 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
 
     k = 0 uses Psi = 1 and k = 1 uses Psi = x_1/|x|.  The direction f is
     rescaled so that the energy of f Psi equals the energy of U, making
-    t the relative perturbation size; |t| <= 0.2 is enforced.  The
-    denominator's sphere integral uses 64-point Gauss-Legendre quadrature
-    in the polar angle with surface measure sin^{N-2}(theta) dtheta.
+    t the relative perturbation size; |t| <= 0.2 is enforced (NaN fails it).
+    The denominator's sphere integrand, one n x 64 array built in place, is
+    summed by 64-point Gauss-Legendre in theta with measure sin^{N-2}(theta).
 
     For k = 1 with alpha > 0 and beta below the Felli-Schneider curve the
     value drops strictly below radial_constant_sr for small t; above the
@@ -165,12 +169,11 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     """
     if mode.k not in (0, 1):
         raise ValueError("perturbed_quotient supports modes k in {0, 1}")
-    if abs(t_amp) > 0.2:
+    if not abs(t_amp) <= 0.2:
         raise AmplitudeTooLarge(f"|t| must be <= 0.2 after normalization, got {t_amp}")
     grid = direction.grid
     N, p = params.N, params.p
-    om = omega_sphere(N)
-    om_sub = omega_sphere(N - 1)
+    om, om_sub = omega_sphere(N), omega_sphere(N - 1)
     sphere_sq = om if mode.k == 0 else om / N          # int_S Psi_k^2
 
     u = extremal_u(ExtremalSpec(params), grid.nodes)
@@ -189,9 +192,9 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
         numerator = om * e_u * (1.0 + t_amp ** 2)
 
     cosines, wq = _gauss_sphere(N)
-    vals = np.abs(u[:, None] + t_amp * f[:, None] *
-                  (np.ones_like(cosines) if mode.k == 0 else cosines)[None, :]) ** p
-    radial = vals @ wq                                  # per-radius sphere integral
+    vals = np.multiply.outer(t_amp * f, np.ones_like(cosines) if mode.k == 0 else cosines)
+    vals += u[:, None]                                  # |u + t f cos|^p, in place
+    radial = np.power(np.abs(vals, out=vals), p, out=vals) @ wq   # per-radius sphere integral
     numerics.require_tail(radial, grid, params.gamma + N - 1.0, "perturbed quotient denominator")
     den = om_sub * numerics.integrate(radial, grid, params.gamma + N - 1.0)
     return numerator / den ** (2.0 / p)

@@ -396,6 +396,13 @@ class TestMinimize:
         assert doc["drops_below_radial"] is True
         assert doc["perturbed_plus"] < doc["S_r"]
 
+    @pytest.mark.parametrize("amp", ["nan", "inf", "0.3"])
+    def test_bad_amplitude_exit_2(self, capsys, amp):
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-3",
+                        "-n", "2001", "--perturb", amp, "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "AmplitudeTooLarge"
+
     def test_malformed_init_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "init.txt"
         bad.write_text("1.0\nnot-a-number\n")
@@ -419,6 +426,20 @@ class TestMinimize:
         code, _ = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
                       "--init", str(bad), "--format", "json")
         assert code == 2
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--t-max=inf"), ("spectrum", "--t-max=800"),
+        ("minimize", "--t-min=-1e308", "--t-max=1e308")])
+    def test_overflowing_grid_exit_2(self, capsys, argv):
+        cmd, *grid = argv
+        code, out = run(capsys, cmd, "-N", "5", "-a", "1", "-b", "-3", *grid,
+                        "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "BadGridSpec"
+        assert "709.78" in doc["message"]
 
 
 class TestConfig:

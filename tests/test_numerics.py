@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 
 import ckn
 from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument
-from ckn.numerics import (RadialProfile, _fd_weights, diff_matrix, differentiate,
-                          gamma_fn, integrate, make_grid, simpson_weights,
-                          tail_fraction)
+from ckn.numerics import (T_LIMIT, RadialProfile, _fd_weights, diff_matrix,
+                          differentiate, gamma_fn, integrate, make_grid,
+                          simpson_weights, tail_fraction)
 from conftest import ORACLE
 
 
@@ -29,6 +29,26 @@ class TestMakeGrid:
     def test_even_node_count(self):
         with pytest.raises(BadGridSpec):
             make_grid(-1.0, 1.0, 4)
+
+    @pytest.mark.parametrize("t_min,t_max", [
+        (-14.0, math.inf), (-14.0, 800.0), (-1e308, 1e308), (-800.0, 14.0),
+        (-14.0, math.nextafter(T_LIMIT, math.inf)), (-math.inf, 14.0)])
+    def test_overflowing_nodes(self, t_min, t_max):
+        with pytest.raises(BadGridSpec, match="709.78"):
+            make_grid(t_min, t_max, 5)
+
+    def test_widest_grid_has_finite_nodes(self):
+        g = make_grid(-T_LIMIT, T_LIMIT, 5)
+        assert np.isfinite(g.nodes).all()
+        assert np.isfinite(make_grid(-400.0, 15.0, 5).nodes).all()
+
+    def test_ts_computed_once_and_read_only(self):
+        g = make_grid(-3.0, 2.0, 11)
+        assert g.ts is g.ts
+        assert not g.ts.flags.writeable
+        assert np.array_equal(g.ts, np.linspace(-3.0, 2.0, 11))
+        with pytest.raises(ValueError):
+            g.ts[0] = 0.0
 
 
 class TestDifferentiate:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ckn
-from ckn import variational
+from ckn import _forms, variational
 from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, radial_constant_sr
 from ckn.errors import AmplitudeTooLarge, RellichBoundary, TailInadequate
 from ckn.numerics import RadialProfile
@@ -145,6 +146,30 @@ class TestMinimizeRadial:
         with pytest.raises(RellichBoundary):
             minimize_radial(ckn.derive(5, 1.0, -1.0), gaussian_profile(grid))
 
+    def test_value_pinned_bit_for_bit(self, p513, grid):
+        # the value the version that rebuilt B_0's rows on every solve
+        # returned (x86-64, numpy 2.4), bit for bit
+        init = RadialProfile(grid=grid, values=np.exp(-grid.ts ** 2 - p513.kappa1 * grid.ts))
+        value, _ = minimize_radial(p513, init)
+        assert value == float.fromhex("0x1.bb60649572d9fp+7")
+
+    def test_mode_rows_not_rebuilt_per_solve(self, p513, grid, monkeypatch):
+        # B_0's rows are built once for the energy form's band and once for
+        # the applier that every solve reuses, not once per solve
+        rows, solves = [], []
+        mode_rows, cholesky_solver = _forms._mode_rows, _forms.cholesky_solver
+        monkeypatch.setattr(_forms, "_mode_rows",
+                            lambda *args: rows.append(1) or mode_rows(*args))
+
+        def counted_solver(*args):
+            solve = cholesky_solver(*args)
+            return lambda rhs: solves.append(1) or solve(rhs)
+
+        monkeypatch.setattr(_forms, "cholesky_solver", counted_solver)
+        minimize_radial(p513, gaussian_profile(grid))
+        assert len(solves) >= 5
+        assert len(rows) == 2
+
 
 class TestPerturbedQuotient:
     def test_zero_amplitude_gives_radial_constant(self, p513, grid):
@@ -201,6 +226,25 @@ class TestPerturbedQuotient:
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
         with pytest.raises(AmplitudeTooLarge):
             perturbed_quotient(p512, 0.3, make_mode(p512, 1), z1)
+
+    @pytest.mark.parametrize("t_amp", [math.nan, -math.nan, math.inf])
+    def test_non_finite_amplitude_raises(self, p512, grid, t_amp):
+        z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
+        with pytest.raises(AmplitudeTooLarge):
+            perturbed_quotient(p512, t_amp, make_mode(p512, 1), z1)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_sphere_integrand_built_in_place(self, p513, grid, k):
+        # the n x 64 sphere integrand is one array, built in place
+        z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
+        perturbed_quotient(p513, 0.05, make_mode(p513, k), z1)    # warm the Gauss rule
+        tracemalloc.start()
+        try:
+            perturbed_quotient(p513, 0.05, make_mode(p513, k), z1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * grid.n * 64 * 8
 
     def test_mode_cap(self, p512, grid):
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
