@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import (AlphaOutOfRange, EpsOutOfRange, InvalidDimension,
+from .errors import (AlphaOutOfRange, BadGridSpec, EpsOutOfRange, InvalidDimension,
                      MOutOfRange, NonPositiveRadius, RellichBoundary)
-from .numerics import LogGrid, log_gamma
+from .numerics import T_LIMIT, LogGrid, log_gamma
 from .params import CknParams
 
 __all__ = [
@@ -55,7 +55,8 @@ def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
     """Extremal profile  amplitude * lam^{kappa1} (lam r)^{-2nu} (1+(lam r)^{2nu})^{-(M-4)/2}.
 
     Behaves like r^{-(alpha-beta-2)} at the origin and r^{-(N+alpha-2)} at
-    infinity, which is what the quadrature tail checks rely on.
+    infinity, which is what the quadrature tail checks rely on.  BadGridSpec
+    where a sample overflows (radii near e^{-700}).
     """
     P = spec.params
     if not P.subcritical:
@@ -66,6 +67,9 @@ def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
     z = 2.0 * P.nu * (np.log(r_arr) + math.log(spec.lam))
     logu = (math.log(spec.amplitude) + P.kappa1 * math.log(spec.lam)
             - z - (P.M_dim - 4.0) / 2.0 * _softplus(z))
+    if np.max(logu) > T_LIMIT:
+        raise BadGridSpec(f"extremal overflows: log U reaches {np.max(logu):.4g} > {T_LIMIT:.2f}; "
+                          "narrow the grid")
     out = np.exp(logu)
     return out if out.ndim else float(out)
 
@@ -131,28 +135,27 @@ def radial_constant_sr(params: CknParams) -> float:
 def rellich_constant(N: int, alpha: float) -> float:
     """Sharp constant of the weighted Rellich inequality (the p = 2 boundary):
 
-        (N(N-4)/4)^2 + 2 (Q - N + 2) ((N-4)/2)^2 + Q^2,
-        Q = (2+alpha)/2 * (N - 2 + alpha - (2+alpha)/2).
+        (N(N-4)/4)^2 + 2 (Q - N + 2) ((N-4)/2)^2 + Q^2 = ((N-2+alpha)/2)^4,
+        Q = (2+alpha)/2 * (N - 2 + alpha - (2+alpha)/2),
 
-    At alpha = -2 the expression collapses to ((N-4)/2)^4 exactly.
-    """
+    evaluated in the collapsed form, because the sum cancels as alpha -> 2 - N
+    (1e-9 relative error at N = 8)."""
     if not (isinstance(N, int) and N >= 5):
         raise InvalidDimension(f"need integer N >= 5, got {N}")
     if not alpha > 2 - N:
         raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
-    Q = (2.0 + alpha) / 2.0 * (N - 2.0 + alpha - (2.0 + alpha) / 2.0)
-    return (N * (N - 4.0) / 4.0) ** 2 + 2.0 * (Q - N + 2.0) * ((N - 4.0) / 2.0) ** 2 + Q ** 2
+    return ((N - 2.0 + alpha) / 2.0) ** 4
 
 
 def rellich_constant_alt(N: int, alpha: float) -> float:
-    """Alternative closed form of the same Rellich constant; agrees with
-    rellich_constant because N^2 + (N-4)^2 = 2(N^2 - 4N + 8)."""
+    """The Rellich constant as H^2, H = ((N-2)/2 + alpha/2)^2 the sharp constant of
+    int |x|^alpha |grad u|^2 >= H int |x|^{alpha-2} u^2; equal to the sum in
+    rellich_constant because Q + ((N-4)/2)^2 = H."""
     if not alpha > 2 - N:
         raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
-    Q = (2.0 + alpha) / 2.0 * (N - 2.0 + alpha - (2.0 + alpha) / 2.0)
-    c = 4.0 * (Q - N + 2.0) / (N ** 2 - 4.0 * N + 8.0)
-    return ((N * (N - 4.0) / 4.0) ** 2 * (1.0 + c)
-            + ((N - 4.0) / 2.0) ** 4 * c + Q ** 2)
+    half = (N - 2.0) / 2.0 + alpha / 2.0
+    hardy = half * half
+    return hardy * hardy
 
 
 def critical_constant(N: int, alpha: float) -> float:
@@ -234,6 +237,5 @@ def rellich_test_quotient(N: int, eps: float, grid: LogGrid) -> float:
     g, g1, g2 = _cutoff(t)
     rho = g2 + (2.0 * sigma + N - 4.0) * g1 + c0 * g
     w = 2.0 * sigma + N - 5.0          # both integrands share the weight r^{2 sigma + N - 5}
-    num = numerics.integrate(rho ** 2, grid, w)
-    den = numerics.integrate(g ** 2, grid, w)
-    return num / den
+    num, den = numerics.simpson_terms(np.array([rho ** 2, g ** 2]), grid, w).sum(axis=-1)
+    return float(num) / float(den)

@@ -26,7 +26,7 @@ class WrongRegion(CknError):
 
 
 class BadGridSpec(CknError):
-    """Grid endpoints or node count are unusable."""
+    """Grid endpoints or node count are unusable, or samples on the grid overflow."""
 
 
 class GridTooSmall(CknError):

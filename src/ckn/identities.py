@@ -6,7 +6,12 @@ equivalence between the two second-order energies.
 
 Every integral check is done per spherical mode: with u = f(r) Psi_k the
 Laplacian acts as f'' + (N-1)/r f' - lambda_k/r^2 f, so each identity
-becomes one-dimensional quadrature at high accuracy.
+becomes one-dimensional quadrature at high accuracy.  The verify functions
+take one mode k or a sequence of modes.  For a sequence, the t-derivatives of
+the profile are taken once, the brackets of all modes form one (k x n)
+array, and one numerics.simpson_terms call gives every tail check and
+integral (numerics.checked_integrals), with the results and the first
+failed tail check of the one-mode calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import AlphaOutOfRange, CknError, WeightOutOfRange
-from .numerics import RadialProfile, integrate, require_tail, with_derivatives
+from .numerics import RadialProfile, checked_integrals, simpson_terms, with_derivatives
 from .params import CknParams
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
@@ -24,44 +29,54 @@ __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
            "equivalence_bracket", "weighted_hardy_check"]
 
 
-def _mode_bracket(profile: RadialProfile, coeff: float, lambda_k: float) -> np.ndarray:
-    """t-space bracket of the mode operator f'' + (coeff+1)/r f' - lambda_k/r^2 f,
-    i.e. (d2 + coeff*d1 - lambda_k) applied to the samples; the caller books
-    the e^{-2t} factor into the quadrature weight."""
-    prof = with_derivatives(profile)
-    return prof.d2 + coeff * prof.d1 - lambda_k * prof.values
+def _modes(k, N: int) -> tuple[np.ndarray, bool]:
+    """lambda_k as a column, one row per mode of k (one mode or a sequence of
+    modes), and whether k is one mode."""
+    one = np.ndim(k) == 0
+    return np.array([float(j * (N - 2 + j)) for j in ([k] if one else k)]).reshape(-1, 1), one
 
 
-def verify_iid(v_mode: RadialProfile, k: int, N: int) -> tuple[float, float, float]:
+def _brackets(prof: RadialProfile, coeff: float, lams: np.ndarray) -> np.ndarray:
+    """t-space brackets of the mode operator f'' + (coeff+1)/r f' - lambda_k/r^2 f,
+    i.e. (d2 + coeff*d1 - lambda_k) applied to the samples of prof (which
+    carries its derivatives), one row per lambda_k; the caller books the
+    e^{-2t} factor into the quadrature weight."""
+    return prof.d2 + coeff * prof.d1 - lams * prof.values
+
+
+def _relerr(lhs, rhs) -> tuple[float, float, float]:
+    lhs, rhs = float(lhs), float(rhs)
+    return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+def verify_iid(v_mode: RadialProfile, k, N: int):
     """Check int |x|^4 |Delta u|^2 dx = int |Delta v|^2 dx for u = |x|^{-2} v,
-    mode by mode.  Returns (lhs, rhs, relative error)."""
-    lam = float(k * (N - 2 + k))
+    mode by mode.  Returns (lhs, rhs, relative error) for one mode k, and the
+    list of the one-mode results for a sequence of modes."""
+    lams, one = _modes(k, N)
     grid = v_mode.grid
-    u_vals = v_mode.values * np.exp(-2.0 * grid.ts)
-    bu = _mode_bracket(RadialProfile(grid=grid, values=u_vals), N - 2.0, lam)
-    bv = _mode_bracket(v_mode, N - 2.0, lam)
-    require_tail(bu ** 2, grid, N - 1.0, "verify_iid lhs")
-    require_tail(bv ** 2, grid, N - 5.0, "verify_iid rhs")
-    lhs = integrate(bu ** 2, grid, N - 1.0)       # (L u)^2 r^{N+3} dr
-    rhs = integrate(bv ** 2, grid, N - 5.0)       # (L v)^2 r^{N-1} dr
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return lhs, rhs, rel
+    v = with_derivatives(v_mode)
+    u = with_derivatives(RadialProfile(grid=grid, values=v.values * np.exp(-2.0 * grid.ts)))
+    # (L u)^2 r^{N+3} dr and (L v)^2 r^{N-1} dr
+    sq = np.square([_brackets(u, N - 2.0, lams), _brackets(v, N - 2.0, lams)])
+    lhs, rhs = checked_integrals(simpson_terms(sq, grid, np.array([[N - 1.0], [N - 5.0]])),
+                                 ("verify_iid lhs", "verify_iid rhs"))
+    out = [_relerr(a, b) for a, b in zip(lhs, rhs)]
+    return out[0] if one else out
 
 
-def verify_hardy_identity(w_mode: RadialProfile, k: int, N: int
-                          ) -> tuple[float, float, float]:
+def verify_hardy_identity(w_mode: RadialProfile, k, N: int):
     """Check the dilation identity (N-2) int |grad w|^2 = 2 int Delta w (x . grad w),
-    mode by mode.  Returns (lhs, rhs, relative error)."""
-    lam = float(k * (N - 2 + k))
-    grid = w_mode.grid
-    prof = with_derivatives(w_mode)
-    grad_sq = prof.d1 ** 2 + lam * prof.values ** 2
-    bw = _mode_bracket(w_mode, N - 2.0, lam)
-    require_tail(grad_sq, grid, N - 3.0, "verify_hardy lhs")
-    lhs = (N - 2.0) * integrate(grad_sq, grid, N - 3.0)
-    rhs = 2.0 * integrate(bw * prof.d1, grid, N - 3.0)
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return lhs, rhs, rel
+    mode by mode.  Returns (lhs, rhs, relative error) for one mode k, and the
+    list of the one-mode results for a sequence of modes."""
+    lams, one = _modes(k, N)
+    w = with_derivatives(w_mode)
+    terms = simpson_terms(np.array([w.d1 ** 2 + lams * w.values ** 2,        # |grad w|^2
+                                    _brackets(w, N - 2.0, lams) * w.d1]),   # Delta w (x . grad w)
+                          w.grid, N - 3.0)
+    grad = checked_integrals(terms[:1], ("verify_hardy lhs",))[0]
+    out = [_relerr((N - 2.0) * a, 2.0 * b) for a, b in zip(grad, terms[1].sum(axis=-1))]
+    return out[0] if one else out
 
 
 def xi_sign(N: int, alpha: float) -> tuple[float, int]:
@@ -167,27 +182,26 @@ def equivalence_bracket(params: CknParams) -> float:
                1.0 + a * (1.0 + E) + E * alpha ** 2)
 
 
-def equivalence_ratio(u_mode: RadialProfile, k: int, params: CknParams) -> float:
+def equivalence_ratio(u_mode: RadialProfile, k, params: CknParams):
     """Ratio of the two second-order energies for a single-mode profile:
 
         int |x|^{2 alpha - beta} |Delta u|^2 dx
         / int |x|^{-beta} |div(|x|^alpha grad u)|^2 dx.
 
     Identically 1 at alpha = 0; always inside [1/c, c] with
-    c = equivalence_bracket(params).
+    c = equivalence_bracket(params).  One ratio for one mode k, and the list
+    of the one-mode ratios for a sequence of modes.
     """
-    lam = float(k * (params.N - 2 + k))
-    grid = u_mode.grid
-    T = 2.0 * params.kappa1
-    b_plain = _mode_bracket(u_mode, params.N - 2.0, lam)
-    b_weighted = _mode_bracket(u_mode, params.N + params.alpha - 2.0, lam)
-    require_tail(b_plain ** 2, grid, T - 1.0, "equivalence_ratio numerator")
-    require_tail(b_weighted ** 2, grid, T - 1.0, "equivalence_ratio denominator")
-    num = integrate(b_plain ** 2, grid, T - 1.0)
-    den = integrate(b_weighted ** 2, grid, T - 1.0)
-    if den == 0.0:
+    lams, one = _modes(k, params.N)
+    u = with_derivatives(u_mode)
+    sq = np.square([_brackets(u, params.N - 2.0, lams),
+                    _brackets(u, params.N + params.alpha - 2.0, lams)])
+    num, den = checked_integrals(simpson_terms(sq, u.grid, 2.0 * params.kappa1 - 1.0),
+                                 ("equivalence_ratio numerator", "equivalence_ratio denominator"))
+    if not np.all(den):
         raise CknError("zero denominator: profile has no energy")
-    return num / den
+    out = [float(a) / float(b) for a, b in zip(num, den)]
+    return out[0] if one else out
 
 
 def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
@@ -200,12 +214,9 @@ def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
     """
     if not a_w < (N - 2.0) / 2.0:
         raise WeightOutOfRange(f"need a < (N-2)/2 = {(N - 2) / 2}, got {a_w}")
+    u = with_derivatives(u_mode)
     lam = float(k * (N - 2 + k))
-    grid = u_mode.grid
-    prof = with_derivatives(u_mode)
-    grad_sq = prof.d1 ** 2 + lam * prof.values ** 2
-    w_exp = N - 2.0 * a_w - 3.0
-    require_tail(u_mode.values ** 2, grid, w_exp, "weighted_hardy lhs")
-    lhs = integrate(u_mode.values ** 2, grid, w_exp)
-    rhs = (2.0 / (N - 2.0 * a_w - 2.0)) ** 2 * integrate(grad_sq, grid, w_exp)
-    return lhs, rhs
+    terms = simpson_terms(np.array([u.values ** 2, u.d1 ** 2 + lam * u.values ** 2]),
+                          u.grid, N - 2.0 * a_w - 3.0)
+    lhs = checked_integrals(terms[:1], ("weighted_hardy lhs",))[0]
+    return float(lhs), (2.0 / (N - 2.0 * a_w - 2.0)) ** 2 * float(terms[1].sum())

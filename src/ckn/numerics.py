@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument
+from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
 
 DEFAULT_T_MIN = -14.0
 DEFAULT_T_MAX = 14.0
@@ -149,28 +149,39 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def simpson_terms(samples: np.ndarray, grid: LogGrid, weight_exp) -> np.ndarray:
+    """Terms S_i e^{(w+1) t_i} h_i of the Simpson sum for int_0^inf f(s) s^w ds,
+    samples S in the last axis; weight_exp is one w or an array of them that
+    broadcasts against samples.shape[:-1].  The sums are integrate's values."""
+    terms = samples * np.exp((np.asarray(weight_exp, dtype=float)[..., None] + 1.0) * grid.ts)
+    terms *= simpson_weights(grid.n, grid.h)
+    return terms
+
+
+def mass_and_tail(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of nonnegative simpson_terms along the last axis (the integrals)
+    and the share of each sum on the outermost 2.5% of nodes at each end
+    (tail_fraction's value; 0 for a zero sum)."""
+    m = max(2, round(TAIL_NODE_FRACTION * terms.shape[-1]))
+    total = terms.sum(axis=-1)
+    tail = terms[..., :m].sum(axis=-1) + terms[..., -m:].sum(axis=-1)
+    return total, np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
+
+
 def integrate(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
     """Composite Simpson value of  int_0^inf f(s) s^w ds  from samples of f.
 
     Computed as int f(e^t) e^{(w+1)t} dt; the caller guarantees that both
     tails are negligible on the grid (see tail_fraction).
     """
-    t = grid.ts
-    weighted = np.asarray(samples, dtype=float) * np.exp((weight_exp + 1.0) * t)
-    return float(np.sum(simpson_weights(grid.n, grid.h) * weighted))
+    return float(simpson_terms(np.asarray(samples, dtype=float), grid, weight_exp).sum())
 
 
 def tail_fraction(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
     """Fraction of the integral's absolute mass carried by the outermost
     nodes (2.5% of nodes at each end)."""
-    t = grid.ts
-    weighted = np.abs(np.asarray(samples, dtype=float)) * np.exp((weight_exp + 1.0) * t)
-    weighted *= simpson_weights(grid.n, grid.h)
-    m = max(2, round(TAIL_NODE_FRACTION * grid.n))
-    total = float(np.sum(weighted))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(weighted[:m]) + np.sum(weighted[-m:])) / total
+    terms = simpson_terms(np.abs(np.asarray(samples, dtype=float)), grid, weight_exp)
+    return float(mass_and_tail(terms)[1])
 
 
 def gamma_fn(x: float) -> float:
@@ -197,12 +208,25 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float,
-                 what: str, tol: float = TAIL_TOL) -> None:
-    """Raise TailInadequate when the tail diagnostic exceeds tol."""
-    from .errors import TailInadequate
-
-    frac = tail_fraction(samples, grid, weight_exp)
+def _check_tail(frac: float, what: str, tol: float) -> None:
     if frac > tol:
         raise TailInadequate(f"{what}: outermost nodes carry {frac:.3e} of the mass "
                              f"(allowed {tol:.1e}); widen the grid")
+
+
+def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float,
+                 what: str, tol: float = TAIL_TOL) -> None:
+    """Raise TailInadequate when the tail diagnostic exceeds tol."""
+    _check_tail(tail_fraction(samples, grid, weight_exp), what, tol)
+
+
+def checked_integrals(terms: np.ndarray, whats: tuple[str, ...],
+                      tol: float = TAIL_TOL) -> np.ndarray:
+    """Integrals of nonnegative simpson_terms, terms[c, ...] for the check
+    named whats[c], after the tail check of each (require_tail's, bit for bit),
+    taken in the order: index in ..., then c."""
+    mass, frac = mass_and_tail(terms)
+    for row in frac.reshape(len(whats), -1).T:
+        for f, what in zip(row, whats):
+            _check_tail(f, what, tol)
+    return mass

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import numerics
 from .errors import GridTooSmall, MOutOfRange, RellichBoundary
-from .numerics import (RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate, integrate,
-                       require_tail)
+from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate
 from .params import CknParams
 
 __all__ = [
@@ -167,10 +166,7 @@ def rayleigh_m(v: RadialProfile, M: float) -> float:
     p_m = 2.0 * M / (M - 4.0)
     vv = numerics.with_derivatives(v)
     lap = vv.d2 + (M - 2.0) * vv.d1          # s^2 * (v'' + (M-1)/s v')
-    num_samples = lap ** 2
-    den_samples = np.abs(v.values) ** p_m
-    require_tail(num_samples, v.grid, M - 5.0, "rayleigh_m numerator")
-    require_tail(den_samples, v.grid, M - 1.0, "rayleigh_m denominator")
-    num = integrate(num_samples, v.grid, M - 5.0)
-    den = integrate(den_samples, v.grid, M - 1.0)
-    return num / den ** ((M - 4.0) / M)
+    num, den = numerics.checked_integrals(numerics.simpson_terms(
+        np.array([lap ** 2, np.abs(v.values) ** p_m]), v.grid, np.array([M - 5.0, M - 1.0])),
+        ("rayleigh_m numerator", "rayleigh_m denominator"))
+    return float(num) / float(den) ** ((M - 4.0) / M)

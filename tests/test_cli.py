@@ -381,6 +381,57 @@ class TestVerifyDeterminism:
         assert checks["ratios_inside_bracket"] == max(ratios)
 
 
+class TestVerifyModeBatch:
+    """verify identities and equivalence evaluate the four modes of a profile
+    in one call per identity, and report the failure the per-mode loop
+    (profile, then k, then iid lhs/rhs, then hardy lhs) would report."""
+
+    @staticmethod
+    def per_mode_failure(suite, N, a, b, grid):
+        P = derive(N, a, b)
+        try:
+            for prof in random_profiles(grid, 42, 20):
+                for k in range(4):
+                    if suite == "identities":
+                        identities.verify_iid(prof, k, N)
+                        identities.verify_hardy_identity(prof, k, N)
+                    else:
+                        identities.equivalence_ratio(prof, k, P)
+        except ckn.errors.TailInadequate as exc:
+            return {"error": "TailInadequate", "message": str(exc)}
+        return None
+
+    # the N = 9 case fails the iid check first at k = 1 but the hardy check at
+    # k = 0, so one call per identity alone would report the wrong check
+    @pytest.mark.parametrize("suite,N,a,b,t_max", [
+        ("identities", 5, 1.0, -2.0, 6.0), ("identities", 9, 1.0, -2.0, 10.0),
+        ("equivalence", 5, -1.0, -3.5, 6.0)])
+    def test_same_first_failure(self, capsys, suite, N, a, b, t_max):
+        code, out = run(capsys, "verify", suite, "-N", str(N), f"--alpha={a}", f"--beta={b}",
+                        f"--t-min={-t_max}", f"--t-max={t_max}", "--format", "json")
+        expected = self.per_mode_failure(suite, N, a, b, ckn.make_grid(-t_max, t_max))
+        assert expected is not None
+        assert code == 1
+        assert json.loads(out) == expected
+
+    @pytest.mark.parametrize("suite,point,per_profile", [
+        ("identities", ("-N", "5", "-a", "1", "-b", "-2"), 4),
+        ("equivalence", ("-N", "5", "-a", "-1", "-b", "-3.5"), 2)])
+    def test_derivatives_per_profile(self, capsys, monkeypatch, suite, point, per_profile):
+        calls = count_calls(monkeypatch, (ckn.numerics, "differentiate"))
+        code, _ = run(capsys, "verify", suite, *point, "--format", "json")
+        assert code == 0
+        assert calls["differentiate"] <= per_profile * 20
+
+    def test_rellich_closed_forms_at_n8(self, capsys):
+        code, out = run(capsys, "verify", "identities", "-N", "8", "-a", "1", "-b", "-2",
+                        "--format", "json")
+        assert code == 0
+        check = next(c for c in json.loads(out)["checks"]
+                     if c["check"] == "rellich_closed_forms_agree")
+        assert check["pass"] is True and check["value"] < 1e-14
+
+
 class TestMinimize:
     def test_reaches_radial_constant(self, capsys, tmp_path):
         code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
@@ -429,9 +480,13 @@ class TestMinimize:
 
 
 class TestGridBounds:
+    # the last four grids have finite nodes, but r^kappa1, r^-kappa1 or the
+    # extremal overflows on them
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--t-max=inf"), ("spectrum", "--t-max=800"),
-        ("minimize", "--t-min=-1e308", "--t-max=1e308")])
+        ("minimize", "--t-min=-1e308", "--t-max=1e308"),
+        ("spectrum", "--t-max=700"), ("spectrum", "--t-min=-700"),
+        ("minimize", "--t-max=700"), ("minimize", "--t-min=-700")])
     def test_overflowing_grid_exit_2(self, capsys, argv):
         cmd, *grid = argv
         code, out = run(capsys, cmd, "-N", "5", "-a", "1", "-b", "-3", *grid,

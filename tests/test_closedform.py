@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ class TestRellichConstant:
     def test_alpha_out_of_range(self):
         with pytest.raises(AlphaOutOfRange):
             rellich_constant(5, -3.0)
+
+    @pytest.mark.parametrize("N", range(5, 12))
+    def test_closed_forms_at_suite_alphas(self, N):
+        # the alpha values of verify identities' rellich_closed_forms_agree
+        for alpha in np.linspace(2 - N + 0.1, 4.0, 50):
+            exact = ((N - 2 + Fraction(float(alpha))) / 2) ** 4
+            for s in (rellich_constant(N, float(alpha)), rellich_constant_alt(N, float(alpha))):
+                assert abs(Fraction(s) - exact) <= 1e-15 * exact
 
 
 class TestCriticalConstant:

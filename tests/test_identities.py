@@ -10,7 +10,7 @@ from ckn.errors import AlphaOutOfRange, WeightOutOfRange
 from ckn.identities import (equivalence_bracket, equivalence_ratio,
                             rellich_coeff_identities, verify_hardy_identity,
                             verify_iid, weighted_hardy_check, xi_sign)
-from ckn.numerics import RadialProfile
+from ckn.numerics import RadialProfile, simpson_weights, with_derivatives
 from conftest import gaussian_profile, random_profiles
 
 
@@ -122,6 +122,65 @@ class TestTwoClosedFormsAgree:
             s1 = rellich_constant(N, float(alpha))
             s2 = rellich_constant_alt(N, float(alpha))
             assert s2 == pytest.approx(s1, rel=1e-10, abs=1e-12)
+
+
+class TestModeBatch:
+    """A sequence of modes gives the list of the one-mode results, bit for bit."""
+
+    KS = (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("N", [5, 6, 7, 8])
+    def test_iid_and_hardy(self, grid, N):
+        for prof in random_profiles(grid, seed=N, count=4):
+            assert verify_iid(prof, self.KS, N) == [verify_iid(prof, k, N) for k in self.KS]
+            assert (verify_hardy_identity(prof, self.KS, N)
+                    == [verify_hardy_identity(prof, k, N) for k in self.KS])
+
+    @pytest.mark.parametrize("N,alpha,beta", [(5, -1.0, -3.5), (6, 1.0, -2.5),
+                                              (7, -2.0, -5.0), (8, -3.0, -5.5)])
+    def test_equivalence(self, grid, N, alpha, beta):
+        p = ckn.derive(N, alpha, beta)
+        for prof in random_profiles(grid, seed=N, count=4):
+            assert (equivalence_ratio(prof, self.KS, p)
+                    == [equivalence_ratio(prof, k, p) for k in self.KS])
+
+    @pytest.mark.parametrize("N", [5, 6, 7, 8])
+    def test_one_mode_matches_per_mode_formulas(self, grid, N):
+        # each identity written out for one mode with plain Simpson sums
+        def simpson(samples, w):
+            return float(np.sum(simpson_weights(grid.n, grid.h)
+                                * (samples * np.exp((w + 1.0) * grid.ts))))
+
+        def bracket(prof, coeff, lam):
+            p = with_derivatives(prof)
+            return p.d2 + coeff * p.d1 - lam * p.values
+
+        def rel(a, b):
+            return a, b, abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+        p = ckn.derive(N, -1.0, -3.5 - (N - 5) / 4.0)
+        for prof in random_profiles(grid, seed=N, count=3):
+            d = with_derivatives(prof)
+            u = RadialProfile(grid=grid, values=prof.values * np.exp(-2.0 * grid.ts))
+            for k in self.KS:
+                lam = float(k * (N - 2 + k))
+                assert verify_iid(prof, k, N) == rel(
+                    simpson(bracket(u, N - 2.0, lam) ** 2, N - 1.0),
+                    simpson(bracket(prof, N - 2.0, lam) ** 2, N - 5.0))
+                assert verify_hardy_identity(prof, k, N) == rel(
+                    (N - 2.0) * simpson(d.d1 ** 2 + lam * d.values ** 2, N - 3.0),
+                    2.0 * simpson(bracket(prof, N - 2.0, lam) * d.d1, N - 3.0))
+                w = 2.0 * p.kappa1 - 1.0
+                assert equivalence_ratio(prof, k, p) == (
+                    simpson(bracket(prof, N - 2.0, lam) ** 2, w)
+                    / simpson(bracket(prof, N + p.alpha - 2.0, lam) ** 2, w))
+
+    def test_one_mode_shapes(self, grid):
+        prof = gaussian_profile(grid)
+        assert isinstance(verify_iid(prof, 1, 5), tuple)
+        assert verify_iid(prof, [1], 5) == [verify_iid(prof, 1, 5)]
+        assert verify_hardy_identity(prof, (), 5) == []
+        assert isinstance(equivalence_ratio(prof, 2, ckn.derive(5, -1.0, -3.5)), float)
 
 
 class TestEquivalenceRatio:
