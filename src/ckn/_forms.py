@@ -36,8 +36,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import BadGridSpec, GridTooSmall, NoConvergence
-from .numerics import T_LIMIT, LogGrid, diff_matrix, stencil_weights, trapezoid_weights
+from .errors import GridTooSmall, NoConvergence
+from .numerics import LogGrid, diff_matrix, grid_exp, stencil_weights, trapezoid_weights
 from .params import CknParams
 
 N_CLAMP = 2
@@ -54,23 +54,16 @@ def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csr_m
             - (params.cal_B + lambda_k) * sp.identity(n, format="csr")).tocsr()
 
 
-def _r_power(params: CknParams, grid: LogGrid, sign: float) -> np.ndarray:
-    """r^{sign kappa1} at the nodes.  BadGridSpec when r^{kappa1} or r^{-kappa1}
-    overflows anywhere on the grid, so the map to phi and back stay finite."""
-    reach = abs(params.kappa1) * max(-grid.t_min, grid.t_max)
-    if reach > T_LIMIT:
-        raise BadGridSpec(f"r^kappa1 overflows: kappa1 |t| reaches {reach:.4g} > {T_LIMIT:.2f}; "
-                          "narrow the grid")
-    return np.exp(sign * params.kappa1 * grid.ts)
-
-
 def to_scaled(params: CknParams, grid: LogGrid, values: np.ndarray) -> np.ndarray:
-    """phi samples r^{kappa1} f(r) from radial samples f(r)."""
-    return values * _r_power(params, grid, 1.0)
+    """phi samples r^{kappa1} f(r) from radial samples f(r); BadGridSpec where r^{kappa1}
+    or r^{-kappa1} overflows on the grid, so that from_scaled, the inverse, is finite too."""
+    reach = abs(params.kappa1) * max(-grid.t_min, grid.t_max)
+    return values * grid_exp(params.kappa1 * grid.ts, "r^kappa1", reach)
 
 
 def from_scaled(params: CknParams, grid: LogGrid, phi: np.ndarray) -> np.ndarray:
-    return phi * _r_power(params, grid, -1.0)
+    reach = abs(params.kappa1) * max(-grid.t_min, grid.t_max)
+    return phi * grid_exp(-params.kappa1 * grid.ts, "r^-kappa1", reach)
 
 
 def keep_indices(n: int) -> np.ndarray:

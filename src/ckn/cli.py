@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
                   max(abs(r - 1.0) for r in ratios), 1e-14)
     else:          # rellich-limit
         eps_list = sorted((float(e) for e in args.eps.split(",")), reverse=True)
-        n = int(cfg.get("n", numerics.DEFAULT_N))
+        n = args.n if args.n is not None else int(cfg.get("n", numerics.DEFAULT_N))
         grid = closedform.rellich_limit_grid(n)
         limit = ((args.dim - 4) / 2.0) ** 4
         quotients = [closedform.rellich_test_quotient(args.dim, e, grid) for e in eps_list]
@@ -329,7 +329,7 @@ def cmd_minimize(args) -> int:
             raise CknError(f"init file must hold {grid.n} values, got shape {vals.shape}")
         init = RadialProfile(grid=grid, values=vals)
     else:
-        init = RadialProfile(grid=grid, values=np.exp(-t * t - P.kappa1 * t))
+        init = RadialProfile(grid=grid, values=numerics.grid_exp(-t * t - P.kappa1 * t, "init"))
     value, profile = variational.minimize_radial(P, init, max_iters=args.max_iters)
     s_r = closedform.radial_constant_sr(P)
     doc = {"value": value, "S_r": s_r, "relative_gap": (value - s_r) / s_r}

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import (AlphaOutOfRange, BadGridSpec, EpsOutOfRange, InvalidDimension,
-                     MOutOfRange, NonPositiveRadius, RellichBoundary)
-from .numerics import T_LIMIT, LogGrid, log_gamma
+from .errors import (AlphaOutOfRange, EpsOutOfRange, InvalidDimension, MOutOfRange,
+                     NonPositiveRadius, RellichBoundary)
+from .numerics import LogGrid, log_gamma
 from .params import CknParams
 
 __all__ = [
@@ -51,42 +51,40 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def _log_radius(P: CknParams, r, lam: float, what: str) -> np.ndarray:
+    """z = 2 nu ln(lam r) at radii r > 0: the variable of the closed forms below."""
+    if not P.subcritical:
+        raise RellichBoundary(f"{what} requires beta < alpha - 2")
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(r_arr <= 0):
+        raise NonPositiveRadius(f"{what} requires r > 0")
+    return 2.0 * P.nu * (np.log(r_arr) + math.log(lam))
+
+
 def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
     """Extremal profile  amplitude * lam^{kappa1} (lam r)^{-2nu} (1+(lam r)^{2nu})^{-(M-4)/2}.
 
     Behaves like r^{-(alpha-beta-2)} at the origin and r^{-(N+alpha-2)} at
     infinity, which is what the quadrature tail checks rely on.  BadGridSpec
-    where a sample overflows (radii near e^{-700}).
+    where a sample overflows (radii near e^{-700}; numerics.grid_exp).
     """
     P = spec.params
-    if not P.subcritical:
-        raise RellichBoundary("extremal_u requires beta < alpha - 2")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise NonPositiveRadius("extremal_u requires r > 0")
-    z = 2.0 * P.nu * (np.log(r_arr) + math.log(spec.lam))
+    z = _log_radius(P, r, spec.lam, "extremal_u")
     logu = (math.log(spec.amplitude) + P.kappa1 * math.log(spec.lam)
             - z - (P.M_dim - 4.0) / 2.0 * _softplus(z))
-    if np.max(logu) > T_LIMIT:
-        raise BadGridSpec(f"extremal overflows: log U reaches {np.max(logu):.4g} > {T_LIMIT:.2f}; "
-                          "narrow the grid")
-    out = np.exp(logu)
+    out = numerics.grid_exp(logu, "extremal U")
     return out if out.ndim else float(out)
 
 
 def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:
-    """d/d lam of the scaled extremal at the spec's lam: kappa1 U + r U' in closed form."""
+    """d/d lam of the scaled extremal at the spec's lam: kappa1 U + r U' in closed form.
+    BadGridSpec where a factor overflows (numerics.grid_exp)."""
     P = spec.params
-    if not P.subcritical:
-        raise RellichBoundary("scaling_direction requires beta < alpha - 2")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise NonPositiveRadius("scaling_direction requires r > 0")
-    z = 2.0 * P.nu * (np.log(r_arr) + math.log(spec.lam))
+    z = _log_radius(P, r, spec.lam, "scaling_direction")
     # amplitude * nu (M-4)/2 * (lam r)^{-2nu} (1 - (lam r)^{2nu}) (1+(lam r)^{2nu})^{-(M-2)/2}
     mag = (spec.amplitude * P.nu * (P.M_dim - 4.0) / 2.0 * spec.lam ** (P.kappa1 - 1.0)
-           * np.exp(-z - (P.M_dim - 2.0) / 2.0 * _softplus(z)))
-    out = mag * (-np.expm1(z))
+           * numerics.grid_exp(-z - (P.M_dim - 2.0) / 2.0 * _softplus(z), "scaling direction"))
+    out = mag * (-numerics.grid_exp(z, "scaling direction", fn=np.expm1))
     return out if out.ndim else float(out)
 
 
@@ -175,22 +173,17 @@ def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
                proportional to the scaling direction kappa1 U + r U'.
     which = 1: r^{(2+beta-alpha)/2} (1 + r^{alpha-beta-2})^{-(N-2+alpha)/(alpha-beta-2)},
                the extra direction that appears exactly on the Felli-Schneider curve.
+    BadGridSpec where the power of r overflows (numerics.grid_exp).
     """
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
-    P = params
-    if not P.subcritical:
-        raise RellichBoundary("linearized_mode requires beta < alpha - 2")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise NonPositiveRadius("linearized_mode requires r > 0")
-    z = 2.0 * P.nu * np.log(r_arr)
-    e = (P.M_dim - 2.0) / 2.0          # = (N-2+alpha)/(alpha-beta-2)
+    z = _log_radius(params, r, 1.0, "linearized_mode")
+    e = (params.M_dim - 2.0) / 2.0          # = (N-2+alpha)/(alpha-beta-2)
     env = np.exp(-e * _softplus(z))
     if which == 0:
-        out = -np.expm1(-z) * env
+        out = -numerics.grid_exp(-z, "Z0", fn=np.expm1) * env
     else:
-        out = np.exp(-z / 2.0) * env
+        out = numerics.grid_exp(-z / 2.0, "Z1") * env
     return out if out.ndim else float(out)
 
 

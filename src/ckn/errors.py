@@ -26,7 +26,7 @@ class WrongRegion(CknError):
 
 
 class BadGridSpec(CknError):
-    """Grid endpoints or node count are unusable, or samples on the grid overflow."""
+    """Grid endpoints or node count are unusable, or a power of r overflows on the grid."""
 
 
 class GridTooSmall(CknError):

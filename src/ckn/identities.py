@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import AlphaOutOfRange, CknError, WeightOutOfRange
-from .numerics import RadialProfile, checked_integrals, simpson_terms, with_derivatives
+from .numerics import RadialProfile, checked_integrals, grid_power, simpson_terms, with_derivatives
 from .params import CknParams
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
@@ -56,7 +56,7 @@ def verify_iid(v_mode: RadialProfile, k, N: int):
     lams, one = _modes(k, N)
     grid = v_mode.grid
     v = with_derivatives(v_mode)
-    u = with_derivatives(RadialProfile(grid=grid, values=v.values * np.exp(-2.0 * grid.ts)))
+    u = with_derivatives(RadialProfile(grid=grid, values=v.values * grid_power(-2.0, grid, "r^-2")))
     # (L u)^2 r^{N+3} dr and (L v)^2 r^{N-1} dr
     sq = np.square([_brackets(u, N - 2.0, lams), _brackets(v, N - 2.0, lams)])
     lhs, rhs = checked_integrals(simpson_terms(sq, grid, np.array([[N - 1.0], [N - 5.0]])),

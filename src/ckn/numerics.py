@@ -73,6 +73,24 @@ def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
     return LogGrid(t_min=float(t_min), t_max=float(t_max), n=int(n), h=h, nodes=nodes)
 
 
+def grid_exp(x, what: str, top=None, fn=np.exp):
+    """fn(x), e^x by default, for x that grows with the grid: the one overflow
+    rule.  BadGridSpec before fn runs when top, the log of fn's largest value
+    (max x unless the caller knows it), passes T_LIMIT; fn may be np.expm1 or
+    a square of the nodes.  An exponent that only underflows is legal."""
+    top = np.max(x) if top is None else top
+    if top > T_LIMIT:
+        raise BadGridSpec(f"{what} overflows: log {top:.4g} > {T_LIMIT:.2f}; narrow the grid")
+    return fn(x)
+
+
+def grid_power(c, grid: LogGrid, what: str) -> np.ndarray:
+    """s^c = e^{ct} at the nodes, one row per entry of c.  ct is monotone in t, so
+    grid_exp's test at the two ends of the grid is exact and costs O(len(c))."""
+    x = np.multiply.outer(c, grid.ts)
+    return grid_exp(x, what, np.max(x[..., ::grid.n - 1]))
+
+
 def sample(grid: LogGrid, fn) -> RadialProfile:
     """Sample fn(s) at the grid nodes."""
     return RadialProfile(grid=grid, values=np.asarray(fn(grid.nodes), dtype=float))
@@ -153,19 +171,20 @@ def simpson_terms(samples: np.ndarray, grid: LogGrid, weight_exp) -> np.ndarray:
     """Terms S_i e^{(w+1) t_i} h_i of the Simpson sum for int_0^inf f(s) s^w ds,
     samples S in the last axis; weight_exp is one w or an array of them that
     broadcasts against samples.shape[:-1].  The sums are integrate's values."""
-    terms = samples * np.exp((np.asarray(weight_exp, dtype=float)[..., None] + 1.0) * grid.ts)
+    terms = samples * grid_power(np.asarray(weight_exp, dtype=float) + 1.0, grid, "s^(w+1)")
     terms *= simpson_weights(grid.n, grid.h)
     return terms
 
 
 def mass_and_tail(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of nonnegative simpson_terms along the last axis (the integrals)
+    """Sums of nonnegative quadrature terms along the last axis (the integrals)
     and the share of each sum on the outermost 2.5% of nodes at each end
-    (tail_fraction's value; 0 for a zero sum)."""
+    (tail_fraction's value; 0 for a zero sum, NaN for a sum that is not finite)."""
     m = max(2, round(TAIL_NODE_FRACTION * terms.shape[-1]))
     total = terms.sum(axis=-1)
     tail = terms[..., :m].sum(axis=-1) + terms[..., -m:].sum(axis=-1)
-    return total, np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
+    return total, np.divide(tail, total, out=np.where(total == 0.0, 0.0, np.nan),
+                            where=np.isfinite(total) & (total != 0.0))
 
 
 def integrate(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
@@ -208,25 +227,21 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _check_tail(frac: float, what: str, tol: float) -> None:
-    if frac > tol:
-        raise TailInadequate(f"{what}: outermost nodes carry {frac:.3e} of the mass "
-                             f"(allowed {tol:.1e}); widen the grid")
+def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float, what: str) -> None:
+    """Raise TailInadequate when the tail diagnostic exceeds TAIL_TOL."""
+    checked_integrals(simpson_terms(np.abs(samples), grid, weight_exp), (what,))
 
 
-def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float,
-                 what: str, tol: float = TAIL_TOL) -> None:
-    """Raise TailInadequate when the tail diagnostic exceeds tol."""
-    _check_tail(tail_fraction(samples, grid, weight_exp), what, tol)
-
-
-def checked_integrals(terms: np.ndarray, whats: tuple[str, ...],
-                      tol: float = TAIL_TOL) -> np.ndarray:
-    """Integrals of nonnegative simpson_terms, terms[c, ...] for the check
-    named whats[c], after the tail check of each (require_tail's, bit for bit),
-    taken in the order: index in ..., then c."""
+def checked_integrals(terms: np.ndarray, whats: tuple[str, ...]) -> np.ndarray:
+    """Integrals of nonnegative quadrature terms (simpson_terms, or trapezoid weights
+    times samples), terms[c, ...] for the check named whats[c], after the one tail
+    rule, in the order index in ..., then c: TailInadequate unless the tail share
+    is <= TAIL_TOL, so a NaN share (a sum that is not finite) fails too."""
     mass, frac = mass_and_tail(terms)
     for row in frac.reshape(len(whats), -1).T:
         for f, what in zip(row, whats):
-            _check_tail(f, what, tol)
+            if not f <= TAIL_TOL:
+                raise TailInadequate(f"{what}: the integral is not finite" if math.isnan(f) else
+                                     f"{what}: outermost nodes carry {f:.3e} of the mass "
+                                     f"(allowed {TAIL_TOL:.1e}); widen the grid")
     return mass

@@ -173,7 +173,7 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
     X0 always solves its equation; X1 solves it exactly only on the
     Felli-Schneider curve, where q^2 lambda_1 = varpi_1.  Derivatives are
     taken by finite differences from the samples, so the value certifies
-    the profile rather than restating algebra.
+    the profile rather than restating algebra; BadGridSpec where s^2 overflows.
     """
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
@@ -184,8 +184,9 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
     varpi = float(k) * (M - 2.0 + k)
     q2lam = params.q_pow ** 2 * k * (params.N - 2.0 + k)
     s = grid.nodes
-    env = (1.0 + s ** 2) ** (-(M - 2.0) / 2.0)
-    x = ((1.0 - s ** 2) * env) if which == 0 else (s * env)
+    s2 = numerics.grid_exp(s, "s^2", 2.0 * grid.t_max, np.square)
+    env = (1.0 + s2) ** (-(M - 2.0) / 2.0)
+    x = ((1.0 - s2) * env) if which == 0 else (s * env)
 
     # Everything is evaluated multiplied by s^4 and expressed through
     # d/dt (t = ln s), which keeps all terms bounded: with
@@ -198,7 +199,7 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
 
     gamma_m = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
     p_m = 2.0 * M / (M - 4.0)
-    ratio4 = (s / (1.0 + s ** 2)) ** 4
+    ratio4 = (s / (1.0 + s2)) ** 4
     eig_term = (p_m - 1.0) * gamma_m * ratio4 * x
     # s^2 X'' = X_tt - X_t and s X' = X_t
     extra = (q2lam - varpi) * (2.0 * (prof.d2 - prof.d1) + 2.0 * (M - 3.0) * prof.d1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import GridTooSmall, MOutOfRange, RellichBoundary
+from .errors import CknError, GridTooSmall, MOutOfRange, RellichBoundary
 from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate
 from .params import CknParams
 
@@ -49,8 +49,7 @@ class EmdenFowlerProfile:
 
 def to_emden_fowler(u: RadialProfile, params: CknParams) -> EmdenFowlerProfile:
     """phi(tau) = r^{kappa1} u(r) at r = e^{-tau}; inverse of from_emden_fowler."""
-    t = u.grid.ts
-    phi = u.values * np.exp(params.kappa1 * t)
+    phi = u.values * numerics.grid_power(params.kappa1, u.grid, "r^kappa1")
     grid = numerics.make_grid(-u.grid.t_max, -u.grid.t_min, u.grid.n)
     return EmdenFowlerProfile(grid=grid, phi=phi[::-1].copy(), params=params)
 
@@ -58,7 +57,7 @@ def to_emden_fowler(u: RadialProfile, params: CknParams) -> EmdenFowlerProfile:
 def from_emden_fowler(ef: EmdenFowlerProfile) -> RadialProfile:
     """Radial samples u(r) = r^{-kappa1} phi(-ln r)."""
     grid = numerics.make_grid(-ef.grid.t_max, -ef.grid.t_min, ef.grid.n)
-    values = ef.phi[::-1] * np.exp(-ef.params.kappa1 * grid.ts)
+    values = ef.phi[::-1] * numerics.grid_power(-ef.params.kappa1, grid, "r^-kappa1")
     return RadialProfile(grid=grid, values=values)
 
 
@@ -135,10 +134,8 @@ def to_dimension_m(u: RadialProfile, params: CknParams) -> RadialProfile:
     """
     if not params.subcritical:
         raise RellichBoundary("to_dimension_m requires beta < alpha - 2")
-    q = params.q_pow
-    t = u.grid.ts
-    values = (u.values * np.exp(params.a_shift * t))[::-1].copy()
-    grid = numerics.make_grid(u.grid.t_max / q, u.grid.t_min / q, u.grid.n)
+    values = (u.values * numerics.grid_power(params.a_shift, u.grid, "r^a"))[::-1].copy()
+    grid = numerics.make_grid(u.grid.t_max / params.q_pow, u.grid.t_min / params.q_pow, u.grid.n)
     return RadialProfile(grid=grid, values=values)
 
 
@@ -146,9 +143,8 @@ def from_dimension_m(v: RadialProfile, params: CknParams) -> RadialProfile:
     """Inverse of to_dimension_m: u(r) = r^{-a} v(r^{1/q})."""
     if not params.subcritical:
         raise RellichBoundary("from_dimension_m requires beta < alpha - 2")
-    q = params.q_pow
-    grid = numerics.make_grid(v.grid.t_max * q, v.grid.t_min * q, v.grid.n)
-    values = v.values[::-1] * np.exp(-params.a_shift * grid.ts)
+    grid = numerics.make_grid(v.grid.t_max * params.q_pow, v.grid.t_min * params.q_pow, v.grid.n)
+    values = v.values[::-1] * numerics.grid_power(-params.a_shift, grid, "r^-a")
     return RadialProfile(grid=grid, values=values)
 
 
@@ -169,4 +165,6 @@ def rayleigh_m(v: RadialProfile, M: float) -> float:
     num, den = numerics.checked_integrals(numerics.simpson_terms(
         np.array([lap ** 2, np.abs(v.values) ** p_m]), v.grid, np.array([M - 5.0, M - 1.0])),
         ("rayleigh_m numerator", "rayleigh_m denominator"))
+    if not den > 0:
+        raise CknError("zero denominator: the p_M-norm of v underflows or v is zero")
     return float(num) / float(den) ** ((M - 4.0) / M)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_u, omega_sphere
-from .errors import AmplitudeTooLarge, MaxIters, RellichBoundary
+from .errors import AmplitudeTooLarge, CknError, MaxIters, RellichBoundary
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
 from .params import CknParams
 
@@ -63,9 +63,8 @@ def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
     """int [f'' + (N-1+alpha)/r f' - lambda_k/r^2 f]^2 r^{N+2alpha-beta-1} dr."""
     grid = u.grid
     img = _forms.mode_image(params, lambda_k, grid, _forms.to_scaled(params, grid, u.values))
-    integrand = img * img
-    numerics.require_tail(integrand, grid, -1.0, "mode energy")
-    return float(np.sum(trapezoid_weights(grid.n, grid.h) * integrand))
+    terms = trapezoid_weights(grid.n, grid.h) * (img * img)
+    return float(numerics.checked_integrals(terms, ("mode energy",)))
 
 
 def radial_energy(u: RadialProfile, params: CknParams) -> float:
@@ -101,7 +100,8 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     tol times the value, and max_iters bounds the number of solves.
 
     Returns (quotient value, normalized profile), the value within 0.5% of
-    radial_constant_sr.  Raises MaxIters after max_iters solves,
+    radial_constant_sr.  Raises CknError when init, in scaled variables, is
+    zero or not finite, MaxIters after max_iters solves,
     TailInadequate when the outermost nodes carry more of the final
     energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off),
     and NoConvergence if rounding leaves A without a Cholesky factor.
@@ -124,8 +124,8 @@ def minimize_radial(params: CknParams, init: RadialProfile,
         return x, float(w_full @ sq), sq
 
     phi = _forms.to_scaled(params, grid, init.values)[keep]
-    if _star_norm_p(phi, w, p) <= 0:
-        raise ValueError("init profile must be nonzero")
+    if not 0 < _star_norm_p(phi, w, p) < math.inf:
+        raise CknError("init profile must be finite and nonzero")
     phi, value, sq = normalized(phi)
     for _ in range(max_iters):
         trial, trial_value, trial_sq = normalized(solve(w * np.abs(phi) ** (p - 2.0) * phi))
@@ -195,6 +195,6 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     vals = np.multiply.outer(t_amp * f, np.ones_like(cosines) if mode.k == 0 else cosines)
     vals += u[:, None]                                  # |u + t f cos|^p, in place
     radial = np.power(np.abs(vals, out=vals), p, out=vals) @ wq   # per-radius sphere integral
-    numerics.require_tail(radial, grid, params.gamma + N - 1.0, "perturbed quotient denominator")
-    den = om_sub * numerics.integrate(radial, grid, params.gamma + N - 1.0)
+    den = om_sub * float(numerics.checked_integrals(numerics.simpson_terms(
+        radial, grid, params.gamma + N - 1.0), ("perturbed quotient denominator",)))
     return numerator / den ** (2.0 / p)

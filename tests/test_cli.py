@@ -112,6 +112,24 @@ class TestVerify:
         assert quotients == sorted(quotients, reverse=True)
         assert all(q > 0.0625 for q in quotients)
 
+    def test_rellich_limit_honors_n(self, capsys, tmp_path, monkeypatch):
+        # n is resolved as verify ode does: the flag, then the config, then the default
+        def quotients(*extra):
+            code, out = run(capsys, "verify", "rellich-limit", "-N", "5", *extra,
+                            "--format", "json")
+            assert code == 0
+            return next(c["value"] for c in json.loads(out)["checks"]
+                        if c["check"] == "quotients")
+
+        default, flag = quotients(), quotients("-n", "2001")
+        assert flag != default
+        cfg = tmp_path / "ckn.conf"
+        cfg.write_text("n = 2001\n")
+        assert quotients("--config", str(cfg)) == flag
+        cfg.write_text("n = 1001\n")
+        monkeypatch.setenv("CKN_CONFIG", str(cfg))
+        assert quotients("-n", "2001") == flag
+
     def test_linearized_near_fs(self, capsys):
         code, out = run(capsys, "verify", "linearized", "-N", "5", "-a", "1",
                         "-b", "-2.6568542", "--format", "json")
@@ -461,6 +479,23 @@ class TestMinimize:
                         "--init", str(bad), "--format", "json")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["zero", "nan"])
+    def test_bad_init_samples_exit_2(self, capsys, tmp_path, bad):
+        # an all-zero file, or extremal samples with one NaN: a JSON error
+        # before any solve, not a traceback or MaxIters after 2000 solves
+        grid = ckn.make_grid(n=2001)
+        if bad == "zero":
+            vals = np.zeros(grid.n)
+        else:
+            vals = ckn.extremal_u(ckn.ExtremalSpec(derive(5, 1.0, -2.0)), grid.nodes)
+            vals[1000] = math.nan
+        init = tmp_path / "init.txt"
+        np.savetxt(init, vals, fmt="%.17g")
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
+                        "-n", "2001", "--init", str(init), "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "CknError"
+
     def test_init_file_holds_u_samples(self, capsys, tmp_path):
         P = derive(5, 1.0, -2.0)
         grid = ckn.make_grid(n=2001)
@@ -495,6 +530,62 @@ class TestGridBounds:
         doc = json.loads(out)
         assert doc["error"] == "BadGridSpec"
         assert "709.78" in doc["message"]
+
+
+def _leaves(doc, key=None):
+    """Every leaf of a JSON document, with the key it sits under."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, k)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _leaves(v, key)
+    else:
+        yield key, doc
+
+
+class TestWideGrids:
+    # Grids inside make_grid's bound on which a power of r can overflow.  Each
+    # command ends in a typed outcome, with no NaN and no traceback (tier-1
+    # turns every RuntimeWarning into an error).  Two exit 1 on t in [-700, 14]
+    # at the default n: the linearized residual misses 1e-7 at h = 0.18, and
+    # the tail nodes of equivalence (2.5 % per end) span t in [-3.85, 14],
+    # where the profiles live.
+    COMMANDS = [("spectrum", "-N", "5", "-a", "1", "-b", "-3"),
+                ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
+                ("minimize", "-N", "5", "-a", "1", "-b", "-3", "--perturb", "0.05"),
+                ("constants", "-N", "5", "-a", "1", "-b", "-3"),
+                ("verify", "ode", "-N", "5", "-a", "1", "-b", "-2"),
+                ("verify", "identities", "-N", "5", "-a", "1", "-b", "-2"),
+                ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5"),
+                ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5"),
+                ("verify", "rellich-limit", "-N", "5")]
+    CHECK_FAILURES = {("linearized", "--t-min=-700"): None,
+                      ("equivalence", "--t-min=-700"): "TailInadequate"}
+
+    @pytest.mark.parametrize("grid", ["--t-max=700", "--t-min=-700"])
+    @pytest.mark.parametrize("cmd", COMMANDS, ids=["spectrum", "minimize", "minimize-perturb",
+                                                   "constants", "ode", "identities",
+                                                   "linearized", "equivalence", "rellich-limit"])
+    def test_typed_outcome(self, capsys, cmd, grid):
+        code, out = run(capsys, *cmd, grid, "--format", "json")
+        doc = json.loads(out)
+        if (cmd[1], grid) in self.CHECK_FAILURES:
+            assert code == 1
+            assert doc.get("error") == self.CHECK_FAILURES[(cmd[1], grid)]
+        else:
+            assert code in (0, 2)
+            assert code == 0 or doc["error"] == "BadGridSpec"
+        for key, leaf in _leaves(doc):
+            if key != "tolerance":          # None where a check has no tolerance
+                assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
+
+    def test_default_init_overflow_exit_2(self, capsys):
+        # the default initial profile e^{-t^2} r^{-kappa1} at kappa1 = 100.5
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "100", "-b", "50",
+                        "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "BadGridSpec"
 
 
 class TestConfig:

@@ -6,10 +6,12 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import ckn
-from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument
-from ckn.numerics import (T_LIMIT, RadialProfile, _fd_weights, diff_matrix,
-                          differentiate, gamma_fn, integrate, make_grid,
-                          simpson_weights, tail_fraction)
+from ckn.closedform import ExtremalSpec, linearized_mode, scaling_direction
+from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
+from ckn.numerics import (T_LIMIT, RadialProfile, _fd_weights, checked_integrals, diff_matrix,
+                          differentiate, gamma_fn, grid_exp, grid_power, integrate, make_grid,
+                          require_tail, simpson_terms, simpson_weights, tail_fraction)
+from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
 from conftest import ORACLE
 
 
@@ -169,6 +171,91 @@ class TestTailFraction:
         g = make_grid()
         frac = tail_fraction(np.ones(g.n), g, -1.0)
         assert frac > 1e-3
+
+
+class TestTailRule:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integral_fails(self, bad):
+        # a NaN share, or a sum that is not finite, raises TailInadequate and
+        # no RuntimeWarning (tier-1 turns those into errors)
+        g = make_grid()
+        samples = np.exp(-g.ts ** 2)
+        samples[g.n // 2] = bad
+        assert math.isnan(tail_fraction(samples, g, -1.0))
+        with pytest.raises(TailInadequate, match="not finite"):
+            require_tail(samples, g, -1.0, "bad")
+        with pytest.raises(TailInadequate, match="not finite"):
+            checked_integrals(simpson_terms(np.abs(samples), g, -1.0), ("bad",))
+
+    def test_zero_integral_passes(self):
+        g = make_grid(-2.0, 2.0, 21)
+        assert checked_integrals(simpson_terms(np.zeros(g.n), g, 3.0), ("zero",)) == 0.0
+
+
+#: grids inside make_grid's bound on which a power of r can still overflow
+WIDE_GRIDS = [(-14.0, 700.0), (-700.0, 14.0)]
+
+
+def _finite_or_bad_grid(fn):
+    """fn() raises BadGridSpec or returns only finite values; tier-1 turns every
+    RuntimeWarning (an overflow in particular) into an error."""
+    try:
+        out = fn()
+    except BadGridSpec as exc:
+        assert "709.78" in str(exc)
+        return "BadGridSpec"
+    values = getattr(out, "values", getattr(out, "phi", out))
+    assert np.isfinite(values).all()
+    return "finite"
+
+
+class TestGridExp:
+    def test_ends_of_a_linear_exponent_decide(self):
+        g = make_grid(-700.0, 14.0, 5)
+        c = T_LIMIT / 14.0
+        assert np.isfinite(grid_power(c, g, "s^c")).all()     # e^{-c 700} underflows: legal
+        with pytest.raises(BadGridSpec, match="709.78"):
+            grid_power(c * 1.0000001, g, "s^c")
+        rows = grid_power(np.array([[1.0], [-1.0]]), g, "s^c")
+        assert rows.shape == (2, 1, 5)
+        assert np.array_equal(rows[0, 0], np.exp(g.ts))
+        assert np.array_equal(rows[1, 0], np.exp(-g.ts))
+        with pytest.raises(BadGridSpec):
+            grid_power(np.array([1.0, -2.0]), g, "s^c")
+
+    def test_top_and_fn(self):
+        x = np.array([-1.0, 700.0])
+        assert np.array_equal(grid_exp(x, "e^x"), np.exp(x))
+        assert np.array_equal(grid_exp(x, "e^x - 1", fn=np.expm1), np.expm1(x))
+        with pytest.raises(BadGridSpec, match="two-sided"):
+            grid_exp(x, "two-sided", top=800.0)
+
+    def test_underflowing_weight_is_legal(self):
+        g = make_grid(-700.0, 14.0)
+        val = integrate(np.exp(-g.ts ** 2 / 8.0), g, 3.0)
+        assert math.isfinite(val) and val > 0.0
+
+    @pytest.mark.parametrize("t_min,t_max", WIDE_GRIDS)
+    @pytest.mark.parametrize("point", [(5, 1.0, -2.0), (5, 1.0, -3.0)])
+    @pytest.mark.parametrize("what", ["to_emden_fowler", "to_dimension_m", "linearized_mode_0",
+                                      "linearized_mode_1", "scaling_direction", "integrate",
+                                      "tail_fraction", "rayleigh_m"])
+    def test_wide_grid_bad_grid_or_finite(self, t_min, t_max, point, what):
+        P = ckn.derive(*point)
+        g = make_grid(t_min, t_max)
+        centre = math.copysign(40.0, t_max + t_min)          # away from the tail nodes
+        u = RadialProfile(grid=g, values=np.exp(-((g.ts - centre) / 2.0) ** 2))
+        calls = {
+            "to_emden_fowler": lambda: to_emden_fowler(u, P),
+            "to_dimension_m": lambda: to_dimension_m(u, P),
+            "linearized_mode_0": lambda: linearized_mode(P, 0, g.nodes),
+            "linearized_mode_1": lambda: linearized_mode(P, 1, g.nodes),
+            "scaling_direction": lambda: scaling_direction(ExtremalSpec(P), g.nodes),
+            "integrate": lambda: integrate(u.values, g, 3.0),
+            "tail_fraction": lambda: tail_fraction(u.values, g, 3.0),
+            "rayleigh_m": lambda: rayleigh_m(u, P.M_dim),
+        }
+        _finite_or_bad_grid(calls[what])
 
 
 class TestGammaFn:

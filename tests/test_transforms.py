@@ -6,7 +6,7 @@ import pytest
 import ckn
 from ckn import transforms
 from ckn.closedform import ExtremalSpec, b_of_m, extremal_u, omega_sphere
-from ckn.errors import GridTooSmall, MOutOfRange, RellichBoundary, TailInadequate
+from ckn.errors import CknError, GridTooSmall, MOutOfRange, RellichBoundary, TailInadequate
 from ckn.numerics import RadialProfile
 from ckn.transforms import (EmdenFowlerProfile, cosh_ansatz_check, cosh_profile,
                             from_dimension_m, from_emden_fowler, ode_residual,
@@ -134,6 +134,11 @@ class TestRayleighM:
         slow = ckn.sample(grid, lambda s: (1.0 + s ** 2) ** -0.6)
         with pytest.raises(TailInadequate):
             rayleigh_m(slow, 10.0)
+
+    def test_zero_denominator(self, grid):
+        # a zero profile, or one whose p_M-norm underflows, is a typed error
+        with pytest.raises(CknError, match="zero denominator"):
+            rayleigh_m(RadialProfile(grid=grid, values=np.zeros(grid.n)), 10.0)
 
     def test_m_out_of_range(self, grid):
         v = ckn.sample(grid, lambda s: (1.0 + s ** 2) ** -3.0)

@@ -7,7 +7,7 @@ import pytest
 import ckn
 from ckn import _forms, variational
 from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, radial_constant_sr
-from ckn.errors import AmplitudeTooLarge, RellichBoundary, TailInadequate
+from ckn.errors import AmplitudeTooLarge, CknError, RellichBoundary, TailInadequate
 from ckn.numerics import RadialProfile
 from ckn.variational import (make_mode, minimize_radial, mode_energy,
                              perturbed_quotient, radial_energy)
@@ -145,6 +145,14 @@ class TestMinimizeRadial:
     def test_rellich_boundary(self, grid):
         with pytest.raises(RellichBoundary):
             minimize_radial(ckn.derive(5, 1.0, -1.0), gaussian_profile(grid))
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_bad_init_raises(self, p512, grid, bad):
+        # all zero, or one NaN or inf sample: a typed error before any solve
+        values = np.zeros(grid.n) if bad == 0.0 else gaussian_profile(grid).values.copy()
+        values[grid.n // 2] = bad
+        with pytest.raises(CknError, match="finite and nonzero"):
+            minimize_radial(p512, RadialProfile(grid=grid, values=values))
 
     def test_value_pinned_bit_for_bit(self, p513, grid):
         # the value the version that rebuilt B_0's rows on every solve
