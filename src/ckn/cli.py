@@ -21,13 +21,19 @@ import numpy as np
 from . import closedform, identities, numerics, spectral, transforms, variational
 from .errors import CknError, MaxIters, NoConvergence, TailInadequate
 from .numerics import RadialProfile, make_grid
-from .params import (CknParams, RegionClass, beta_lower, derive, exponents,
-                     felli_schneider, regions, second_variation_gap)
+from .params import (CknParams, beta_lower, derive, exponents, felli_schneider, regions,
+                     second_variation_gap)
 
 _USAGE_ERRORS = 2
 _CHECK_ERRORS = 1
 
 VERIFY_SUITES = ("ode", "identities", "linearized", "equivalence", "rellich-limit")
+#: region-map text per format: head, cell prefix (alpha), cell suffix, cell separator, tail
+_MAP_TEXT = {
+    "json": ('{{\n  "N": {N},\n  "rows": [\n', '    {{\n      "alpha": {},\n      "beta": ',
+             ',\n      "beta_fs": {f},\n      "region": "{tag}",\n      "sv_sign": {v}\n    }}',
+             ",\n", "\n  ]\n}\n"),
+    "csv": ("alpha,beta,region,beta_fs,sv_sign\n", "{},", ",{tag},{f},{v}\n", "", "")}
 
 
 def _fmt(x) -> str:
@@ -50,9 +56,7 @@ def _to_json(obj, indent=0) -> str:
     if obj is None:
         return pad + "null"
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return pad + "null"
-        return pad + f"{obj:.17g}"
+        return pad + ("null" if math.isnan(obj) else f"{obj:.17g}")
     if isinstance(obj, int):
         return pad + str(obj)
     return pad + '"' + str(obj).replace('"', '\\"') + '"'
@@ -76,7 +80,7 @@ def emit(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}." if prefix == "" else f"{prefix}{k}.")
+            yield from _flatten(obj[k], f"{prefix}{k}.")
         return
     if isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
@@ -142,8 +146,7 @@ def _constants_doc(P: CknParams) -> dict:
 
 
 def cmd_constants(args) -> int:
-    doc = _constants_doc(_params_from(args))
-    emit(doc, args.format)
+    emit(_constants_doc(_params_from(args)), args.format)
     return 0
 
 
@@ -219,8 +222,7 @@ def cmd_verify(args) -> int:
             # the mode-1 profile is an exact solution only on the curve
             check("linearized_residual_mode1", res1, 1e-7)
         else:
-            checks.append({"check": "linearized_residual_mode1_off_curve",
-                           "value": res1, "tolerance": None, "pass": True})
+            check("linearized_residual_mode1_off_curve", res1, None, ok=True)
     elif args.suite == "equivalence":
         P = _params_from(args)
         grid = _grid_from(args, cfg)
@@ -244,8 +246,7 @@ def cmd_verify(args) -> int:
         if eps_list and eps_list[-1] <= 0.011:
             check("within_5pct_at_smallest_eps",
                   abs(quotients[-1] - limit) / limit, 0.05)
-        checks.append({"check": "quotients", "value": quotients,
-                       "tolerance": limit, "pass": True})
+        check("quotients", quotients, limit, ok=True)
 
     doc = {"suite": args.suite, "seed": args.seed, "checks": checks,
            "pass": all(c["pass"] for c in checks)}
@@ -289,29 +290,25 @@ def cmd_region_map(args) -> int:
     bfs = [felli_schneider(N, float(a)) for a in alphas]
     lo = [beta_lower(N, float(a)) for a in alphas]
     a, b = alphas[:, None], betas[None, :]
-    tags = regions(N, a, b, np.array(lo)[:, None], np.array(bfs)[:, None])
+    codes, names = regions(N, a, b, np.array(lo)[:, None], np.array(bfs)[:, None])
     with np.errstate(all="ignore"):
         sv = np.sign(second_variation_gap(N, *exponents(N, a, b))).astype(int) + 1
-    sv[np.isin(tags, (RegionClass.INVALID.value, RegionClass.RELLICH_BOUNDARY.value))] = 3
+    sv[codes < 2] = 3       # the first two rules, Invalid and RellichBoundary, carry no sign
     as_json = args.format == "json"
     sv_text = ["-1", "0", "1", '""' if as_json else ""]
-    tags, svs = tags.tolist(), [[sv_text[v] for v in row] for row in sv.tolist()]
-
-    def num(x) -> str:
-        return "null" if as_json and math.isnan(x) else _fmt(float(x))
-
-    bs = [num(x) for x in betas]
-    cells = [(num(a), num(f), zip(bs, tag_row, sv_row))
-             for a, f, tag_row, sv_row in zip(alphas, bfs, tags, svs)]
-    if as_json:
-        rows = ",\n".join([f'    {{\n      "alpha": {a},\n      "beta": {b},\n'
-                           f'      "beta_fs": {f},\n      "region": "{tag}",\n'
-                           f'      "sv_sign": {v}\n    }}'
-                           for a, f, row in cells for b, tag, v in row])
-        sys.stdout.write(f'{{\n  "N": {N},\n  "rows": [\n{rows}\n  ]\n}}\n')
-    else:
-        sys.stdout.write("alpha,beta,region,beta_fs,sv_sign\n" + "".join(
-            [f"{a},{b},{tag},{f},{v}\n" for a, f, row in cells for b, tag, v in row]))
+    num = _to_json if as_json else _fmt         # json writes NaN as null
+    bs, fs, pres = ([num(float(x)) for x in v] for v in (betas, bfs, alphas))
+    # A cell is pre(alpha) + beta + suf(beta_fs, tag, sv_sign), cells are joined by sep, and
+    # along a row tag and sign stay equal over long runs: one str.join writes a run.
+    head, pre, suf, sep, tail = _MAP_TEXT["json" if as_json else "csv"]
+    rows, cols = np.nonzero(np.diff(codes * 4 + sv, axis=1, prepend=-1))    # run starts
+    out = [head.format(N=N)]
+    for i, j, e, c, v in zip(rows.tolist(), cols.tolist(), np.append(cols[1:], 0).tolist(),
+                             codes[rows, cols].tolist(), sv[rows, cols].tolist()):
+        p, s = pre.format(pres[i]), suf.format(f=fs[i], tag=names[c], v=sv_text[v])
+        out += [p, (s + sep + p).join(bs[j:e or res]), s, sep]     # e = 0: the row ends
+    out[-1] = tail
+    sys.stdout.writelines(out)
     return 0
 
 

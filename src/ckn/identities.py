@@ -60,7 +60,7 @@ def verify_iid(v_mode: RadialProfile, k, N: int):
     # (L u)^2 r^{N+3} dr and (L v)^2 r^{N-1} dr
     sq = np.square([_brackets(u, N - 2.0, lams), _brackets(v, N - 2.0, lams)])
     lhs, rhs = checked_integrals(simpson_terms(sq, grid, np.array([[N - 1.0], [N - 5.0]])),
-                                 ("verify_iid lhs", "verify_iid rhs"))
+                                 grid.h, ("verify_iid lhs", "verify_iid rhs"))
     out = [_relerr(a, b) for a, b in zip(lhs, rhs)]
     return out[0] if one else out
 
@@ -74,7 +74,7 @@ def verify_hardy_identity(w_mode: RadialProfile, k, N: int):
     terms = simpson_terms(np.array([w.d1 ** 2 + lams * w.values ** 2,        # |grad w|^2
                                     _brackets(w, N - 2.0, lams) * w.d1]),   # Delta w (x . grad w)
                           w.grid, N - 3.0)
-    grad = checked_integrals(terms[:1], ("verify_hardy lhs",))[0]
+    grad = checked_integrals(terms[:1], w.grid.h, ("verify_hardy lhs",))[0]
     out = [_relerr((N - 2.0) * a, 2.0 * b) for a, b in zip(grad, terms[1].sum(axis=-1))]
     return out[0] if one else out
 
@@ -151,9 +151,7 @@ def _hardy_rellich_mode_constant(N: int, w: float, lambda_k: float) -> float:
 def _hardy_rellich_constant(N: int, w: float) -> float:
     """sup over spherical modes of the per-mode constant; the mode constants
     decay like 1/lambda_k, so the scan stops once they decrease."""
-    best = 0.0
-    prev = math.inf
-    drops = 0
+    best, prev, drops = 0.0, math.inf, 0
     for k in range(0, 64):
         dk = _hardy_rellich_mode_constant(N, w, float(k * (N - 2 + k)))
         best = max(best, dk)
@@ -196,7 +194,7 @@ def equivalence_ratio(u_mode: RadialProfile, k, params: CknParams):
     u = with_derivatives(u_mode)
     sq = np.square([_brackets(u, params.N - 2.0, lams),
                     _brackets(u, params.N + params.alpha - 2.0, lams)])
-    num, den = checked_integrals(simpson_terms(sq, u.grid, 2.0 * params.kappa1 - 1.0),
+    num, den = checked_integrals(simpson_terms(sq, u.grid, 2.0 * params.kappa1 - 1.0), u.grid.h,
                                  ("equivalence_ratio numerator", "equivalence_ratio denominator"))
     if not np.all(den):
         raise CknError("zero denominator: profile has no energy")
@@ -218,5 +216,5 @@ def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
     lam = float(k * (N - 2 + k))
     terms = simpson_terms(np.array([u.values ** 2, u.d1 ** 2 + lam * u.values ** 2]),
                           u.grid, N - 2.0 * a_w - 3.0)
-    lhs = checked_integrals(terms[:1], ("weighted_hardy lhs",))[0]
+    lhs = checked_integrals(terms[:1], u.grid.h, ("weighted_hardy lhs",))[0]
     return float(lhs), (2.0 / (N - 2.0 * a_w - 2.0)) ** 2 * float(terms[1].sum())

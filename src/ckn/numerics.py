@@ -22,8 +22,8 @@ DEFAULT_N = 4001
 #: Largest |t| whose exp(t) is a finite float, ln(float max) = 709.78
 T_LIMIT = math.log(np.finfo(float).max)
 
-#: Fraction of nodes (per end) counted as "tail" by the adequacy diagnostic.
-TAIL_NODE_FRACTION = 0.025
+#: Width in t per end of the tail diagnostic: 2.5 % of the default 28-wide domain.
+TAIL_WIDTH = 0.7
 #: Largest tail fraction accepted by energy/quadrature consumers.
 TAIL_TOL = 1e-8
 #: Nodes skipped at each end when taking sup norms of residuals that
@@ -89,6 +89,13 @@ def grid_power(c, grid: LogGrid, what: str) -> np.ndarray:
     grid_exp's test at the two ends of the grid is exact and costs O(len(c))."""
     x = np.multiply.outer(c, grid.ts)
     return grid_exp(x, what, np.max(x[..., ::grid.n - 1]))
+
+
+def anchored_ts(grid: LogGrid) -> np.ndarray:
+    """Nodes t_c + (i - c) h, c the node nearest t = 0, off by about eps |t_i| where linspace's
+    are off by eps |t_min|: noise that a residual's stacked stencils amplify by 16/h^4."""
+    c = int(np.argmin(np.abs(grid.ts)))
+    return grid.ts[c] + (np.arange(grid.n) - c) * grid.h
 
 
 def sample(grid: LogGrid, fn) -> RadialProfile:
@@ -176,11 +183,11 @@ def simpson_terms(samples: np.ndarray, grid: LogGrid, weight_exp) -> np.ndarray:
     return terms
 
 
-def mass_and_tail(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of nonnegative quadrature terms along the last axis (the integrals)
-    and the share of each sum on the outermost 2.5% of nodes at each end
+def mass_and_tail(terms: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of nonnegative quadrature terms on nodes h apart (the integrals) and the share of
+    each on the outermost TAIL_WIDTH of t per end, 2 nodes at least and half at most
     (tail_fraction's value; 0 for a zero sum, NaN for a sum that is not finite)."""
-    m = max(2, round(TAIL_NODE_FRACTION * terms.shape[-1]))
+    m = min(max(2, round(TAIL_WIDTH / h)), terms.shape[-1] // 2)
     total = terms.sum(axis=-1)
     tail = terms[..., :m].sum(axis=-1) + terms[..., -m:].sum(axis=-1)
     return total, np.divide(tail, total, out=np.where(total == 0.0, 0.0, np.nan),
@@ -198,9 +205,9 @@ def integrate(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
 
 def tail_fraction(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
     """Fraction of the integral's absolute mass carried by the outermost
-    nodes (2.5% of nodes at each end)."""
+    TAIL_WIDTH of t at each end."""
     terms = simpson_terms(np.abs(np.asarray(samples, dtype=float)), grid, weight_exp)
-    return float(mass_and_tail(terms)[1])
+    return float(mass_and_tail(terms, grid.h)[1])
 
 
 def gamma_fn(x: float) -> float:
@@ -229,15 +236,15 @@ def log_gamma(x: float) -> float:
 
 def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float, what: str) -> None:
     """Raise TailInadequate when the tail diagnostic exceeds TAIL_TOL."""
-    checked_integrals(simpson_terms(np.abs(samples), grid, weight_exp), (what,))
+    checked_integrals(simpson_terms(np.abs(samples), grid, weight_exp), grid.h, (what,))
 
 
-def checked_integrals(terms: np.ndarray, whats: tuple[str, ...]) -> np.ndarray:
-    """Integrals of nonnegative quadrature terms (simpson_terms, or trapezoid weights
-    times samples), terms[c, ...] for the check named whats[c], after the one tail
-    rule, in the order index in ..., then c: TailInadequate unless the tail share
-    is <= TAIL_TOL, so a NaN share (a sum that is not finite) fails too."""
-    mass, frac = mass_and_tail(terms)
+def checked_integrals(terms: np.ndarray, h: float, whats: tuple[str, ...]) -> np.ndarray:
+    """Integrals of nonnegative quadrature terms on nodes h apart (simpson_terms, or
+    trapezoid weights times samples), terms[c, ...] for the check named whats[c],
+    after the one tail rule, in the order index in ..., then c: TailInadequate unless
+    the tail share is <= TAIL_TOL, so a NaN share (a sum that is not finite) fails too."""
+    mass, frac = mass_and_tail(terms, h)
     for row in frac.reshape(len(whats), -1).T:
         for f, what in zip(row, whats):
             if not f <= TAIL_TOL:

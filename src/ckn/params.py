@@ -121,11 +121,12 @@ def _region_rules(N: int, alpha, beta, lo, bfs):
     )
 
 
-def regions(N: int, alpha: np.ndarray, beta: np.ndarray, lo, bfs) -> np.ndarray:
-    """RegionClass value of every (alpha, beta) of broadcast arrays."""
+def regions(N: int, alpha: np.ndarray, beta: np.ndarray, lo, bfs) -> tuple[np.ndarray, list]:
+    """Index of the first rule of _region_rules that holds at every (alpha, beta) of broadcast
+    arrays (len(rules) where none does), and the RegionClass value each index names."""
     rules = _region_rules(N, alpha, beta, lo, bfs)
-    return np.select([holds for _, holds in rules], [r.value for r, _ in rules],
-                     RegionClass.CONJECTURED_SYMMETRY.value)
+    return (np.select([holds for _, holds in rules], list(range(len(rules))), len(rules)),
+            [r.value for r, _ in rules] + [RegionClass.CONJECTURED_SYMMETRY.value])
 
 
 def derive(N: int, alpha: float, beta: float) -> CknParams:

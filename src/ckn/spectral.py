@@ -171,8 +171,8 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
     X = X1 = s(1+s^2)^{-(M-2)/2} (which = 1, k = 1).
 
     X0 always solves its equation; X1 solves it exactly only on the
-    Felli-Schneider curve, where q^2 lambda_1 = varpi_1.  Derivatives are
-    taken by finite differences from the samples, so the value certifies
+    Felli-Schneider curve, where q^2 lambda_1 = varpi_1.  Derivatives are taken by
+    finite differences from samples at numerics.anchored_ts, so the value certifies
     the profile rather than restating algebra; BadGridSpec where s^2 overflows.
     """
     if which not in (0, 1):
@@ -180,11 +180,11 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
     if not params.subcritical:
         raise RellichBoundary("linearized_residual requires beta < alpha - 2")
     M = params.M_dim
-    k = which
-    varpi = float(k) * (M - 2.0 + k)
-    q2lam = params.q_pow ** 2 * k * (params.N - 2.0 + k)
-    s = grid.nodes
-    s2 = numerics.grid_exp(s, "s^2", 2.0 * grid.t_max, np.square)
+    varpi = float(which) * (M - 2.0 + which)
+    q2lam = params.q_pow ** 2 * which * (params.N - 2.0 + which)
+    t = numerics.anchored_ts(grid)
+    s = numerics.grid_exp(t, "s")
+    s2 = numerics.grid_exp(s, "s^2", 2.0 * t[-1], np.square)
     env = (1.0 + s2) ** (-(M - 2.0) / 2.0)
     x = ((1.0 - s2) * env) if which == 0 else (s * env)
 
@@ -205,8 +205,7 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
     extra = (q2lam - varpi) * (2.0 * (prof.d2 - prof.d1) + 2.0 * (M - 3.0) * prof.d1
                                - (2.0 * (M - 4.0) + q2lam + varpi) * x)
     res = np.abs(lhs - extra - eig_term)
-    m = RESIDUAL_MARGIN
-    return float(res[m:-m].max() / np.abs(eig_term).max())
+    return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max() / np.abs(eig_term).max())
 
 
 def gamma_comparison(M: float, k: int) -> tuple[float, float, bool]:

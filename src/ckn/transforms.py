@@ -72,10 +72,9 @@ def cosh_constants(params: CknParams) -> tuple[float, float, float]:
 
 
 def cosh_profile(params: CknParams, grid: LogGrid) -> EmdenFowlerProfile:
-    """Exact solution samples C_cosh (cosh(nu tau))^m on the given tau grid."""
+    """Exact solution samples C_cosh (cosh(nu tau))^m at the grid's anchored_ts."""
     c, nu, m = cosh_constants(params)
-    tau = grid.ts
-    z = np.abs(nu * tau)
+    z = np.abs(nu * numerics.anchored_ts(grid))
     logcosh = z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
     return EmdenFowlerProfile(grid=grid, phi=c * np.exp(m * logcosh), params=params)
 
@@ -100,8 +99,7 @@ def ode_residual(profile: EmdenFowlerProfile) -> float:
     lhs = d4.values - P.K2 * d2.values + P.K0 * profile.phi
     rhs = np.abs(profile.phi) ** (P.p - 2.0) * profile.phi
     res = np.abs(lhs - rhs) / (1.0 + np.abs(profile.phi) ** (P.p - 1.0)).max()
-    m = RESIDUAL_MARGIN
-    return float(res[m:-m].max())
+    return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max())
 
 
 def cosh_ansatz_check(params: CknParams) -> tuple[float, float, float]:
@@ -164,7 +162,7 @@ def rayleigh_m(v: RadialProfile, M: float) -> float:
     lap = vv.d2 + (M - 2.0) * vv.d1          # s^2 * (v'' + (M-1)/s v')
     num, den = numerics.checked_integrals(numerics.simpson_terms(
         np.array([lap ** 2, np.abs(v.values) ** p_m]), v.grid, np.array([M - 5.0, M - 1.0])),
-        ("rayleigh_m numerator", "rayleigh_m denominator"))
+        v.grid.h, ("rayleigh_m numerator", "rayleigh_m denominator"))
     if not den > 0:
         raise CknError("zero denominator: the p_M-norm of v underflows or v is zero")
     return float(num) / float(den) ** ((M - 4.0) / M)

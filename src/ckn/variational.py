@@ -64,7 +64,7 @@ def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
     grid = u.grid
     img = _forms.mode_image(params, lambda_k, grid, _forms.to_scaled(params, grid, u.values))
     terms = trapezoid_weights(grid.n, grid.h) * (img * img)
-    return float(numerics.checked_integrals(terms, ("mode energy",)))
+    return float(numerics.checked_integrals(terms, grid.h, ("mode energy",)))
 
 
 def radial_energy(u: RadialProfile, params: CknParams) -> float:
@@ -196,5 +196,5 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     vals += u[:, None]                                  # |u + t f cos|^p, in place
     radial = np.power(np.abs(vals, out=vals), p, out=vals) @ wq   # per-radius sphere integral
     den = om_sub * float(numerics.checked_integrals(numerics.simpson_terms(
-        radial, grid, params.gamma + N - 1.0), ("perturbed quotient denominator",)))
+        radial, grid, params.gamma + N - 1.0), grid.h, ("perturbed quotient denominator",)))
     return numerator / den ** (2.0 / p)

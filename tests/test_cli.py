@@ -547,10 +547,9 @@ def _leaves(doc, key=None):
 class TestWideGrids:
     # Grids inside make_grid's bound on which a power of r can overflow.  Each
     # command ends in a typed outcome, with no NaN and no traceback (tier-1
-    # turns every RuntimeWarning into an error).  Two exit 1 on t in [-700, 14]
-    # at the default n: the linearized residual misses 1e-7 at h = 0.18, and
-    # the tail nodes of equivalence (2.5 % per end) span t in [-3.85, 14],
-    # where the profiles live.
+    # turns every RuntimeWarning into an error).  One exits 1 on t in [-700, 14]
+    # at the default n: the linearized residual misses 1e-7 at h = 0.18, the
+    # truncation error of the stencils; at h = 0.007 it passes (below).
     COMMANDS = [("spectrum", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3", "--perturb", "0.05"),
@@ -560,8 +559,7 @@ class TestWideGrids:
                 ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5"),
                 ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5"),
                 ("verify", "rellich-limit", "-N", "5")]
-    CHECK_FAILURES = {("linearized", "--t-min=-700"): None,
-                      ("equivalence", "--t-min=-700"): "TailInadequate"}
+    CHECK_FAILURES = {("linearized", "--t-min=-700"): None}
 
     @pytest.mark.parametrize("grid", ["--t-max=700", "--t-min=-700"])
     @pytest.mark.parametrize("cmd", COMMANDS, ids=["spectrum", "minimize", "minimize-perturb",
@@ -579,6 +577,16 @@ class TestWideGrids:
         for key, leaf in _leaves(doc):
             if key != "tolerance":          # None where a check has no tolerance
                 assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
+
+    @pytest.mark.parametrize("cmd", [
+        # node noise of linspace, eps |t_min|, once put the residual at 1.8e-6
+        ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5", "-n", "102001"),
+        # the tail of a node-count rule once spanned [-3.85, 14]
+        ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5")])
+    def test_true_statement_passes(self, capsys, cmd):
+        code, out = run(capsys, *cmd, "--t-min=-700", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
     def test_default_init_overflow_exit_2(self, capsys):
         # the default initial profile e^{-t^2} r^{-kappa1} at kappa1 = 100.5

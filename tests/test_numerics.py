@@ -185,11 +185,27 @@ class TestTailRule:
         with pytest.raises(TailInadequate, match="not finite"):
             require_tail(samples, g, -1.0, "bad")
         with pytest.raises(TailInadequate, match="not finite"):
-            checked_integrals(simpson_terms(np.abs(samples), g, -1.0), ("bad",))
+            checked_integrals(simpson_terms(np.abs(samples), g, -1.0), g.h, ("bad",))
 
     def test_zero_integral_passes(self):
         g = make_grid(-2.0, 2.0, 21)
-        assert checked_integrals(simpson_terms(np.zeros(g.n), g, 3.0), ("zero",)) == 0.0
+        assert checked_integrals(simpson_terms(np.zeros(g.n), g, 3.0), g.h, ("zero",)) == 0.0
+
+    @pytest.mark.parametrize("grid,m", [((-14.0, 14.0, 4001), 100),   # 2.5 % of the nodes
+                                        ((-700.0, 14.0, 4001), 4),
+                                        ((-1.0, 1.0, 101), 35),
+                                        ((-5.0, 5.0, 11), 2),          # the floor
+                                        ((-1.0, 1.0, 3), 1)])          # the cap: n // 2
+    def test_tail_is_a_width_in_t(self, grid, m):
+        g = make_grid(*grid)
+        terms = simpson_terms(np.ones(g.n), g, -1.0)
+        want = (terms[:m].sum() + terms[-m:].sum()) / terms.sum()
+        assert tail_fraction(np.ones(g.n), g, -1.0) == want
+
+    def test_asymmetric_grid_holds_a_centred_profile(self):
+        # the right tail of [-700, 14] is [13.3, 14], not the 100 nodes on [-3.85, 14]
+        g = make_grid(-700.0, 14.0)
+        require_tail(np.exp(-g.ts ** 2), g, -1.0, "centred bump")
 
 
 #: grids inside make_grid's bound on which a power of r can still overflow

@@ -62,9 +62,9 @@ class TestDerive:
         with pytest.raises(BetaOutOfRange):
             derive(N, alpha, -float(N))
         assert region_of(N, alpha, -float(N)) is RegionClass.INVALID
-        tags = regions(N, np.array([alpha]), np.array([-float(N)]),
-                       beta_lower(N, alpha), felli_schneider(N, alpha))
-        assert tags.tolist() == [RegionClass.INVALID.value]
+        codes, names = regions(N, np.array([alpha]), np.array([-float(N)]),
+                               beta_lower(N, alpha), felli_schneider(N, alpha))
+        assert [names[c] for c in codes] == [RegionClass.INVALID.value]
 
 
 def exact_p_gamma(N, alpha, beta):
