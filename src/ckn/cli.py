@@ -277,11 +277,11 @@ def cmd_region_map(args) -> int:
     try:
         (a_lo, a_hi), (b_lo, b_hi) = ends = [[float(x) for x in r.split(":")]
                                              for r in (args.alpha_range, args.beta_range)]
-        if not np.isfinite(ends).all():
+        if not np.isfinite([*ends, (a_hi - a_lo, b_hi - b_lo)]).all():
             raise ValueError
     except ValueError:
-        raise CknError(f"malformed range: alpha {args.alpha_range!r}, "
-                       f"beta {args.beta_range!r}; need finite lo:hi") from None
+        raise CknError(f"malformed range: alpha {args.alpha_range!r}, beta "
+                       f"{args.beta_range!r}; need finite lo:hi, hi - lo finite") from None
     if a_hi < a_lo or b_hi < b_lo or res < 1:
         raise CknError(f"empty or inverted ranges: alpha {args.alpha_range}, "
                        f"beta {args.beta_range}, resolution {res}")

@@ -5,7 +5,8 @@ its scalings, the classical second-order Sobolev constant S0, the
 one-dimensional constant B(M) of the effective-dimension problem, the
 radial best constant S_r, the weighted Rellich constant, the sharp
 constant of the critical case with negative alpha, the two linearized
-profiles Z0/Z1, and the Rellich test-sequence quotient.
+profiles Z0/Z1, the eigenvalues of every linearized mode, and the Rellich
+test-sequence quotient.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "ExtremalSpec", "extremal_u", "scaling_direction", "sobolev_s0", "b_of_m",
     "omega_sphere", "radial_constant_sr", "rellich_constant",
     "rellich_constant_alt", "critical_constant", "linearized_mode",
-    "rellich_test_quotient", "rellich_limit_grid", "RAMP_WIDTH",
+    "linearized_eigenvalue", "rellich_test_quotient", "rellich_limit_grid", "RAMP_WIDTH",
 ]
 
 
@@ -185,6 +186,37 @@ def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
     else:
         out = numerics.grid_exp(-z / 2.0, "Z1") * env
     return out if out.ndim else float(out)
+
+
+def linearized_eigenvalue(params: CknParams, k: int, n: int = 0) -> float:
+    """Eigenvalue nu_{k,n} (n = 0, 1, ... from the bottom) of the mode-k pencil
+    E_k f = nu D f of spectral.mode_eigenpairs:
+
+        nu_{k,n} = Gamma_{M+2(l_k+n)} / Gamma_M,   Gamma_X = (X-4)(X-2)X(X+2),
+        l_k = -(M-2)/2 + sqrt(((M-2)/2)^2 + q^2 lambda_k),   lambda_k = k(N-2+k).
+
+    The map u(r) = r^{-a} v(r^{1/q}) of transforms.to_dimension_m turns mode k
+    of the N-dimensional pencil into the radial fourth-order problem in
+    dimension M with sphere eigenvalue q^2 lambda_k = l_k (l_k + M - 2), and
+    stereographic projection carries that to the Paneitz operator of S^M
+    linearized at its constant solution.  The Paneitz operator acts on degree-l
+    harmonics as Gamma_{M+2l}/16, also for real degree l (Branson, J. Funct.
+    Anal. 74, 1987; Beckner, Ann. Math. 138, 1993); the real degree l_k plays
+    the part it plays in the first-order problem (Felli-Schneider, JDE 2003;
+    Dolbeault-Esteban-Loss, Invent. Math. 2016).  The extremal U is the
+    eigenfunction of nu_{0,0} = 1, the scaling direction that of
+    nu_{0,1} = (M+4)/(M-4) = p - 1, and l_1 = 1, so nu_{1,0} = p - 1, exactly
+    on the Felli-Schneider curve.  l_k is evaluated as
+    q^2 lambda_k / ((M-2)/2 + sqrt(...)), which does not cancel.
+    """
+    if not params.subcritical:
+        raise RellichBoundary("linearized_eigenvalue requires beta < alpha - 2")
+    if k < 0 or n < 0:
+        raise ValueError(f"need k, n >= 0, got k = {k}, n = {n}")
+    M, half = params.M_dim, (params.M_dim - 2.0) / 2.0
+    q2lam = params.q_pow ** 2 * k * (params.N - 2.0 + k)
+    x = M + 2.0 * (q2lam / (half + math.sqrt(half * half + q2lam)) + n)
+    return (x - 4.0) * (x - 2.0) * x * (x + 2.0) / ((M - 4.0) * (M - 2.0) * M * (M + 2.0))
 
 
 #: Width (in t = ln r) of the quintic cutoff ramp used by the Rellich

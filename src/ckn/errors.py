@@ -25,6 +25,10 @@ class WrongRegion(CknError):
     """Operation is only defined on a different region of the (alpha, beta) plane."""
 
 
+class ScalarOverflow(CknError):
+    """A scalar derived from (N, alpha, beta) leaves the float range."""
+
+
 class BadGridSpec(CknError):
     """Grid endpoints or node count are unusable, or a power of r overflows on the grid."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, BetaOutOfRange, InvalidDimension
+from .errors import AlphaOutOfRange, BetaOutOfRange, InvalidDimension, ScalarOverflow
 
 
 class RegionClass(enum.Enum):
@@ -79,7 +79,10 @@ def felli_schneider(N: int, alpha: float) -> float:
     """
     if not (isinstance(N, (int,)) and N >= 5):
         raise InvalidDimension(f"need integer N >= 5, got {N}")
-    return N + 2.0 * alpha - 4.0 - math.sqrt((N - 2.0 + alpha) ** 2 + 4.0 * (N - 1.0))
+    try:
+        return N + 2.0 * alpha - 4.0 - math.sqrt((N - 2.0 + alpha) ** 2 + 4.0 * (N - 1.0))
+    except OverflowError:
+        raise ScalarOverflow(f"beta_fs overflows at N = {N}, alpha = {alpha}") from None
 
 
 def on_rellich_line(alpha, beta):
@@ -135,8 +138,8 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
         raise InvalidDimension(f"need integer N >= 5, got {N!r}")
     alpha = float(alpha)
     beta = float(beta)
-    if not alpha > 2 - N:
-        raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
+    if not 2 - N < alpha < math.inf:
+        raise AlphaOutOfRange(f"need finite alpha > {2 - N}, got {alpha}")
     lo = beta_lower(N, alpha)
     hi = alpha - 2.0
     # beta = -N, the excluded alpha -> 2 - N limit of lo, is reached only by rounding
@@ -150,18 +153,26 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
     kappa2 = (N + beta) / 2.0
     cal_A = (beta + 2.0 - alpha) / 2.0
     cal_B = kappa1 * kappa2
-    K2 = ((N + alpha - 2.0) ** 2 + (beta + 2.0 - alpha) ** 2) / 2.0
-    K0 = cal_B ** 2
+    # From |alpha| ~ 1e77 on the degree-4 products leave the float range (** raises, * gives
+    # inf).  gamma, K0 and amp_base bound every scalar here, so a check on them turns any
+    # overflow into ScalarOverflow and leaves each finite result as it was.
+    try:
+        K2 = ((N + alpha - 2.0) ** 2 + (beta + 2.0 - alpha) ** 2) / 2.0
+        K0 = cal_B ** 2
+    except OverflowError:
+        K2 = K0 = math.inf
     nu = (alpha - beta - 2.0) / 2.0
     a_shift = N + alpha - 2.0
+    amp_base = (N + beta) * (N + alpha - 2.0) * T * (N + 3.0 * alpha - 2.0 * beta - 6.0)
+    if not all(map(math.isfinite, (gamma, K0, amp_base))):
+        raise ScalarOverflow(f"derived scalars overflow at (N, alpha, beta) = "
+                             f"({N}, {alpha}, {beta})")
     if not on_rellich_line(alpha, beta):
         m_exp = (N + beta) / (beta + 2.0 - alpha)
         q_pow, M_dim = exponents(N, alpha, beta)
         try:
             # the amplitude blows up as beta -> alpha - 2; inf is the honest value
-            C_amp = math.exp((N + beta) / (4.0 * (alpha - beta - 2.0)) *
-                             math.log((N + beta) * (N + alpha - 2.0) * T *
-                                      (N + 3.0 * alpha - 2.0 * beta - 6.0)))
+            C_amp = math.exp((N + beta) / (4.0 * (alpha - beta - 2.0)) * math.log(amp_base))
         except OverflowError:
             C_amp = math.inf
     else:

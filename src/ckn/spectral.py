@@ -33,22 +33,22 @@ __all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
            "second_variation_z1", "second_variation_bracket", "second_variation_sign",
            "linearized_residual", "gamma_comparison", "spectral_gap"]
 
-#: Shift of the one shift-invert Lanczos run per mode.  Every mode-k
-#: eigenvalue is >= 1 (the mode-0 bottom eigenvalue), so E - SHIFT D is
-#: positive definite and the eigenvalues nearest 0.9 are the wanted ones.
-SHIFT = 0.9
+#: Shift, basis size (clamped to the order) and stopping tolerance of the one shift-invert
+#: Lanczos run per mode (see mode_eigenpairs).  Every mode-k eigenvalue is >= 1 (the mode-0
+#: bottom eigenvalue), so E - SHIFT D is positive definite and the eigenvalues nearest 0.9
+#: are the wanted ones.
+SHIFT, LANCZOS_NCV, LANCZOS_TOL = 0.9, 10, 1e-8
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Converged eigenpair: profile normalized to unit weighted mass
-    (int U^{p-2} f^2 r^{gamma+N-1} dr = 1) and positive at the first
-    interior node.  eigenvalue is its Rayleigh quotient sum w (B_k phi)^2.
-    residual is the normwise backward error
-    ||E x - nu D x|| / ((||E||_1 + |nu| max D) ||x||) of the weak-form
-    eigenpair, far below 1e-8 |nu| at convergence.  iters is the number of
-    Cholesky solves of the mode's one Lanczos run, which both mode-0
-    indices share."""
+    """Eigenpair: profile normalized to unit weighted mass (int U^{p-2} f^2 r^{gamma+N-1}
+    dr = 1) and positive at the first interior node.  eigenvalue is its Rayleigh quotient
+    sum w (B_k phi)^2.  residual, the backward error ||E x - nu D x|| / ((||E||_1 + |nu|
+    max D) ||x||), is normalized by ||E||_1 ~ h^-4: about 1e-18 at n = 4001, and below
+    1e-12 even for an eigenvalue 1e-5 off, so accuracy rests on mode_eigenpairs' argument
+    and the closed-form tests, not on residual.  iters counts the Cholesky solves of the
+    mode's one Lanczos run, which both mode-0 indices share."""
 
     eigenvalue: float
     profile: RadialProfile
@@ -62,7 +62,13 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     banded Cholesky factor of E - SHIFT D (NoConvergence if there is none:
     then the pencil has an eigenvalue below SHIFT) and one Lanczos run
     (ARPACK through eigsh) on D^{1/2} (E - SHIFT D)^{-1} D^{1/2}, whose largest
-    eigenvalues theta = 1/(nu - SHIFT) are the wanted ones (ARPACK Users' Guide, 4.2)."""
+    eigenvalues theta = 1/(nu - SHIFT) are the wanted ones (ARPACK Users' Guide, 4.2).
+
+    The run keeps LANCZOS_NCV vectors and stops at Ritz residual LANCZOS_TOL: nu is
+    not the Ritz value but the Rayleigh quotient sum w (B_k phi)^2 of x = (E - SHIFT D)^{-1}
+    D^{1/2} y (D^{-1/2} y up to scale), one inverse-iteration step beyond the Ritz vector y,
+    so its error is quadratic in the Ritz residual and the last solve damps high frequencies;
+    nu sits on the eps/h^4 floor of the sum, below that of SHIFT + 1/theta or x^T E x."""
     if not params.subcritical:
         raise RellichBoundary("mode_eigenpairs requires beta < alpha - 2")
     ab = _forms.energy_band(params, mode.lambda_k, grid)
@@ -79,25 +85,24 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
 
     m = len(d)
     # a fixed start vector keeps every answer reproducible bit for bit
-    v0 = np.random.RandomState(1234).standard_normal(m)
+    v0 = np.random.default_rng(1234).standard_normal(m)
     try:
         thetas, Y = spla.eigsh(spla.LinearOperator((m, m), matvec=op, dtype=float),
-                               2 if mode.k == 0 else 1, which="LA", v0=v0)
+                               2 if mode.k == 0 else 1, which="LA", v0=v0,
+                               ncv=min(LANCZOS_NCV, m), tol=LANCZOS_TOL)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos on mode {mode.k}: {exc}") from None
-    # x = (E - SHIFT D)^{-1} D^{1/2} y is D^{-1/2} y up to scale, without dividing by d
     X = solve(root_d[:, None] * Y)
     norm_e = float(dsbmv(_forms.BAND, 1.0, np.abs(ab), np.ones(m)).max())
     w = numerics.trapezoid_weights(grid.n, grid.h)
+    apply_b = _forms.mode_applier(params, mode.lambda_k, grid)
     results = []
     for j in np.argsort(-thetas):
         x = X[:, j]
         x = x / math.sqrt(np.dot(x * d, x))
         # positive at the first interior node, zero at the clamped nodes
         phi = np.pad(-x if x[0] < 0 else x, _forms.N_CLAMP)
-        # the Rayleigh quotient of the unit-mass x as a sum of squares:
-        # SHIFT + 1/theta and x^T E x carry the eps/h^4 rounding of E
-        nu = float(w @ _forms.mode_image(params, mode.lambda_k, grid, phi) ** 2)
+        nu = float(w @ apply_b(phi) ** 2)
         residual = float(np.linalg.norm(dsbmv(_forms.BAND, 1.0, ab, x) - nu * (d * x))
                          / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
         profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, phi))

@@ -72,6 +72,17 @@ class TestConstants:
         assert code == 2
         assert json.loads(out)["error"] == "BetaOutOfRange"
 
+    @pytest.mark.parametrize("alpha,beta,error", [
+        ("1e200", "5e199", "ScalarOverflow"), ("1.5e77", "5e76", "ScalarOverflow"),
+        ("inf", "inf", "AlphaOutOfRange")])
+    def test_unrepresentable_point_exit_2(self, capsys, alpha, beta, error):
+        # used to end in an OverflowError traceback, in "C_amp": inf, or (alpha = inf)
+        # in a RellichBoundary document
+        code, out = run(capsys, "constants", "-N", "5", f"--alpha={alpha}", f"--beta={beta}",
+                        "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == error
+
     def test_rellich_rounding_tie(self, capsys):
         # beta is one ULP below alpha - 2, but alpha - beta - 2 rounds to 0:
         # a point of the Rellich boundary, where derive used to divide by zero
@@ -279,7 +290,7 @@ class TestRegionMap:
     @pytest.mark.parametrize("alpha_range,beta_range", [
         ("0:1", "-4:x"), ("1", "-4:-1"), ("0:1:2", "-4:-1"), ("a:b", "-4:-1"),
         ("nan:1", "-4:-1"), ("0:nan", "-4:-1"), ("0:1", "-inf:-1"), ("-inf:inf", "-4:-1"),
-        ("0:1", "-4:inf")])
+        ("0:1", "-4:inf"), ("-1e308:1e308", "-4:-1"), ("0:1", "-1e308:1e308")])
     def test_malformed_range_exit_2(self, capsys, alpha_range, beta_range):
         code, out = run(capsys, "region-map", "-N", "5", f"--alpha-range={alpha_range}",
                         f"--beta-range={beta_range}", "--resolution", "3")
@@ -287,6 +298,12 @@ class TestRegionMap:
         doc = json.loads(out)
         assert doc["error"] == "CknError"
         assert "malformed range" in doc["message"]
+
+    def test_overflowing_curve_exit_2(self, capsys):
+        code, out = run(capsys, "region-map", "-N", "5", "--alpha-range=0:1e200",
+                        "--beta-range=-4:-1", "--resolution", "3")
+        assert code == 2
+        assert json.loads(out)["error"] == "ScalarOverflow"
 
     def test_rellich_rounding_ties(self, capsys):
         # alpha - beta - 2 rounds to 0 at 28 cells strictly below beta = alpha - 2;

@@ -7,12 +7,13 @@ import pytest
 import ckn
 from ckn import closedform
 from ckn.closedform import (ExtremalSpec, b_of_m, critical_constant, extremal_u,
-                            linearized_mode, omega_sphere, radial_constant_sr,
-                            rellich_constant, rellich_constant_alt,
+                            linearized_eigenvalue, linearized_mode, omega_sphere,
+                            radial_constant_sr, rellich_constant, rellich_constant_alt,
                             rellich_limit_grid, rellich_test_quotient,
                             sobolev_s0)
 from ckn.errors import (AlphaOutOfRange, EpsOutOfRange, MOutOfRange,
                         NonPositiveRadius, RellichBoundary)
+from ckn.spectral import second_variation_sign
 from conftest import ORACLE
 
 
@@ -176,6 +177,46 @@ class TestLinearizedMode:
     def test_nonpositive_radius(self, p512):
         with pytest.raises(NonPositiveRadius):
             linearized_mode(p512, 0, -1.0)
+
+
+class TestLinearizedEigenvalue:
+    POINTS = [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5), (5, -1.0, -3.5),
+              (6, -3.0, -5.4), (7, 2.0, -1.0), (5, 1.0, -1.01)]
+
+    @pytest.mark.parametrize("N,alpha,beta", POINTS)
+    def test_mode0_is_one_and_p_minus_1(self, N, alpha, beta):
+        P = ckn.derive(N, alpha, beta)
+        assert linearized_eigenvalue(P, 0, 0) == 1.0
+        assert linearized_eigenvalue(P, 0, 1) == pytest.approx(P.p - 1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("N,alpha", [(5, 1.0), (6, 2.0), (8, 0.3)])
+    def test_mode1_is_p_minus_1_on_the_curve(self, N, alpha):
+        P = ckn.derive(N, alpha, ckn.felli_schneider(N, alpha))
+        assert linearized_eigenvalue(P, 1, 0) == pytest.approx(P.p - 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("N,alpha,beta", POINTS)
+    def test_mode1_gap_has_the_second_variation_sign(self, N, alpha, beta):
+        P = ckn.derive(N, alpha, beta)
+        gap = linearized_eigenvalue(P, 1, 0) - (P.p - 1.0)
+        assert np.sign(gap) == second_variation_sign(P)
+        # higher modes and higher n lie above: gamma_comparison's k >= 2 statement
+        assert linearized_eigenvalue(P, 2, 0) > P.p - 1.0
+        assert linearized_eigenvalue(P, 1, 0) < linearized_eigenvalue(P, 1, 1)
+
+    def test_integer_degree_at_alpha_zero(self):
+        # at (alpha, beta) = (0, -4), q^2 = 1 and M = N: l_k = k, the degree of a harmonic
+        P = ckn.derive(6, 0.0, -4.0)
+        for k in range(4):
+            x = P.M_dim + 2.0 * k
+            gamma = (x - 4.0) * (x - 2.0) * x * (x + 2.0)
+            assert linearized_eigenvalue(P, k, 0) == pytest.approx(
+                gamma / (2.0 * 4.0 * 6.0 * 8.0), rel=1e-14)
+
+    def test_domain(self, p512):
+        with pytest.raises(RellichBoundary):
+            linearized_eigenvalue(ckn.derive(5, 1.0, -1.0), 0, 0)
+        with pytest.raises(ValueError):
+            linearized_eigenvalue(p512, -1, 0)
 
 
 class TestRellichTestQuotient:

@@ -6,7 +6,7 @@ import pytest
 
 import ckn
 from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, InvalidDimension,
-                        RellichBoundary)
+                        RellichBoundary, ScalarOverflow)
 from ckn.params import (RegionClass, beta_lower, derive, felli_schneider,
                         on_rellich_line, region_of, regions, second_variation_gap)
 from ckn.spectral import second_variation_sign
@@ -65,6 +65,26 @@ class TestDerive:
         codes, names = regions(N, np.array([alpha]), np.array([-float(N)]),
                                beta_lower(N, alpha), felli_schneider(N, alpha))
         assert [names[c] for c in codes] == [RegionClass.INVALID.value]
+
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (1e200, 5e199), (1.4e154, 5e153), (1e100, 5e99),
+        # C_amp's base product overflows first: HEAD reported C_amp = inf here,
+        # where the amplitude is about 1e38
+        (1.5e77, 5e76)])
+    def test_overflowing_scalars_raise(self, alpha, beta):
+        with pytest.raises(ScalarOverflow):
+            derive(5, alpha, beta)
+
+    def test_scalars_below_overflow_kept(self):
+        P = derive(5, 1e76, 1e76 / 3.0)
+        assert all(math.isfinite(x) for x in (P.gamma, P.K2, P.K0, P.C_amp, P.beta_fs))
+
+    def test_felli_schneider_overflow_and_infinite_alpha(self):
+        with pytest.raises(ScalarOverflow):
+            felli_schneider(5, 1e200)
+        with pytest.raises(AlphaOutOfRange):
+            derive(5, math.inf, math.inf)
 
 
 def exact_p_gamma(N, alpha, beta):

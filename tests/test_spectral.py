@@ -4,10 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 import ckn
-from ckn import _forms
-from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, scaling_direction
+from ckn import _forms, numerics, spectral
+from ckn.closedform import (ExtremalSpec, extremal_u, linearized_eigenvalue, omega_sphere,
+                            scaling_direction)
 from ckn.errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
@@ -153,6 +155,95 @@ class TestModeEigenvalues:
             assert r.profile.grid == pair.profile.grid
             assert np.array_equal(r.profile.values, pair.profile.values)
         assert len(ckn.mode_eigenpairs(p513, make_mode(p513, 1), grid_fast)) == 1
+
+
+#: Rows of the ROADMAP Baseline table whose t-domain holds the eigenfunctions:
+#: (N, alpha, beta), half-width of the t-domain, n.  Their errors against
+#: nu_{k,n} are 3.6e-9 at worst (mode 0 at n = 32001, the eps/h^4 floor).
+BASELINE_ROWS = [((5, 1.0, -3.0), 14.0, 4001), ((5, 1.0, -3.0), 14.0, 32001),
+                 ((6, -1.0, -4.0), 40.0, 16001), ((6, -3.0, -5.4), 60.0, 16001),
+                 ((5, -2.5, -4.8), 150.0, 16001), ((5, -2.5, -4.6), 120.0, 16001),
+                 ((5, 1.0, -1.01), 200.0, 16001)]
+#: The point where a moving shift went astray (test_mode1_where_a_moving_shift_went_astray)
+ASTRAY_ROW = ((6, 2.678, -2.319), 14.3, 4077)
+
+
+def _spectra(rows, kmax=2):
+    """[[eigenpairs of mode k for k <= kmax] per row] with the current Lanczos settings."""
+    out = []
+    for (N, a, b), half, n in rows:
+        P, grid = ckn.derive(N, a, b), ckn.make_grid(-half, half, n)
+        out.append([ckn.mode_eigenpairs(P, make_mode(P, k), grid) for k in range(kmax + 1)])
+    return out
+
+
+@pytest.fixture(scope="module")
+def baseline_spectra():
+    return _spectra(BASELINE_ROWS + [ASTRAY_ROW])
+
+
+class TestClosedFormSpectrum:
+    """mode_eigenpairs against closedform.linearized_eigenvalue."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(5, 8), st.floats(0.5, 3.0), st.sampled_from(("sb", "cs", "fs")),
+           st.floats(0.15, 0.85))
+    def test_default_grid_sweep(self, N, alpha, cls, frac):
+        # beta keeps 15 % of its class range away from either end, as the
+        # benchmark's point classes do: the +-14 grid cuts off the profiles
+        # of points closer to beta_lower or to the Rellich boundary
+        lo, fs = ckn.beta_lower(N, alpha), ckn.felli_schneider(N, alpha)
+        top = min(alpha - 2.1, (N + 4.0 * alpha - 8.0 - 1.5 * N) / 4.5)    # p - 1 >= 1.5
+        beta = {"sb": lo + frac * (fs - lo), "cs": fs + frac * (top - fs), "fs": fs}[cls]
+        P = ckn.derive(N, alpha, beta)
+        # The default grid, widened where the tail of phi_U^2 ~ e^{-(M-4) nu |t|} at
+        # t = 14 exceeds e^{-25}: at N = 5, alpha = 0.5, 15 % above beta_lower the
+        # +-14 cut-off alone errs by 1.4e-7 in mode 0 (ROADMAP item 4).
+        half = max(-numerics.DEFAULT_T_MIN, 25.0 / ((P.M_dim - 4.0) * P.nu))
+        grid = ckn.make_grid(-half, half, numerics.DEFAULT_N)
+        for k in range(4):
+            pairs = ckn.mode_eigenpairs(P, make_mode(P, k), grid)
+            for n, pair in enumerate(pairs):
+                exact = linearized_eigenvalue(P, k, n)
+                assert abs(pair.eigenvalue - exact) < 1e-7 * exact, (k, n)
+
+    @pytest.mark.parametrize("row", range(len(BASELINE_ROWS)))
+    def test_baseline_rows_on_wide_grids(self, baseline_spectra, row):
+        P = ckn.derive(*BASELINE_ROWS[row][0])
+        for k, pairs in enumerate(baseline_spectra[row]):
+            for n, pair in enumerate(pairs):
+                exact = linearized_eigenvalue(P, k, n)
+                assert abs(pair.eigenvalue - exact) < 1e-8 * exact, (k, n)
+
+
+class TestRightSizedLanczos:
+    """The run stops at LANCZOS_TOL with LANCZOS_NCV vectors, not at machine precision."""
+
+    def test_matches_full_precision_run(self, baseline_spectra, monkeypatch):
+        # scipy's defaults (20 vectors, tolerance 0) are the reference; the reported
+        # Rayleigh quotients agree to the eps/h^4 floor (2.0e-12 at worst measured)
+        monkeypatch.setattr(spectral, "LANCZOS_NCV", 20)
+        monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
+        full = _spectra(BASELINE_ROWS + [ASTRAY_ROW])
+        for loose_row, full_row in zip(baseline_spectra, full):
+            for loose, ref in zip(loose_row, full_row):
+                assert len(loose) == len(ref)
+                for a, b in zip(loose, ref):
+                    assert abs(a.eigenvalue - b.eigenvalue) < 1e-11 * b.eigenvalue
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_solves_per_mode(self, p513, grid, k):
+        # 21 solves with scipy's defaults; a run sized to LANCZOS_TOL needs 11
+        assert ckn.mode_eigenpairs(p513, make_mode(p513, k), grid)[0].iters <= 12
+
+    @pytest.mark.parametrize("lo,hi,n", [(-1.0, 1.0, 9), (-2.0, 2.0, 11)])
+    def test_narrow_grids_return_pairs(self, p513, lo, hi, n):
+        # m = n - 4 unknowns, fewer than LANCZOS_NCV: eigsh gets ncv = m
+        grid = ckn.make_grid(lo, hi, n)
+        for k, count in ((0, 2), (1, 1)):
+            pairs = ckn.mode_eigenpairs(p513, make_mode(p513, k), grid)
+            assert len(pairs) == count
+            assert all(math.isfinite(p.eigenvalue) and p.eigenvalue > 1.0 for p in pairs)
 
 
 class TestSecondVariation:
