@@ -25,9 +25,9 @@ e^{-kappa2 t} that are not limits of admissible functions and show up as
 spurious near-zero energies.
 
 B_k has one kernel, the rows of _mode_rows: mode_applier applies B_k to
-vectors (mode_image to one) and energy_band assembles E_k = B_k^T W B_k
-in LAPACK band storage for banded Cholesky.  The sparse mode_operator and
-energy_matrix are only the test references that the two match bit for bit.
+vectors and energy_band assembles E_k = B_k^T W B_k in LAPACK band storage
+for banded Cholesky.  The sparse mode_operator and energy_matrix are only
+the test references that the two match bit for bit.  mass_vector needs no amplitude.
 """
 
 from __future__ import annotations
@@ -106,12 +106,6 @@ def mode_applier(params: CknParams, lambda_k: float, grid: LogGrid):
     return apply
 
 
-def mode_image(params: CknParams, lambda_k: float, grid: LogGrid,
-               phi: np.ndarray) -> np.ndarray:
-    """B_k phi for one vector: mode_applier(params, lambda_k, grid)(phi)."""
-    return mode_applier(params, lambda_k, grid)(phi)
-
-
 def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray:
     """energy_matrix in upper LAPACK band storage, ab[BAND - d, j] = E[j - d, j].
     Each E[j, l] sums (B[i, j] w_i) B[i, l] over the rows i of B in rising
@@ -148,15 +142,10 @@ def cholesky_solver(ab: np.ndarray, what: str):
     return lambda rhs: sla.cho_solve_banded((factor, False), rhs, check_finite=False)
 
 
-def extremal_scaled(params: CknParams, grid: LogGrid) -> np.ndarray:
-    """phi_U = r^{kappa1} U(r): bounded, even in t, decaying at both ends."""
-    from .closedform import ExtremalSpec, extremal_u
-
-    return to_scaled(params, grid, extremal_u(ExtremalSpec(params), grid.nodes))
-
-
 def mass_vector(params: CknParams, grid: LogGrid) -> np.ndarray:
-    """Diagonal of the weighted mass form int U^{p-2} f^2 r^{gamma+N-1} dr,
-    which in scaled variables is int phi_U^{p-2} phi^2 dt (clamped)."""
-    d = trapezoid_weights(grid.n, grid.h) * extremal_scaled(params, grid) ** (params.p - 2.0)
+    """Diagonal of the mass form int U^{p-2} f^2 r^{gamma+N-1} dr = int phi_U^{p-2} phi^2 dt
+    (clamped): (Gamma_M nu^4/16) sech^4(nu t), Gamma_M nu^4/16 = kappa1 kappa2 (kappa1^2 - nu^2)."""
+    e = np.exp(-np.abs(params.nu * grid.ts))
+    coef = params.cal_B * (params.a_shift / 2.0) * (params.kappa1 + params.nu)
+    d = trapezoid_weights(grid.n, grid.h) * (coef * (2.0 * e / (1.0 + e * e)) ** 4)
     return d[keep_indices(grid.n)]

@@ -56,7 +56,7 @@ def _to_json(obj, indent=0) -> str:
     if obj is None:
         return pad + "null"
     if isinstance(obj, float):
-        return pad + ("null" if math.isnan(obj) else f"{obj:.17g}")
+        return pad + (f"{obj:.17g}" if math.isfinite(obj) else "null")
     if isinstance(obj, int):
         return pad + str(obj)
     return pad + '"' + str(obj).replace('"', '\\"') + '"'
@@ -296,7 +296,7 @@ def cmd_region_map(args) -> int:
     sv[codes < 2] = 3       # the first two rules, Invalid and RellichBoundary, carry no sign
     as_json = args.format == "json"
     sv_text = ["-1", "0", "1", '""' if as_json else ""]
-    num = _to_json if as_json else _fmt         # json writes NaN as null
+    num = _to_json if as_json else _fmt         # json writes NaN and inf as null
     bs, fs, pres = ([num(float(x)) for x in v] for v in (betas, bfs, alphas))
     # A cell is pre(alpha) + beta + suf(beta_fs, tag, sv_sign), cells are joined by sep, and
     # along a row tag and sign stay equal over long runs: one str.join writes a run.

@@ -1,12 +1,12 @@
 """Closed-form extremals and best constants.
 
-Everything here is an explicit formula: the radial extremal profile U and
-its scalings, the classical second-order Sobolev constant S0, the
-one-dimensional constant B(M) of the effective-dimension problem, the
-radial best constant S_r, the weighted Rellich constant, the sharp
-constant of the critical case with negative alpha, the two linearized
-profiles Z0/Z1, the eigenvalues of every linearized mode, and the Rellich
-test-sequence quotient.
+Everything here is an explicit formula: the radial extremal profile U, its
+scalings and its amplitude-free shape in t = ln r, the classical
+second-order Sobolev constant S0, the one-dimensional constant B(M) of the
+effective-dimension problem, the radial best constant S_r, the weighted
+Rellich constant, the sharp constant of the critical case with negative
+alpha, the two linearized profiles Z0/Z1, the eigenvalues of every
+linearized mode, and the Rellich test-sequence quotient.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import numpy as np
 
 from . import numerics
 from .errors import (AlphaOutOfRange, EpsOutOfRange, InvalidDimension, MOutOfRange,
-                     NonPositiveRadius, RellichBoundary)
+                     NonPositiveRadius, RellichBoundary, ScalarOverflow)
 from .numerics import LogGrid, log_gamma
 from .params import CknParams
 
 __all__ = [
-    "ExtremalSpec", "extremal_u", "scaling_direction", "sobolev_s0", "b_of_m",
+    "ExtremalSpec", "extremal_u", "extremal_shape", "scaling_direction", "sobolev_s0", "b_of_m",
     "omega_sphere", "radial_constant_sr", "rellich_constant",
     "rellich_constant_alt", "critical_constant", "linearized_mode",
     "linearized_eigenvalue", "rellich_test_quotient", "rellich_limit_grid", "RAMP_WIDTH",
@@ -43,8 +43,10 @@ class ExtremalSpec:
             raise ValueError(f"scaling must be positive, got {self.lam}")
         if self.amplitude is None:
             object.__setattr__(self, "amplitude", self.params.C_amp)
-        if not math.isfinite(self.amplitude):
+        if not self.params.subcritical:
             raise RellichBoundary("extremal amplitude undefined at beta = alpha - 2")
+        if not math.isfinite(self.amplitude):
+            raise ScalarOverflow(f"amplitude {self.amplitude} at M = {self.params.M_dim:.6g}")
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -75,6 +77,15 @@ def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
             - z - (P.M_dim - 4.0) / 2.0 * _softplus(z))
     out = numerics.grid_exp(logu, "extremal U")
     return out if out.ndim else float(out)
+
+
+def extremal_shape(params: CknParams, t) -> np.ndarray:
+    """cosh(nu t)^m = r^{kappa1} U(r) / C_cosh at r = e^t, m = -(M-4)/2: even, at most 1,
+    and finite at every t and every subcritical point, also where C_amp overflows."""
+    if not params.subcritical:
+        raise RellichBoundary("extremal_shape requires beta < alpha - 2")
+    z = np.abs(params.nu * np.asarray(t, dtype=float))
+    return np.exp(params.m_exp * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)))
 
 
 def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:

@@ -15,12 +15,12 @@ Two substitutions carry all of the radial theory:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import _forms, numerics
+from .closedform import ExtremalSpec, extremal_shape
 from .errors import CknError, GridTooSmall, MOutOfRange, RellichBoundary
 from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate
 from .params import CknParams
@@ -48,35 +48,31 @@ class EmdenFowlerProfile:
 
 
 def to_emden_fowler(u: RadialProfile, params: CknParams) -> EmdenFowlerProfile:
-    """phi(tau) = r^{kappa1} u(r) at r = e^{-tau}; inverse of from_emden_fowler."""
-    phi = u.values * numerics.grid_power(params.kappa1, u.grid, "r^kappa1")
+    """phi(tau) = r^{kappa1} u(r) at r = e^{-tau} (_forms.to_scaled); see from_emden_fowler."""
+    phi = _forms.to_scaled(params, u.grid, u.values)
     grid = numerics.make_grid(-u.grid.t_max, -u.grid.t_min, u.grid.n)
     return EmdenFowlerProfile(grid=grid, phi=phi[::-1].copy(), params=params)
 
 
 def from_emden_fowler(ef: EmdenFowlerProfile) -> RadialProfile:
-    """Radial samples u(r) = r^{-kappa1} phi(-ln r)."""
+    """Radial samples u(r) = r^{-kappa1} phi(-ln r): _forms.from_scaled mirrored."""
     grid = numerics.make_grid(-ef.grid.t_max, -ef.grid.t_min, ef.grid.n)
-    values = ef.phi[::-1] * numerics.grid_power(-ef.params.kappa1, grid, "r^-kappa1")
-    return RadialProfile(grid=grid, values=values)
+    return RadialProfile(grid=grid, values=_forms.from_scaled(ef.params, grid, ef.phi[::-1]))
 
 
 def cosh_constants(params: CknParams) -> tuple[float, float, float]:
     """(C_cosh, nu, m) of the exact profile C_cosh (cosh(nu tau))^m.
 
-    m = -4/(p-2), nu = (alpha-beta-2)/2, and C_cosh = C_amp * 2^m.
+    m = -4/(p-2), nu = (alpha-beta-2)/2, and C_cosh = C_amp * 2^m, with the errors of
+    ExtremalSpec: RellichBoundary at beta = alpha - 2, ScalarOverflow where C_amp overflows.
     """
-    if not params.subcritical:
-        raise RellichBoundary("cosh ansatz requires beta < alpha - 2")
-    return params.C_amp * 2.0 ** params.m_exp, params.nu, params.m_exp
+    return ExtremalSpec(params).amplitude * 2.0 ** params.m_exp, params.nu, params.m_exp
 
 
 def cosh_profile(params: CknParams, grid: LogGrid) -> EmdenFowlerProfile:
     """Exact solution samples C_cosh (cosh(nu tau))^m at the grid's anchored_ts."""
-    c, nu, m = cosh_constants(params)
-    z = np.abs(nu * numerics.anchored_ts(grid))
-    logcosh = z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
-    return EmdenFowlerProfile(grid=grid, phi=c * np.exp(m * logcosh), params=params)
+    phi = cosh_constants(params)[0] * extremal_shape(params, numerics.anchored_ts(grid))
+    return EmdenFowlerProfile(grid=grid, phi=phi, params=params)
 
 
 def ode_residual(profile: EmdenFowlerProfile) -> float:

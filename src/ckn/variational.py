@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _forms, numerics
-from .closedform import ExtremalSpec, extremal_u, omega_sphere
+from .closedform import extremal_shape, omega_sphere
 from .errors import AmplitudeTooLarge, CknError, MaxIters, RellichBoundary
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
 from .params import CknParams
@@ -59,10 +59,9 @@ def make_mode(params: CknParams, k: int) -> ModeSpec:
                     multiplicity=mult)
 
 
-def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
-    """int [f'' + (N-1+alpha)/r f' - lambda_k/r^2 f]^2 r^{N+2alpha-beta-1} dr."""
-    grid = u.grid
-    img = _forms.mode_image(params, lambda_k, grid, _forms.to_scaled(params, grid, u.values))
+def _mode_form(phi: np.ndarray, grid: LogGrid, params: CknParams, lambda_k: float) -> float:
+    """int (B_k phi)^2 dt: mode_energy of f = r^{-kappa1} phi, from the scaled samples phi."""
+    img = _forms.mode_applier(params, lambda_k, grid)(phi)
     terms = trapezoid_weights(grid.n, grid.h) * (img * img)
     return float(numerics.checked_integrals(terms, grid.h, ("mode energy",)))
 
@@ -70,13 +69,14 @@ def _mode_form(u: RadialProfile, params: CknParams, lambda_k: float) -> float:
 def radial_energy(u: RadialProfile, params: CknParams) -> float:
     """Full N-dimensional weighted energy int |x|^{-beta}|div(|x|^alpha grad u)|^2 dx
     of the radial function u (sphere factor included)."""
-    return omega_sphere(params.N) * _mode_form(u, params, 0.0)
+    return omega_sphere(params.N) * _mode_form(
+        _forms.to_scaled(params, u.grid, u.values), u.grid, params, 0.0)
 
 
 def mode_energy(f: RadialProfile, params: CknParams, mode: ModeSpec) -> float:
     """Radial factor of the mode-k energy (sphere factor excluded; callers
     multiply by the squared sphere norm of their harmonic)."""
-    return _mode_form(f, params, mode.lambda_k)
+    return _mode_form(_forms.to_scaled(params, f.grid, f.values), f.grid, params, mode.lambda_k)
 
 
 def _star_norm_p(phi: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -160,8 +160,9 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     k = 0 uses Psi = 1 and k = 1 uses Psi = x_1/|x|.  The direction f is
     rescaled so that the energy of f Psi equals the energy of U, making
     t the relative perturbation size; |t| <= 0.2 is enforced (NaN fails it).
-    The denominator's sphere integrand, one n x 64 array built in place, is
-    summed by 64-point Gauss-Legendre in theta with measure sin^{N-2}(theta).
+    The quotient is 0-homogeneous and is taken in t on extremal_shape and r^{kappa1} f over
+    its max (CknError if that is zero or not finite), where r^{gamma+N-1} dr = dt; the sphere
+    integrand, one n x 64 array built in place, is summed by 64-point Gauss-Legendre.
 
     For k = 1 with alpha > 0 and beta below the Felli-Schneider curve the
     value drops strictly below radial_constant_sr for small t; above the
@@ -176,16 +177,19 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     om, om_sub = omega_sphere(N), omega_sphere(N - 1)
     sphere_sq = om if mode.k == 0 else om / N          # int_S Psi_k^2
 
-    u = extremal_u(ExtremalSpec(params), grid.nodes)
-    e_u = _mode_form(RadialProfile(grid=grid, values=u), params, 0.0)
-    e_f = _mode_form(direction, params, mode.lambda_k)
-    if e_f <= 0:
-        raise ValueError("direction must have positive energy")
-    scale = math.sqrt(om * e_u / (sphere_sq * e_f))
-    f = direction.values * scale
+    u = extremal_shape(params, grid.ts)
+    f = _forms.to_scaled(params, grid, direction.values)
+    top = np.max(np.abs(f))
+    if not 0 < top < math.inf:
+        raise CknError("direction must be finite and nonzero on the grid")
+    e_u = _mode_form(u, grid, params, 0.0)
+    e_f = _mode_form(f / top, grid, params, mode.lambda_k)    # f^2 would underflow at large M
+    if not e_f > 0:
+        raise CknError("direction must have positive energy")
+    f *= math.sqrt(om * e_u / (sphere_sq * e_f)) / top
 
     if mode.k == 0:
-        numerator = om * _mode_form(RadialProfile(grid=grid, values=u + t_amp * f), params, 0.0)
+        numerator = om * _mode_form(u + t_amp * f, grid, params, 0.0)
     else:
         # cross term vanishes: the two pieces live in orthogonal sphere modes;
         # the scaled direction has sphere-weighted energy equal to ||U||^2
@@ -196,5 +200,5 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     vals += u[:, None]                                  # |u + t f cos|^p, in place
     radial = np.power(np.abs(vals, out=vals), p, out=vals) @ wq   # per-radius sphere integral
     den = om_sub * float(numerics.checked_integrals(numerics.simpson_terms(
-        radial, grid, params.gamma + N - 1.0), grid.h, ("perturbed quotient denominator",)))
+        radial, grid, -1.0), grid.h, ("perturbed quotient denominator",)))
     return numerator / den ** (2.0 / p)

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 import ckn
-from ckn import _forms, identities
+from ckn import _forms, cli, identities
 from ckn.cli import build_parser, emit, load_config, main
 from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
 from ckn.spectral import second_variation_sign
@@ -83,6 +83,21 @@ class TestConstants:
         assert code == 2
         assert json.loads(out)["error"] == error
 
+    def test_overflowing_amplitude_is_null(self, capsys):
+        # C_amp = inf here was printed as a bare inf, which no JSON parser reads
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out = run(capsys, "constants", "-N", "5", "-a", "1", "-b", "-1.0001",
+                        "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["C_amp"] is None and doc["M"] == pytest.approx(80002.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_written_as_null(self, x):
+        assert cli._to_json({"x": x}) == '{\n  "x": null\n}'
+
     def test_rellich_rounding_tie(self, capsys):
         # beta is one ULP below alpha - 2, but alpha - beta - 2 rounds to 0:
         # a point of the Rellich boundary, where derive used to divide by zero
@@ -111,6 +126,14 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["pass"] is True
         assert doc["seed"] == 42
+
+    def test_ode_overflowing_amplitude_exit_2(self, capsys):
+        # used to exit 1 with null values for cosh relation 3 and the residual
+        code, out = run(capsys, "verify", "ode", "-N", "5", "-a", "1", "-b", "-1.001",
+                        "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "ScalarOverflow" and "M = 8002" in doc["message"]
 
     def test_rellich_limit_suite(self, capsys):
         code, out = run(capsys, "verify", "rellich-limit", "-N", "5",
@@ -611,6 +634,45 @@ class TestWideGrids:
                         "--format", "json")
         assert code == 2
         assert json.loads(out)["error"] == "BadGridSpec"
+
+
+class TestNearRellichBoundary:
+    # beta just below alpha - 2, where nu is small, M is in the thousands and C_amp
+    # overflows: the spectrum and the certificate work on the amplitude-free shape in t
+    WIDE = ("--t-min=-300", "--t-max=300", "-n", "16001")
+
+    def test_spectrum_meets_closed_form(self, capsys):
+        # exited 2 with "amplitude undefined at beta = alpha - 2"
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-1.001", *self.WIDE,
+                        "--kmax", "2", "--format", "json")
+        assert code == 0
+        P = derive(5, 1.0, -1.001)
+        assert math.isinf(P.C_amp)
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 4
+        for r in rows:
+            want = ckn.linearized_eigenvalue(P, r["k"], r["index"] - 1)
+            assert r["eigenvalue"] == pytest.approx(want, rel=1e-10), r
+
+    @pytest.mark.parametrize("beta", ["-1.01", "-1.005"])
+    def test_certificate(self, capsys, beta):
+        # exited 2 with BadGridSpec from the weight s^{gamma+N} (or the false
+        # RellichBoundary); the points lie above the Felli-Schneider curve
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", beta, *self.WIDE,
+                        "--perturb", "0.05", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["relative_gap"]) <= 1e-8
+        assert second_variation_sign(derive(5, 1.0, float(beta))) == 1
+        assert doc["drops_below_radial"] is False
+        assert doc["perturbed_plus"] > doc["S_r"] and doc["perturbed_minus"] > doc["S_r"]
+
+    def test_underflowing_direction_exit_2(self, capsys):
+        # Z1 ~ 2^{-(M-2)/2} underflows to zero at every node (M = 2164)
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-1.0037", *self.WIDE,
+                        "--perturb", "0.05", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "CknError"
 
 
 class TestConfig:

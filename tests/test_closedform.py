@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import ckn
-from ckn import closedform
-from ckn.closedform import (ExtremalSpec, b_of_m, critical_constant, extremal_u,
+from ckn import _forms, closedform, transforms
+from ckn.closedform import (ExtremalSpec, b_of_m, critical_constant, extremal_shape, extremal_u,
                             linearized_eigenvalue, linearized_mode, omega_sphere,
                             radial_constant_sr, rellich_constant, rellich_constant_alt,
                             rellich_limit_grid, rellich_test_quotient,
                             sobolev_s0)
 from ckn.errors import (AlphaOutOfRange, EpsOutOfRange, MOutOfRange,
-                        NonPositiveRadius, RellichBoundary)
+                        NonPositiveRadius, RellichBoundary, ScalarOverflow)
 from ckn.spectral import second_variation_sign
 from conftest import ORACLE
 
@@ -41,6 +41,36 @@ class TestExtremal:
     def test_rellich_boundary_rejected(self):
         with pytest.raises(RellichBoundary):
             ExtremalSpec(ckn.derive(5, 1.0, -1.0))
+
+    def test_overflowing_amplitude_names_m(self):
+        # C_amp is inf at M = 8002, below the Rellich boundary: the error used to
+        # say "amplitude undefined at beta = alpha - 2"
+        with pytest.raises(ScalarOverflow, match="M = 8002"):
+            ExtremalSpec(ckn.derive(5, 1.0, -1.001))
+
+
+class TestExtremalShape:
+    @pytest.mark.parametrize("point", [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5),
+                                       (5, -1.0, -3.5), (8, -2.0, -4.5), (7, 1.5, -2.0),
+                                       (6, -3.0, -5.4), (5, -2.5, -4.6)])
+    def test_is_scaled_extremal_over_c_cosh(self, point, grid):
+        P = ckn.derive(*point)
+        phi = _forms.to_scaled(P, grid, extremal_u(ExtremalSpec(P), grid.nodes))
+        want = phi / transforms.cosh_constants(P)[0]
+        np.testing.assert_allclose(extremal_shape(P, grid.ts), want, rtol=1e-13, atol=0.0)
+
+    def test_bounded_where_the_amplitude_overflows(self):
+        P = ckn.derive(5, 1.0, -1.001)
+        assert P.M_dim == pytest.approx(8002.0) and math.isinf(P.C_amp)
+        t = np.linspace(0.0, 700.0, 7001)
+        shape = extremal_shape(P, t)
+        assert np.isfinite(shape).all() and shape.max() == 1.0 and shape.min() > 0.0
+        assert np.array_equal(extremal_shape(P, -t), shape)
+        assert np.all(np.diff(shape) < 0.0)
+
+    def test_rellich_boundary(self):
+        with pytest.raises(RellichBoundary):
+            extremal_shape(ckn.derive(5, 1.0, -1.0), 0.0)
 
 
 class TestSobolevS0:

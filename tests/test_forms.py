@@ -2,9 +2,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ckn
 from ckn import _forms, numerics
+from ckn.closedform import ExtremalSpec, extremal_u
 from ckn.cli import main
 from ckn.errors import GridTooSmall
 
@@ -35,7 +37,7 @@ def test_mode_image_matches_mode_operator():
             P, grid = ckn.derive(*point), ckn.make_grid(-width, width, n)
             phi = rng.standard_normal(n)
             want = _forms.mode_operator(P, lam, grid) @ phi
-            assert np.array_equal(_forms.mode_image(P, lam, grid, phi), want), (point, lam, n)
+            assert np.array_equal(_forms.mode_applier(P, lam, grid)(phi), want), (point, lam, n)
 
 
 def test_energy_band_needs_seven_nodes():
@@ -45,7 +47,7 @@ def test_energy_band_needs_seven_nodes():
 
 def test_mode_image_needs_seven_nodes():
     with pytest.raises(GridTooSmall):
-        _forms.mode_image(ckn.derive(5, 1.0, -3.0), 0.0, ckn.make_grid(-1.0, 1.0, 5), np.ones(5))
+        _forms.mode_applier(ckn.derive(5, 1.0, -3.0), 0.0, ckn.make_grid(-1.0, 1.0, 5))(np.ones(5))
 
 
 def test_no_production_path_builds_sparse_forms(capsys, monkeypatch):
@@ -69,3 +71,27 @@ def test_no_production_path_builds_sparse_forms(capsys, monkeypatch):
     assert ckn.radial_energy(u, P) > 0
     assert ckn.mode_energy(z1, P, ckn.make_mode(P, 1)) > 0
     assert ckn.perturbed_quotient(P, 0.05, ckn.make_mode(P, 1), z1) > 0
+
+
+def r_space_mass_vector(params, grid):
+    """The mass vector as it was built before the closed form in t: trapezoid
+    weights times (r^{kappa1} U)^{p-2}, U with its amplitude C_amp, clamped."""
+    phi = _forms.to_scaled(params, grid, extremal_u(ExtremalSpec(params), grid.nodes))
+    d = numerics.trapezoid_weights(grid.n, grid.h) * phi ** (params.p - 2.0)
+    return d[_forms.keep_indices(grid.n)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 8), st.floats(-1.5, 3.0), st.floats(0.02, 0.98))
+def test_mass_vector_matches_r_space_expression(N, alpha, frac):
+    lo = ckn.beta_lower(N, alpha)
+    P, grid = ckn.derive(N, alpha, lo + frac * (alpha - 2.0 - lo)), ckn.make_grid()
+    np.testing.assert_allclose(_forms.mass_vector(P, grid), r_space_mass_vector(P, grid),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_mass_vector_finite_where_the_amplitude_overflows():
+    # C_amp = inf at M = 8002; the weight phi_U^{p-2} = (Gamma_M nu^4/16) sech^4(nu t)
+    P = ckn.derive(5, 1.0, -1.001)
+    d = _forms.mass_vector(P, ckn.make_grid(-700.0, 700.0, 4001))
+    assert np.isfinite(d).all() and d.min() > 0.0

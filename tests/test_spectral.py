@@ -7,9 +7,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import ckn
-from ckn import _forms, numerics, spectral
-from ckn.closedform import (ExtremalSpec, extremal_u, linearized_eigenvalue, omega_sphere,
-                            scaling_direction)
+from ckn import _forms, numerics, spectral, transforms
+from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_eigenvalue,
+                            omega_sphere, scaling_direction)
 from ckn.errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
@@ -390,7 +390,7 @@ def test_extremal_solves_euler_lagrange():
     g = ckn.make_grid(-14.0, 14.0, 2001)
     for N, a, b in ((5, 1.0, -2.0), (6, 0.5, -2.5), (5, -1.0, -3.5)):
         P = ckn.derive(N, a, b)
-        phi = _forms.extremal_scaled(P, g)
+        phi = transforms.cosh_constants(P)[0] * extremal_shape(P, g.ts)
         B = _forms.mode_operator(P, 0.0, g)
         B_adj = (diff_matrix(g.n, g.h, 2) + 2.0 * P.nu * diff_matrix(g.n, g.h, 1)
                  - P.cal_B * sp.identity(g.n))

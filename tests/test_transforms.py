@@ -6,9 +6,10 @@ import pytest
 import ckn
 from ckn import transforms
 from ckn.closedform import ExtremalSpec, b_of_m, extremal_u, omega_sphere
-from ckn.errors import CknError, GridTooSmall, MOutOfRange, RellichBoundary, TailInadequate
+from ckn.errors import (CknError, GridTooSmall, MOutOfRange, RellichBoundary, ScalarOverflow,
+                        TailInadequate)
 from ckn.numerics import RadialProfile
-from ckn.transforms import (EmdenFowlerProfile, cosh_ansatz_check, cosh_profile,
+from ckn.transforms import (EmdenFowlerProfile, cosh_ansatz_check, cosh_constants, cosh_profile,
                             from_dimension_m, from_emden_fowler, ode_residual,
                             rayleigh_m, to_dimension_m, to_emden_fowler)
 from ckn.variational import radial_energy
@@ -86,6 +87,10 @@ class TestCoshAnsatz:
     def test_rellich_boundary(self):
         with pytest.raises(RellichBoundary):
             cosh_ansatz_check(ckn.derive(5, 1.0, -1.0))
+
+    def test_overflowing_amplitude(self):
+        with pytest.raises(ScalarOverflow, match="M = 8002"):
+            cosh_constants(ckn.derive(5, 1.0, -1.001))
 
 
 class TestDimensionM:

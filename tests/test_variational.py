@@ -195,16 +195,18 @@ class TestPerturbedQuotient:
         assert abs(plus - minus) < 1e-8 * s_r
 
     def test_one_extremal_evaluation_per_call(self, p513, grid, monkeypatch):
-        # U is evaluated once and its energy taken from it; the value is the
-        # one the two-evaluation version returned (x86-64, numpy 2.4), bit
-        # for bit
-        calls, extremal = [], variational.extremal_u
-        monkeypatch.setattr(variational, "extremal_u",
-                            lambda *args: calls.append(1) or extremal(*args))
+        # the shape of U is evaluated once and its energy taken from it.  The pin
+        # (x86-64, numpy 2.4) moved from 0x1.bb1984bedfcc5p+7, the value of the
+        # quotient in r with the amplitude C_amp, by 4.2e-13 relative when the
+        # quotient moved to t = ln r and the amplitude-free extremal_shape
+        calls, shape = [], variational.extremal_shape
+        monkeypatch.setattr(variational, "extremal_shape",
+                            lambda *args: calls.append(1) or shape(*args))
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
         val = perturbed_quotient(p513, 0.05, make_mode(p513, 1), z1)
         assert len(calls) == 1
-        assert val == float.fromhex("0x1.bb1984bedfcc5p+7")
+        assert val == float.fromhex("0x1.bb1984bedf01ap+7")
+        assert val == pytest.approx(float.fromhex("0x1.bb1984bedfcc5p+7"), rel=1e-12)
 
     def test_gauss_rule_computed_once(self, p513, grid, monkeypatch):
         calls, leggauss = [], np.polynomial.legendre.leggauss
@@ -253,6 +255,14 @@ class TestPerturbedQuotient:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * grid.n * 64 * 8
+
+    @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
+    def test_zero_or_non_finite_direction(self, p513, grid, fill):
+        # a zero direction used to raise ValueError, a non-finite one RuntimeWarnings
+        # and then TailInadequate
+        direction = RadialProfile(grid=grid, values=np.full(grid.n, fill))
+        with pytest.raises(CknError, match="finite and nonzero"):
+            perturbed_quotient(p513, 0.05, make_mode(p513, 1), direction)
 
     def test_mode_cap(self, p512, grid):
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
