@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import closedform, identities, numerics, spectral, transforms, variational
+from . import _forms, closedform, identities, numerics, spectral, transforms, variational
 from .errors import CknError, MaxIters, NoConvergence, TailInadequate
 from .numerics import RadialProfile, make_grid
 from .params import (CknParams, beta_lower, derive, exponents, felli_schneider, regions,
@@ -332,7 +332,8 @@ def cmd_minimize(args) -> int:
     doc = {"value": value, "S_r": s_r, "relative_gap": (value - s_r) / s_r}
     if args.perturb is not None:
         mode = variational.make_mode(P, 1)
-        z1 = RadialProfile(grid=grid, values=closedform.linearized_mode(P, 1, grid.nodes))
+        shape = closedform.extremal_shape(P, t, 1.0 - P.M_dim / 2.0)   # r^{kappa1} Z1, in t
+        z1 = RadialProfile(grid=grid, values=_forms.from_scaled(P, grid, shape))
         doc["perturbed_plus"] = variational.perturbed_quotient(P, args.perturb, mode, z1)
         doc["perturbed_minus"] = variational.perturbed_quotient(P, -args.perturb, mode, z1)
         doc["drops_below_radial"] = bool(doc["perturbed_plus"] < s_r

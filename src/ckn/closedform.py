@@ -12,7 +12,7 @@ linearized mode, and the Rellich test-sequence quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ExtremalSpec:
             object.__setattr__(self, "amplitude", self.params.C_amp)
         if not self.params.subcritical:
             raise RellichBoundary("extremal amplitude undefined at beta = alpha - 2")
-        if not math.isfinite(self.amplitude):
+        if not 0 < self.amplitude < math.inf:
             raise ScalarOverflow(f"amplitude {self.amplitude} at M = {self.params.M_dim:.6g}")
 
 
@@ -79,13 +79,14 @@ def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def extremal_shape(params: CknParams, t) -> np.ndarray:
-    """cosh(nu t)^m = r^{kappa1} U(r) / C_cosh at r = e^t, m = -(M-4)/2: even, at most 1,
-    and finite at every t and every subcritical point, also where C_amp overflows."""
+def extremal_shape(params: CknParams, t, m: float | None = None) -> np.ndarray:
+    """cosh(nu t)^m = r^{kappa1} U(r) / C_cosh at r = e^t, m = -(M-4)/2 (m = -(M-2)/2 gives
+    r^{kappa1} Z1 2^{(M-2)/2}): even, at most 1, finite everywhere, also where C_amp overflows."""
     if not params.subcritical:
         raise RellichBoundary("extremal_shape requires beta < alpha - 2")
     z = np.abs(params.nu * np.asarray(t, dtype=float))
-    return np.exp(params.m_exp * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)))
+    m = params.m_exp if m is None else m
+    return np.exp(m * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)))
 
 
 def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:

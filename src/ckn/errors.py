@@ -65,11 +65,6 @@ class AmplitudeTooLarge(CknError):
     """Perturbation amplitude exceeds the validity range of the local expansion."""
 
 
-class Diverged(CknError):
-    """Iteration increased its objective repeatedly.  Nothing in this package
-    raises it since minimize_radial's value cannot rise; kept for callers."""
-
-
 class MaxIters(CknError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 

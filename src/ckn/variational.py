@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import _forms, numerics
 from .closedform import extremal_shape, omega_sphere
@@ -143,12 +144,13 @@ def minimize_radial(params: CknParams, init: RadialProfile,
 
 
 @functools.cache
-def _gauss_sphere(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polar-angle quadrature: nodes cos(theta_j) and weights for
-    int_0^pi (.) sin^{N-2}(theta) dtheta by 64-point Gauss-Legendre (cached, read-only)."""
-    x, wgl = np.polynomial.legendre.leggauss(64)
-    theta = math.pi * (x + 1.0) / 2.0
-    nodes, weights = np.cos(theta), wgl * (math.pi / 2.0) * np.sin(theta) ** (N - 2)
+def _gauss_sphere(N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count-point Gauss-Gegenbauer rule, lam = (N-2)/2, in c = cos theta for int_0^pi g(cos theta)
+    sin^{N-2}(theta) dtheta, by Golub & Welsch (Math. Comp. 23, 1969); cached, read-only."""
+    lam, k = (N - 2) / 2.0, np.arange(1.0, count)
+    off = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+    nodes, vecs = sla.eigh_tridiagonal(np.zeros(count), off)
+    weights = vecs[0] ** 2 * (omega_sphere(N) / omega_sphere(N - 1))   # mu0 = int (1-c^2)^{lam-1/2}
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -162,7 +164,8 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     t the relative perturbation size; |t| <= 0.2 is enforced (NaN fails it).
     The quotient is 0-homogeneous and is taken in t on extremal_shape and r^{kappa1} f over
     its max (CknError if that is zero or not finite), where r^{gamma+N-1} dr = dt; the sphere
-    integrand, one n x 64 array built in place, is summed by 64-point Gauss-Legendre.
+    integrand, one array built in place, is summed in c = cos theta by Gauss-Gegenbauer: 16
+    nodes where |t f| <= U/2 keeps it analytic in c, else 64 for the kink (README).
 
     For k = 1 with alpha > 0 and beta below the Felli-Schneider curve the
     value drops strictly below radial_constant_sr for small t; above the
@@ -172,8 +175,7 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
         raise ValueError("perturbed_quotient supports modes k in {0, 1}")
     if not abs(t_amp) <= 0.2:
         raise AmplitudeTooLarge(f"|t| must be <= 0.2 after normalization, got {t_amp}")
-    grid = direction.grid
-    N, p = params.N, params.p
+    grid, N, p = direction.grid, params.N, params.p
     om, om_sub = omega_sphere(N), omega_sphere(N - 1)
     sphere_sq = om if mode.k == 0 else om / N          # int_S Psi_k^2
 
@@ -195,10 +197,11 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
         # the scaled direction has sphere-weighted energy equal to ||U||^2
         numerator = om * e_u * (1.0 + t_amp ** 2)
 
-    cosines, wq = _gauss_sphere(N)
-    vals = np.multiply.outer(t_amp * f, np.ones_like(cosines) if mode.k == 0 else cosines)
-    vals += u[:, None]                                  # |u + t f cos|^p, in place
-    radial = np.power(np.abs(vals, out=vals), p, out=vals) @ wq   # per-radius sphere integral
+    cosines, wq = _gauss_sphere(N, 16 if mode.k == 0 or np.all(np.abs(t_amp * f) <= u / 2) else 64)
+    radial = np.multiply.outer(np.ones_like(cosines) if mode.k == 0 else cosines, t_amp * f)
+    for j in range(len(cosines)):   # |u + t f cos|^p in place; a broadcast add takes a buffer
+        radial[j] += u
+    radial = wq @ np.power(np.abs(radial, out=radial), p, out=radial)   # over the sphere
     den = om_sub * float(numerics.checked_integrals(numerics.simpson_terms(
         radial, grid, -1.0), grid.h, ("perturbed quotient denominator",)))
     return numerator / den ** (2.0 / p)

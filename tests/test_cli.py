@@ -135,6 +135,15 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["error"] == "ScalarOverflow" and "M = 8002" in doc["message"]
 
+    def test_ode_underflowing_amplitude_exit_2(self, capsys):
+        # C_amp underflows to 0 at M = 2002: used to exit 1 next to an ode_residual of 0
+        # "passed" on an all-zero profile
+        code, out = run(capsys, "verify", "ode", "-N", "5", "-a", "-2.9", "-b", "-4.9001",
+                        "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "ScalarOverflow" and "M = 2002" in doc["message"]
+
     def test_rellich_limit_suite(self, capsys):
         code, out = run(capsys, "verify", "rellich-limit", "-N", "5",
                         "--eps", "0.3,0.1,0.03,0.01", "--format", "json")
@@ -667,12 +676,16 @@ class TestNearRellichBoundary:
         assert doc["drops_below_radial"] is False
         assert doc["perturbed_plus"] > doc["S_r"] and doc["perturbed_minus"] > doc["S_r"]
 
-    def test_underflowing_direction_exit_2(self, capsys):
-        # Z1 ~ 2^{-(M-2)/2} underflows to zero at every node (M = 2164)
+    def test_underflowing_direction_certified(self, capsys):
+        # Z1 ~ 2^{-(M-2)/2} underflows to zero at every node in r (M = 2164); it exited 2
+        # with CknError until the direction was built as r^{kappa1} Z1 in t
         code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-1.0037", *self.WIDE,
                         "--perturb", "0.05", "--format", "json")
-        assert code == 2
-        assert json.loads(out)["error"] == "CknError"
+        assert code == 0
+        doc = json.loads(out)
+        assert second_variation_sign(derive(5, 1.0, -1.0037)) == 1
+        assert doc["drops_below_radial"] is False
+        assert doc["perturbed_plus"] > doc["S_r"] and doc["perturbed_minus"] > doc["S_r"]
 
 
 class TestConfig:

@@ -48,6 +48,19 @@ class TestExtremal:
         with pytest.raises(ScalarOverflow, match="M = 8002"):
             ExtremalSpec(ckn.derive(5, 1.0, -1.001))
 
+    def test_underflowing_amplitude_names_m(self):
+        # C_amp underflows to 0 at M = 2002: extremal_u used to fail with a bare
+        # ValueError from log(0)
+        P = ckn.derive(5, -2.9, -4.9001)
+        assert P.C_amp == 0.0
+        with pytest.raises(ScalarOverflow, match="M = 2002"):
+            ExtremalSpec(P)
+
+    @pytest.mark.parametrize("amp", [0.0, -1.0, math.nan, math.inf])
+    def test_amplitude_must_be_positive_and_finite(self, p512, amp):
+        with pytest.raises(ScalarOverflow):
+            ExtremalSpec(p512, amplitude=amp)
+
 
 class TestExtremalShape:
     @pytest.mark.parametrize("point", [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5),
@@ -71,6 +84,15 @@ class TestExtremalShape:
     def test_rellich_boundary(self):
         with pytest.raises(RellichBoundary):
             extremal_shape(ckn.derive(5, 1.0, -1.0), 0.0)
+
+    @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (7, 1.5, -2.0), (6, -3.0, -5.4)])
+    def test_exponent_gives_scaled_z1(self, point, grid):
+        # r^{kappa1} Z1 = (2 cosh nu t)^{-(M-2)/2}
+        P = ckn.derive(*point)
+        phi = _forms.to_scaled(P, grid, linearized_mode(P, 1, grid.nodes))
+        want = phi * 2.0 ** ((P.M_dim - 2.0) / 2.0)
+        np.testing.assert_allclose(extremal_shape(P, grid.ts, 1.0 - P.M_dim / 2.0), want,
+                                   rtol=1e-13, atol=0.0)
 
 
 class TestSobolevS0:

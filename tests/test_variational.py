@@ -198,26 +198,28 @@ class TestPerturbedQuotient:
         # the shape of U is evaluated once and its energy taken from it.  The pin
         # (x86-64, numpy 2.4) moved from 0x1.bb1984bedfcc5p+7, the value of the
         # quotient in r with the amplitude C_amp, by 4.2e-13 relative when the
-        # quotient moved to t = ln r and the amplitude-free extremal_shape
+        # quotient moved to t = ln r and the amplitude-free extremal_shape, then from
+        # 0x1.bb1984bedf01ap+7 by 6.4e-16 relative when the sphere integral moved from
+        # 64 Gauss-Legendre nodes in theta to 16 Gauss-Gegenbauer nodes in cos theta
         calls, shape = [], variational.extremal_shape
         monkeypatch.setattr(variational, "extremal_shape",
                             lambda *args: calls.append(1) or shape(*args))
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
         val = perturbed_quotient(p513, 0.05, make_mode(p513, 1), z1)
         assert len(calls) == 1
-        assert val == float.fromhex("0x1.bb1984bedf01ap+7")
+        assert val == float.fromhex("0x1.bb1984bedf01fp+7")
         assert val == pytest.approx(float.fromhex("0x1.bb1984bedfcc5p+7"), rel=1e-12)
 
     def test_gauss_rule_computed_once(self, p513, grid, monkeypatch):
-        calls, leggauss = [], np.polynomial.legendre.leggauss
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda *args: calls.append(1) or leggauss(*args))
+        calls, eigh = [], variational.sla.eigh_tridiagonal
+        monkeypatch.setattr(variational.sla, "eigh_tridiagonal",
+                            lambda *args: calls.append(len(args[0])) or eigh(*args))
         variational._gauss_sphere.cache_clear()
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
         for t in (0.05, -0.05):
             perturbed_quotient(p513, t, make_mode(p513, 1), z1)
-        assert len(calls) == 1
-        nodes, weights = variational._gauss_sphere(p513.N)
+        assert calls == [16]
+        nodes, weights = variational._gauss_sphere(p513.N, 16)
         assert not (nodes.flags.writeable or weights.flags.writeable)
 
     def test_rise_in_stable_region(self, p512, grid):
@@ -245,7 +247,7 @@ class TestPerturbedQuotient:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_sphere_integrand_built_in_place(self, p513, grid, k):
-        # the n x 64 sphere integrand is one array, built in place
+        # the 16 x n sphere integrand is one array, built in place
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
         perturbed_quotient(p513, 0.05, make_mode(p513, k), z1)    # warm the Gauss rule
         tracemalloc.start()
@@ -254,7 +256,7 @@ class TestPerturbedQuotient:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * grid.n * 64 * 8
+        assert peak <= 1.25 * grid.n * 16 * 8
 
     @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
     def test_zero_or_non_finite_direction(self, p513, grid, fill):
@@ -268,6 +270,76 @@ class TestPerturbedQuotient:
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p512, 1, r))
         with pytest.raises(ValueError):
             perturbed_quotient(p512, 0.05, make_mode(p512, 2), z1)
+
+
+class TestGaussSphere:
+    @staticmethod
+    def reference(N, count):
+        from scipy.special import roots_gegenbauer     # test-only: slow to import
+        return roots_gegenbauer(count, (N - 2) / 2.0)
+
+    @pytest.mark.parametrize("count", [16, 64])
+    @pytest.mark.parametrize("N", [5, 6, 7, 8])
+    def test_matches_scipy(self, N, count):
+        nodes, weights = variational._gauss_sphere(N, count)
+        want_nodes, want_weights = self.reference(N, count)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("N", [5, 6, 7, 8])
+    def test_even_moments(self, N):
+        # int_0^pi cos^{2j} sin^{N-2} = B(j + 1/2, (N-1)/2), exact up to degree 31
+        nodes, weights = variational._gauss_sphere(N, 16)
+        for j in range(16):
+            b = math.exp(math.lgamma(j + 0.5) + math.lgamma((N - 1) / 2.0)
+                         - math.lgamma(j + N / 2.0))
+            assert float(weights @ nodes ** (2 * j)) == pytest.approx(b, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def points(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            N, a = int(rng.integers(5, 9)), rng.uniform(0.3, 3.0)
+            lower = float(ckn.beta_lower(N, a))
+            yield ckn.derive(N, a, lower + (a - 2.0 - lower) * rng.uniform(0.05, 0.95)), rng
+
+    def errors(self, P, grid, direction, monkeypatch):
+        """Largest relative error of perturbed_quotient at t = +-0.05, +-0.2 against
+        the quotient with a 512-node rule."""
+        mode, out = make_mode(P, 1), []
+        for t in (0.05, -0.05, 0.2, -0.2):
+            val = perturbed_quotient(P, t, mode, direction)
+            with monkeypatch.context() as m:
+                m.setattr(variational, "_gauss_sphere", lambda N, count: self.reference(N, 512))
+                ref = perturbed_quotient(P, t, mode, direction)
+            out.append(abs(val - ref) / ref)
+        return max(out)
+
+    @staticmethod
+    def node_counts(monkeypatch):
+        counts, rule = [], variational._gauss_sphere
+        monkeypatch.setattr(variational, "_gauss_sphere",
+                            lambda N, count: counts.append(count) or rule(N, count))
+        return counts
+
+    def test_z1_directions(self, grid, monkeypatch):
+        # |t f| <= U/2 at |t| <= 0.2 along Z1: the integrand is analytic on a wide ellipse
+        # around c in [-1, 1], and 16 nodes are as accurate as 512 (measured: 1.0e-15)
+        counts = self.node_counts(monkeypatch)
+        for P, _ in self.points(20261, 8):
+            z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(P, 1, r))
+            assert self.errors(P, grid, z1, monkeypatch) <= 1e-14
+        assert set(counts) == {16}
+
+    def test_kinked_directions(self, grid, monkeypatch):
+        # Gaussians in t = ln r, normalized like Z1, reach |t f| > U where U decays:
+        # |u + t f c|^p has a kink in c, and the quotient takes 64 nodes there
+        # (measured: 4.7e-8; 64 Gauss-Legendre nodes in theta erred by up to 2.4e-7)
+        counts = self.node_counts(monkeypatch)
+        for P, rng in self.points(20262, 8):
+            f = gaussian_profile(grid, center=rng.uniform(-2.0, 2.0), width=rng.uniform(0.6, 2.0))
+            assert self.errors(P, grid, f, monkeypatch) <= 1e-7
+        assert 64 in counts
 
 
 class TestTailAdequacy:
