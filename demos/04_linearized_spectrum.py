@@ -40,7 +40,8 @@ print(f"  mode-1 profile residual on curve:   "
       f"{spectral.linearized_residual(Pf, 1, grid):.2e}")
 Poff = ckn.derive(5, 1.0, bfs + 0.3)
 print(f"  mode-1 profile residual off curve:  "
-      f"{spectral.linearized_residual(Poff, 1, grid):.2e} (not a solution there)")
+      f"{spectral.linearized_residual(Poff, 1, grid):.2e} "
+      f"(real degree l_1 = {ckn.linearized_degree(Poff, 1):.6f})")
 
 print("\nmode-exclusion comparison (p_M - 1) Gamma_M vs Gamma_{M+2k}:")
 for k in (1, 2, 3):

@@ -6,7 +6,7 @@ that separates the symmetry and symmetry-breaking regions of the
 (alpha, beta) parameter plane."""
 
 from .closedform import (ExtremalSpec, b_of_m, critical_constant, extremal_u,
-                         linearized_eigenvalue, linearized_mode, omega_sphere,
+                         linearized_degree, linearized_eigenvalue, linearized_mode, omega_sphere,
                          radial_constant_sr, rellich_constant, rellich_test_quotient, sobolev_s0)
 from .numerics import (LogGrid, RadialProfile, differentiate, gamma_fn,
                        integrate, make_grid, sample, tail_fraction)
@@ -27,7 +27,7 @@ __all__ = [
     "region_of", "beta_lower",
     "LogGrid", "RadialProfile", "make_grid", "sample", "differentiate",
     "integrate", "tail_fraction", "gamma_fn",
-    "ExtremalSpec", "extremal_u", "linearized_mode", "linearized_eigenvalue",
+    "ExtremalSpec", "extremal_u", "linearized_mode", "linearized_degree", "linearized_eigenvalue",
     "sobolev_s0", "b_of_m", "radial_constant_sr", "rellich_constant", "critical_constant",
     "omega_sphere", "rellich_test_quotient",
     "EmdenFowlerProfile", "to_emden_fowler", "from_emden_fowler",

@@ -26,7 +26,8 @@ __all__ = [
     "ExtremalSpec", "extremal_u", "extremal_shape", "scaling_direction", "sobolev_s0", "b_of_m",
     "omega_sphere", "radial_constant_sr", "rellich_constant",
     "rellich_constant_alt", "critical_constant", "linearized_mode",
-    "linearized_eigenvalue", "rellich_test_quotient", "rellich_limit_grid", "RAMP_WIDTH",
+    "linearized_degree", "linearized_eigenvalue", "rellich_test_quotient", "rellich_limit_grid",
+    "RAMP_WIDTH",
 ]
 
 
@@ -200,12 +201,24 @@ def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def linearized_degree(params: CknParams, k: int) -> float:
+    """Real degree l_k = -(M-2)/2 + sqrt(((M-2)/2)^2 + q^2 lambda_k), lambda_k = k(N-2+k), taken
+    as q^2 lambda_k / ((M-2)/2 + sqrt(...)), which does not cancel.  l_0 = 0, and l_1 = 1
+    exactly on the Felli-Schneider curve."""
+    if not params.subcritical:
+        raise RellichBoundary("the linearized modes require beta < alpha - 2")
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k = {k}")
+    half = (params.M_dim - 2.0) / 2.0
+    q2lam = params.q_pow ** 2 * k * (params.N - 2.0 + k)
+    return q2lam / (half + math.sqrt(half * half + q2lam))
+
+
 def linearized_eigenvalue(params: CknParams, k: int, n: int = 0) -> float:
     """Eigenvalue nu_{k,n} (n = 0, 1, ... from the bottom) of the mode-k pencil
     E_k f = nu D f of spectral.mode_eigenpairs:
 
-        nu_{k,n} = Gamma_{M+2(l_k+n)} / Gamma_M,   Gamma_X = (X-4)(X-2)X(X+2),
-        l_k = -(M-2)/2 + sqrt(((M-2)/2)^2 + q^2 lambda_k),   lambda_k = k(N-2+k).
+        nu_{k,n} = Gamma_{M+2(l_k+n)}/Gamma_M, Gamma_X = (X-4)(X-2)X(X+2), l_k = linearized_degree.
 
     The map u(r) = r^{-a} v(r^{1/q}) of transforms.to_dimension_m turns mode k
     of the N-dimensional pencil into the radial fourth-order problem in
@@ -218,16 +231,13 @@ def linearized_eigenvalue(params: CknParams, k: int, n: int = 0) -> float:
     Dolbeault-Esteban-Loss, Invent. Math. 2016).  The extremal U is the
     eigenfunction of nu_{0,0} = 1, the scaling direction that of
     nu_{0,1} = (M+4)/(M-4) = p - 1, and l_1 = 1, so nu_{1,0} = p - 1, exactly
-    on the Felli-Schneider curve.  l_k is evaluated as
-    q^2 lambda_k / ((M-2)/2 + sqrt(...)), which does not cancel.
+    on the Felli-Schneider curve.  The eigenfunctions, in s = r^{1/q}, are the Gegenbauer
+    profiles s^{l_k} (1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)).
     """
-    if not params.subcritical:
-        raise RellichBoundary("linearized_eigenvalue requires beta < alpha - 2")
-    if k < 0 or n < 0:
-        raise ValueError(f"need k, n >= 0, got k = {k}, n = {n}")
-    M, half = params.M_dim, (params.M_dim - 2.0) / 2.0
-    q2lam = params.q_pow ** 2 * k * (params.N - 2.0 + k)
-    x = M + 2.0 * (q2lam / (half + math.sqrt(half * half + q2lam)) + n)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
+    M = params.M_dim
+    x = M + 2.0 * (linearized_degree(params, k) + n)
     return (x - 4.0) * (x - 2.0) * x * (x + 2.0) / ((M - 4.0) * (M - 2.0) * M * (M + 2.0))
 
 

@@ -47,7 +47,6 @@ class CknParams:
     p: float
     kappa1: float
     kappa2: float
-    cal_A: float
     cal_B: float
     K2: float
     K0: float
@@ -151,7 +150,6 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
     p = 2.0 * T / (N + beta)
     kappa1 = T / 2.0
     kappa2 = (N + beta) / 2.0
-    cal_A = (beta + 2.0 - alpha) / 2.0
     cal_B = kappa1 * kappa2
     # From |alpha| ~ 1e77 on the degree-4 products leave the float range (** raises, * gives
     # inf).  gamma, K0 and amp_base bound every scalar here, so a check on them turns any
@@ -182,7 +180,7 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
     region = next((r for r, holds in _region_rules(N, alpha, beta, lo, bfs) if holds),
                   RegionClass.CONJECTURED_SYMMETRY)
     return CknParams(N=N, alpha=alpha, beta=beta, gamma=gamma, p=p,
-                     kappa1=kappa1, kappa2=kappa2, cal_A=cal_A, cal_B=cal_B,
+                     kappa1=kappa1, kappa2=kappa2, cal_B=cal_B,
                      K2=K2, K0=K0, m_exp=m_exp, nu=nu, C_amp=C_amp,
                      a_shift=a_shift, q_pow=q_pow, M_dim=M_dim,
                      beta_fs=bfs, region=region)

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
-from .closedform import omega_sphere
+from .closedform import linearized_degree, linearized_eigenvalue, omega_sphere
 from .errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, log_gamma
 from .params import CknParams, RegionClass, second_variation_gap
@@ -71,6 +71,8 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     nu sits on the eps/h^4 floor of the sum, below that of SHIFT + 1/theta or x^T E x."""
     if not params.subcritical:
         raise RellichBoundary("mode_eigenpairs requires beta < alpha - 2")
+    # r^{-kappa1}, built first: a grid on which it overflows raises BadGridSpec before the solve
+    back = _forms.from_scaled(params, grid, 1.0)
     ab = _forms.energy_band(params, mode.lambda_k, grid)
     d = _forms.mass_vector(params, grid)
     solve = _forms.cholesky_solver(np.vstack([ab[:-1], ab[-1] - SHIFT * d]),
@@ -105,7 +107,7 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
         nu = float(w @ apply_b(phi) ** 2)
         residual = float(np.linalg.norm(dsbmv(_forms.BAND, 1.0, ab, x) - nu * (d * x))
                          / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
-        profile = RadialProfile(grid=grid, values=_forms.from_scaled(params, grid, phi))
+        profile = RadialProfile(grid=grid, values=phi * back)
         results.append(SpectralResult(eigenvalue=nu, profile=profile, residual=residual,
                                       iters=solves))
     return results
@@ -165,51 +167,52 @@ def second_variation_sign(params: CknParams) -> int:
 
 
 def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
-    """Normalized sup residual of the effective-dimension linearized ODE
+    """Normalized sup residual of the effective-dimension linearized ODE of mode k,
 
-        (L_s - varpi_k/s^2)^2 X = (q^2 lambda_k - varpi_k)
-              (2/s^2 X'' + 2(M-3)/s^3 X' - [2(M-4) + q^2 lambda_k + varpi_k]/s^4 X)
-            + (p_M - 1) Gamma_M (1+s^2)^{-4} X,
+        (L_s - q^2 lambda_k/s^2)^2 X = nu_{k,n} Gamma_M (1+s^2)^{-4} X, L_s = d_ss + (M-1)/s d_s,
 
-    where L_s = d^2/ds^2 + (M-1)/s d/ds and p_M = 2M/(M-4), with
-    X = X0 = (1-s^2)(1+s^2)^{-(M-2)/2} (which = 0, k = 0) or
-    X = X1 = s(1+s^2)^{-(M-2)/2} (which = 1, k = 1).
-
-    X0 always solves its equation; X1 solves it exactly only on the
-    Felli-Schneider curve, where q^2 lambda_1 = varpi_1.  Derivatives are taken by
-    finite differences from samples at numerics.anchored_ts, so the value certifies
-    the profile rather than restating algebra; BadGridSpec where s^2 overflows.
+    at X0 = (1-s^2)(1+s^2)^{-(M-2)/2} (which = 0: k = 0, n = 1, the scaling direction) or
+    X1 = s^{l_1}(1+s^2)^{-(M-4)/2-l_1} (which = 1: k = 1, n = 0), with l_k from
+    closedform.linearized_degree and nu_{k,n} from closedform.linearized_eigenvalue.  Both
+    are exact solutions at every subcritical point; l_1 = 1 on the Felli-Schneider curve.
+    As beta -> alpha - 2, l_1 grows and X1 narrows: at (5, 1, -1.1), l_1 = 16.6 and the
+    residual is 2.8e-7 on the default grid, 1.7e-8 at n = 8001; (5, 1, -1.01) needs n = 16001.
+    Derivatives are finite differences of samples at numerics.anchored_ts, so the value
+    certifies the profile rather than restating algebra; BadGridSpec where s^2 overflows.
     """
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
-    if not params.subcritical:
-        raise RellichBoundary("linearized_residual requires beta < alpha - 2")
-    M = params.M_dim
-    varpi = float(which) * (M - 2.0 + which)
-    q2lam = params.q_pow ** 2 * which * (params.N - 2.0 + which)
+    M, l1 = params.M_dim, linearized_degree(params, 1)     # RellichBoundary at beta = alpha - 2
+    if which == 0:
+        return _mode_residual(params, 0, 1, grid,
+                              lambda t, s2: (1.0 - s2) * (1.0 + s2) ** (-(M - 2.0) / 2.0))
+
+    def x1(t, s2):
+        # in log space and scaled to peak 1 (the residual is homogeneous in X):
+        # s^{l_1} and (1+s^2)^{-l_1} overflow apart for large l_1, and X1 underflows at large M
+        log_x = l1 * t - (l1 + (M - 4.0) / 2.0) * np.log1p(s2)
+        return np.exp(log_x - log_x.max())
+    return _mode_residual(params, 1, 0, grid, x1)
+
+
+def _mode_residual(params: CknParams, k: int, n: int, grid: LogGrid, profile) -> float:
+    """linearized_residual's value for X = profile(t, s^2), s = e^t at numerics.anchored_ts,
+    and eigenvalue nu_{k,n}."""
+    M, c = params.M_dim, make_mode(params, k).q2lambda_k
     t = numerics.anchored_ts(grid)
     s = numerics.grid_exp(t, "s")
     s2 = numerics.grid_exp(s, "s^2", 2.0 * t[-1], np.square)
-    env = (1.0 + s2) ** (-(M - 2.0) / 2.0)
-    x = ((1.0 - s2) * env) if which == 0 else (s * env)
-
-    # Everything is evaluated multiplied by s^4 and expressed through
-    # d/dt (t = ln s), which keeps all terms bounded: with
-    # G1 = s^2 (L_s - varpi/s^2) X the left side becomes
-    # s^4 (L_s - varpi/s^2)^2 X = G1'' + (M-6) G1' + (8 - 2M - varpi) G1.
+    x = profile(t, s2)
+    # Everything is evaluated multiplied by s^4 and expressed through d/dt (t = ln s), which
+    # keeps all terms bounded: with G1 = s^2 (L_s - c/s^2) X the left side becomes
+    # s^4 (L_s - c/s^2)^2 X = G1'' + (M-6) G1' + (8 - 2M - c) G1.
     prof = numerics.with_derivatives(RadialProfile(grid=grid, values=x))
-    g1 = prof.d2 + (M - 2.0) * prof.d1 - varpi * x
+    g1 = prof.d2 + (M - 2.0) * prof.d1 - c * x
     gp = numerics.with_derivatives(RadialProfile(grid=grid, values=g1))
-    lhs = gp.d2 + (M - 6.0) * gp.d1 + (8.0 - 2.0 * M - varpi) * g1
-
+    lhs = gp.d2 + (M - 6.0) * gp.d1 + (8.0 - 2.0 * M - c) * g1
     gamma_m = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    p_m = 2.0 * M / (M - 4.0)
-    ratio4 = (s / (1.0 + s2)) ** 4
-    eig_term = (p_m - 1.0) * gamma_m * ratio4 * x
-    # s^2 X'' = X_tt - X_t and s X' = X_t
-    extra = (q2lam - varpi) * (2.0 * (prof.d2 - prof.d1) + 2.0 * (M - 3.0) * prof.d1
-                               - (2.0 * (M - 4.0) + q2lam + varpi) * x)
-    res = np.abs(lhs - extra - eig_term)
+    eig_term = linearized_eigenvalue(params, k, n) * gamma_m * (s / (1.0 + s2)) ** 4 * x
+    res = np.abs(lhs - eig_term)
     return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max() / np.abs(eig_term).max())
 
 
@@ -236,8 +239,8 @@ def gamma_comparison(M: float, k: int) -> tuple[float, float, bool]:
 def spectral_gap(params: CknParams, grid: LogGrid) -> float:
     """Numerical surrogate for the third eigenvalue on the critical lower
     boundary with alpha < 0: the minimum over k in {1, 2, 3} of the mode-k
-    bottom eigenvalue.  Grid-dependent; reported, not asserted against any
-    closed form, beyond the requirement that it exceed p - 1."""
+    bottom eigenvalue.  Grid-dependent; its exact value is
+    closedform.linearized_eigenvalue(params, 1, 0), which the tests hold it to."""
     if params.region is not RegionClass.CRITICAL_UPPER_ALPHA_NEG:
         raise WrongRegion("spectral_gap is defined on the critical lower "
                           "boundary with 2 - N < alpha < 0")

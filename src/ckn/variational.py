@@ -31,16 +31,11 @@ __all__ = ["ModeSpec", "make_mode", "radial_energy", "mode_energy",
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """Spherical mode k with its sphere eigenvalue and effective-dimension data.
-
-    lambda_k = k(N-2+k); varpi_k = k(M-2+k); q2lambda_k = q^2 lambda_k.
-    q2lambda_k >= varpi_k for k >= 1, with equality at k = 1 exactly on the
-    Felli-Schneider curve.
-    """
+    """Spherical mode k: lambda_k = k(N-2+k) and its effective-dimension image q2lambda_k =
+    q^2 lambda_k = l_k (l_k + M - 2), l_k the real degree of closedform.linearized_degree."""
 
     k: int
     lambda_k: float
-    varpi_k: float
     q2lambda_k: float
     multiplicity: int
 
@@ -54,10 +49,7 @@ def make_mode(params: CknParams, k: int) -> ModeSpec:
     lam = float(k * (N - 2 + k))
     mult = 1 if k == 0 else ((N + 2 * k - 2) * math.factorial(N + k - 3)
                              // (math.factorial(N - 2) * math.factorial(k)))
-    return ModeSpec(k=k, lambda_k=lam,
-                    varpi_k=float(k) * (params.M_dim - 2.0 + k),
-                    q2lambda_k=params.q_pow ** 2 * lam,
-                    multiplicity=mult)
+    return ModeSpec(k=k, lambda_k=lam, q2lambda_k=params.q_pow ** 2 * lam, multiplicity=mult)
 
 
 def _mode_form(phi: np.ndarray, grid: LogGrid, params: CknParams, lambda_k: float) -> float:

@@ -179,6 +179,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("point", [("5", "1", "-2"), ("5", "1", "-3"), ("6", "0.5", "-2.5"),
+                                       ("6", "-1", "-4"), ("5", "-2.5", "-4.6"),
+                                       ("8", "3", "-1.9")])
+    def test_linearized_off_curve(self, capsys, point):
+        # mode 1 was a row with tolerance null off the curve, which always passed
+        N, a, b = point
+        code, out = run(capsys, "verify", "linearized", "-N", N, "-a", a, "-b", b,
+                        "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks] == ["linearized_residual_mode0",
+                                                "linearized_residual_mode1"]
+        assert all(c["tolerance"] == 1e-7 and c["value"] < 1e-7 and c["pass"] for c in checks)
+
     def test_linearized_mode0_generic_point(self, capsys):
         code, out = run(capsys, "verify", "linearized", "-N", "6", "-a", "0.5",
                         "-b", "-2.5", "--format", "json")
@@ -256,6 +270,17 @@ class TestSpectrum:
                         "--kmax", "0", "--format", "json", "-n", "2001")
         assert code == 1
         assert json.loads(out)["error"] == "NoConvergence"
+
+    def test_overflowing_map_back_raises_before_the_solve(self, capsys, monkeypatch):
+        # r^{-kappa1} overflows on t in [-14, 700]; it was found only when the profiles were
+        # mapped back, after a factorization and a Lanczos run
+        calls = count_calls(monkeypatch, (_forms, "cholesky_solver"), (spla, "eigsh"))
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--t-max=700",
+                        "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "BadGridSpec" and "r^-kappa1" in doc["message"]
+        assert calls == {"cholesky_solver": 0, "eigsh": 0}
 
     def test_failed_cholesky_exit_1(self, capsys, monkeypatch):
         # a mass form three times too large puts the bottom eigenvalue near
@@ -623,9 +648,8 @@ class TestWideGrids:
         else:
             assert code in (0, 2)
             assert code == 0 or doc["error"] == "BadGridSpec"
-        for key, leaf in _leaves(doc):
-            if key != "tolerance":          # None where a check has no tolerance
-                assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
+        for _, leaf in _leaves(doc):
+            assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
 
     @pytest.mark.parametrize("cmd", [
         # node noise of linspace, eps |t_min|, once put the residual at 1.8e-6

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_gegenbauer
 
 import ckn
 from ckn import _forms, numerics, spectral, transforms
-from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_eigenvalue,
-                            omega_sphere, scaling_direction)
+from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_degree,
+                            linearized_eigenvalue, omega_sphere, scaling_direction)
 from ckn.errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
@@ -300,6 +301,11 @@ class TestSecondVariation:
             assert second_variation_sign(p) == int(np.sign(eig - (p.p - 1.0)))
 
 
+# off the Felli-Schneider curve, alpha < 0 among them
+OFF_CURVE = [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5), (6, -1.0, -4.0), (5, -2.5, -4.6),
+             (8, 3.0, -1.9)]
+
+
 class TestLinearizedResidual:
     def test_mode0_exact(self, p512, grid):
         assert linearized_residual(p512, 0, grid) < 1e-7
@@ -309,8 +315,39 @@ class TestLinearizedResidual:
         assert linearized_residual(pf, 1, grid) < 1e-7
 
     def test_mode1_off_curve(self, grid):
-        p = ckn.derive(5, 1.0, ckn.felli_schneider(5, 1.0) + 0.3)
-        assert linearized_residual(p, 1, grid) > 1e-3
+        # X1 = s^{l_1}(1+s^2)^{-(M-4)/2-l_1} at nu_{1,0} solves the mode-1 equation at every
+        # point; s(1+s^2)^{-(M-2)/2} at p - 1 left residuals of 0.17 to 3.9e3 here
+        for point in OFF_CURVE:
+            assert linearized_residual(ckn.derive(*point), 1, grid) < 1e-7, point
+
+    def test_mode1_degree_is_one_on_the_curve_only(self):
+        for N, a in ((5, 1.0), (6, 2.0), (8, 0.3), (7, 0.5)):
+            on = ckn.derive(N, a, ckn.felli_schneider(N, a))
+            assert abs(linearized_degree(on, 1) - 1.0) < 1e-12
+        for point in OFF_CURVE:
+            assert abs(linearized_degree(ckn.derive(*point), 1) - 1.0) > 1e-2, point
+
+    def test_mode1_narrow_profile_near_the_rellich_boundary(self):
+        # l_1 = 16.6 (M = 82) and l_1 = 1657 (M = 8002): X1 narrows, and X1 scaled to peak 1
+        # is representable where s (1+s^2)^{-(M-2)/2} underflows at every node
+        for beta, n in ((-1.1, 8001), (-1.001, 32001)):
+            assert linearized_residual(ckn.derive(5, 1.0, beta), 1, ckn.make_grid(n=n)) < 1e-7
+
+    @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (6, -1.0, -4.0), (5, 1.0, -2.0),
+                                       (8, 3.0, -1.9)])
+    def test_gegenbauer_eigenfunctions(self, grid, point):
+        # X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)) at nu_{k,n},
+        # also for n >= 2, which mode_eigenpairs never returns (worst 1.7e-7: k = n = 3 at
+        # (6, -1, -4), the eps/h^4 floor of the stacked stencils)
+        P = ckn.derive(*point)
+        M = P.M_dim
+        for k in range(4):
+            lk = linearized_degree(P, k)
+            for n in range(4):
+                def x(t, s2):
+                    return (np.exp(lk * t - (lk + (M - 4.0) / 2.0) * np.log1p(s2))
+                            * eval_gegenbauer(n, lk + (M - 1.0) / 2.0, (1.0 - s2) / (1.0 + s2)))
+                assert spectral._mode_residual(P, k, n, grid, x) < 3e-7, (k, n)
 
     def test_mode0_other_params(self, grid):
         assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, grid) < 1e-7
@@ -350,6 +387,12 @@ class TestSpectralGap:
     def test_second_point(self, grid):
         p = ckn.derive(5, -2.0, ckn.beta_lower(5, -2.0))
         assert spectral_gap(p, grid) > p.p - 1.0
+
+    @pytest.mark.parametrize("N, alpha", [(5, -1.0), (5, -2.0), (6, -1.5), (7, -3.0)])
+    def test_is_the_mode1_closed_form(self, grid, N, alpha):
+        # the bottom of mode 1 is the gap; measured 6e-12 to 5.5e-11 on the default grid
+        p = ckn.derive(N, alpha, ckn.beta_lower(N, alpha))
+        assert spectral_gap(p, grid) == pytest.approx(linearized_eigenvalue(p, 1, 0), rel=1e-8)
 
     def test_mode_monotonicity(self, grid):
         p = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0))

@@ -6,7 +6,8 @@ import pytest
 
 import ckn
 from ckn import _forms, variational
-from ckn.closedform import ExtremalSpec, extremal_u, omega_sphere, radial_constant_sr
+from ckn.closedform import (ExtremalSpec, extremal_u, linearized_degree, omega_sphere,
+                            radial_constant_sr)
 from ckn.errors import AmplitudeTooLarge, CknError, RellichBoundary, TailInadequate
 from ckn.numerics import RadialProfile
 from ckn.variational import (make_mode, minimize_radial, mode_energy,
@@ -41,19 +42,17 @@ class TestModeSpec:
         assert make_mode(p512, 2).multiplicity == (N + 2) * (N - 1) // 2
 
     def test_mode_comparison_inequality(self):
-        # q^2 lambda_k >= varpi_k for k >= 1, equality at k = 1 exactly on
-        # the Felli-Schneider curve
+        # q^2 lambda_k = l_k (l_k + M - 2) against the integer degree's k (k + M - 2): l_1 = 1
+        # exactly on the Felli-Schneider curve, above 1 over it and below 1 under it
         bfs = ckn.felli_schneider(5, 1.0)
         pf = ckn.derive(5, 1.0, bfs)
-        m1 = make_mode(pf, 1)
-        assert m1.q2lambda_k == pytest.approx(m1.varpi_k, rel=1e-12)
+        l1 = linearized_degree(pf, 1)
+        assert make_mode(pf, 1).q2lambda_k == pytest.approx(l1 * (l1 + pf.M_dim - 2.0), rel=1e-14)
+        assert l1 == pytest.approx(1.0, abs=1e-12)
         for k in (2, 3):
-            mk = make_mode(pf, k)
-            assert mk.q2lambda_k > mk.varpi_k
-        above = ckn.derive(5, 1.0, -2.0)
-        below = ckn.derive(5, 1.0, -3.0)
-        assert make_mode(above, 1).q2lambda_k > make_mode(above, 1).varpi_k
-        assert make_mode(below, 1).q2lambda_k < make_mode(below, 1).varpi_k
+            assert linearized_degree(pf, k) > k
+        assert linearized_degree(ckn.derive(5, 1.0, -2.0), 1) > 1.0
+        assert linearized_degree(ckn.derive(5, 1.0, -3.0), 1) < 1.0
 
     def test_rellich_boundary(self):
         with pytest.raises(RellichBoundary):
