@@ -43,13 +43,14 @@ print(f"  mode-1 profile residual off curve:  "
       f"{spectral.linearized_residual(Poff, 1, grid):.2e} "
       f"(real degree l_1 = {ckn.linearized_degree(Poff, 1):.6f})")
 
-print("\nmode-exclusion comparison (p_M - 1) Gamma_M vs Gamma_{M+2k}:")
+print("\nnonradial modes against p - 1 at (5, 1, -2): nu_(k,0) = Gamma_(M+2 l_k)/Gamma_M "
+      "rises with the degree l_k:")
 for k in (1, 2, 3):
-    lhs, rhs, holds = spectral.gamma_comparison(10.0, k)
-    print(f"  k = {k}: {lhs:10.1f} <= {rhs:10.1f}  ({holds})")
+    print(f"  k = {k}: l_k = {ckn.linearized_degree(P, k):.6f}, "
+          f"nu_(k,0) = {ckn.linearized_eigenvalue(P, k, 0):.6f} > p - 1 = {P.p - 1:.6f}")
 
 print("\nspectral gap surrogate on the critical lower boundary:")
 Pc = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0))
 gap = spectral.spectral_gap(Pc, grid)
-print(f"  (5, -1): min over k in 1..3 of the bottom eigenvalue = {gap:.4f} "
+print(f"  (5, -1): lowest nonradial eigenvalue nu_(1,0) = {gap:.4f} "
       f"> p - 1 = {Pc.p - 1:.4f}")

@@ -3,8 +3,9 @@
 Everything here reduces to one-dimensional quadrature per spherical mode:
 the weight-shift identity behind the alpha = 0 symmetry result, the
 dilation identity, the two-sided equivalence between the div-form and
-Laplacian-form energies, and the test sequence whose quotient descends to
-the sharp Rellich constant ((N-4)/2)^4 at the p = 2 boundary.
+Laplacian-form energies with its sharp bounds, and the test sequence whose
+quotient descends to the sharp Rellich constant ((N-4)/2)^4 at the p = 2
+boundary.
 """
 
 import numpy as np
@@ -41,10 +42,10 @@ for N, alpha in ((5, -1.0), (6, -2.0)):
 print("\ntwo-sided equivalence of the second-order energies:")
 for N, a, b in ((5, 1.0, -2.0), (5, -1.0, -4.0), (5, 0.0, -3.0)):
     P = ckn.derive(N, a, b)
-    c = identities.equivalence_bracket(P)
+    lo, hi = identities.equivalence_bounds(P)
     ratios = [identities.equivalence_ratio(bump, k, P) for k in range(4)]
     print(f"  ({N}, {a}, {b}): ratios {[f'{r:.3f}' for r in ratios]} "
-          f"inside [1/{c:.2f}, {c:.2f}]")
+          f"inside the sharp bounds [{lo:.4f}, {hi:.4f}]")
 
 print("\nRellich test-sequence quotient at (N, alpha) = (5, -2), limit 1/16:")
 g = rellich_limit_grid()

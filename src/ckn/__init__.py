@@ -12,8 +12,8 @@ from .numerics import (LogGrid, RadialProfile, differentiate, gamma_fn,
                        integrate, make_grid, sample, tail_fraction)
 from .params import (CknParams, RegionClass, beta_lower, classify, derive,
                      felli_schneider, region_of)
-from .spectral import (SpectralResult, gamma_comparison, linearized_residual, mode_eigenpairs,
-                       mode_eigenvalue, second_variation_z1, spectral_gap)
+from .spectral import (SpectralResult, linearized_residual, mode_eigenpairs, mode_eigenvalue,
+                       second_variation_z1, spectral_gap)
 from .transforms import (EmdenFowlerProfile, cosh_ansatz_check, cosh_profile,
                          from_dimension_m, from_emden_fowler, ode_residual,
                          rayleigh_m, to_dimension_m, to_emden_fowler)
@@ -36,6 +36,6 @@ __all__ = [
     "ModeSpec", "make_mode", "radial_energy", "mode_energy",
     "minimize_radial", "perturbed_quotient",
     "SpectralResult", "mode_eigenpairs", "mode_eigenvalue", "second_variation_z1",
-    "linearized_residual", "gamma_comparison", "spectral_gap",
+    "linearized_residual", "spectral_gap",
     "__version__",
 ]

@@ -222,11 +222,11 @@ def cmd_verify(args) -> int:
     elif args.suite == "equivalence":
         P = _params_from(args)
         grid = _grid_from(args, cfg)
-        bracket = identities.equivalence_bracket(P)
         ratios = [r for prof in _random_profiles(grid, args.seed, 20)
                   for r in identities.equivalence_ratio(prof, range(4), P)]
-        inside = all(1.0 / bracket <= r <= bracket for r in ratios)
-        check("ratios_inside_bracket", max(ratios), bracket, ok=inside)
+        lo, hi = identities.equivalence_bounds(P)
+        check("ratios_above_lower_bound", min(ratios), lo, ok=min(ratios) >= lo)
+        check("ratios_below_upper_bound", max(ratios), hi)
         if P.alpha == 0.0:
             check("ratio_is_one_at_alpha_zero",
                   max(abs(r - 1.0) for r in ratios), 1e-14)

@@ -2,7 +2,8 @@
 the inequality: the weight-shift identity for |x|^4 |Delta u|^2, the Hardy
 dilation identity, the sign function separating the critical cases, the
 coefficient identities of the sharp critical constant, and the two-sided
-equivalence between the two second-order energies.
+equivalence between the two second-order energies, with its sharp bounds in
+closed form.
 
 Every integral check is done per spherical mode: with u = f(r) Psi_k the
 Laplacian acts as f'' + (N-1)/r f' - lambda_k/r^2 f, so each identity
@@ -20,12 +21,12 @@ import math
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, CknError, WeightOutOfRange
+from .errors import AlphaOutOfRange, CknError, MaxIters, WeightOutOfRange
 from .numerics import RadialProfile, checked_integrals, grid_power, simpson_terms, with_derivatives
 from .params import CknParams
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
-           "rellich_coeff_identities", "equivalence_ratio",
+           "rellich_coeff_identities", "equivalence_ratio", "equivalence_bounds",
            "equivalence_bracket", "weighted_hardy_check"]
 
 
@@ -124,60 +125,58 @@ def rellich_coeff_identities(N: int, alpha: float
     return lhs1, -c1, lhs2, c2
 
 
-def _hardy_rellich_mode_constant(N: int, w: float, lambda_k: float) -> float:
-    """Sharp per-mode constant of int |x|^{w-2}|grad u|^2 <= D int |x|^w |Delta u|^2,
-    from the Fourier symbols of the mode operator in the log variable."""
-    W = w + N - 1.0
-    sigma = (3.0 - W) / 2.0
-    c1 = 2.0 * sigma + N - 2.0
-    c0 = sigma * (sigma + N - 2.0) - lambda_k
-    s = sigma ** 2 + lambda_k
-    if c1 == 0.0 and c0 >= 0.0:
-        raise WeightOutOfRange(f"no weighted Hardy-Rellich constant at w = {w}")
+def equivalence_bounds(params: CknParams) -> tuple[float, float]:
+    """Sharp bounds (lo, hi) of the ratio of equivalence_ratio: its inf and sup over all
+    profiles and modes; exactly (1.0, 1.0) at alpha = 0.
 
-    def ratio(y: float) -> float:
-        den = (y - c0) ** 2 + c1 ** 2 * y
-        return (y + s) / den if den > 0 else math.inf
+    For u = r^{-kappa1} phi(t) Psi_k, t = ln r, each energy is int |P_c(i xi - kappa1)|^2
+    |phi^(xi)|^2 dxi, P_c(z) = z^2 + c z - lambda_k, c = N - 2 (numerator, P_1) or
+    N + alpha - 2 (denominator, P_2).  In y = xi^2, |P_c|^2 = y^2 + p_c y + q_c with
+    A_c = kappa1^2 - c kappa1 - lambda_k, p_c = (c - 2 kappa1)^2 - 2 A_c, q_c = A_c^2, so a
+    mode's extremes of R = |P_1|^2/|P_2|^2 lie at y = 0, at the roots y > 0 of
+    (p2 - p1) y^2 + 2 (q2 - q1) y + p1 q2 - p2 q1 = 0, or at y -> inf, where R -> 1.
 
-    disc = (s + c0) ** 2 - c1 ** 2 * s
-    best = ratio(0.0)
-    if disc >= 0.0:
-        y_star = -s + math.sqrt(disc)
-        if y_star > 0.0:
-            best = max(best, ratio(y_star))
-    return best
-
-
-def _hardy_rellich_constant(N: int, w: float) -> float:
-    """sup over spherical modes of the per-mode constant; the mode constants
-    decay like 1/lambda_k, so the scan stops once they decrease."""
-    best, prev, drops = 0.0, math.inf, 0
-    for k in range(0, 64):
-        dk = _hardy_rellich_mode_constant(N, w, float(k * (N - 2 + k)))
-        best = max(best, dk)
-        drops = drops + 1 if dk < prev else 0
-        if drops >= 2:
-            break
-        prev = dk
-    return best
+    The scan over k stops by a proven rule.  A_2 = -kappa1 kappa2 - lambda_k < 0 at every
+    admissible point, A_1 = A_2 + alpha kappa1, and d ln|P_c|^2/d lambda = 2 (y - A_c)/|P_c|^2.
+    (i) For alpha > 0, 0 < y - A_2 and y - A_1 < y - A_2, so d ln R/d lambda < 0 where
+        R >= 1: max(1, R) falls with k and hi is mode 0's.  For alpha < 0, y - A_1 > y - A_2
+        > 0, so d ln R/d lambda > 0 where R <= 1, and lo is mode 0's.
+    (ii) P_1(z) = P_2(z) - alpha z with |z|^2 = y + kappa1^2.  Once -A_2 >= kappa1^2,
+        |P_2|^2 >= (y - A_2)^2 >= -A_2 (y + kappa1^2): R lies in [max(0, 1 - d)^2, (1 + d)^2],
+        d = |alpha|/sqrt(-A_2), at this mode and (d falls with k) at every later one.
+    So the scan stops at the first such k where that bound is inside the running interval on
+    the other side of (i).  It ends near k = |alpha| (by k = 6 for |alpha| <= 6); MaxIters
+    past 1e5 modes.
+    """
+    N, alpha, beta, k1 = params.N, params.alpha, params.beta, params.kappa1
+    if alpha == 0.0:
+        return 1.0, 1.0
+    b1, b2 = 2.0 - 2.0 * alpha + beta, 2.0 - alpha + beta       # c - 2 kappa1
+    dp = alpha * (alpha - N - beta)                              # p1 - p2
+    lo = hi = 1.0                                                # y -> inf
+    for k in range(10 ** 5):
+        a2 = -params.cal_B - k * (N - 2.0 + k)
+        a1 = a2 + alpha * k1
+        p1, q1, p2, q2 = b1 * b1 - 2.0 * a1, a1 * a1, b2 * b2 - 2.0 * a2, a2 * a2
+        dq = alpha * k1 * (a1 + a2)                              # q1 - q2
+        c = p1 * dq - dp * q1               # stationary points: dp y^2 + 2 dq y + c = 0
+        disc, ys = dq * dq - dp * c, []
+        if disc >= 0.0 and (s := -dq - math.copysign(math.sqrt(disc), dq)):
+            ys = [c / s, s / dp] if dp else [c / s]     # linear at dp = 0: N - alpha + beta = 0
+        rs = [q1 / q2] + [(y * y + p1 * y + q1) / (y * y + p2 * y + q2) for y in ys if y > 0.0]
+        lo, hi = min(lo, *rs), max(hi, *rs)
+        if -a2 >= k1 * k1:
+            d = abs(alpha) / math.sqrt(-a2)
+            if max(0.0, 1.0 - d) ** 2 >= lo if alpha > 0.0 else (1.0 + d) ** 2 <= hi:
+                return lo, hi
+    raise MaxIters(f"equivalence_bounds: no stop within 1e5 modes at alpha = {alpha}")
 
 
 def equivalence_bracket(params: CknParams) -> float:
-    """Explicit constant c such that the energy ratio of equivalence_ratio
-    lies in [1/c, c] for every admissible profile.
-
-    Assembled conservatively from the two proof branches: the Delta-side
-    branch uses the sharp weighted Hardy-Rellich constant D at weight
-    w = 2 alpha - beta; the div-side branch uses E = (2/(N+beta))^2 (from
-    the weighted Hardy inequality; E = (2/T)^2 when beta >= alpha - 2).
-    """
-    N, alpha, beta = params.N, params.alpha, params.beta
-    a = abs(alpha)
-    D = _hardy_rellich_constant(N, 2.0 * alpha - beta)
-    T = 2.0 * params.kappa1
-    E = (2.0 / (N + beta)) ** 2 if alpha - beta - 2.0 > 0 else (2.0 / T) ** 2
-    return max(1.0 + a * (1.0 + D) + D * alpha ** 2,
-               1.0 + a * (1.0 + E) + E * alpha ** 2)
+    """Least c with every ratio of equivalence_ratio in [1/c, c]: max(hi, 1/lo) of
+    equivalence_bounds, and inf where lo = 0 (the numerator energy degenerates on a mode)."""
+    lo, hi = equivalence_bounds(params)
+    return max(hi, 1.0 / lo) if lo > 0.0 else math.inf
 
 
 def equivalence_ratio(u_mode: RadialProfile, k, params: CknParams):
@@ -186,8 +185,8 @@ def equivalence_ratio(u_mode: RadialProfile, k, params: CknParams):
         int |x|^{2 alpha - beta} |Delta u|^2 dx
         / int |x|^{-beta} |div(|x|^alpha grad u)|^2 dx.
 
-    Identically 1 at alpha = 0; always inside [1/c, c] with
-    c = equivalence_bracket(params).  One ratio for one mode k, and the list
+    Identically 1 at alpha = 0; always inside the sharp bounds [lo, hi] of
+    equivalence_bounds(params).  One ratio for one mode k, and the list
     of the one-mode ratios for a sequence of modes.
     """
     lams, one = _modes(k, params.N)

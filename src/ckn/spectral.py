@@ -31,7 +31,7 @@ from .variational import ModeSpec, make_mode
 
 __all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
            "second_variation_z1", "second_variation_bracket", "second_variation_sign",
-           "linearized_residual", "gamma_comparison", "spectral_gap"]
+           "linearized_residual", "spectral_gap"]
 
 #: Shift, basis size (clamped to the order) and stopping tolerance of the one shift-invert
 #: Lanczos run per mode (see mode_eigenpairs).  Every mode-k eigenvalue is >= 1 (the mode-0
@@ -216,36 +216,17 @@ def _mode_residual(params: CknParams, k: int, n: int, grid: LogGrid, profile) ->
     return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max() / np.abs(eig_term).max())
 
 
-def gamma_comparison(M: float, k: int) -> tuple[float, float, bool]:
-    """Both sides of the mode-exclusion comparison (p_M - 1) Gamma_M vs
-    Gamma_{M+2k}, Gamma_X = (X-4)(X-2)X(X+2).
-
-    Equality holds identically at k = 1 (both sides reduce to
-    (M-2)M(M+2)(M+4)); for k >= 2 the right side strictly dominates, which
-    is what rules out nontrivial higher-mode solutions.
-    """
-    if not M > 4:
-        raise MOutOfRange(f"need M > 4, got {M}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gm = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    m2 = M + 2.0 * k
-    lhs = (2.0 * M / (M - 4.0) - 1.0) * gm
-    rhs = (m2 - 4.0) * (m2 - 2.0) * m2 * (m2 + 2.0)
-    holds = lhs <= rhs * (1.0 + 1e-12) if k == 1 else lhs < rhs
-    return lhs, rhs, holds
-
-
 def spectral_gap(params: CknParams, grid: LogGrid) -> float:
-    """Numerical surrogate for the third eigenvalue on the critical lower
-    boundary with alpha < 0: the minimum over k in {1, 2, 3} of the mode-k
-    bottom eigenvalue.  Grid-dependent; its exact value is
-    closedform.linearized_eigenvalue(params, 1, 0), which the tests hold it to."""
+    """Lowest nonradial eigenvalue nu_{1,0} on the critical lower boundary with alpha < 0,
+    from the mode-1 pencil on grid.  nu_{k,0} = Gamma_{M+2 l_k}/Gamma_M rises with l_k, and
+    l_k with k, so mode 1 is the lowest nonradial mode.  It is not the third eigenvalue
+    counted over all modes: the radial nu_{0,2} = (M+4)(M+6)/((M-4)(M-2)) lies below it at
+    (5, -2), (6, -1.5) and (7, -3).  Grid-dependent; the tests hold it to
+    closedform.linearized_eigenvalue(params, 1, 0)."""
     if params.region is not RegionClass.CRITICAL_UPPER_ALPHA_NEG:
         raise WrongRegion("spectral_gap is defined on the critical lower "
                           "boundary with 2 - N < alpha < 0")
-    value = min(mode_eigenvalue(params, make_mode(params, k), 1, grid).eigenvalue
-                for k in (1, 2, 3))
+    value = mode_eigenvalue(params, make_mode(params, 1), 1, grid).eigenvalue
     if value <= params.p - 1.0:
         raise NoConvergence(f"gap surrogate {value} does not exceed p-1 = {params.p - 1.0}")
     return value

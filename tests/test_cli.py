@@ -470,7 +470,10 @@ class TestVerifyDeterminism:
         P = derive(5, -1.0, -3.5)
         ratios = [identities.equivalence_ratio(prof, k, P)
                   for prof in random_profiles(ckn.make_grid(), seed, 20) for k in range(4)]
-        assert checks["ratios_inside_bracket"] == max(ratios)
+        assert checks["ratios_above_lower_bound"] == min(ratios)
+        assert checks["ratios_below_upper_bound"] == max(ratios)
+        tolerances = [c["tolerance"] for c in json.loads(serial)["checks"]]
+        assert tolerances == list(identities.equivalence_bounds(P))
 
 
 class TestVerifyModeBatch:

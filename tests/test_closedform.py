@@ -251,7 +251,7 @@ class TestLinearizedEigenvalue:
         P = ckn.derive(N, alpha, beta)
         gap = linearized_eigenvalue(P, 1, 0) - (P.p - 1.0)
         assert np.sign(gap) == second_variation_sign(P)
-        # higher modes and higher n lie above: gamma_comparison's k >= 2 statement
+        # higher modes and higher n lie above: TestGammaComparison's k >= 2 statement
         assert linearized_eigenvalue(P, 2, 0) > P.p - 1.0
         assert linearized_eigenvalue(P, 1, 0) < linearized_eigenvalue(P, 1, 1)
 
@@ -269,6 +269,53 @@ class TestLinearizedEigenvalue:
             linearized_eigenvalue(ckn.derive(5, 1.0, -1.0), 0, 0)
         with pytest.raises(ValueError):
             linearized_eigenvalue(p512, -1, 0)
+
+
+def gamma_x(x):
+    """Gamma_X = (X-4)(X-2)X(X+2): nu_{k,n} = Gamma_{M+2(l_k+n)}/Gamma_M."""
+    return (x - 4.0) * (x - 2.0) * x * (x + 2.0)
+
+
+class TestGammaComparison:
+    """The mode-exclusion comparison (p_M - 1) Gamma_M against Gamma_{M+2l} at integer
+    degree l, p_M = 2M/(M-4): equal at l = 1, the right side strictly larger from l = 2 on,
+    which rules out nontrivial higher-mode solutions."""
+
+    @staticmethod
+    def sides(M, l):
+        return (2.0 * M / (M - 4.0) - 1.0) * gamma_x(M), gamma_x(M + 2.0 * l)
+
+    def test_equality_at_k1(self):
+        lhs, rhs = self.sides(10.0, 1)
+        assert lhs == pytest.approx(13440.0, rel=1e-14)
+        assert rhs == pytest.approx(13440.0, rel=1e-14)
+        assert lhs <= rhs * (1.0 + 1e-12)
+
+    def test_strict_at_k2(self):
+        lhs, rhs = self.sides(10.0, 2)
+        assert rhs == pytest.approx(26880.0, rel=1e-14)
+        assert lhs < rhs
+
+    def test_m5(self):
+        lhs, rhs = self.sides(5.0, 1)
+        assert lhs <= rhs * (1.0 + 1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_noninteger_m_strictness_sweep(self):
+        for M in (4.7, 6.3, 9.1, 14.5):
+            for k in (2, 3, 4):
+                lhs, rhs = self.sides(M, k)
+                assert lhs < rhs
+
+    @pytest.mark.parametrize("N", [5, 10])
+    def test_is_the_linearized_eigenvalue(self, N):
+        # at (alpha, beta) = (0, -4), M = N and l_k = k: the two sides are
+        # nu_{0,1} Gamma_M = (p - 1) Gamma_M and nu_{k,0} Gamma_M
+        P = ckn.derive(N, 0.0, -4.0)
+        for k in (1, 2, 3):
+            lhs, rhs = self.sides(float(N), k)
+            assert linearized_eigenvalue(P, 0, 1) * gamma_x(N) == pytest.approx(lhs, rel=1e-14)
+            assert linearized_eigenvalue(P, k, 0) * gamma_x(N) == pytest.approx(rhs, rel=1e-14)
 
 
 class TestRellichTestQuotient:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 import ckn
 from ckn import identities
+from ckn.cli import _random_profiles
 from ckn.closedform import rellich_constant, rellich_constant_alt
-from ckn.errors import AlphaOutOfRange, WeightOutOfRange
-from ckn.identities import (equivalence_bracket, equivalence_ratio,
+from ckn.errors import AlphaOutOfRange, MaxIters, WeightOutOfRange
+from ckn.identities import (equivalence_bounds, equivalence_bracket, equivalence_ratio,
                             rellich_coeff_identities, verify_hardy_identity,
                             verify_iid, weighted_hardy_check, xi_sign)
 from ckn.numerics import RadialProfile, simpson_weights, with_derivatives
@@ -208,6 +211,126 @@ class TestEquivalenceRatio:
         shift = 50
         rolled = RadialProfile(grid=grid, values=np.roll(base.values, shift))
         assert equivalence_ratio(rolled, 0, p512) == pytest.approx(r0, rel=1e-9)
+
+
+def symbol_coeffs(P, k):
+    """[p1, q1, p2, q2]: |P_c(i xi - kappa1)|^2 = y^2 + p_c y + q_c in y = xi^2, for
+    P_c(z) = z^2 + c z - lambda_k with c = N - 2 (1) and c = N + alpha - 2 (2)."""
+    out = []
+    for c in (P.N - 2.0, P.N + P.alpha - 2.0):
+        a = P.kappa1 ** 2 - c * P.kappa1 - k * (P.N - 2 + k)
+        out += [(c - 2.0 * P.kappa1) ** 2 - 2.0 * a, a * a]
+    return out
+
+
+def dense_scan_bounds(P, kmax=60):
+    """(lo, hi) of the symbol ratio by a dense y-scan over the modes k < kmax (and the
+    limit 1 at y -> inf), each extreme refined by a bounded Brent search between the
+    neighbours of its best node."""
+    y = np.concatenate([[0.0], np.logspace(-8.0, 12.0, 20001)])
+    p1, q1, p2, q2 = np.array([symbol_coeffs(P, k) for k in range(kmax)]).T[:, :, None]
+    ratios = (y * y + p1 * y + q1) / (y * y + p2 * y + q2)
+    ends = []
+    for sign in (1.0, -1.0):
+        k, i = np.unravel_index(np.argmin(sign * ratios), ratios.shape)
+
+        def f(v, k=k):
+            return sign * (v * v + p1[k, 0] * v + q1[k, 0]) / (v * v + p2[k, 0] * v + q2[k, 0])
+        best = f(y[i])
+        if 0 < i < len(y) - 1:
+            best = min(best, minimize_scalar(f, bounds=(y[i - 1], y[i + 1]), method="bounded").fun)
+        ends.append(sign * best)
+    return min(ends[0], 1.0), max(ends[1], 1.0)
+
+
+def mode_scan_bounds(P, kmax=600):
+    """(lo, hi) from the stationary points of every mode k < kmax, with no stop rule:
+    y = 0 and the real roots y > 0 of (p2-p1) y^2 + 2 (q2-q1) y + p1 q2 - p2 q1."""
+    lo = hi = 1.0
+    for k in range(kmax):
+        p1, q1, p2, q2 = symbol_coeffs(P, k)
+        roots = np.roots([p2 - p1, 2.0 * (q2 - q1), p1 * q2 - p2 * q1])
+        ys = [0.0] + [r.real for r in roots if r.imag == 0.0 and r.real > 0.0]
+        rs = [(v * v + p1 * v + q1) / (v * v + p2 * v + q2) for v in ys]
+        lo, hi = min(lo, *rs), max(hi, *rs)
+    return lo, hi
+
+
+def sweep_point(N, kind, u, frac):
+    """An admissible point: alpha < 0, 0 < alpha <= 5 or |alpha| <= 1e-3 by kind, beta a
+    fraction frac of the way from beta_lower to the Rellich line (both ends included)."""
+    alpha = {"neg": -(N - 2.0) * 0.999 * u, "pos": 5.0 * u, "tiny": 1e-3 * (2.0 * u - 1.0)}[kind]
+    lo = ckn.beta_lower(N, alpha)
+    return ckn.derive(N, alpha, alpha - 2.0 if frac == 1.0 else lo + frac * (alpha - 2.0 - lo))
+
+
+SWEEP = (st.integers(5, 10), st.sampled_from(("neg", "pos", "tiny")), st.floats(0.001, 1.0),
+         st.floats(0.0, 1.0))
+
+
+class TestEquivalenceBounds:
+    # (point, bracket of the two proof branches it replaces, sharp bracket max(hi, 1/lo))
+    BRACKETS = [((5, 1.0, -2.0), 10.0, 9.0), ((6, 2.0, -2.5), 99.0, 49.0),
+                ((8, 3.0, -1.9), 4804.000000000035, 3721.0),
+                ((5, -1.0, -3.5), 5.555555555555555, 49.0 / 9.0), ((7, -2.0, -5.0), 9.0, 9.0),
+                ((5, -1.0, -4.0), 10.0, 9.0), ((6, -1.0, -4.0), 4.0, 4.0)]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(*SWEEP)
+    def test_meets_the_dense_scan(self, N, kind, u, frac):
+        P = sweep_point(N, kind, u, frac)
+        lo, hi = equivalence_bounds(P)
+        ref_lo, ref_hi = dense_scan_bounds(P)
+        assert lo == pytest.approx(ref_lo, rel=1e-12)
+        assert hi == pytest.approx(ref_hi, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(*SWEEP)
+    def test_stop_rule_matches_a_600_mode_scan(self, N, kind, u, frac):
+        P = sweep_point(N, kind, u, frac)
+        assert equivalence_bounds(P) == pytest.approx(mode_scan_bounds(P), rel=1e-12)
+
+    @pytest.mark.parametrize("point", [(7, 3.0, -1.95), (11, 7.0, 2.0)])
+    def test_no_stop_while_minus_a2_is_below_kappa1_squared(self, point):
+        # the d-bound falls inside [lo, hi] at a mode with -A_2 < kappa1^2, where it bounds
+        # nothing, and the least ratio sits at a later mode
+        P = ckn.derive(*point)
+        assert equivalence_bounds(P) == pytest.approx(mode_scan_bounds(P), rel=1e-12)
+
+    @pytest.mark.parametrize("N,alpha,beta", [(5, 2.0, -3.0), (5, 1.5, -3.5), (6, 5.0, -1.0)])
+    def test_linear_case(self, N, alpha, beta):
+        # N - alpha + beta = 0: p1 = p2, and the stationary points solve a linear equation
+        P = ckn.derive(N, alpha, beta)
+        assert equivalence_bounds(P) == pytest.approx(dense_scan_bounds(P), rel=1e-12)
+
+    @pytest.mark.parametrize("point,before,sharp", BRACKETS)
+    def test_pinned_brackets(self, point, before, sharp):
+        c = equivalence_bracket(ckn.derive(*point))
+        assert c <= before
+        assert c == pytest.approx(sharp, rel=1e-12)
+
+    def test_degenerate_numerator(self):
+        # kappa1 = N - 2 + k at k = 5: r^{-kappa1} Psi_5 is harmonic, so lo = 0
+        P = ckn.derive(5, 10.0, 5.0)
+        assert equivalence_bounds(P)[0] == 0.0
+        assert equivalence_bracket(P) == math.inf
+
+    @pytest.mark.parametrize("N,alpha,beta", [(5, 1.0, -2.0), (5, -1.0, -4.0), (5, 0.5, -3.0)])
+    def test_cli_profiles_inside(self, grid, N, alpha, beta):
+        P = ckn.derive(N, alpha, beta)
+        lo, hi = equivalence_bounds(P)
+        for prof in _random_profiles(grid, 42, 20):
+            for r in equivalence_ratio(prof, range(4), P):
+                assert lo <= r <= hi
+
+    def test_alpha_zero(self):
+        for N, beta in ((5, -3.0), (7, -4.0)):
+            assert equivalence_bounds(ckn.derive(N, 0.0, beta)) == (1.0, 1.0)
+
+    def test_mode_budget(self):
+        # the scan ends near k = |alpha|: alpha = 1e6 would need about 9e5 modes
+        with pytest.raises(MaxIters):
+            equivalence_bounds(ckn.derive(5, 1e6, 5e5))
 
 
 class TestWeightedHardy:

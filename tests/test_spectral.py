@@ -12,7 +12,7 @@ from ckn import _forms, numerics, spectral, transforms
 from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_degree,
                             linearized_eigenvalue, omega_sphere, scaling_direction)
 from ckn.errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
-from ckn.spectral import (gamma_comparison, linearized_residual, mode_eigenvalue,
+from ckn.spectral import (linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
                           second_variation_z1, spectral_gap)
 from ckn.variational import make_mode
@@ -353,30 +353,6 @@ class TestLinearizedResidual:
         assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, grid) < 1e-7
 
 
-class TestGammaComparison:
-    def test_equality_at_k1(self):
-        lhs, rhs, holds = gamma_comparison(10.0, 1)
-        assert lhs == pytest.approx(13440.0, rel=1e-14)
-        assert rhs == pytest.approx(13440.0, rel=1e-14)
-        assert holds
-
-    def test_strict_at_k2(self):
-        lhs, rhs, holds = gamma_comparison(10.0, 2)
-        assert rhs == pytest.approx(26880.0, rel=1e-14)
-        assert holds and lhs < rhs
-
-    def test_m5(self):
-        lhs, rhs, holds = gamma_comparison(5.0, 1)
-        assert holds
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_noninteger_m_strictness_sweep(self):
-        for M in (4.7, 6.3, 9.1, 14.5):
-            for k in (2, 3, 4):
-                lhs, rhs, holds = gamma_comparison(M, k)
-                assert holds and lhs < rhs
-
-
 class TestSpectralGap:
     def test_gap_exceeds_p_minus_1(self, grid):
         p = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0))
@@ -393,6 +369,27 @@ class TestSpectralGap:
         # the bottom of mode 1 is the gap; measured 6e-12 to 5.5e-11 on the default grid
         p = ckn.derive(N, alpha, ckn.beta_lower(N, alpha))
         assert spectral_gap(p, grid) == pytest.approx(linearized_eigenvalue(p, 1, 0), rel=1e-8)
+
+    def test_one_mode_solve(self, grid, monkeypatch):
+        # one Lanczos run, on mode 1: nu_{k,0} rises with k
+        solve, calls = spectral.mode_eigenpairs, []
+
+        def counted(P, mode, g):
+            calls.append(mode.k)
+            return solve(P, mode, g)
+        monkeypatch.setattr(spectral, "mode_eigenpairs", counted)
+        spectral_gap(ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0)), grid)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("N, alpha, below", [(5, -1.0, False), (5, -2.0, True),
+                                                 (6, -1.5, True), (7, -3.0, True)])
+    def test_not_the_third_eigenvalue(self, N, alpha, below):
+        # the radial nu_{0,2} = (M+4)(M+6)/((M-4)(M-2)) undercuts nu_{1,0} at three points
+        p = ckn.derive(N, alpha, ckn.beta_lower(N, alpha))
+        M = p.M_dim
+        nu02 = linearized_eigenvalue(p, 0, 2)
+        assert nu02 == pytest.approx((M + 4.0) * (M + 6.0) / ((M - 4.0) * (M - 2.0)), rel=1e-12)
+        assert (nu02 < linearized_eigenvalue(p, 1, 0)) is below
 
     def test_mode_monotonicity(self, grid):
         p = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0))
