@@ -11,6 +11,7 @@ convergence failure, 2 usage/validation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import math
 import os
@@ -39,6 +40,8 @@ _MAP_TEXT = {
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, (list, tuple)):          # one csv field, quoted by emit
+        return ",".join(map(_fmt, x))
     return str(x)
 
 
@@ -69,24 +72,19 @@ def emit(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
         if csv_rows is None:
             csv_header = sorted(doc)
             csv_rows = [[doc[k] for k in csv_header]]
-        sys.stdout.write(",".join(csv_header) + "\n")
-        for row in csv_rows:
-            sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
+        csv.writer(sys.stdout, lineterminator="\n").writerows(     # RFC 4180 quoting
+            [csv_header, *([_fmt(v) for v in row] for row in csv_rows)])
     else:
         for key, val in _flatten(doc):
             sys.stdout.write(f"{key} = {_fmt(val)}\n")
 
 
 def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}.")
+    if not isinstance(obj, (dict, list, tuple)):
+        yield prefix[:-1], obj
         return
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
-        return
-    yield prefix[:-1], obj
+    for k, v in sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj):
+        yield from _flatten(v, f"{prefix}{k}.")
 
 
 def _emit_error(exc: Exception, fmt: str) -> None:
@@ -95,26 +93,17 @@ def _emit_error(exc: Exception, fmt: str) -> None:
 
 def load_config(path: str | None) -> dict:
     path = path or os.environ.get("CKN_CONFIG")
-    cfg = {}
     if not path:
-        return cfg
+        return {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
-    return cfg
+        pairs = [line.strip().partition("=") for line in fh]
+    # key = value lines; blank lines, comments (#) and lines without "=" are skipped
+    return {key.strip(): val.strip() for key, eq, val in pairs if eq and not key.startswith("#")}
 
 
 def _grid_from(args, cfg) -> numerics.LogGrid:
     def pick(flag, key, default, cast):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            return cast(cfg[key])
-        return default
+        return flag if flag is not None else cast(cfg[key]) if key in cfg else default
 
     return make_grid(pick(args.t_min, "t_min", numerics.DEFAULT_T_MIN, float),
                      pick(args.t_max, "t_max", numerics.DEFAULT_T_MAX, float),
@@ -150,29 +139,13 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _random_profiles(grid, seed: int, count: int):
+def _random_profiles(grid, seed: int, count: int) -> list:
     """Seeded Gaussians in t, with the t-derivatives that every mode shares."""
-    rng = np.random.RandomState(seed)
-    t = grid.ts
-    for _ in range(count):
-        c = rng.uniform(-2.0, 2.0)
-        width = rng.uniform(0.6, 2.0)
-        amp = rng.uniform(0.5, 2.0)
-        yield numerics.with_derivatives(
-            RadialProfile(grid=grid, values=amp * np.exp(-((t - c) / width) ** 2)))
-
-
-def _identity_errors(prof, N: int, ks) -> list:
-    """(iid, hardy) relative errors at the modes ks, one call per identity; a failed
-    tail check is replayed mode by mode so that the first in mode order is raised."""
-    try:
-        return [(i[2], h[2]) for i, h in zip(identities.verify_iid(prof, ks, N),
-                                             identities.verify_hardy_identity(prof, ks, N))]
-    except TailInadequate:
-        for k in ks:
-            identities.verify_iid(prof, k, N)
-            identities.verify_hardy_identity(prof, k, N)
-        raise
+    if not 0 <= seed < 2 ** 32:
+        raise CknError(f"need 0 <= seed < 2^32 for --seed, got {seed}")
+    return [numerics.with_derivatives(RadialProfile(grid=grid, values=amp * np.exp(
+        -((grid.ts - c) / width) ** 2))) for c, width, amp in      # centre, width, amplitude
+        np.random.RandomState(seed).uniform((-2.0, 0.6, 0.5), 2.0, (count, 3)).tolist()]
 
 
 def cmd_verify(args) -> int:
@@ -183,8 +156,11 @@ def cmd_verify(args) -> int:
         ok = (value <= tol) if ok is None else ok
         checks.append({"check": name, "value": value, "tolerance": tol, "pass": bool(ok)})
 
-    if args.suite == "ode":
+    if args.suite != "rellich-limit":
         P = _params_from(args)
+    if args.suite in ("identities", "linearized", "equivalence"):
+        grid = _grid_from(args, cfg)
+    if args.suite == "ode":
         r1, r2, r3 = transforms.cosh_ansatz_check(P)
         check("cosh_relation_1", r1, 1e-10)
         check("cosh_relation_2", r2, 1e-10)
@@ -194,12 +170,12 @@ def cmd_verify(args) -> int:
         ef = transforms.cosh_profile(P, make_grid(lo, hi, n_eff))
         check("ode_residual", transforms.ode_residual(ef), 1e-7)
     elif args.suite == "identities":
-        P = _params_from(args)
-        grid = _grid_from(args, cfg)
-        results = [r for prof in _random_profiles(grid, args.seed, 20)
-                   for r in _identity_errors(prof, P.N, range(4))]
-        check("iid_worst_relerr", max(r[0] for r in results), 1e-5)
-        check("hardy_worst_relerr", max(r[1] for r in results), 1e-5)
+        profs = _random_profiles(grid, args.seed, 20)
+        # zip draws both in turn: tail checks fail in the order profile, mode, iid, hardy
+        results = list(zip(identities.verify_iid(profs, range(4), P.N),
+                           identities.verify_hardy_identity(profs, range(4), P.N)))
+        check("iid_worst_relerr", max(i[2] for i, _ in results), 1e-5)
+        check("hardy_worst_relerr", max(h[2] for _, h in results), 1e-5)
         alphas = np.linspace(2 - P.N + 1e-3, 3.0, 200)
         sign_ok = all(identities.xi_sign(P.N, a)[1] == int(a > 0) - int(a < 0)
                       for a in alphas)
@@ -214,16 +190,12 @@ def cmd_verify(args) -> int:
             check("coeff_identity_1", abs(l1 - r1_) / max(abs(r1_), 1e-30), 1e-10)
             check("coeff_identity_2", abs(l2 - r2_) / max(abs(r2_), 1e-30), 1e-10)
     elif args.suite == "linearized":
-        P = _params_from(args)
-        grid = _grid_from(args, cfg)
         for which in (0, 1):
             check(f"linearized_residual_mode{which}",
                   spectral.linearized_residual(P, which, grid), 1e-7)
     elif args.suite == "equivalence":
-        P = _params_from(args)
-        grid = _grid_from(args, cfg)
-        ratios = [r for prof in _random_profiles(grid, args.seed, 20)
-                  for r in identities.equivalence_ratio(prof, range(4), P)]
+        ratios = list(identities.equivalence_ratio(_random_profiles(grid, args.seed, 20),
+                                                   range(4), P))
         lo, hi = identities.equivalence_bounds(P)
         check("ratios_above_lower_bound", min(ratios), lo, ok=min(ratios) >= lo)
         check("ratios_below_upper_bound", max(ratios), hi)
@@ -231,7 +203,10 @@ def cmd_verify(args) -> int:
             check("ratio_is_one_at_alpha_zero",
                   max(abs(r - 1.0) for r in ratios), 1e-14)
     else:          # rellich-limit
-        eps_list = sorted((float(e) for e in args.eps.split(",")), reverse=True)
+        try:
+            eps_list = sorted((float(e) for e in args.eps.split(",")), reverse=True)
+        except ValueError:
+            raise CknError(f"malformed --eps {args.eps!r}: need a comma list of numbers") from None
         n = args.n if args.n is not None else int(cfg.get("n", numerics.DEFAULT_N))
         grid = closedform.rellich_limit_grid(n)
         limit = ((args.dim - 4) / 2.0) ** 4

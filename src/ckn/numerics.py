@@ -183,15 +183,22 @@ def simpson_terms(samples: np.ndarray, grid: LogGrid, weight_exp) -> np.ndarray:
     return terms
 
 
+def tail_share(total, tail) -> np.ndarray:
+    """tail / total, the tail diagnostic: 0 for a zero total, NaN for one that is not finite."""
+    return np.divide(tail, total, out=np.where(total == 0.0, 0.0, np.nan),
+                     where=np.isfinite(total) & (total != 0.0))
+
+
+def tail_nodes(n: int, h: float) -> int:
+    """Nodes per end of the tail diagnostic: the outermost TAIL_WIDTH of t, 2 to n // 2."""
+    return min(max(2, round(TAIL_WIDTH / h)), n // 2)
+
+
 def mass_and_tail(terms: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of nonnegative quadrature terms on nodes h apart (the integrals) and the share of
-    each on the outermost TAIL_WIDTH of t per end, 2 nodes at least and half at most
-    (tail_fraction's value; 0 for a zero sum, NaN for a sum that is not finite)."""
-    m = min(max(2, round(TAIL_WIDTH / h)), terms.shape[-1] // 2)
-    total = terms.sum(axis=-1)
-    tail = terms[..., :m].sum(axis=-1) + terms[..., -m:].sum(axis=-1)
-    return total, np.divide(tail, total, out=np.where(total == 0.0, 0.0, np.nan),
-                            where=np.isfinite(total) & (total != 0.0))
+    """Sums of quadrature terms on nodes h apart (the integrals) and their sums on the
+    tail_nodes at each end (see tail_share)."""
+    m = tail_nodes(terms.shape[-1], h)
+    return terms.sum(axis=-1), terms[..., :m].sum(axis=-1) + terms[..., -m:].sum(axis=-1)
 
 
 def integrate(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
@@ -207,7 +214,7 @@ def tail_fraction(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> floa
     """Fraction of the integral's absolute mass carried by the outermost
     TAIL_WIDTH of t at each end."""
     terms = simpson_terms(np.abs(np.asarray(samples, dtype=float)), grid, weight_exp)
-    return float(mass_and_tail(terms, grid.h)[1])
+    return float(tail_share(*mass_and_tail(terms, grid.h)))
 
 
 def gamma_fn(x: float) -> float:
@@ -241,14 +248,22 @@ def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float, what: st
 
 def checked_integrals(terms: np.ndarray, h: float, whats: tuple[str, ...]) -> np.ndarray:
     """Integrals of nonnegative quadrature terms on nodes h apart (simpson_terms, or
-    trapezoid weights times samples), terms[c, ...] for the check named whats[c],
-    after the one tail rule, in the order index in ..., then c: TailInadequate unless
-    the tail share is <= TAIL_TOL, so a NaN share (a sum that is not finite) fails too."""
-    mass, frac = mass_and_tail(terms, h)
-    for row in frac.reshape(len(whats), -1).T:
-        for f, what in zip(row, whats):
+    trapezoid weights times samples), terms[c, ...] for the check named whats[c], after
+    the one tail rule (checked_sums)."""
+    total, tail = mass_and_tail(terms, h)
+    list(checked_sums(total, tail, whats))
+    return total
+
+
+def checked_sums(total: np.ndarray, tail: np.ndarray, whats: tuple[str, ...]):
+    """Per index in ..., the integrals total[c, ...] (sums tail[c, ...] on the tail nodes) over
+    c, each after the one tail rule as it is drawn: TailInadequate unless the tail share of
+    check whats[c] is <= TAIL_TOL, so a NaN share (a sum that is not finite) fails too."""
+    for row, shares in zip(np.reshape(total, (len(whats), -1)).T.tolist(),
+                           tail_share(total, tail).reshape(len(whats), -1).T.tolist()):
+        for f, what in zip(shares, whats):
             if not f <= TAIL_TOL:
                 raise TailInadequate(f"{what}: the integral is not finite" if math.isnan(f) else
                                      f"{what}: outermost nodes carry {f:.3e} of the mass "
                                      f"(allowed {TAIL_TOL:.1e}); widen the grid")
-    return mass
+        yield row

@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import json
 import math
 
@@ -172,6 +174,39 @@ class TestVerify:
         cfg.write_text("n = 1001\n")
         monkeypatch.setenv("CKN_CONFIG", str(cfg))
         assert quotients("-n", "2001") == flag
+
+    @pytest.mark.parametrize("eps", ["0.1,x", "", "0.1,,0.01"])
+    def test_malformed_eps_exit_2(self, capsys, eps):
+        # a ValueError traceback with exit 1 until --eps was parsed inside the CLI's errors
+        code, out = run(capsys, "verify", "rellich-limit", "-N", "5", f"--eps={eps}",
+                        "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "CknError" and "--eps" in doc["message"]
+
+    @pytest.mark.parametrize("suite,point", [
+        ("identities", ("-N", "5", "-a", "1", "-b", "-2")),
+        ("equivalence", ("-N", "5", "-a", "-1", "-b", "-3.5"))])
+    @pytest.mark.parametrize("seed,code", [("-1", 2), (str(2 ** 32), 2), ("0", 0),
+                                           (str(2 ** 32 - 1), 0)])
+    def test_seed_range(self, capsys, suite, point, seed, code):
+        # NumPy's seeds are 0 .. 2^32 - 1; others exited 1 with a NumPy traceback
+        got, out = run(capsys, "verify", suite, *point, "--seed", seed, "--format", "json")
+        assert got == code
+        if code:
+            doc = json.loads(out)
+            assert doc["error"] == "CknError" and "seed" in doc["message"]
+
+    def test_rellich_limit_csv_is_rfc4180(self, capsys):
+        # the quotients list is one quoted field: every row has the header's 4 fields
+        code, out = run(capsys, "verify", "rellich-limit", "-N", "5", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["check", "value", "tolerance", "pass"]
+        assert [len(r) for r in rows] == [4] * 5
+        _, out = run(capsys, "verify", "rellich-limit", "-N", "5", "--format", "json")
+        want = next(c["value"] for c in json.loads(out)["checks"] if c["check"] == "quotients")
+        assert [float(q) for q in rows[-1][1].split(",")] == want
 
     def test_linearized_near_fs(self, capsys):
         code, out = run(capsys, "verify", "linearized", "-N", "5", "-a", "1",
@@ -518,6 +553,22 @@ class TestVerifyModeBatch:
         assert code == 0
         assert calls["differentiate"] <= per_profile * 20
 
+    @pytest.mark.parametrize("suite,point,per_suite", [
+        ("identities", ("-N", "5", "-a", "1", "-b", "-2"), 3),
+        ("equivalence", ("-N", "5", "-a", "-1", "-b", "-3.5"), 1)])
+    def test_grid_powers_per_suite(self, capsys, monkeypatch, suite, point, per_suite):
+        # the quadrature rows and r^-2 are built once per suite, not once per profile
+        counts = []
+        for count in (1, 20):
+            profiles = functools.partial(random_profiles, count=count)
+            monkeypatch.setattr(cli, "_random_profiles",
+                                lambda grid, seed, _, p=profiles: list(p(grid, seed)))
+            calls = count_calls(monkeypatch, (ckn.numerics, "grid_power"),
+                                (identities, "grid_power"))
+            assert run(capsys, "verify", suite, *point, "--format", "json")[0] == 0
+            counts.append(calls["grid_power"])
+        assert counts == [per_suite, per_suite]
+
     def test_rellich_closed_forms_at_n8(self, capsys):
         code, out = run(capsys, "verify", "identities", "-N", "8", "-a", "1", "-b", "-2",
                         "--format", "json")
@@ -716,6 +767,16 @@ class TestNearRellichBoundary:
 
 
 class TestConfig:
+    def test_skipped_lines(self, tmp_path):
+        # blank lines, comments and lines without "=" are skipped; a value keeps later "="s
+        cfg = tmp_path / "ckn.conf"
+        cfg.write_text("\n  # n = 5\nnot a pair\n t_min =  -12 \nkey = a=b\n=orphan\n")
+        assert load_config(str(cfg)) == {"t_min": "-12", "key": "a=b", "": "orphan"}
+
+    def test_text_format_flattens_nested_values(self, capsys):
+        emit({"b": [1.5, {"c": True}], "a": 2}, "text")
+        assert capsys.readouterr().out == "a = 2\nb.0 = 1.5\nb.1.c = True\n"
+
     def test_file_and_env_precedence(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "ckn.conf"
         cfg.write_text("# grid\nn = 1001\nt_min = -12\nt_max = 12\n")

@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 import ckn
 from ckn.closedform import ExtremalSpec, linearized_mode, scaling_direction
 from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
-from ckn.numerics import (T_LIMIT, RadialProfile, _fd_weights, checked_integrals, diff_matrix,
-                          differentiate, gamma_fn, grid_exp, grid_power, integrate, make_grid,
-                          require_tail, simpson_terms, simpson_weights, tail_fraction)
+from ckn.numerics import (T_LIMIT, RadialProfile, _fd_weights, checked_integrals, checked_sums,
+                          diff_matrix, differentiate, gamma_fn, grid_exp, grid_power, integrate,
+                          make_grid, require_tail, simpson_terms, simpson_weights, tail_fraction,
+                          tail_nodes)
 from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
 from conftest import ORACLE
 
@@ -201,6 +202,23 @@ class TestTailRule:
         terms = simpson_terms(np.ones(g.n), g, -1.0)
         want = (terms[:m].sum() + terms[-m:].sum()) / terms.sum()
         assert tail_fraction(np.ones(g.n), g, -1.0) == want
+
+    @pytest.mark.parametrize("grid,m", [((-14.0, 14.0, 4001), 100), ((-700.0, 14.0, 4001), 4),
+                                        ((-5.0, 5.0, 11), 2), ((-1.0, 1.0, 3), 1)])
+    def test_tail_nodes(self, grid, m):
+        g = make_grid(*grid)
+        assert tail_nodes(g.n, g.h) == m
+
+    def test_checked_sums_checks_each_index_when_drawn(self):
+        # index 0 passes; index 1 fails on check "b", not on "a", and only once drawn
+        total = np.array([[1.0, 1.0], [1.0, 1.0]])
+        tail = np.array([[0.0, 0.0], [0.0, 1e-3]])
+        sums = checked_sums(total, tail, ("a", "b"))
+        assert next(sums) == [1.0, 1.0]
+        with pytest.raises(TailInadequate, match="^b: outermost nodes carry 1.000e-03"):
+            next(sums)
+        with pytest.raises(TailInadequate, match="^a: the integral is not finite"):
+            next(checked_sums(np.array([[math.inf], [1.0]]), np.zeros((2, 1)), ("a", "b")))
 
     def test_asymmetric_grid_holds_a_centred_profile(self):
         # the right tail of [-700, 14] is [13.3, 14], not the 100 nodes on [-3.85, 14]
