@@ -50,6 +50,7 @@ def _sums(a, b, row, h: float) -> np.ndarray:
     return np.array([x @ row, x[:, :m] @ row[:m] + x[:, -m:] @ row[-m:]])
 
 
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf or overflow: NaN sums fail the tail rule
 def _squares(f: RadialProfile, c: float, row, lams) -> np.ndarray:
     """_sums of the squared mode bracket f'' + c f' - lambda_k f (f'' + (c+1)/r f' - lambda_k/r^2 f
     in t, e^{-2t} booked into row) on the whole grid and the tail nodes, one column per k."""
@@ -82,10 +83,11 @@ def verify_hardy_identity(w_mode, k, N: int):
     def each(grid, profs, lams):
         row = simpson_terms(np.ones(grid.n), grid, N - 3.0)
         for w in map(with_derivatives, profs):
-            s = _sums(w.d1, w.values, row, grid.h)
             # |grad w|^2 = w'^2 + lambda w^2; Delta w (x . grad w) = (w'' + (N-2) w' - lambda w) w'
-            cross = float(row @ ((w.d2 + (N - 2.0) * w.d1) * w.d1)) - lams * s[0, 1]
-            grad = s[:, :1] + lams * s[:, 2:]
+            with np.errstate(invalid="ignore", over="ignore"):    # as in _squares
+                s = _sums(w.d1, w.values, row, grid.h)
+                cross = float(row @ ((w.d2 + (N - 2.0) * w.d1) * w.d1)) - lams * s[0, 1]
+                grad = s[:, :1] + lams * s[:, 2:]
             for (g,), c in zip(checked_sums(*grad, ("verify_hardy lhs",)), cross.tolist()):
                 yield _relerr((N - 2.0) * g, 2.0 * c)
     return _per_profile(w_mode, k, N, each)
@@ -212,6 +214,7 @@ def equivalence_ratio(u_mode, k, params: CknParams):
     return _per_profile(u_mode, k, params.N, each)
 
 
+@np.errstate(invalid="ignore", over="ignore")    # as in _squares
 def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
                          ) -> tuple[float, float]:
     """Both sides of the weighted Hardy inequality per mode:

@@ -641,6 +641,15 @@ class TestMinimize:
                       "--init", str(bad), "--format", "json")
         assert code == 2
 
+    @pytest.mark.parametrize("iters", ["-3", "0"])
+    def test_max_iters_below_one_exit_2(self, capsys, iters):
+        # malformed input, not a MaxIters check failure (exit 1)
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-3",
+                        "--max-iters", iters, "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "CknError" and "max_iters" in doc["message"]
+
 
 class TestGridBounds:
     # the last four grids have finite nodes, but r^kappa1, r^-kappa1 or the
