@@ -36,6 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .closedform import extremal_shape
 from .errors import GridTooSmall, NoConvergence
 from .numerics import LogGrid, diff_matrix, grid_exp, stencil_weights, trapezoid_weights
 from .params import CknParams
@@ -144,8 +145,8 @@ def cholesky_solver(ab: np.ndarray, what: str):
 
 def mass_vector(params: CknParams, grid: LogGrid) -> np.ndarray:
     """Diagonal of the mass form int U^{p-2} f^2 r^{gamma+N-1} dr = int phi_U^{p-2} phi^2 dt
-    (clamped): (Gamma_M nu^4/16) sech^4(nu t), Gamma_M nu^4/16 = kappa1 kappa2 (kappa1^2 - nu^2)."""
-    e = np.exp(-np.abs(params.nu * grid.ts))
+    (clamped): (Gamma_M nu^4/16) sech^4(nu t), Gamma_M nu^4/16 = kappa1 kappa2 (kappa1^2 - nu^2),
+    with sech^4 the extremal shape at m = -4."""
     coef = params.cal_B * (params.a_shift / 2.0) * (params.kappa1 + params.nu)
-    d = trapezoid_weights(grid.n, grid.h) * (coef * (2.0 * e / (1.0 + e * e)) ** 4)
+    d = trapezoid_weights(grid.n, grid.h) * (coef * extremal_shape(params, grid.ts, -4.0))
     return d[keep_indices(grid.n)]

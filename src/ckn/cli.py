@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
 import os
 import sys
@@ -54,15 +55,10 @@ def _to_json(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         items = [_to_json(v, indent + 2) for v in obj]
         return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if obj is None:
-        return pad + "null"
     if isinstance(obj, float):
         return pad + (f"{obj:.17g}" if math.isfinite(obj) else "null")
-    if isinstance(obj, int):
-        return pad + str(obj)
-    return pad + '"' + str(obj).replace('"', '\\"') + '"'
+    plain = obj is None or isinstance(obj, (bool, int))      # null, true, false or an integer
+    return pad + json.dumps(obj if plain else str(obj), ensure_ascii=False)
 
 
 def emit(doc: dict, fmt: str, csv_rows=None, csv_header=None) -> None:
@@ -95,19 +91,24 @@ def load_config(path: str | None) -> dict:
     path = path or os.environ.get("CKN_CONFIG")
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        pairs = [line.strip().partition("=") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            pairs = [line.strip().partition("=") for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CknError(f"unreadable config file {path}: {exc}") from None
     # key = value lines; blank lines, comments (#) and lines without "=" are skipped
     return {key.strip(): val.strip() for key, eq, val in pairs if eq and not key.startswith("#")}
 
 
-def _grid_from(args, cfg) -> numerics.LogGrid:
-    def pick(flag, key, default, cast):
-        return flag if flag is not None else cast(cfg[key]) if key in cfg else default
-
-    return make_grid(pick(args.t_min, "t_min", numerics.DEFAULT_T_MIN, float),
-                     pick(args.t_max, "t_max", numerics.DEFAULT_T_MAX, float),
-                     pick(args.n, "n", numerics.DEFAULT_N, int))
+def _settings(args) -> dict:
+    """make_grid's pinned arguments: the config's t_min, t_max and n, cast, under the flags
+    that are given.  The one parse of the config; CknError where a value is malformed."""
+    cfg, keys = load_config(args.config), (("t_min", float), ("t_max", float), ("n", int))
+    try:
+        out = {key: cast(cfg[key]) for key, cast in keys if key in cfg}
+    except ValueError as exc:
+        raise CknError(f"malformed config value: {exc}") from None
+    return out | {key: getattr(args, key) for key, _ in keys if getattr(args, key) is not None}
 
 
 def _params_from(args) -> CknParams:
@@ -149,7 +150,7 @@ def _random_profiles(grid, seed: int, count: int) -> list:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+    settings = _settings(args)
     checks = []
 
     def check(name, value, tol, ok=None):
@@ -159,15 +160,14 @@ def cmd_verify(args) -> int:
     if args.suite != "rellich-limit":
         P = _params_from(args)
     if args.suite in ("identities", "linearized", "equivalence"):
-        grid = _grid_from(args, cfg)
+        grid = make_grid(**settings)
     if args.suite == "ode":
         r1, r2, r3 = transforms.cosh_ansatz_check(P)
         check("cosh_relation_1", r1, 1e-10)
         check("cosh_relation_2", r2, 1e-10)
         check("cosh_relation_3", r3, 1e-10)
         lo, hi, n_check = transforms.ODE_CHECK_GRID
-        n_eff = args.n if args.n is not None else int(cfg.get("n", n_check))
-        ef = transforms.cosh_profile(P, make_grid(lo, hi, n_eff))
+        ef = transforms.cosh_profile(P, make_grid(lo, hi, settings.get("n", n_check)))
         check("ode_residual", transforms.ode_residual(ef), 1e-7)
     elif args.suite == "identities":
         profs = _random_profiles(grid, args.seed, 20)
@@ -207,8 +207,7 @@ def cmd_verify(args) -> int:
             eps_list = sorted((float(e) for e in args.eps.split(",")), reverse=True)
         except ValueError:
             raise CknError(f"malformed --eps {args.eps!r}: need a comma list of numbers") from None
-        n = args.n if args.n is not None else int(cfg.get("n", numerics.DEFAULT_N))
-        grid = closedform.rellich_limit_grid(n)
+        grid = closedform.rellich_limit_grid(settings.get("n", numerics.DEFAULT_N))
         limit = ((args.dim - 4) / 2.0) ** 4
         quotients = [closedform.rellich_test_quotient(args.dim, e, grid) for e in eps_list]
         mono = all(a > b for a, b in zip(quotients, quotients[1:]))
@@ -228,9 +227,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
+    if args.kmax < 0:
+        raise CknError(f"need --kmax >= 0, got {args.kmax}")
     P = _params_from(args)
-    grid = _grid_from(args, cfg)
+    grid = make_grid(**_settings(args))
     rows = []
     for k in range(args.kmax + 1):
         pairs = spectral.mode_eigenpairs(P, variational.make_mode(P, k), grid)
@@ -284,9 +284,8 @@ def cmd_region_map(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    cfg = load_config(args.config)
     P = _params_from(args)
-    grid = _grid_from(args, cfg)
+    grid = make_grid(**_settings(args))
     t = grid.ts
     if args.init:
         try:
@@ -319,19 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, params=True):
+    def add_common(p, params=True, grid=True):
         p.add_argument("-N", "--dim", type=int, required=True, help="dimension N >= 5")
         if params:
             p.add_argument("-a", "--alpha", type=float, required=True)
             p.add_argument("-b", "--beta", type=float, required=True)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--config", default=None, help="key=value file; or env CKN_CONFIG")
-        p.add_argument("--t-min", type=float, default=None)
-        p.add_argument("--t-max", type=float, default=None)
-        p.add_argument("-n", type=int, default=None, help="grid nodes (odd)")
+        if grid:
+            p.add_argument("--config", default=None, help="key=value file; or env CKN_CONFIG")
+            p.add_argument("--t-min", type=float, default=None)
+            p.add_argument("--t-max", type=float, default=None)
+            p.add_argument("-n", type=int, default=None, help="grid nodes (odd)")
 
     p = sub.add_parser("constants", help="derived scalars and best constants")
-    add_common(p)
+    add_common(p, grid=False)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, required=True, help="cells per axis")
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_region_map)
 
     p = sub.add_parser("minimize", help="radial quotient minimization")

@@ -55,14 +55,20 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _log_radius(P: CknParams, r, lam: float, what: str) -> np.ndarray:
-    """z = 2 nu ln(lam r) at radii r > 0: the variable of the closed forms below."""
+def _family(P: CknParams, r, lam: float, log_c: float, a: float, odd: bool, what: str):
+    """c e^{-a z} (1+e^z)^{-(M-4a)/2}, times tanh(z/2) if odd, at z = 2 nu ln(lam r), r > 0:
+    U (a = 1), kappa1 U + r U' and Z0 (a = 1, odd), Z1 (a = 1/2).  One exponential per sample,
+    of log c - a z - (M-4a)/2 softplus(z), whose terms never cancel (M > 4a): BadGridSpec where
+    it overflows (numerics.grid_exp), and no factor goes subnormal on its own."""
     if not P.subcritical:
         raise RellichBoundary(f"{what} requires beta < alpha - 2")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise NonPositiveRadius(f"{what} requires r > 0")
-    return 2.0 * P.nu * (np.log(r_arr) + math.log(lam))
+    z = 2.0 * P.nu * (np.log(r_arr) + math.log(lam))
+    out = (numerics.grid_exp(log_c - a * z - (P.M_dim - 4.0 * a) / 2.0 * _softplus(z), what)
+           * (np.tanh(z / 2.0) if odd else 1.0))
+    return out if out.ndim else float(out)
 
 
 def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
@@ -72,12 +78,8 @@ def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
     infinity, which is what the quadrature tail checks rely on.  BadGridSpec
     where a sample overflows (radii near e^{-700}; numerics.grid_exp).
     """
-    P = spec.params
-    z = _log_radius(P, r, spec.lam, "extremal_u")
-    logu = (math.log(spec.amplitude) + P.kappa1 * math.log(spec.lam)
-            - z - (P.M_dim - 4.0) / 2.0 * _softplus(z))
-    out = numerics.grid_exp(logu, "extremal U")
-    return out if out.ndim else float(out)
+    log_c = math.log(spec.amplitude) + spec.params.kappa1 * math.log(spec.lam)
+    return _family(spec.params, r, spec.lam, log_c, 1.0, False, "extremal U")
 
 
 def extremal_shape(params: CknParams, t, m: float | None = None) -> np.ndarray:
@@ -91,15 +93,13 @@ def extremal_shape(params: CknParams, t, m: float | None = None) -> np.ndarray:
 
 
 def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:
-    """d/d lam of the scaled extremal at the spec's lam: kappa1 U + r U' in closed form.
-    BadGridSpec where a factor overflows (numerics.grid_exp)."""
+    """d/d lam of the scaled extremal at the spec's lam: kappa1 U + r U' in closed form,
+    -amplitude nu (M-4)/2 lam^{kappa1-1} (lam r)^{-2nu} (1+(lam r)^{2nu})^{-(M-4)/2} tanh(z/2)
+    with z = 2 nu ln(lam r).  BadGridSpec where a sample overflows (numerics.grid_exp)."""
     P = spec.params
-    z = _log_radius(P, r, spec.lam, "scaling_direction")
-    # amplitude * nu (M-4)/2 * (lam r)^{-2nu} (1 - (lam r)^{2nu}) (1+(lam r)^{2nu})^{-(M-2)/2}
-    mag = (spec.amplitude * P.nu * (P.M_dim - 4.0) / 2.0 * spec.lam ** (P.kappa1 - 1.0)
-           * numerics.grid_exp(-z - (P.M_dim - 2.0) / 2.0 * _softplus(z), "scaling direction"))
-    out = mag * (-numerics.grid_exp(z, "scaling direction", fn=np.expm1))
-    return out if out.ndim else float(out)
+    log_c = (math.log(spec.amplitude) + math.log(P.nu * (P.M_dim - 4.0) / 2.0)
+             + (P.kappa1 - 1.0) * math.log(spec.lam))
+    return -_family(P, r, spec.lam, log_c, 1.0, True, "scaling direction")
 
 
 def omega_sphere(N: int) -> float:
@@ -183,22 +183,16 @@ def critical_constant(N: int, alpha: float) -> float:
 def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
     """Radial factor of the linearized-solution basis.
 
-    which = 0: Z0(r) = (1 - r^{2+beta-alpha}) (1 + r^{alpha-beta-2})^{-(N-2+alpha)/(alpha-beta-2)},
+    which = 0: Z0(r) = (1 - r^{2+beta-alpha}) (1 + r^{alpha-beta-2})^{-(N-2+alpha)/(alpha-beta-2)}
+               = r^{-2nu} (1 + r^{2nu})^{-(M-4)/2} tanh(z/2), z = 2 nu ln r,
                proportional to the scaling direction kappa1 U + r U'.
-    which = 1: r^{(2+beta-alpha)/2} (1 + r^{alpha-beta-2})^{-(N-2+alpha)/(alpha-beta-2)},
+    which = 1: Z1(r) = r^{(2+beta-alpha)/2} (1 + r^{alpha-beta-2})^{-(N-2+alpha)/(alpha-beta-2)},
                the extra direction that appears exactly on the Felli-Schneider curve.
-    BadGridSpec where the power of r overflows (numerics.grid_exp).
+    BadGridSpec where a sample overflows (numerics.grid_exp).
     """
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
-    z = _log_radius(params, r, 1.0, "linearized_mode")
-    e = (params.M_dim - 2.0) / 2.0          # = (N-2+alpha)/(alpha-beta-2)
-    env = np.exp(-e * _softplus(z))
-    if which == 0:
-        out = -numerics.grid_exp(-z, "Z0", fn=np.expm1) * env
-    else:
-        out = numerics.grid_exp(-z / 2.0, "Z1") * env
-    return out if out.ndim else float(out)
+    return _family(params, r, 1.0, 0.0, 1.0 - which / 2.0, which == 0, f"Z{which}")
 
 
 def linearized_degree(params: CknParams, k: int) -> float:

@@ -76,8 +76,8 @@ def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
 def grid_exp(x, what: str, top=None, fn=np.exp):
     """fn(x), e^x by default, for x that grows with the grid: the one overflow
     rule.  BadGridSpec before fn runs when top, the log of fn's largest value
-    (max x unless the caller knows it), passes T_LIMIT; fn may be np.expm1 or
-    a square of the nodes.  An exponent that only underflows is legal."""
+    (max x unless the caller knows it), passes T_LIMIT; fn may be a square of
+    the nodes.  An exponent that only underflows is legal."""
     top = np.max(x) if top is None else top
     if top > T_LIMIT:
         raise BadGridSpec(f"{what} overflows: log {top:.4g} > {T_LIMIT:.2f}; narrow the grid")

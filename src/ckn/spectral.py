@@ -24,7 +24,7 @@ from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
 from .closedform import linearized_degree, linearized_eigenvalue, omega_sphere
-from .errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
+from .errors import GridTooSmall, MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, log_gamma
 from .params import CknParams, RegionClass, second_variation_gap
 from .variational import ModeSpec, make_mode
@@ -197,7 +197,9 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
 
 def _mode_residual(params: CknParams, k: int, n: int, grid: LogGrid, profile) -> float:
     """linearized_residual's value for X = profile(t, s^2), s = e^t at numerics.anchored_ts,
-    and eigenvalue nu_{k,n}."""
+    and eigenvalue nu_{k,n}; GridTooSmall where no node lies RESIDUAL_MARGIN inside both ends."""
+    if grid.n <= 2 * RESIDUAL_MARGIN:
+        raise GridTooSmall(f"need more than {2 * RESIDUAL_MARGIN} nodes, got {grid.n}")
     M, c = params.M_dim, make_mode(params, k).q2lambda_k
     t = numerics.anchored_ts(grid)
     s = numerics.grid_exp(t, "s")

@@ -248,8 +248,24 @@ class TestVerify:
                         "--format", "json")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["7", "15"])
+    def test_linearized_grid_without_residual_nodes_exit_2(self, capsys, n):
+        # the residual's max over no nodes was a ValueError traceback with exit 1
+        code, out = run(capsys, "verify", "linearized", "-N", "5", "-a", "1", "-b", "-2",
+                        "-n", n, "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "GridTooSmall"
+
 
 class TestSpectrum:
+    def test_negative_kmax_exit_2(self, capsys):
+        # exited 0 with an empty rows list
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "-1",
+                        "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "CknError" and "--kmax" in doc["message"]
+
     def test_rows(self, capsys):
         code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
                         "--kmax", "1", "--format", "json")
@@ -329,6 +345,22 @@ class TestSpectrum:
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ("constants", "-N", "5", "-a", "1", "-b", "-2", "--config", "ckn.conf"),
+        ("constants", "-N", "5", "-a", "1", "-b", "-2", "--t-min=-12"),
+        ("constants", "-N", "5", "-a", "1", "-b", "-2", "--t-max=12"),
+        ("constants", "-N", "5", "-a", "1", "-b", "-2", "-n", "4"),
+        ("region-map", "-N", "5", "--alpha-range=0:1", "--beta-range=-4:-1",
+         "--resolution", "2", "--config", "ckn.conf")],
+        ids=["constants-config", "constants-t-min", "constants-t-max", "constants-n",
+             "region-map-config"])
+    def test_unread_options_are_usage_errors(self, argv):
+        # constants reads no grid setting and region-map no config, yet both accepted them;
+        # this replaces the wide-grid cases of constants in TestWideGrids
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
     def test_cached_parser_output_matches_fresh(self, capsys):
         argvs = [("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "1",
                   "--format", "json", "-n", "2001"),
@@ -579,6 +611,14 @@ class TestVerifyModeBatch:
 
 
 class TestMinimize:
+    def test_json_error_escapes_backslash(self, capsys):
+        # strings were written with only '"' escaped, which json.loads rejects here
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-3",
+                        "--init", "no\\such", "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "CknError" and "no\\such" in doc["message"]
+
     def test_reaches_radial_constant(self, capsys, tmp_path):
         code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
                         "-n", "2001", "--format", "json")
@@ -690,7 +730,6 @@ class TestWideGrids:
     COMMANDS = [("spectrum", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3", "--perturb", "0.05"),
-                ("constants", "-N", "5", "-a", "1", "-b", "-3"),
                 ("verify", "ode", "-N", "5", "-a", "1", "-b", "-2"),
                 ("verify", "identities", "-N", "5", "-a", "1", "-b", "-2"),
                 ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5"),
@@ -700,7 +739,7 @@ class TestWideGrids:
 
     @pytest.mark.parametrize("grid", ["--t-max=700", "--t-min=-700"])
     @pytest.mark.parametrize("cmd", COMMANDS, ids=["spectrum", "minimize", "minimize-perturb",
-                                                   "constants", "ode", "identities",
+                                                   "ode", "identities",
                                                    "linearized", "equivalence", "rellich-limit"])
     def test_typed_outcome(self, capsys, cmd, grid):
         code, out = run(capsys, *cmd, grid, "--format", "json")
@@ -796,3 +835,37 @@ class TestConfig:
         code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-2",
                         "--kmax", "0", "-n", "801", "--format", "json")
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "0"),
+        ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
+        ("verify", "ode", "-N", "5", "-a", "1", "-b", "-2"),
+        ("verify", "rellich-limit", "-N", "5")], ids=["spectrum", "minimize", "ode", "rellich"])
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("content", [None, "n = abc\n", "t_max = x\n"],
+                             ids=["missing", "n-abc", "t_max-x"])
+    def test_config_errors_exit_2(self, capsys, tmp_path, monkeypatch, argv, how, content):
+        # a missing file or a malformed value was a FileNotFoundError or ValueError
+        # traceback with exit 1.  The config is parsed in one place, so a malformed t_max
+        # is an error also for the two suites that read only its n
+        cfg = tmp_path / "ckn.conf"
+        if content is not None:
+            cfg.write_text(content)
+        if how == "env":
+            monkeypatch.setenv("CKN_CONFIG", str(cfg))
+            extra = ()
+        else:
+            extra = ("--config", str(cfg))
+        code, out = run(capsys, *argv, *extra, "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "CknError" and "config" in doc["message"]
+
+    def test_config_is_parsed_whole(self, capsys, tmp_path):
+        # a malformed value is an error also where a flag overrides it
+        cfg = tmp_path / "ckn.conf"
+        cfg.write_text("n = abc\n")
+        code, out = run(capsys, "verify", "rellich-limit", "-N", "5", "-n", "1001",
+                        "--config", str(cfg), "--format", "json")
+        assert code == 2
+        assert "abc" in json.loads(out)["message"]

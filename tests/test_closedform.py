@@ -346,3 +346,51 @@ def test_scaling_direction_matches_finite_difference(p512, grid):
     mask = np.abs(closed[sl]) > 1e-6 * np.abs(closed).max()
     rel = np.abs(fd[sl][mask] - closed[sl][mask]) / np.abs(closed[sl][mask])
     assert rel.max() < 1e-8
+
+
+#: (form, point, lam, t, value at r = e^t): the r-space closed forms in 50-digit arithmetic
+#: (mpmath) at the float radius and at derive's float nu, M_dim, kappa1 and C_amp, so that
+#: they measure the evaluation, not the rounding of derive.  M = 802 at (5, 1, -1.01).
+FAMILY_REFERENCES = [
+    ("extremal_u", (5, 1.0, -3.0), 1.0, -100.0, 3.1987418085654283222e+87),
+    ("scaling_direction", (5, 1.0, -3.0), 1.0, -100.0, 3.1987418085654283222e+87),
+    ("Z0", (5, 1.0, -3.0), 1.0, -100.0, -7.2259737681257486481e+86),
+    ("Z1", (5, 1.0, -3.0), 1.0, -100.0, 2.6881171418161353349e+43),
+    ("extremal_u", (5, 1.0, -3.0), 1.0, 0.7, 2.1593954995810612715e-1),
+    ("scaling_direction", (5, 1.0, -3.0), 1.0, 0.7, -1.3050690579986128343e-1),
+    ("Z0", (5, 1.0, -3.0), 1.0, 0.7, 2.9481575391418980757e-2),
+    ("Z1", (5, 1.0, -3.0), 1.0, 0.7, 1.9431985765003519294e-2),
+    ("extremal_u", (5, 1.0, -3.0), 1.0, 125.0, 3.1538559579456262345e-217),
+    # the two-factor product returned -0.0 here: (1 + e^z)^{-(M-2)/2} underflowed alone
+    ("scaling_direction", (5, 1.0, -3.0), 1.0, 125.0, -3.1538559579456262345e-217),
+    ("Z0", (5, 1.0, -3.0), 1.0, 125.0, 7.1245764067412852533e-218),
+    ("Z1", (5, 1.0, -3.0), 1.0, 125.0, 3.6808558548018004232e-272),
+    ("extremal_u", (5, 1.0, -3.0), 5.0, -60.0, 2.8866267962742337648e+53),
+    ("scaling_direction", (5, 1.0, -3.0), 5.0, -60.0, 5.7732535925484675297e+52),
+    ("extremal_u", (5, 1.0, -3.0), 5.0, 125.0, 6.307711915891252469e-218),
+    ("scaling_direction", (5, 1.0, -3.0), 5.0, 125.0, -1.2615423831782504938e-218),
+    ("extremal_u", (6, 0.5, -2.5), 0.2, -150.0, 2.1267273031678992949e+66),
+    ("scaling_direction", (6, 0.5, -2.5), 0.2, -150.0, 1.8608863902719117797e+67),
+    ("extremal_u", (6, 0.5, -2.5), 0.2, 140.0, 1.057817962244374966e-270),
+    ("scaling_direction", (6, 0.5, -2.5), 0.2, 140.0, -9.2559071696382804389e-270),
+    ("extremal_u", (5, 1.0, -1.01), 0.2, -300.0, 1.1429811192367324593e+232),
+    ("scaling_direction", (5, 1.0, -1.01), 0.2, -300.0, 1.0336268670542335993e+233),
+    ("extremal_u", (5, 1.0, -1.01), 0.2, 300.0, 1.3369854478588937821e-288),
+    ("scaling_direction", (5, 1.0, -1.01), 0.2, 300.0, -1.2051910731865355174e-287),
+    ("Z0", (5, 1.0, -1.01), 1.0, -300.0, -6.9217659593553872967e-8),
+    ("Z1", (5, 1.0, -1.01), 1.0, -300.0, 1.625377529190362509e-8),
+    ("Z0", (5, 1.0, -1.01), 1.0, 150.0, 2.1114900312417927026e-296),
+    ("Z1", (5, 1.0, -1.01), 1.0, 150.0, 1.2838666351049131663e-296),
+]
+
+
+@pytest.mark.parametrize("form,point,lam,t,want", FAMILY_REFERENCES)
+def test_family_matches_50_digit_references(form, point, lam, t, want):
+    # U, kappa1 U + r U', Z0 and Z1 share one kernel: one exponential per sample
+    P = ckn.derive(*point)
+    spec = ExtremalSpec(P, lam=lam)
+    forms = {"extremal_u": lambda r: extremal_u(spec, r),
+             "scaling_direction": lambda r: closedform.scaling_direction(spec, r),
+             "Z0": lambda r: linearized_mode(P, 0, r),
+             "Z1": lambda r: linearized_mode(P, 1, r)}
+    assert forms[form](math.exp(t)) == pytest.approx(want, rel=1e-12, abs=0.0)

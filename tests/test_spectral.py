@@ -11,7 +11,7 @@ import ckn
 from ckn import _forms, numerics, spectral, transforms
 from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_degree,
                             linearized_eigenvalue, omega_sphere, scaling_direction)
-from ckn.errors import MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
+from ckn.errors import GridTooSmall, MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
 from ckn.spectral import (linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
                           second_variation_z1, spectral_gap)
@@ -309,6 +309,13 @@ OFF_CURVE = [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5), (6, -1.0, -4.0), (5
 class TestLinearizedResidual:
     def test_mode0_exact(self, p512, grid):
         assert linearized_residual(p512, 0, grid) < 1e-7
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_grid_without_residual_nodes(self, p512, which):
+        # at n <= 2 RESIDUAL_MARGIN no node is left to take the max over
+        with pytest.raises(GridTooSmall, match="16 nodes"):
+            linearized_residual(p512, which, ckn.make_grid(n=2 * numerics.RESIDUAL_MARGIN - 1))
+        assert math.isfinite(linearized_residual(p512, which, ckn.make_grid(n=17)))
 
     def test_mode1_exact_on_curve(self, grid):
         pf = ckn.derive(5, 1.0, ckn.felli_schneider(5, 1.0))

@@ -306,14 +306,17 @@ class TestPerturbedQuotient:
         # quotient in r with the amplitude C_amp, by 4.2e-13 relative when the
         # quotient moved to t = ln r and the amplitude-free extremal_shape, then from
         # 0x1.bb1984bedf01ap+7 by 6.4e-16 relative when the sphere integral moved from
-        # 64 Gauss-Legendre nodes in theta to 16 Gauss-Gegenbauer nodes in cos theta
+        # 64 Gauss-Legendre nodes in theta to 16 Gauss-Gegenbauer nodes in cos theta, then
+        # from 0x1.bb1984bedf01fp+7 by 2 ulp (2.6e-16 relative) when Z1 moved to the one
+        # exponential per sample of closedform's family kernel, which moves its samples on
+        # this grid by up to 1e-14 relative
         calls, shape = [], variational.extremal_shape
         monkeypatch.setattr(variational, "extremal_shape",
                             lambda *args: calls.append(1) or shape(*args))
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
         val = perturbed_quotient(p513, 0.05, make_mode(p513, 1), z1)
         assert len(calls) == 1
-        assert val == float.fromhex("0x1.bb1984bedf01fp+7")
+        assert val == float.fromhex("0x1.bb1984bedf01dp+7")
         assert val == pytest.approx(float.fromhex("0x1.bb1984bedfcc5p+7"), rel=1e-12)
 
     def test_gauss_rule_computed_once(self, p513, grid, monkeypatch):
