@@ -1,7 +1,7 @@
 """Command-line front end: constants, verification suites, spectra, region
 maps, and radial minimization, with machine-readable output.
 
-Grid and tolerance defaults can be pinned in a plain-text config file of
+Grid defaults can be pinned in a plain-text config file of
 ``key = value`` lines (keys: t_min, t_max, n), selected with --config or
 the CKN_CONFIG environment variable; explicit flags win over the config,
 which wins over the built-ins.  Exit codes: 0 success, 1 assertion or

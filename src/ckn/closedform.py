@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import (AlphaOutOfRange, EpsOutOfRange, InvalidDimension, MOutOfRange,
-                     NonPositiveRadius, RellichBoundary, ScalarOverflow)
+from .errors import EpsOutOfRange, MOutOfRange, NonPositiveRadius, ScalarOverflow
 from .numerics import LogGrid, log_gamma
-from .params import CknParams
+from .params import CknParams, check_alpha, check_dimension, check_index, require_subcritical
 
 __all__ = [
     "ExtremalSpec", "extremal_u", "extremal_shape", "scaling_direction", "sobolev_s0", "b_of_m",
@@ -40,12 +39,11 @@ class ExtremalSpec:
     amplitude: float | None = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"scaling must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"scaling must be positive and finite, got {self.lam}")
         if self.amplitude is None:
             object.__setattr__(self, "amplitude", self.params.C_amp)
-        if not self.params.subcritical:
-            raise RellichBoundary("extremal amplitude undefined at beta = alpha - 2")
+        require_subcritical(self.params, "the extremal amplitude")
         if not 0 < self.amplitude < math.inf:
             raise ScalarOverflow(f"amplitude {self.amplitude} at M = {self.params.M_dim:.6g}")
 
@@ -60,10 +58,9 @@ def _family(P: CknParams, r, lam: float, log_c: float, a: float, odd: bool, what
     U (a = 1), kappa1 U + r U' and Z0 (a = 1, odd), Z1 (a = 1/2).  One exponential per sample,
     of log c - a z - (M-4a)/2 softplus(z), whose terms never cancel (M > 4a): BadGridSpec where
     it overflows (numerics.grid_exp), and no factor goes subnormal on its own."""
-    if not P.subcritical:
-        raise RellichBoundary(f"{what} requires beta < alpha - 2")
+    require_subcritical(P, what)
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
+    if not np.all(r_arr > 0):                 # NaN fails too; r = inf gives 0
         raise NonPositiveRadius(f"{what} requires r > 0")
     z = 2.0 * P.nu * (np.log(r_arr) + math.log(lam))
     out = (numerics.grid_exp(log_c - a * z - (P.M_dim - 4.0 * a) / 2.0 * _softplus(z), what)
@@ -85,8 +82,7 @@ def extremal_u(spec: ExtremalSpec, r) -> np.ndarray | float:
 def extremal_shape(params: CknParams, t, m: float | None = None) -> np.ndarray:
     """cosh(nu t)^m = r^{kappa1} U(r) / C_cosh at r = e^t, m = -(M-4)/2 (m = -(M-2)/2 gives
     r^{kappa1} Z1 2^{(M-2)/2}): even, at most 1, finite everywhere, also where C_amp overflows."""
-    if not params.subcritical:
-        raise RellichBoundary("extremal_shape requires beta < alpha - 2")
+    require_subcritical(params, "extremal_shape")
     z = np.abs(params.nu * np.asarray(t, dtype=float))
     m = params.m_exp if m is None else m
     return np.exp(m * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)))
@@ -112,8 +108,7 @@ def sobolev_s0(N: int) -> float:
 
         pi^2 N (N-4) (N^2-4) * (Gamma(N/2) / Gamma(N))^{4/N}.
     """
-    if not (isinstance(N, int) and N >= 5):
-        raise InvalidDimension(f"need integer N >= 5, got {N}")
+    check_dimension(N)
     return (math.pi ** 2 * N * (N - 4) * (N ** 2 - 4)
             * math.exp(4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))))
 
@@ -123,8 +118,8 @@ def b_of_m(M: float) -> float:
 
         (M-4)(M-2)M(M+2) * (Gamma(M/2)^2 / (2 Gamma(M)))^{4/M}.
     """
-    if not M > 4:
-        raise MOutOfRange(f"need M > 4, got {M}")
+    if not 4 < M < math.inf:
+        raise MOutOfRange(f"need finite M > 4, got {M}")
     return ((M - 4.0) * (M - 2.0) * M * (M + 2.0)
             * math.exp(4.0 / M * (2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M))))
 
@@ -136,8 +131,7 @@ def radial_constant_sr(params: CknParams) -> float:
 
     with T = N + 2 alpha - beta - 4 and M = 2T/(alpha-beta-2).
     """
-    if not params.subcritical:
-        raise RellichBoundary("radial_constant_sr requires beta < alpha - 2")
+    require_subcritical(params, "radial_constant_sr")
     anb2 = params.alpha - params.beta - 2.0
     T = 2.0 * params.kappa1
     e = 2.0 * anb2 / T
@@ -152,20 +146,14 @@ def rellich_constant(N: int, alpha: float) -> float:
 
     evaluated in the collapsed form, because the sum cancels as alpha -> 2 - N
     (1e-9 relative error at N = 8)."""
-    if not (isinstance(N, int) and N >= 5):
-        raise InvalidDimension(f"need integer N >= 5, got {N}")
-    if not alpha > 2 - N:
-        raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
-    return ((N - 2.0 + alpha) / 2.0) ** 4
+    return ((N - 2.0 + check_alpha(N, alpha)) / 2.0) ** 4
 
 
 def rellich_constant_alt(N: int, alpha: float) -> float:
     """The Rellich constant as H^2, H = ((N-2)/2 + alpha/2)^2 the sharp constant of
     int |x|^alpha |grad u|^2 >= H int |x|^{alpha-2} u^2; equal to the sum in
     rellich_constant because Q + ((N-4)/2)^2 = H."""
-    if not alpha > 2 - N:
-        raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
-    half = (N - 2.0) / 2.0 + alpha / 2.0
+    half = (N - 2.0) / 2.0 + check_alpha(N, alpha) / 2.0
     hardy = half * half
     return hardy * hardy
 
@@ -175,9 +163,7 @@ def critical_constant(N: int, alpha: float) -> float:
 
         (1 + alpha/(N-2))^{4 - 4/N} * S0(N),  strictly below S0.
     """
-    if not (2 - N < alpha < 0):
-        raise AlphaOutOfRange(f"need {2 - N} < alpha < 0, got {alpha}")
-    return (1.0 + alpha / (N - 2.0)) ** (4.0 - 4.0 / N) * sobolev_s0(N)
+    return (1.0 + check_alpha(N, alpha, 0.0) / (N - 2.0)) ** (4.0 - 4.0 / N) * sobolev_s0(N)
 
 
 def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
@@ -199,10 +185,8 @@ def linearized_degree(params: CknParams, k: int) -> float:
     """Real degree l_k = -(M-2)/2 + sqrt(((M-2)/2)^2 + q^2 lambda_k), lambda_k = k(N-2+k), taken
     as q^2 lambda_k / ((M-2)/2 + sqrt(...)), which does not cancel.  l_0 = 0, and l_1 = 1
     exactly on the Felli-Schneider curve."""
-    if not params.subcritical:
-        raise RellichBoundary("the linearized modes require beta < alpha - 2")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k = {k}")
+    require_subcritical(params, "linearized_degree")
+    check_index(k, "k")
     half = (params.M_dim - 2.0) / 2.0
     q2lam = params.q_pow ** 2 * k * (params.N - 2.0 + k)
     return q2lam / (half + math.sqrt(half * half + q2lam))
@@ -228,8 +212,7 @@ def linearized_eigenvalue(params: CknParams, k: int, n: int = 0) -> float:
     on the Felli-Schneider curve.  The eigenfunctions, in s = r^{1/q}, are the Gegenbauer
     profiles s^{l_k} (1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n = {n}")
+    check_index(n, "n")
     M = params.M_dim
     x = M + 2.0 * (linearized_degree(params, k) + n)
     return (x - 4.0) * (x - 2.0) * x * (x + 2.0) / ((M - 4.0) * (M - 2.0) * M * (M + 2.0))
@@ -270,8 +253,7 @@ def rellich_test_quotient(N: int, eps: float, grid: LogGrid) -> float:
     """
     if not (0 < eps < 0.5):
         raise EpsOutOfRange(f"need 0 < eps < 1/2, got {eps}")
-    if not (isinstance(N, int) and N >= 5):
-        raise InvalidDimension(f"need integer N >= 5, got {N}")
+    check_dimension(N)
     t = grid.ts
     sigma = -(N - 4.0) / 2.0 + eps
     c0 = sigma * (sigma + N - 4.0)

@@ -10,7 +10,7 @@ class InvalidDimension(CknError):
 
 
 class AlphaOutOfRange(CknError):
-    """Weight exponent alpha violates alpha > 2 - N (or a stricter caller bound)."""
+    """Weight exponent alpha is not finite or violates alpha > 2 - N (or a stricter bound)."""
 
 
 class BetaOutOfRange(CknError):
@@ -46,7 +46,7 @@ class NonPositiveRadius(CknError):
 
 
 class MOutOfRange(CknError):
-    """Effective dimension M must exceed 4 (and, where B(M/2, M/2) is used, stay below ~1000)."""
+    """Effective dimension M must be finite and exceed 4 (below ~1000 where B(M/2, M/2) is used)."""
 
 
 class EpsOutOfRange(CknError):

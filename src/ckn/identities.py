@@ -12,14 +12,15 @@ at high accuracy, from three weighted sums per profile that serve every mode (_s
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, BadGridSpec, CknError, MaxIters, WeightOutOfRange
+from .errors import BadGridSpec, CknError, MaxIters, ScalarOverflow, WeightOutOfRange
 from .numerics import (RadialProfile, checked_sums, grid_power, simpson_terms, tail_nodes,
                        with_derivatives)
-from .params import CknParams
+from .params import CknParams, check_alpha
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
            "rellich_coeff_identities", "equivalence_ratio", "equivalence_bounds",
@@ -100,15 +101,17 @@ def xi_sign(N: int, alpha: float) -> tuple[float, int]:
         B = -2 alpha / (N-2),
         xi = (BN - 2A + B^2 - 4B) N^2/4 + A (A - (B-2) N).
 
-    xi > 0 iff alpha > 0, xi = 0 iff alpha = 0, xi < 0 iff 2-N < alpha < 0.
+    xi > 0 iff alpha > 0, xi = 0 iff alpha = 0, xi < 0 iff 2-N < alpha < 0; ScalarOverflow
+    where xi leaves the float range, from |alpha| of about 1e77 on.
     """
-    alpha = float(alpha)
-    if not alpha > 2 - N:
-        raise AlphaOutOfRange(f"need alpha > {2 - N}, got {alpha}")
+    alpha = check_alpha(N, alpha)
     A = -(N * alpha / (2.0 * (N - 2.0))) * ((N - 4.0) * alpha / (2.0 * (N - 2.0)) + (N - 2.0))
     B = -2.0 * alpha / (N - 2.0)
-    xi = (B * N - 2.0 * A + B ** 2 - 4.0 * B) * N ** 2 / 4.0 + A * (A - (B - 2.0) * N)
-    return xi, (xi > 0) - (xi < 0)
+    with contextlib.suppress(OverflowError):
+        xi = (B * N - 2.0 * A + B ** 2 - 4.0 * B) * N ** 2 / 4.0 + A * (A - (B - 2.0) * N)
+        if math.isfinite(xi):
+            return xi, (xi > 0) - (xi < 0)
+    raise ScalarOverflow(f"xi overflows at N = {N}, alpha = {alpha}")
 
 
 def rellich_coeff_identities(N: int, alpha: float
@@ -125,8 +128,7 @@ def rellich_coeff_identities(N: int, alpha: float
     C_{mu,2} = N^2/(16(N-4)^2) mu^2 (2(N-4)-mu)^2 - (N-2)/2 mu (2(N-4)-mu).
     Returns (lhs1, rhs1, lhs2, rhs2).
     """
-    if not (2 - N < alpha < 0):
-        raise AlphaOutOfRange(f"need {2 - N} < alpha < 0, got {alpha}")
+    alpha = check_alpha(N, alpha, 0.0)
     eta = -2.0 - N * alpha / (2.0 * (N - 2.0))
     mu = -(N - 4.0) * alpha / (N - 2.0)
     s = N + alpha + eta - 2.0

@@ -1,12 +1,12 @@
 """Parameter algebra for the weighted second-order inequality.
 
-A point (N, alpha, beta) with N >= 5, alpha > 2 - N and
-(N-4)/(N-2)*alpha - 4 <= beta <= alpha - 2 fixes every scalar of the
-theory: the third weight gamma, the critical exponent p, the
-Emden-Fowler constants, the effective dimension M, and the
-Felli-Schneider threshold beta_fs separating stable from unstable
-radial extremals.  ``derive`` computes them all; ``classify`` places the
-point in the (alpha, beta) plane.
+A point (N, alpha, beta) with N >= 5, alpha > 2 - N and (N-4)/(N-2)*alpha - 4 <= beta <=
+alpha - 2 fixes every scalar of the theory: the third weight gamma, the critical exponent p,
+the Emden-Fowler constants, the effective dimension M, and the Felli-Schneider threshold
+beta_fs separating stable from unstable radial extremals.  ``derive`` computes them all;
+``classify`` places the point in the (alpha, beta) plane.  Each rule on raw inputs is stated
+once, here: check_dimension, check_alpha, require_subcritical and check_index, which every
+module calls in place of an inline guard; derive is the only beta check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, BetaOutOfRange, InvalidDimension, ScalarOverflow
+from .errors import (AlphaOutOfRange, BetaOutOfRange, InvalidDimension, RellichBoundary,
+                     ScalarOverflow)
 
 
 class RegionClass(enum.Enum):
@@ -65,6 +66,33 @@ class CknParams:
         return not on_rellich_line(self.alpha, self.beta)
 
 
+def check_dimension(N) -> None:
+    """The dimension rule: N is an int with N >= 5 (a bool, 0 or 1, fails it); InvalidDimension."""
+    if not (isinstance(N, int) and N >= 5):
+        raise InvalidDimension(f"need integer N >= 5, got {N!r}")
+
+
+def check_alpha(N: int, alpha, upper: float = math.inf) -> float:
+    """The alpha rule after check_dimension(N): float(alpha), finite with 2 - N < alpha < upper."""
+    check_dimension(N)
+    alpha = float(alpha)
+    if not 2 - N < alpha < upper:
+        raise AlphaOutOfRange(f"need finite alpha with {2 - N} < alpha < {upper:g}, got {alpha}")
+    return alpha
+
+
+def require_subcritical(params, what: str) -> None:
+    """The subcritical rule, where U, M and q exist: RellichBoundary unless params.subcritical."""
+    if not params.subcritical:
+        raise RellichBoundary(f"{what} requires beta < alpha - 2")
+
+
+def check_index(k, what: str) -> None:
+    """The mode-index rule: an int or NumPy integer k >= 0, not a bool; ValueError otherwise."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0):
+        raise ValueError(f"need integer {what} >= 0, got {what} = {k!r}")
+
+
 def beta_lower(N: int, alpha: float) -> float:
     """Lower end of the admissible beta interval."""
     return (N - 4) * alpha / (N - 2) - 4.0
@@ -76,8 +104,9 @@ def felli_schneider(N: int, alpha: float) -> float:
     Radial extremals lose linearized stability below this curve (alpha > 0).
     At alpha = 0 it collapses to -4 for every N since (N-2)^2 + 4(N-1) = N^2.
     """
-    if not (isinstance(N, (int,)) and N >= 5):
-        raise InvalidDimension(f"need integer N >= 5, got {N}")
+    check_dimension(N)
+    if not math.isfinite(alpha):      # alpha <= 2 - N is legal: region-map prints Invalid cells
+        raise AlphaOutOfRange(f"beta_fs needs a finite alpha, got {alpha}")
     try:
         return N + 2.0 * alpha - 4.0 - math.sqrt((N - 2.0 + alpha) ** 2 + 4.0 * (N - 1.0))
     except OverflowError:
@@ -133,14 +162,8 @@ def regions(N: int, alpha: np.ndarray, beta: np.ndarray, lo, bfs) -> tuple[np.nd
 
 def derive(N: int, alpha: float, beta: float) -> CknParams:
     """Validate (N, alpha, beta) and populate every derived scalar."""
-    if not (isinstance(N, int) and not isinstance(N, bool) and N >= 5):
-        raise InvalidDimension(f"need integer N >= 5, got {N!r}")
-    alpha = float(alpha)
-    beta = float(beta)
-    if not 2 - N < alpha < math.inf:
-        raise AlphaOutOfRange(f"need finite alpha > {2 - N}, got {alpha}")
-    lo = beta_lower(N, alpha)
-    hi = alpha - 2.0
+    alpha, beta = check_alpha(N, alpha), float(beta)
+    lo, hi = beta_lower(N, alpha), alpha - 2.0
     # beta = -N, the excluded alpha -> 2 - N limit of lo, is reached only by rounding
     if not (lo <= beta <= hi) or N + beta == 0.0:
         raise BetaOutOfRange(f"need beta in [{lo}, {hi}] and beta > -{N}, got {beta}")

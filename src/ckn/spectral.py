@@ -24,9 +24,9 @@ from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
 from .closedform import linearized_degree, linearized_eigenvalue, omega_sphere
-from .errors import GridTooSmall, MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
+from .errors import GridTooSmall, MOutOfRange, NoConvergence, WrongRegion
 from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, log_gamma
-from .params import CknParams, RegionClass, second_variation_gap
+from .params import CknParams, RegionClass, require_subcritical, second_variation_gap
 from .variational import ModeSpec, make_mode
 
 __all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
@@ -69,8 +69,7 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     D^{1/2} y (D^{-1/2} y up to scale), one inverse-iteration step beyond the Ritz vector y,
     so its error is quadratic in the Ritz residual and the last solve damps high frequencies;
     nu sits on the eps/h^4 floor of the sum, below that of SHIFT + 1/theta or x^T E x."""
-    if not params.subcritical:
-        raise RellichBoundary("mode_eigenpairs requires beta < alpha - 2")
+    require_subcritical(params, "mode_eigenpairs")
     # r^{-kappa1}, built first: a grid on which it overflows raises BadGridSpec before the solve
     back = _forms.from_scaled(params, grid, 1.0)
     ab = _forms.energy_band(params, mode.lambda_k, grid)
@@ -130,8 +129,7 @@ def second_variation_bracket(params: CknParams) -> float:
     multiplying chi - (M-1) in the second variation along the mode-1
     direction X1 = s (1+s^2)^{-(M-2)/2}.  Both are Beta integrals (s^2 =
     x/(1-x)); MOutOfRange where B0 = B(M/2, M/2) underflows (M > ~1000)."""
-    if not params.subcritical:
-        raise RellichBoundary("second variation requires beta < alpha - 2")
+    require_subcritical(params, "the second variation")
     M = params.M_dim
     chi = params.q_pow ** 2 * (params.N - 1.0)
     b0 = math.exp(2.0 * log_gamma(M / 2.0) - log_gamma(M))
@@ -161,8 +159,7 @@ def second_variation_z1(params: CknParams) -> float:
 def second_variation_sign(params: CknParams) -> int:
     """Sign of second_variation_z1 without the bracket (it is always
     positive, so the sign is that of chi - (M-1))."""
-    if not params.subcritical:
-        raise RellichBoundary("second variation requires beta < alpha - 2")
+    require_subcritical(params, "the second variation")
     return int(np.sign(second_variation_gap(params.N, params.q_pow, params.M_dim)))
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_shape
-from .errors import CknError, GridTooSmall, MOutOfRange, RellichBoundary
+from .errors import CknError, GridTooSmall, MOutOfRange
 from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate
-from .params import CknParams
+from .params import CknParams, require_subcritical
 
 __all__ = [
     "EmdenFowlerProfile", "to_emden_fowler", "from_emden_fowler",
@@ -126,8 +126,7 @@ def to_dimension_m(u: RadialProfile, params: CknParams) -> RadialProfile:
     ascending in s; ln s = ln r / q maps [t_min, t_max] onto
     [t_max/q, t_min/q].
     """
-    if not params.subcritical:
-        raise RellichBoundary("to_dimension_m requires beta < alpha - 2")
+    require_subcritical(params, "to_dimension_m")
     values = (u.values * numerics.grid_power(params.a_shift, u.grid, "r^a"))[::-1].copy()
     grid = numerics.make_grid(u.grid.t_max / params.q_pow, u.grid.t_min / params.q_pow, u.grid.n)
     return RadialProfile(grid=grid, values=values)
@@ -135,8 +134,7 @@ def to_dimension_m(u: RadialProfile, params: CknParams) -> RadialProfile:
 
 def from_dimension_m(v: RadialProfile, params: CknParams) -> RadialProfile:
     """Inverse of to_dimension_m: u(r) = r^{-a} v(r^{1/q})."""
-    if not params.subcritical:
-        raise RellichBoundary("from_dimension_m requires beta < alpha - 2")
+    require_subcritical(params, "from_dimension_m")
     grid = numerics.make_grid(v.grid.t_max * params.q_pow, v.grid.t_min * params.q_pow, v.grid.n)
     values = v.values[::-1] * numerics.grid_power(-params.a_shift, grid, "r^-a")
     return RadialProfile(grid=grid, values=values)
@@ -151,8 +149,8 @@ def rayleigh_m(v: RadialProfile, M: float) -> float:
     Evaluates to B(M) on v = (1+s^2)^{-(M-4)/2} and is invariant under
     scaling and dilation of v.
     """
-    if not M > 4:
-        raise MOutOfRange(f"need M > 4, got {M}")
+    if not 4 < M < np.inf:
+        raise MOutOfRange(f"need finite M > 4, got {M}")
     p_m = 2.0 * M / (M - 4.0)
     vv = numerics.with_derivatives(v)
     lap = vv.d2 + (M - 2.0) * vv.d1          # s^2 * (v'' + (M-1)/s v')

@@ -22,9 +22,9 @@ import scipy.linalg as sla
 
 from . import _forms, numerics
 from .closedform import extremal_shape, omega_sphere
-from .errors import AmplitudeTooLarge, CknError, MaxIters, RellichBoundary
+from .errors import AmplitudeTooLarge, CknError, MaxIters
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
-from .params import CknParams
+from .params import CknParams, check_index, require_subcritical
 
 __all__ = ["ModeSpec", "make_mode", "radial_energy", "mode_energy",
            "minimize_radial", "perturbed_quotient"]
@@ -41,10 +41,8 @@ class ModeSpec:
 
 
 def make_mode(params: CknParams, k: int) -> ModeSpec:
-    if k < 0:
-        raise ValueError(f"mode index must be >= 0, got {k}")
-    if not params.subcritical:
-        raise RellichBoundary("mode data requires beta < alpha - 2")
+    check_index(k, "k")
+    require_subcritical(params, "make_mode")
     N = params.N
     lam = float(k * (N - 2 + k))
     mult = 1 if k == 0 else ((N + 2 * k - 2) * math.factorial(N + k - 3)
@@ -95,8 +93,7 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off),
     and NoConvergence if rounding leaves A without a Cholesky factor.
     """
-    if not params.subcritical:
-        raise RellichBoundary("minimize_radial requires beta < alpha - 2")
+    require_subcritical(params, "minimize_radial")
     if not max_iters >= 1:
         raise CknError(f"max_iters must be at least 1, got {max_iters}")
     grid = init.grid

@@ -1,0 +1,110 @@
+"""Every public function that takes a raw N, alpha, M, k, n, r or lambda, at the boundary of
+its domain and at +-inf and NaN: each row names the typed error that the input must raise.
+The rules themselves (check_dimension, check_alpha, require_subcritical, check_index) live in
+ckn.params; these rows pin every caller to them."""
+
+import math
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from ckn import closedform as cf
+from ckn import identities, spectral, transforms, variational
+from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, EpsOutOfRange, InvalidDimension,
+                        MOutOfRange, NonPositiveRadius, RellichBoundary, ScalarOverflow)
+from ckn.numerics import RadialProfile, make_grid, sample
+from ckn.params import derive, felli_schneider
+
+INF, NAN = math.inf, math.nan
+P = derive(5, 1.0, -3.0)                  # subcritical
+R = derive(5, 1.0, -1.0)                  # beta = alpha - 2, the Rellich line
+SPEC = cf.ExtremalSpec(P)
+GRID = make_grid(-10.0, 10.0, 201)
+BUMP = sample(GRID, lambda s: (1.0 + s * s) ** -2.0)
+INIT = RadialProfile(grid=GRID, values=np.exp(-GRID.ts ** 2))
+MODE = variational.make_mode(P, 1)
+NAMES = {id(x): name for x, name in ((P, "P"), (R, "R"), (SPEC, "spec"), (GRID, "grid"),
+                                     (BUMP, "bump"), (INIT, "init"), (MODE, "mode"))}
+
+
+def row(outcome, fn, *args):
+    """One table row: fn(*args) and its outcome, an error class or a check of the value."""
+    text = ", ".join(NAMES.get(id(a), repr(a)) for a in args)
+    return pytest.param(fn, args, outcome, id=f"{fn.__name__}({text})")
+
+
+ROWS = [
+    # N: an int >= 5
+    *(row(InvalidDimension, fn, N, *rest) for N in (4, 5.0, True, INF, NAN)
+      for fn, rest in ((derive, (1.0, -3.0)), (felli_schneider, (1.0,)), (cf.sobolev_s0, ()),
+                       (cf.rellich_constant, (1.0,)), (identities.xi_sign, (1.0,)))),
+    row(InvalidDimension, cf.rellich_test_quotient, 4, 0.1, GRID),
+    # alpha: finite with 2 - N < alpha (< 0 on the critical boundary)
+    *(row(AlphaOutOfRange, fn, 5, a) for a in (-3.0, INF, -INF, NAN)
+      for fn in (cf.rellich_constant, cf.rellich_constant_alt, cf.critical_constant,
+                 identities.xi_sign, identities.rellich_coeff_identities)),
+    *(row(AlphaOutOfRange, derive, 5, a, -3.0) for a in (-3.0, INF, -INF, NAN)),
+    *(row(AlphaOutOfRange, fn, 5, 0.0) for fn in (cf.critical_constant,
+                                                  identities.rellich_coeff_identities)),
+    *(row(AlphaOutOfRange, felli_schneider, 5, a) for a in (INF, -INF, NAN)),
+    row(ScalarOverflow, identities.xi_sign, 5, 1e160),
+    row(ScalarOverflow, identities.xi_sign, 5, 1e100),
+    # beta: derive is the one check
+    *(row(BetaOutOfRange, derive, 5, 1.0, b) for b in (-1.0 + 1e-12, INF, -INF, NAN)),
+    # M: finite and > 4
+    *(row(MOutOfRange, fn, *pre, M) for M in (4.0, INF, -INF, NAN)
+      for fn, pre in ((cf.b_of_m, ()), (transforms.rayleigh_m, (BUMP,)))),
+    # eps of the Rellich test sequence
+    *(row(EpsOutOfRange, cf.rellich_test_quotient, 5, e, GRID) for e in (0.0, 0.5, INF, NAN)),
+    # k and n: ints >= 0, not bools
+    *(row(ValueError, fn, P, k) for k in (-1, 1.5, True, INF, NAN)
+      for fn in (variational.make_mode, cf.linearized_degree, cf.linearized_eigenvalue)),
+    *(row(ValueError, cf.linearized_eigenvalue, P, 1, n) for n in (-1, 0.5, False, INF, NAN)),
+    # r: r > 0 (NaN fails)
+    *(row(NonPositiveRadius, fn, SPEC, r) for r in (0.0, -INF, NAN)
+      for fn in (cf.extremal_u, cf.scaling_direction)),
+    *(row(NonPositiveRadius, cf.linearized_mode, P, which, r)
+      for which in (0, 1) for r in (0.0, NAN)),
+    # lambda: 0 < lambda < inf
+    *(row(ValueError, cf.ExtremalSpec, P, lam) for lam in (0.0, INF, -INF, NAN)),
+    # the subcritical rule beta < alpha - 2, at beta = alpha - 2
+    *(row(RellichBoundary, fn, *args) for fn, *args in (
+        (cf.ExtremalSpec, R), (cf.extremal_shape, R, 0.0), (cf.linearized_mode, R, 1, 1.0),
+        (cf.radial_constant_sr, R), (cf.linearized_degree, R, 1),
+        (cf.linearized_eigenvalue, R, 1, 0), (variational.make_mode, R, 1),
+        (variational.minimize_radial, R, INIT), (spectral.mode_eigenpairs, R, MODE, GRID),
+        (spectral.second_variation_bracket, R), (spectral.second_variation_sign, R),
+        (spectral.second_variation_z1, R), (spectral.linearized_residual, R, 1, GRID),
+        (transforms.to_dimension_m, BUMP, R), (transforms.from_dimension_m, BUMP, R),
+        (transforms.cosh_constants, R))),
+]
+
+
+@pytest.mark.parametrize("fn,args,error", ROWS)
+def test_out_of_range_input_raises_its_typed_error(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn,args,check", [
+    # finite alpha <= 2 - N is legal for beta_fs: region-map prints it beside Invalid cells
+    row(math.isfinite, felli_schneider, 5, -3.0),
+    row(math.isfinite, felli_schneider, 5, -10.0),
+    row(lambda v: math.isfinite(v[0]) and v[1] == 1, identities.xi_sign, 5, 1e70),
+    row(lambda v: v == 0.0, cf.extremal_u, SPEC, INF),
+    row(math.isfinite, cf.b_of_m, 4.5),
+    row(math.isfinite, cf.linearized_eigenvalue, P, np.int64(1), 0),
+    row(lambda m: m.multiplicity == 1, variational.make_mode, P, 0),
+])
+def test_inside_the_boundary_is_accepted(fn, args, check):
+    assert check(fn(*args))
+
+
+def test_region_errors_raised_only_in_params():
+    # one statement of each rule: every other module calls the params checks
+    src = pathlib.Path(cf.__file__).parent
+    pattern = re.compile(r"raise (InvalidDimension|AlphaOutOfRange|RellichBoundary)\b")
+    raisers = {path.name for path in src.glob("*.py") if pattern.search(path.read_text())}
+    assert raisers == {"params.py"}
