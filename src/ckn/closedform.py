@@ -176,7 +176,7 @@ def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
                the extra direction that appears exactly on the Felli-Schneider curve.
     BadGridSpec where a sample overflows (numerics.grid_exp).
     """
-    if which not in (0, 1):
+    if isinstance(which, bool) or which not in (0, 1):
         raise ValueError("which must be 0 or 1")
     return _family(params, r, 1.0, 0.0, 1.0 - which / 2.0, which == 0, f"Z{which}")
 

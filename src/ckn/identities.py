@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BadGridSpec, CknError, MaxIters, ScalarOverflow, WeightOutOfRange
 from .numerics import (RadialProfile, checked_sums, grid_power, simpson_terms, tail_nodes,
                        with_derivatives)
-from .params import CknParams, check_alpha
+from .params import CknParams, check_alpha, check_index
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
            "rellich_coeff_identities", "equivalence_ratio", "equivalence_bounds",
@@ -30,9 +30,11 @@ __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
 def _per_profile(prof, k, N: int, each):
     """each(grid, profiles, lambda_k's) iterates over the results of each profile's modes in
     turn; a failed tail check raises when its result is drawn.  One profile gives the result
-    of one mode k or the list over a sequence of modes, a sequence of profiles the iterator."""
+    of one mode k or the list over a sequence of modes, a sequence of profiles the iterator.
+    Every k passes params.check_index first (ValueError)."""
     one = np.ndim(k) == 0
-    lams = np.array([float(j * (N - 2 + j)) for j in ([k] if one else k)])
+    ks = [check_index(j, "k") for j in ([k] if one else k)]
+    lams = np.array([float(j * (N - 2 + j)) for j in ks])
     if isinstance(prof, RadialProfile):
         out = list(each(prof.grid, [prof], lams))
         return out[0] if one else out
@@ -225,6 +227,7 @@ def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
 
     Returns (lhs, rhs); requires a_w < (N-2)/2.
     """
+    check_index(k, "k")
     if not a_w < (N - 2.0) / 2.0:
         raise WeightOutOfRange(f"need a < (N-2)/2 = {(N - 2) / 2}, got {a_w}")
     u = with_derivatives(u_mode)

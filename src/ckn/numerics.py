@@ -64,8 +64,9 @@ class RadialProfile:
 
 def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
               n: int = DEFAULT_N) -> LogGrid:
-    """Build a uniform log grid: odd n >= 3 (Simpson), -T_LIMIT <= t_min < t_max <= T_LIMIT."""
-    if not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or n < 3 or n % 2 == 0:
+    """Uniform log grid: odd int n >= 3 (Simpson; no bool), -T_LIMIT <= t_min < t_max <= T_LIMIT."""
+    if (not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or isinstance(n, bool)
+            or not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0):
         raise BadGridSpec(f"need -{T_LIMIT:.2f} <= t_min < t_max <= {T_LIMIT:.2f} and odd n >= 3,"
                           f" got ({t_min}, {t_max}, {n})")
     h = (t_max - t_min) / (n - 1)
@@ -73,15 +74,14 @@ def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
     return LogGrid(t_min=float(t_min), t_max=float(t_max), n=int(n), h=h, nodes=nodes)
 
 
-def grid_exp(x, what: str, top=None, fn=np.exp):
-    """fn(x), e^x by default, for x that grows with the grid: the one overflow
-    rule.  BadGridSpec before fn runs when top, the log of fn's largest value
-    (max x unless the caller knows it), passes T_LIMIT; fn may be a square of
-    the nodes.  An exponent that only underflows is legal."""
+def grid_exp(x, what: str, top=None):
+    """e^x for x that grows with the grid: the one overflow rule.  BadGridSpec
+    before exp runs when top, max x unless the caller knows it, passes T_LIMIT.
+    An exponent that only underflows is legal."""
     top = np.max(x) if top is None else top
     if top > T_LIMIT:
         raise BadGridSpec(f"{what} overflows: log {top:.4g} > {T_LIMIT:.2f}; narrow the grid")
-    return fn(x)
+    return np.exp(x)
 
 
 def grid_power(c, grid: LogGrid, what: str) -> np.ndarray:
@@ -150,6 +150,18 @@ def differentiate(profile: RadialProfile, order: int) -> RadialProfile:
         raise ValueError("order must be 1 or 2")
     D = diff_matrix(profile.grid.n, profile.grid.h, order)
     return RadialProfile(grid=profile.grid, values=D @ profile.values)
+
+
+def even_residual(values: np.ndarray, grid: LogGrid, K2: float, K0: float, rhs) -> float:
+    """Sup of |phi'''' - K2 phi'' + K0 phi - rhs| for samples phi in t, phi'''' the second-
+    derivative stencil applied twice, skipping RESIDUAL_MARGIN nodes at each end, where the
+    stacked one-sided stencils lose accuracy; GridTooSmall where no node is left."""
+    if grid.n <= 2 * RESIDUAL_MARGIN:
+        raise GridTooSmall(f"need more than {2 * RESIDUAL_MARGIN} nodes, got {grid.n}")
+    D = diff_matrix(grid.n, grid.h, 2)
+    d2 = D @ values
+    res = np.abs(D @ d2 - K2 * d2 + K0 * values - rhs)
+    return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max())
 
 
 def with_derivatives(profile: RadialProfile) -> RadialProfile:

@@ -87,10 +87,11 @@ def require_subcritical(params, what: str) -> None:
         raise RellichBoundary(f"{what} requires beta < alpha - 2")
 
 
-def check_index(k, what: str) -> None:
-    """The mode-index rule: an int or NumPy integer k >= 0, not a bool; ValueError otherwise."""
+def check_index(k, what: str):
+    """The mode-index rule: k, an int or NumPy integer >= 0 and not a bool; ValueError otherwise."""
     if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0):
         raise ValueError(f"need integer {what} >= 0, got {what} = {k!r}")
+    return k
 
 
 def beta_lower(N: int, alpha: float) -> float:

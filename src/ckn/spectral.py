@@ -23,9 +23,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
-from .closedform import linearized_degree, linearized_eigenvalue, omega_sphere
-from .errors import GridTooSmall, MOutOfRange, NoConvergence, WrongRegion
-from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, log_gamma
+from .closedform import extremal_shape, linearized_degree, linearized_eigenvalue, omega_sphere
+from .errors import BadGridSpec, MOutOfRange, NoConvergence, WrongRegion
+from .numerics import LogGrid, RadialProfile, log_gamma
 from .params import CknParams, RegionClass, require_subcritical, second_variation_gap
 from .variational import ModeSpec, make_mode
 
@@ -117,7 +117,7 @@ def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
     """index-th eigenpair of the mode-k pencil (index 2 only for k = 0):
     entry index - 1 of mode_eigenpairs, whose one solve serves both mode-0
     indices, so a caller that wants both calls that instead."""
-    if index not in (1, 2):
+    if isinstance(index, bool) or index not in (1, 2):
         raise ValueError("index must be 1 or 2")
     if index == 2 and mode.k != 0:
         raise ValueError("index 2 is only available for mode k = 0")
@@ -170,49 +170,38 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
 
     at X0 = (1-s^2)(1+s^2)^{-(M-2)/2} (which = 0: k = 0, n = 1, the scaling direction) or
     X1 = s^{l_1}(1+s^2)^{-(M-4)/2-l_1} (which = 1: k = 1, n = 0), with l_k from
-    closedform.linearized_degree and nu_{k,n} from closedform.linearized_eigenvalue.  Both
-    are exact solutions at every subcritical point; l_1 = 1 on the Felli-Schneider curve.
-    As beta -> alpha - 2, l_1 grows and X1 narrows: at (5, 1, -1.1), l_1 = 16.6 and the
-    residual is 2.8e-7 on the default grid, 1.7e-8 at n = 8001; (5, 1, -1.01) needs n = 16001.
-    Derivatives are finite differences of samples at numerics.anchored_ts, so the value
-    certifies the profile rather than restating algebra; BadGridSpec where s^2 overflows.
-    """
+    closedform.linearized_degree and nu_{k,n} from closedform.linearized_eigenvalue, the grid
+    read in sigma = ln s (_mode_residual; BadGridSpec where the profile underflows at every
+    node).  Both are exact at every subcritical point; l_1 = 1 on the Felli-Schneider curve.
+    Their width in sigma, about (2/(M-4+2l_k))^{1/2}, sets n: (5, 1, -1.1), M = 82, passes at
+    n = 8001 and (5, 1, -1.001), M = 8002, at n = 16001.  Derivatives are finite differences
+    of samples, so the value certifies the profile."""
     if which not in (0, 1):
         raise ValueError("which must be 0 or 1")
-    M, l1 = params.M_dim, linearized_degree(params, 1)     # RellichBoundary at beta = alpha - 2
-    if which == 0:
-        return _mode_residual(params, 0, 1, grid,
-                              lambda t, s2: (1.0 - s2) * (1.0 + s2) ** (-(M - 2.0) / 2.0))
-
-    def x1(t, s2):
-        # in log space and scaled to peak 1 (the residual is homogeneous in X):
-        # s^{l_1} and (1+s^2)^{-l_1} overflow apart for large l_1, and X1 underflows at large M
-        log_x = l1 * t - (l1 + (M - 4.0) / 2.0) * np.log1p(s2)
-        return np.exp(log_x - log_x.max())
-    return _mode_residual(params, 1, 0, grid, x1)
+    return _mode_residual(params, which, 1 - which, grid)
 
 
-def _mode_residual(params: CknParams, k: int, n: int, grid: LogGrid, profile) -> float:
-    """linearized_residual's value for X = profile(t, s^2), s = e^t at numerics.anchored_ts,
-    and eigenvalue nu_{k,n}; GridTooSmall where no node lies RESIDUAL_MARGIN inside both ends."""
-    if grid.n <= 2 * RESIDUAL_MARGIN:
-        raise GridTooSmall(f"need more than {2 * RESIDUAL_MARGIN} nodes, got {grid.n}")
-    M, c = params.M_dim, make_mode(params, k).q2lambda_k
-    t = numerics.anchored_ts(grid)
-    s = numerics.grid_exp(t, "s")
-    s2 = numerics.grid_exp(s, "s^2", 2.0 * t[-1], np.square)
-    x = profile(t, s2)
-    # Everything is evaluated multiplied by s^4 and expressed through d/dt (t = ln s), which
-    # keeps all terms bounded: with G1 = s^2 (L_s - c/s^2) X the left side becomes
-    # s^4 (L_s - c/s^2)^2 X = G1'' + (M-6) G1' + (8 - 2M - c) G1.
-    prof = numerics.with_derivatives(RadialProfile(grid=grid, values=x))
-    g1 = prof.d2 + (M - 2.0) * prof.d1 - c * x
-    gp = numerics.with_derivatives(RadialProfile(grid=grid, values=g1))
-    lhs = gp.d2 + (M - 6.0) * gp.d1 + (8.0 - 2.0 * M - c) * g1
-    gamma_m = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    eig_term = linearized_eigenvalue(params, k, n) * gamma_m * (s / (1.0 + s2)) ** 4 * x
-    res = np.abs(lhs - eig_term)
-    return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max() / np.abs(eig_term).max())
+def _mode_residual(params: CknParams, k: int, n: int, grid: LogGrid) -> float:
+    """linearized_residual's value for X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k}
+    C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)) at nu_{k,n}.  With X = s^m phi, m = -(M-4)/2, and
+    sigma = ln s at numerics.anchored_ts, the equation times s^{4-m} is the even ODE
+
+        phi'''' - (4 - 2b) phi'' + b^2 phi = nu_{k,n} (Gamma_M/16) sech^4(sigma) phi,
+        b = m(m+M-2) - q^2 lambda_k,
+
+    solved by the bounded phi = cosh(sigma)^{m-l_k} C_n^{l_k+(M-1)/2}(-tanh sigma):
+    numerics.even_residual's sup over max|rhs|."""
+    from scipy.special import eval_gegenbauer     # here, so import ckn skips its ~4 MB
+    M, lk, m = params.M_dim, linearized_degree(params, k), -(params.M_dim - 4.0) / 2.0
+    b = m * (m + M - 2.0) - make_mode(params, k).q2lambda_k
+    t = numerics.anchored_ts(grid) / params.nu       # sigma / nu: cosh(nu t) is cosh(sigma)
+    phi = (extremal_shape(params, t, m - lk)
+           * eval_gegenbauer(n, lk + (M - 1.0) / 2.0, -np.tanh(params.nu * t)))
+    rhs = (linearized_eigenvalue(params, k, n) * (M - 4.0) * (M - 2.0) * M * (M + 2.0) / 16.0
+           * extremal_shape(params, t, -4.0) * phi)
+    if not rhs.any():
+        raise BadGridSpec(f"X_{k},{n} underflows at every node: the grid misses its peak")
+    return numerics.even_residual(phi, grid, 4.0 - 2.0 * b, b * b, rhs) / float(np.abs(rhs).max())
 
 
 def spectral_gap(params: CknParams, grid: LogGrid) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_shape
 from .errors import CknError, GridTooSmall, MOutOfRange
-from .numerics import RESIDUAL_MARGIN, LogGrid, RadialProfile, differentiate
+from .numerics import LogGrid, RadialProfile
 from .params import CknParams, require_subcritical
 
 __all__ = [
@@ -79,23 +79,17 @@ def ode_residual(profile: EmdenFowlerProfile) -> float:
     """Sup residual of phi'''' - K2 phi'' + K0 phi = |phi|^{p-2} phi,
     normalized by the magnitude 1 + max|phi|^{p-1} of the equation.
 
-    The fourth derivative is the second-derivative stencil applied twice,
-    and the sup skips RESIDUAL_MARGIN nodes at each end where the stacked
-    one-sided stencils lose accuracy.  The floor of this quantity is set
-    by rounding of the float64 samples amplified through the fourth
-    derivative (about eps/h^4 relative), not by truncation, once the grid
-    is finer than a few thousand nodes.
+    The fourth derivative and the RESIDUAL_MARGIN nodes skipped at each end
+    are numerics.even_residual's.  The floor of this quantity is set by
+    rounding of the float64 samples amplified through the fourth derivative
+    (about eps/h^4 relative), not by truncation, once the grid is finer than
+    a few thousand nodes.
     """
     if profile.grid.n < 201:
         raise GridTooSmall(f"need n >= 201 for fourth derivatives, got {profile.grid.n}")
-    P = profile.params
-    phi = RadialProfile(grid=profile.grid, values=profile.phi)
-    d2 = differentiate(phi, 2)
-    d4 = differentiate(d2, 2)
-    lhs = d4.values - P.K2 * d2.values + P.K0 * profile.phi
-    rhs = np.abs(profile.phi) ** (P.p - 2.0) * profile.phi
-    res = np.abs(lhs - rhs) / (1.0 + np.abs(profile.phi) ** (P.p - 1.0)).max()
-    return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max())
+    P, phi = profile.params, profile.phi
+    res = numerics.even_residual(phi, profile.grid, P.K2, P.K0, np.abs(phi) ** (P.p - 2.0) * phi)
+    return float(res / (1.0 + np.abs(phi) ** (P.p - 1.0)).max())
 
 
 def cosh_ansatz_check(params: CknParams) -> tuple[float, float, float]:

@@ -724,8 +724,8 @@ def _leaves(doc, key=None):
 class TestWideGrids:
     # Grids inside make_grid's bound on which a power of r can overflow.  Each
     # command ends in a typed outcome, with no NaN and no traceback (tier-1
-    # turns every RuntimeWarning into an error).  One exits 1 on t in [-700, 14]
-    # at the default n: the linearized residual misses 1e-7 at h = 0.18, the
+    # turns every RuntimeWarning into an error).  The linearized residual exits 1
+    # on both wide grids at the default n: it misses 1e-7 at h = 0.18 (7.9e-3), the
     # truncation error of the stencils; at h = 0.007 it passes (below).
     COMMANDS = [("spectrum", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
@@ -735,7 +735,7 @@ class TestWideGrids:
                 ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5"),
                 ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5"),
                 ("verify", "rellich-limit", "-N", "5")]
-    CHECK_FAILURES = {("linearized", "--t-min=-700"): None}
+    CHECK_FAILURES = {("linearized", "--t-min=-700"): None, ("linearized", "--t-max=700"): None}
 
     @pytest.mark.parametrize("grid", ["--t-max=700", "--t-min=-700"])
     @pytest.mark.parametrize("cmd", COMMANDS, ids=["spectrum", "minimize", "minimize-perturb",
@@ -801,6 +801,15 @@ class TestNearRellichBoundary:
         assert second_variation_sign(derive(5, 1.0, float(beta))) == 1
         assert doc["drops_below_radial"] is False
         assert doc["perturbed_plus"] > doc["S_r"] and doc["perturbed_minus"] > doc["S_r"]
+
+    @pytest.mark.parametrize("args", [("-a", "1", "-b", "-1.001", "-n", "16001"),
+                                      ("-a", "-2.5", "-b", "-4.8")])
+    def test_linearized_true_statement_passes(self, capsys, args):
+        # both exited 1 while the residual ran in s = r^{1/q}: M = 8002 on the default width,
+        # and nu = 0.15 on the default grid (mode 0 at 1.3e-7 and 1.09e-7)
+        code, out = run(capsys, "verify", "linearized", "-N", "5", *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
     def test_underflowing_direction_certified(self, capsys):
         # Z1 ~ 2^{-(M-2)/2} underflows to zero at every node in r (M = 2164); it exited 2

@@ -1,5 +1,6 @@
-"""Every public function that takes a raw N, alpha, M, k, n, r or lambda, at the boundary of
-its domain and at +-inf and NaN: each row names the typed error that the input must raise.
+"""Every public function that takes a raw N, alpha, M, k, n, r or lambda, a mode selector or
+a grid's node count, at the boundary of its domain and at +-inf and NaN: each row names the
+typed error that the input must raise.
 The rules themselves (check_dimension, check_alpha, require_subcritical, check_index) live in
 ckn.params; these rows pin every caller to them."""
 
@@ -12,8 +13,9 @@ import pytest
 
 from ckn import closedform as cf
 from ckn import identities, spectral, transforms, variational
-from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, EpsOutOfRange, InvalidDimension,
-                        MOutOfRange, NonPositiveRadius, RellichBoundary, ScalarOverflow)
+from ckn.errors import (AlphaOutOfRange, BadGridSpec, BetaOutOfRange, EpsOutOfRange,
+                        InvalidDimension, MOutOfRange, NonPositiveRadius, RellichBoundary,
+                        ScalarOverflow)
 from ckn.numerics import RadialProfile, make_grid, sample
 from ckn.params import derive, felli_schneider
 
@@ -62,6 +64,17 @@ ROWS = [
     *(row(ValueError, fn, P, k) for k in (-1, 1.5, True, INF, NAN)
       for fn in (variational.make_mode, cf.linearized_degree, cf.linearized_eigenvalue)),
     *(row(ValueError, cf.linearized_eigenvalue, P, 1, n) for n in (-1, 0.5, False, INF, NAN)),
+    *(row(ValueError, fn, INIT, k, *rest) for k in (1.5, True, -3)
+      for fn, rest in ((identities.verify_iid, (5,)), (identities.verify_hardy_identity, (5,)),
+                       (identities.equivalence_ratio, (P,)),
+                       (identities.weighted_hardy_check, (5, 0.5)))),
+    row(ValueError, identities.verify_iid, INIT, [0, 1.5], 5),
+    # which and index: the two-valued selectors, not bools
+    row(ValueError, cf.linearized_mode, P, True, 1.0),
+    row(ValueError, spectral.linearized_residual, P, True, GRID),
+    row(ValueError, spectral.mode_eigenvalue, P, MODE, True, GRID),
+    # n of a grid: an odd int or NumPy integer >= 3, not a bool
+    *(row(BadGridSpec, make_grid, -10.0, 10.0, n) for n in (NAN, INF, 5.0)),
     # r: r > 0 (NaN fails)
     *(row(NonPositiveRadius, fn, SPEC, r) for r in (0.0, -INF, NAN)
       for fn in (cf.extremal_u, cf.scaling_direction)),
@@ -97,6 +110,8 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     row(math.isfinite, cf.b_of_m, 4.5),
     row(math.isfinite, cf.linearized_eigenvalue, P, np.int64(1), 0),
     row(lambda m: m.multiplicity == 1, variational.make_mode, P, 0),
+    row(lambda v: math.isfinite(v[2]), identities.verify_iid, INIT, np.int64(1), 5),
+    row(lambda g: g.n == 201, make_grid, -10.0, 10.0, np.int64(201)),
 ])
 def test_inside_the_boundary_is_accepted(fn, args, check):
     assert check(fn(*args))

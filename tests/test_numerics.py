@@ -260,7 +260,6 @@ class TestGridExp:
     def test_top_and_fn(self):
         x = np.array([-1.0, 700.0])
         assert np.array_equal(grid_exp(x, "e^x"), np.exp(x))
-        assert np.array_equal(grid_exp(x, "e^x - 1", fn=np.expm1), np.expm1(x))
         with pytest.raises(BadGridSpec, match="two-sided"):
             grid_exp(x, "two-sided", top=800.0)
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_gegenbauer
 
 import ckn
 from ckn import _forms, numerics, spectral, transforms
 from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_degree,
                             linearized_eigenvalue, omega_sphere, scaling_direction)
-from ckn.errors import GridTooSmall, MOutOfRange, NoConvergence, RellichBoundary, WrongRegion
+from ckn.errors import (BadGridSpec, GridTooSmall, MOutOfRange, NoConvergence, RellichBoundary,
+                        WrongRegion)
 from ckn.spectral import (linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
                           second_variation_z1, spectral_gap)
@@ -335,26 +335,38 @@ class TestLinearizedResidual:
             assert abs(linearized_degree(ckn.derive(*point), 1) - 1.0) > 1e-2, point
 
     def test_mode1_narrow_profile_near_the_rellich_boundary(self):
-        # l_1 = 16.6 (M = 82) and l_1 = 1657 (M = 8002): X1 narrows, and X1 scaled to peak 1
-        # is representable where s (1+s^2)^{-(M-2)/2} underflows at every node
+        # l_1 = 16.6 (M = 82) and l_1 = 1657 (M = 8002): X1 narrows, and its sigma-form
+        # cosh(sigma)^{-(M-4)/2-l_1} is representable where s (1+s^2)^{-(M-2)/2} underflows
         for beta, n in ((-1.1, 8001), (-1.001, 32001)):
             assert linearized_residual(ckn.derive(5, 1.0, beta), 1, ckn.make_grid(n=n)) < 1e-7
+
+    @pytest.mark.parametrize("n,which", [(16001, 0), (16001, 1), (32001, 0)])
+    def test_both_modes_at_m_8002(self, n, which):
+        # (5, 1, -1.001): the s-space route read 1.3e-7, 7.7e-7 and 6.5e-7 here (mode 1 at
+        # n = 32001 is above); in sigma = ln s the profiles stay bounded and resolved
+        assert linearized_residual(ckn.derive(5, 1.0, -1.001), which, ckn.make_grid(n=n)) < 1e-7
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_grid_that_misses_the_profile(self, which):
+        # at M = 8002 both profiles underflow at every node of sigma in [5, 14], where the
+        # normalization by max|rhs| would divide by zero
+        with pytest.raises(BadGridSpec, match="underflows at every node"):
+            linearized_residual(ckn.derive(5, 1.0, -1.001), which, ckn.make_grid(5.0, 14.0, 201))
+
+    def test_small_nu_on_the_default_grid(self, grid):
+        # nu = 0.15: mode 0 read 1.09e-7 through s and s^2 (mode 1 passed; both: test_cli.py)
+        assert linearized_residual(ckn.derive(5, -2.5, -4.8), 0, grid) < 1e-7
 
     @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (6, -1.0, -4.0), (5, 1.0, -2.0),
                                        (8, 3.0, -1.9)])
     def test_gegenbauer_eigenfunctions(self, grid, point):
         # X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)) at nu_{k,n},
-        # also for n >= 2, which mode_eigenpairs never returns (worst 1.7e-7: k = n = 3 at
+        # also for n >= 2, which mode_eigenpairs never returns (worst 2.3e-7: k = n = 3 at
         # (6, -1, -4), the eps/h^4 floor of the stacked stencils)
         P = ckn.derive(*point)
-        M = P.M_dim
         for k in range(4):
-            lk = linearized_degree(P, k)
             for n in range(4):
-                def x(t, s2):
-                    return (np.exp(lk * t - (lk + (M - 4.0) / 2.0) * np.log1p(s2))
-                            * eval_gegenbauer(n, lk + (M - 1.0) / 2.0, (1.0 - s2) / (1.0 + s2)))
-                assert spectral._mode_residual(P, k, n, grid, x) < 3e-7, (k, n)
+                assert spectral._mode_residual(P, k, n, grid) < 3e-7, (k, n)
 
     def test_mode0_other_params(self, grid):
         assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, grid) < 1e-7
