@@ -24,10 +24,10 @@ clamp the discrete kernel of B_k admits truncated exponentials e^{kappa1 t},
 e^{-kappa2 t} that are not limits of admissible functions and show up as
 spurious near-zero energies.
 
-B_k has one kernel, the rows of _mode_rows: mode_applier applies B_k to
-vectors and energy_band assembles E_k = B_k^T W B_k in LAPACK band storage
-for banded Cholesky.  The sparse mode_operator and energy_matrix are only
-the test references that the two match bit for bit.  mass_vector needs no amplitude.
+B_k has one set of rows, _mode_rows: mode_applier applies them with numerics.apply_rows, the
+stencil kernel of d/dt too, and energy_band assembles E_k = B_k^T W B_k in LAPACK band storage.
+The sparse mode_operator and energy_matrix are only the references that both match bit for bit
+in the tests; the benchmark tracer still wraps them by name.  mass_vector needs no amplitude.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .closedform import extremal_shape
 from .errors import GridTooSmall, NoConvergence
-from .numerics import LogGrid, diff_matrix, grid_exp, stencil_weights, trapezoid_weights
+from .numerics import LogGrid, apply_rows, diff_matrix, diff_rows, grid_exp, trapezoid_weights
 from .params import CknParams
 
 N_CLAMP = 2
@@ -80,11 +80,11 @@ def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csc_m
 
 
 def _mode_rows(params: CknParams, lambda_k: float, grid: LogGrid):
-    """mode_operator's entries, in its order of operations, on the rows of
-    numerics.stencil_weights; GridTooSmall below 7 nodes."""
+    """mode_operator's entries, in its order of operations, in the row layout of
+    numerics.apply_rows; GridTooSmall below 7 nodes."""
     if grid.n < 7:
         raise GridTooSmall(f"need at least 7 nodes, got {grid.n}")
-    (i2, l2, r2), (i1, l1, r1) = ([w / grid.h ** o for w in stencil_weights(o)] for o in (2, 1))
+    (i2, l2, r2), (i1, l1, r1) = (diff_rows(grid.h, o) for o in (2, 1))
     c1, c0 = 2.0 * params.nu, params.cal_B + lambda_k
     inner, left, right = i2 - c1 * i1, l2 - c1 * l1, r2 - c1 * r1
     inner[2] -= c0
@@ -94,17 +94,10 @@ def _mode_rows(params: CknParams, lambda_k: float, grid: LogGrid):
 
 
 def mode_applier(params: CknParams, lambda_k: float, grid: LogGrid):
-    """phi -> B_k phi on the rows of _mode_rows, built once.  Each row is summed from 0
-    in rising column order as mode_operator(params, lambda_k, grid) @ phi: bit for bit."""
-    inner, left, right = _mode_rows(params, lambda_k, grid)
-    n = grid.n
-    def apply(phi: np.ndarray) -> np.ndarray:
-        img = np.empty(n)
-        img[2:-2] = sum(inner[m] * phi[m:n - 4 + m] for m in range(5))
-        img[:3] = sum(left[:, m] * phi[m] for m in range(7))
-        img[-3:] = sum(right[::-1, m] * phi[m - 7] for m in range(7))
-        return img
-    return apply
+    """phi -> B_k phi: numerics.apply_rows on the rows of _mode_rows, built once, and
+    bit for bit mode_operator(params, lambda_k, grid) @ phi."""
+    rows = _mode_rows(params, lambda_k, grid)
+    return lambda phi: apply_rows(rows, phi)
 
 
 def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
+from .params import check_index
 
 DEFAULT_T_MIN = -14.0
 DEFAULT_T_MAX = 14.0
@@ -114,9 +115,9 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def stencil_weights(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """diff_matrix's rows for h = 1: the interior stencil on offsets -2..2,
-    rows 0, 1, 2 on columns 0..6 and rows n-1, n-2, n-3 on columns n-7..n-1
-    (read-only: every caller shares them)."""
+    """The rows of d^order/dt^order for h = 1, in apply_rows' layout: the interior stencil
+    on offsets -2..2, rows 0, 1, 2 on columns 0..6 and rows n-1, n-2, n-3 on columns
+    n-7..n-1 (read-only: every caller shares them)."""
     weights = (_fd_weights(np.arange(-2, 3), order),
                np.array([_fd_weights(np.arange(0, 7) - i, order) for i in range(3)]),
                np.array([_fd_weights(np.arange(-6, 1) + i, order) for i in range(3)]))
@@ -125,42 +126,59 @@ def stencil_weights(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights
 
 
+def apply_rows(rows, values: np.ndarray) -> np.ndarray:
+    """The one stencil kernel: values under rows (inner, left, right) laid out as stencil_weights'
+    are; GridTooSmall below 7 nodes.  One correlate and six row sums, each summed from 0 in
+    rising column order as a CSR product is: bit for bit (a matmul of the end rows is not)."""
+    inner, left, right = rows
+    if len(values) < 7:
+        raise GridTooSmall(f"need at least 7 nodes, got {len(values)}")
+    out = np.correlate(values, inner, "same")
+    out[:3] = (left * values[:7]).sum(axis=1)
+    out[-3:] = (right[::-1] * values[-7:]).sum(axis=1)
+    return out
+
+
+def diff_rows(h: float, order: int) -> list[np.ndarray]:
+    """The rows of d^order/dt^order on nodes h apart, for apply_rows."""
+    return [w / h ** order for w in stencil_weights(order)]
+
+
 @lru_cache(maxsize=64)
 def diff_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
     """Differentiation matrix in t: 4th-order central stencils at interior
     nodes, one-sided stencils of at least 4th order at the 3 nodes nearest
-    each boundary."""
+    each boundary.  Only apply_rows' test reference; the benchmark tracer reads its cache."""
     if n < 7:
         raise GridTooSmall(f"need at least 7 nodes, got {n}")
-    inner, left, right = (w / h ** order for w in stencil_weights(order))
-    interior = np.arange(3, n - 3)
-    # blocks in the old row-by-row loop's order: the CSR arrays match it bit for bit
-    blocks = [(np.repeat(interior, 5), (interior[:, None] + np.arange(-2, 3)).ravel(),
-               np.tile(inner, n - 6))]
-    for i in range(3):
-        blocks.append((np.full(7, i), np.arange(7), left[i]))
-        blocks.append((np.full(7, n - 1 - i), np.arange(n - 7, n), right[i]))
-    rows, cols, vals = (np.concatenate(b) for b in zip(*blocks))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    inner, left, right = diff_rows(h, order)
+    ends = np.tile(np.arange(7), 3)      # the CSR arrays: rows in order, columns rising
+    cols = np.r_[ends, (np.arange(1, n - 5)[:, None] + np.arange(5)).ravel(), ends + n - 7]
+    vals = np.r_[left.ravel(), np.tile(inner, n - 6), right[::-1].ravel()]
+    indptr = np.cumsum(np.r_[0, 7, 7, 7, np.full(n - 6, 5), 7, 7, 7])
+    return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
 
 
 def differentiate(profile: RadialProfile, order: int) -> RadialProfile:
-    """Derivative of the samples with respect to t = ln s (order 1 or 2)."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    D = diff_matrix(profile.grid.n, profile.grid.h, order)
-    return RadialProfile(grid=profile.grid, values=D @ profile.values)
+    """Derivative of the samples with respect to t = ln s by apply_rows: order the int 1 or 2
+    (ValueError otherwise, bools too), samples of shape (grid.n,) (BadGridSpec otherwise)."""
+    if check_index(order, "order") not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    grid, values = profile.grid, np.asarray(profile.values)
+    if values.shape != (grid.n,):
+        raise BadGridSpec(f"need {grid.n} samples on the grid, got shape {values.shape}")
+    return RadialProfile(grid=grid, values=apply_rows(diff_rows(grid.h, order), values))
 
 
 def even_residual(values: np.ndarray, grid: LogGrid, K2: float, K0: float, rhs) -> float:
     """Sup of |phi'''' - K2 phi'' + K0 phi - rhs| for samples phi in t, phi'''' the second-
-    derivative stencil applied twice, skipping RESIDUAL_MARGIN nodes at each end, where the
-    stacked one-sided stencils lose accuracy; GridTooSmall where no node is left."""
+    derivative rows applied twice by apply_rows, skipping RESIDUAL_MARGIN nodes at each end,
+    where the stacked one-sided stencils lose accuracy; GridTooSmall where no node is left."""
     if grid.n <= 2 * RESIDUAL_MARGIN:
         raise GridTooSmall(f"need more than {2 * RESIDUAL_MARGIN} nodes, got {grid.n}")
-    D = diff_matrix(grid.n, grid.h, 2)
-    d2 = D @ values
-    res = np.abs(D @ d2 - K2 * d2 + K0 * values - rhs)
+    rows = diff_rows(grid.h, 2)
+    d2 = apply_rows(rows, values)
+    res = np.abs(apply_rows(rows, d2) - K2 * d2 + K0 * values - rhs)
     return float(res[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max())
 
 
@@ -168,9 +186,8 @@ def with_derivatives(profile: RadialProfile) -> RadialProfile:
     """Return the profile with d1/d2 caches filled (inputs never mutated)."""
     if profile.d1 is not None and profile.d2 is not None:
         return profile
-    return replace(profile,
-                   d1=differentiate(profile, 1).values,
-                   d2=differentiate(profile, 2).values)
+    d1, d2 = (differentiate(profile, order).values for order in (1, 2))
+    return replace(profile, d1=d1, d2=d2)
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:

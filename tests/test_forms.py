@@ -51,8 +51,8 @@ def test_mode_image_needs_seven_nodes():
 
 
 def test_no_production_path_builds_sparse_forms(capsys, monkeypatch):
-    # with the sparse builders raising at every binding in the package, the
-    # spectrum, the minimizer, the certificate and the energies still run
+    # with the sparse builders raising at every binding in the package, the spectrum,
+    # the minimizer, the certificate, the energies, the verify suites and d/dt still run
     def refuse(*args, **kwargs):
         raise AssertionError("sparse form built")
 
@@ -64,6 +64,9 @@ def test_no_production_path_builds_sparse_forms(capsys, monkeypatch):
                         monkeypatch.setattr(module, attr, refuse)
     assert main(["spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "3"]) == 0
     assert main(["minimize", "-N", "5", "-a", "1", "-b", "-3", "--perturb", "0.05"]) == 0
+    for suite, alpha, beta in (("identities", "1", "-2"), ("equivalence", "-1", "-3.5"),
+                               ("ode", "1", "-2"), ("linearized", "1", "-2")):
+        assert main(["verify", suite, "-N", "5", "-a", alpha, "-b", beta]) == 0, suite
     capsys.readouterr()
     P, grid = ckn.derive(5, 1.0, -3.0), ckn.make_grid()
     z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(P, 1, r))
@@ -71,6 +74,7 @@ def test_no_production_path_builds_sparse_forms(capsys, monkeypatch):
     assert ckn.radial_energy(u, P) > 0
     assert ckn.mode_energy(z1, P, ckn.make_mode(P, 1)) > 0
     assert ckn.perturbed_quotient(P, 0.05, ckn.make_mode(P, 1), z1) > 0
+    assert np.isfinite(ckn.differentiate(u, 2).values).all()
 
 
 def r_space_mass_vector(params, grid):

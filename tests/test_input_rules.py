@@ -1,6 +1,6 @@
-"""Every public function that takes a raw N, alpha, M, k, n, r or lambda, a mode selector or
-a grid's node count, at the boundary of its domain and at +-inf and NaN: each row names the
-typed error that the input must raise.
+"""Every public function that takes a raw N, alpha, M, k, n, r or lambda, a mode selector, a
+derivative order, a grid's node count or samples on a grid, at the boundary of its domain and
+at +-inf and NaN: each row names the typed error that the input must raise.
 The rules themselves (check_dimension, check_alpha, require_subcritical, check_index) live in
 ckn.params; these rows pin every caller to them."""
 
@@ -16,7 +16,7 @@ from ckn import identities, spectral, transforms, variational
 from ckn.errors import (AlphaOutOfRange, BadGridSpec, BetaOutOfRange, EpsOutOfRange,
                         InvalidDimension, MOutOfRange, NonPositiveRadius, RellichBoundary,
                         ScalarOverflow)
-from ckn.numerics import RadialProfile, make_grid, sample
+from ckn.numerics import RadialProfile, differentiate, make_grid, sample
 from ckn.params import derive, felli_schneider
 
 INF, NAN = math.inf, math.nan
@@ -27,8 +27,13 @@ GRID = make_grid(-10.0, 10.0, 201)
 BUMP = sample(GRID, lambda s: (1.0 + s * s) ** -2.0)
 INIT = RadialProfile(grid=GRID, values=np.exp(-GRID.ts ** 2))
 MODE = variational.make_mode(P, 1)
+# samples whose shape is not the grid's (201,)
+SHORT = RadialProfile(grid=GRID, values=np.ones(200))
+COLUMN = RadialProfile(grid=GRID, values=np.ones((201, 1)))
+ROWS2 = RadialProfile(grid=GRID, values=np.ones((2, 201)))
 NAMES = {id(x): name for x, name in ((P, "P"), (R, "R"), (SPEC, "spec"), (GRID, "grid"),
-                                     (BUMP, "bump"), (INIT, "init"), (MODE, "mode"))}
+                                     (BUMP, "bump"), (INIT, "init"), (MODE, "mode"),
+                                     (SHORT, "short"), (COLUMN, "column"), (ROWS2, "rows2"))}
 
 
 def row(outcome, fn, *args):
@@ -73,6 +78,10 @@ ROWS = [
     row(ValueError, cf.linearized_mode, P, True, 1.0),
     row(ValueError, spectral.linearized_residual, P, True, GRID),
     row(ValueError, spectral.mode_eigenvalue, P, MODE, True, GRID),
+    # the order of differentiate: the int 1 or 2, not a bool or a float
+    *(row(ValueError, differentiate, BUMP, order) for order in (True, 1.0, 2.0, np.float64(1.0))),
+    # samples to differentiate: shape (grid.n,)
+    *(row(BadGridSpec, differentiate, prof, 1) for prof in (SHORT, COLUMN, ROWS2)),
     # n of a grid: an odd int or NumPy integer >= 3, not a bool
     *(row(BadGridSpec, make_grid, -10.0, 10.0, n) for n in (NAN, INF, 5.0)),
     # r: r > 0 (NaN fails)
@@ -112,6 +121,7 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     row(lambda m: m.multiplicity == 1, variational.make_mode, P, 0),
     row(lambda v: math.isfinite(v[2]), identities.verify_iid, INIT, np.int64(1), 5),
     row(lambda g: g.n == 201, make_grid, -10.0, 10.0, np.int64(201)),
+    row(lambda d: d.values.shape == (201,), differentiate, BUMP, np.int64(2)),
 ])
 def test_inside_the_boundary_is_accepted(fn, args, check):
     assert check(fn(*args))

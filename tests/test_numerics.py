@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 import ckn
 from ckn.closedform import ExtremalSpec, linearized_mode, scaling_direction
 from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
-from ckn.numerics import (T_LIMIT, RadialProfile, _fd_weights, checked_integrals, checked_sums,
-                          diff_matrix, differentiate, gamma_fn, grid_exp, grid_power, integrate,
-                          make_grid, require_tail, simpson_terms, simpson_weights, tail_fraction,
-                          tail_nodes)
+from ckn.numerics import (RESIDUAL_MARGIN, T_LIMIT, RadialProfile, _fd_weights,
+                          checked_integrals, checked_sums, diff_matrix, differentiate,
+                          even_residual, gamma_fn, grid_exp, grid_power, integrate, make_grid,
+                          require_tail, simpson_terms, simpson_weights, tail_fraction, tail_nodes)
 from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
 from conftest import ORACLE
+from test_forms import GRIDS
 
 
 class TestMakeGrid:
@@ -120,6 +121,45 @@ class TestDiffMatrix:
 
     def test_cached(self):
         assert diff_matrix(101, 0.02, 1) is diff_matrix(101, 0.02, 1)
+
+
+#: (n, half-width of the t domain): the grids of test_forms.GRIDS, the smallest and a fine one
+STENCIL_GRIDS = [(n, width) for _, n, width in GRIDS] + [(7, 1.0), (32001, 14.0)]
+
+
+def spread_samples(grid, seed):
+    """Normal samples spread over e^{+-50} node by node, the same scaled by e^{-50} and by
+    e^{50} as a whole, and a smooth bump scaled by e^{50}."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(grid.n) * np.exp(rng.uniform(-50.0, 50.0, grid.n)),
+            math.exp(-50.0) * rng.standard_normal(grid.n),
+            math.exp(50.0) * rng.standard_normal(grid.n),
+            math.exp(50.0) * np.exp(-grid.ts ** 2)]
+
+
+class TestStencilKernel:
+    """numerics.apply_rows against the sparse product with the same rows: each row of both
+    is summed from 0 in rising column order, so they agree bit for bit, not to a tolerance."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n, width", STENCIL_GRIDS)
+    def test_differentiate_matches_diff_matrix(self, n, width, order):
+        g = make_grid(-width, width, n)
+        D = diff_matrix(n, g.h, order)
+        for v in spread_samples(g, n):
+            got = differentiate(RadialProfile(grid=g, values=v), order).values
+            assert got.tobytes() == (D @ v).tobytes()
+
+    @pytest.mark.parametrize("n, width", [g for g in STENCIL_GRIDS if g[0] > 2 * RESIDUAL_MARGIN])
+    def test_even_residual_matches_diff_matrix(self, n, width):
+        g = make_grid(-width, width, n)
+        D = diff_matrix(n, g.h, 2)
+        K2, K0 = 3.5, 2.25
+        for v in spread_samples(g, n):
+            rhs = 0.5 * v
+            d2 = D @ v
+            want = np.abs(D @ d2 - K2 * d2 + K0 * v - rhs)[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max()
+            assert even_residual(v, g, K2, K0, rhs) == float(want)
 
 
 class TestIntegrate:
