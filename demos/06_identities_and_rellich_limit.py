@@ -48,9 +48,8 @@ for N, a, b in ((5, 1.0, -2.0), (5, -1.0, -4.0), (5, 0.0, -3.0)):
           f"inside the sharp bounds [{lo:.4f}, {hi:.4f}]")
 
 print("\nRellich test-sequence quotient at (N, alpha) = (5, -2), limit 1/16:")
-g = rellich_limit_grid()
-for eps in (0.3, 0.1, 0.03, 0.01):
-    q = rellich_test_quotient(5, eps, g)
+eps_list = (0.3, 0.1, 0.03, 0.01)
+for eps, q in zip(eps_list, rellich_test_quotient(5, eps_list, rellich_limit_grid())):
     print(f"  eps = {eps:5.2f}: quotient = {q:.6f}  (excess "
           f"{(q - 0.0625) / 0.0625:+.1%})")
 print(f"  closed form at alpha = -2: {ckn.rellich_constant(5, -2.0)} exactly")

@@ -180,10 +180,9 @@ def cmd_verify(args) -> int:
         sign_ok = all(identities.xi_sign(P.N, a)[1] == int(a > 0) - int(a < 0)
                       for a in alphas)
         check("xi_sign_matches_sign_alpha", 0.0, 0.0, ok=sign_ok)
-        worst_s = max(abs(closedform.rellich_constant(P.N, float(a))
-                          - closedform.rellich_constant_alt(P.N, float(a)))
-                      / closedform.rellich_constant(P.N, float(a))
-                      for a in np.linspace(2 - P.N + 0.1, 4.0, 50))
+        worst_s = max(abs(s - closedform.rellich_constant_alt(P.N, a)) / s
+                      for a in np.linspace(2 - P.N + 0.1, 4.0, 50).tolist()
+                      for s in (closedform.rellich_constant(P.N, a),))
         check("rellich_closed_forms_agree", worst_s, 1e-10)
         if 2 - P.N < P.alpha < 0:
             l1, r1_, l2, r2_ = identities.rellich_coeff_identities(P.N, P.alpha)
@@ -207,9 +206,11 @@ def cmd_verify(args) -> int:
             eps_list = sorted((float(e) for e in args.eps.split(",")), reverse=True)
         except ValueError:
             raise CknError(f"malformed --eps {args.eps!r}: need a comma list of numbers") from None
+        if len(set(eps_list)) < len(eps_list):
+            raise CknError(f"malformed --eps {args.eps!r}: a value repeats")
         grid = closedform.rellich_limit_grid(settings.get("n", numerics.DEFAULT_N))
         limit = ((args.dim - 4) / 2.0) ** 4
-        quotients = [closedform.rellich_test_quotient(args.dim, e, grid) for e in eps_list]
+        quotients = closedform.rellich_test_quotient(args.dim, eps_list, grid)
         mono = all(a > b for a, b in zip(quotients, quotients[1:]))
         check("quotients_strictly_decreasing", 0.0, 0.0, ok=mono)
         check("quotients_above_limit", 0.0, 0.0, ok=all(q > limit for q in quotients))

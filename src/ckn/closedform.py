@@ -227,14 +227,15 @@ def _cutoff(t: np.ndarray, L: float = RAMP_WIDTH):
     """C^2 cutoff in t = ln r: 1 for t <= 0, 0 for t >= L, quintic ramp between.
 
     The ramp is g(t) = 1 - S(t/L) with S(u) = 6u^5 - 15u^4 + 10u^3, which has
-    S' = S'' = 0 at both ends.  Returns (g, dg/dt, d2g/dt2).
+    S' = S'' = 0 at both ends.  Returns (g, dg/dt, d2g/dt2) by products of u = t/L clipped
+    to [0, 1], not pow: g = 1 - u^3 (10 + u (6u - 15)), g' = -30 u^2 (1-u)^2 / L and
+    g'' = -60 u (1-u) (1-2u) / L^2, whose factors make the end values exact.  Built once
+    per call of rellich_test_quotient, whatever the number of eps.
     """
     u = np.clip(t / L, 0.0, 1.0)
-    inside = (t > 0) & (t < L)
-    g = np.where(t <= 0, 1.0, 1.0 - (6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3))
-    g1 = np.where(inside, -(30 * u ** 4 - 60 * u ** 3 + 30 * u ** 2) / L, 0.0)
-    g2 = np.where(inside, -(120 * u ** 3 - 180 * u ** 2 + 60 * u) / L ** 2, 0.0)
-    return g, g1, g2
+    uv = u * (1.0 - u)
+    return (1.0 - u * u * u * (10.0 + u * (6.0 * u - 15.0)), (-30.0 / L) * (uv * uv),
+            (-60.0 / (L * L)) * (uv * (1.0 - 2.0 * u)))
 
 
 def rellich_limit_grid(n: int = numerics.DEFAULT_N) -> LogGrid:
@@ -242,7 +243,7 @@ def rellich_limit_grid(n: int = numerics.DEFAULT_N) -> LogGrid:
     return numerics.make_grid(-400.0, 15.0, n)
 
 
-def rellich_test_quotient(N: int, eps: float, grid: LogGrid) -> float:
+def rellich_test_quotient(N: int, eps, grid: LogGrid) -> float | list[float]:
     """Quotient of the Rellich test sequence u_eps = r^{-(N-4)/2 + eps} g(r):
 
         int |x|^4 |div(|x|^{-2} grad u_eps)|^2 dx / int |x|^{-4} u_eps^2 dx,
@@ -250,15 +251,23 @@ def rellich_test_quotient(N: int, eps: float, grid: LogGrid) -> float:
     with the fixed cutoff of _cutoff.  Decreases to ((N-4)/2)^4 as eps -> 0+;
     the grid must reach far below r = 1 (see rellich_limit_grid) because the
     mass concentrates near the origin like r^{2 eps - 1}.
+
+    One eps gives a float, a flat sequence (tuple, list, ndarray) the list of quotients.
+    Every eps is checked (0 < eps < 1/2, EpsOutOfRange) before any is evaluated; one cutoff
+    and one Simpson sum serve them all, each row summed on its own, so a sequence gives bit
+    for bit the quotients of one call per eps.
     """
-    if not (0 < eps < 0.5):
-        raise EpsOutOfRange(f"need 0 < eps < 1/2, got {eps}")
+    es = np.array(eps, dtype=float, ndmin=1)
+    if es.ndim != 1 or not np.all((0 < es) & (es < 0.5)):
+        raise EpsOutOfRange(f"need 0 < eps < 1/2, one or a flat sequence, got {eps}")
     check_dimension(N)
-    t = grid.ts
-    sigma = -(N - 4.0) / 2.0 + eps
-    c0 = sigma * (sigma + N - 4.0)
-    g, g1, g2 = _cutoff(t)
-    rho = g2 + (2.0 * sigma + N - 4.0) * g1 + c0 * g
-    w = 2.0 * sigma + N - 5.0          # both integrands share the weight r^{2 sigma + N - 5}
-    num, den = numerics.simpson_terms(np.array([rho ** 2, g ** 2]), grid, w).sum(axis=-1)
-    return float(num) / float(den)
+    if not es.size:
+        return []
+    sigma = es[:, None] - (N - 4.0) / 2.0
+    g, g1, g2 = _cutoff(grid.ts)
+    rho = g2 + (2.0 * sigma + N - 4.0) * g1 + sigma * (sigma + N - 4.0) * g
+    samples = np.stack([rho ** 2, np.broadcast_to(g ** 2, rho.shape)], axis=1)
+    # both integrands of one eps share the weight r^{2 sigma + N - 5}
+    num, den = numerics.simpson_terms(samples, grid, 2.0 * sigma + N - 5.0).sum(axis=-1).T
+    quotients = (num / den).tolist()
+    return quotients[0] if np.ndim(eps) == 0 else quotients

@@ -157,6 +157,11 @@ class TestVerify:
         assert quotients == sorted(quotients, reverse=True)
         assert all(q > 0.0625 for q in quotients)
 
+    def test_rellich_limit_makes_one_call(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, (ckn.closedform, "rellich_test_quotient"))
+        code, _ = run(capsys, "verify", "rellich-limit", "-N", "6", "--format", "json")
+        assert code == 0 and calls == {"rellich_test_quotient": 1}
+
     def test_rellich_limit_honors_n(self, capsys, tmp_path, monkeypatch):
         # n is resolved as verify ode does: the flag, then the config, then the default
         def quotients(*extra):
@@ -175,9 +180,10 @@ class TestVerify:
         monkeypatch.setenv("CKN_CONFIG", str(cfg))
         assert quotients("-n", "2001") == flag
 
-    @pytest.mark.parametrize("eps", ["0.1,x", "", "0.1,,0.01"])
+    @pytest.mark.parametrize("eps", ["0.1,x", "", "0.1,,0.01", "0.1,0.1", "0.3,0.1,0.30"])
     def test_malformed_eps_exit_2(self, capsys, eps):
-        # a ValueError traceback with exit 1 until --eps was parsed inside the CLI's errors
+        # a ValueError traceback with exit 1 until --eps was parsed inside the CLI's errors;
+        # a repeated eps exited 1, as a failed quotients_strictly_decreasing check
         code, out = run(capsys, "verify", "rellich-limit", "-N", "5", f"--eps={eps}",
                         "--format", "json")
         assert code == 2

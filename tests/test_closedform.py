@@ -335,6 +335,58 @@ class TestRellichTestQuotient:
         with pytest.raises(EpsOutOfRange):
             rellich_test_quotient(5, 0.7, rellich_limit_grid(101))
 
+    @pytest.mark.parametrize("n", [101, 2001, 4001])
+    def test_sequence_equals_scalar_calls_bit_for_bit(self, n):
+        # one Simpson sum for every eps, each row summed on its own
+        g = rellich_limit_grid(n)
+        eps = (0.3, 0.1, 0.03, 0.01, 0.45, 0.2, 1e-3)
+        for N in range(5, 11):
+            want = [rellich_test_quotient(N, e, g) for e in eps]
+            assert all(type(q) is float for q in want)
+            for seq in (eps, list(eps), np.array(eps)):
+                assert rellich_test_quotient(N, seq, g) == want
+            assert rellich_test_quotient(N, eps[:1], g) == want[:1]
+        assert rellich_test_quotient(5, [], g) == []
+
+    def test_every_eps_checked_before_evaluation(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the cutoff was built before every eps was checked")
+
+        monkeypatch.setattr(closedform, "_cutoff", unreachable)
+        with pytest.raises(EpsOutOfRange):
+            rellich_test_quotient(5, [0.3, 0.1, 0.5], rellich_limit_grid(101))
+        with pytest.raises(EpsOutOfRange):
+            rellich_test_quotient(5, [[0.3, 0.1]], rellich_limit_grid(101))
+
+
+def _cutoff_monomial(t, L):
+    """The ramp in monomials and pow: the reference for _cutoff's products."""
+    u = np.clip(t / L, 0.0, 1.0)
+    inside = (t > 0) & (t < L)
+    g = np.where(t <= 0, 1.0, 1.0 - (6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3))
+    g1 = np.where(inside, -(30 * u ** 4 - 60 * u ** 3 + 30 * u ** 2) / L, 0.0)
+    g2 = np.where(inside, -(120 * u ** 3 - 180 * u ** 2 + 60 * u) / L ** 2, 0.0)
+    return g, g1, g2
+
+
+class TestCutoff:
+    @pytest.mark.parametrize("L", [closedform.RAMP_WIDTH, 1.0, 7.3])
+    def test_products_match_the_monomial_form(self, L):
+        # a few ulp of the monomials' largest sum of terms, 31, 120 / L and 360 / L^2
+        t = np.linspace(-0.5 * L, 1.5 * L, 100001)
+        scale = (31.0, 120.0 / L, 360.0 / L ** 2)
+        for got, want, s in zip(closedform._cutoff(t, L), _cutoff_monomial(t, L), scale):
+            assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps * s
+
+    def test_end_conditions_exact(self):
+        L = closedform.RAMP_WIDTH
+        t = np.array([-400.0, -1.0, -1e-300, 0.0, L, L + 1e-12, 13.0, 15.0])
+        g, g1, g2 = closedform._cutoff(t, L)
+        assert g.tolist() == [1.0] * 4 + [0.0] * 4
+        assert g1.tolist() == [0.0] * 8 and g2.tolist() == [0.0] * 8
+        inside = closedform._cutoff(np.array([1e-3, L / 2, L - 1e-3]), L)[0]
+        assert np.all((0.0 < inside) & (inside < 1.0))
+
 
 def test_scaling_direction_matches_finite_difference(p512, grid):
     spec = ExtremalSpec(p512)

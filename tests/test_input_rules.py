@@ -65,6 +65,10 @@ ROWS = [
       for fn, pre in ((cf.b_of_m, ()), (transforms.rayleigh_m, (BUMP,)))),
     # eps of the Rellich test sequence
     *(row(EpsOutOfRange, cf.rellich_test_quotient, 5, e, GRID) for e in (0.0, 0.5, INF, NAN)),
+    *(row(EpsOutOfRange, cf.rellich_test_quotient, 5, [0.3, e], GRID)
+      for e in (0.0, 0.5, -0.2, NAN, INF)),
+    row(EpsOutOfRange, cf.rellich_test_quotient, 5, (0.3, NAN), GRID),
+    row(EpsOutOfRange, cf.rellich_test_quotient, 5, np.array([0.0, 0.3]), GRID),
     # k and n: ints >= 0, not bools
     *(row(ValueError, fn, P, k) for k in (-1, 1.5, True, INF, NAN)
       for fn in (variational.make_mode, cf.linearized_degree, cf.linearized_eigenvalue)),
@@ -122,6 +126,10 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     row(lambda v: math.isfinite(v[2]), identities.verify_iid, INIT, np.int64(1), 5),
     row(lambda g: g.n == 201, make_grid, -10.0, 10.0, np.int64(201)),
     row(lambda d: d.values.shape == (201,), differentiate, BUMP, np.int64(2)),
+    # eps of the Rellich test sequence: one float, or a tuple or ndarray of them
+    row(lambda q: type(q) is float, cf.rellich_test_quotient, 5, np.float64(0.1), GRID),
+    row(lambda q: len(q) == 2, cf.rellich_test_quotient, 5, (0.3, 0.1), GRID),
+    row(lambda q: len(q) == 2, cf.rellich_test_quotient, 5, np.array([0.3, 0.1]), GRID),
 ])
 def test_inside_the_boundary_is_accepted(fn, args, check):
     assert check(fn(*args))
