@@ -38,7 +38,8 @@ import scipy.sparse as sp
 
 from .closedform import extremal_shape
 from .errors import GridTooSmall, NoConvergence
-from .numerics import LogGrid, apply_rows, diff_matrix, diff_rows, grid_exp, trapezoid_weights
+from .numerics import (LogGrid, apply_rows, check_samples, diff_matrix, diff_rows, grid_exp,
+                       trapezoid_weights)
 from .params import CknParams
 
 N_CLAMP = 2
@@ -56,10 +57,10 @@ def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csr_m
 
 
 def to_scaled(params: CknParams, grid: LogGrid, values: np.ndarray) -> np.ndarray:
-    """phi samples r^{kappa1} f(r) from radial samples f(r); BadGridSpec where r^{kappa1}
-    or r^{-kappa1} overflows on the grid, so that from_scaled, the inverse, is finite too."""
+    """phi samples r^{kappa1} f(r) from radial samples f(r) under check_samples; BadGridSpec
+    where r^{kappa1} or r^{-kappa1} overflows on the grid, so that from_scaled is finite too."""
     reach = abs(params.kappa1) * max(-grid.t_min, grid.t_max)
-    return values * grid_exp(params.kappa1 * grid.ts, "r^kappa1", reach)
+    return check_samples(values, grid) * grid_exp(params.kappa1 * grid.ts, "r^kappa1", reach)
 
 
 def from_scaled(params: CknParams, grid: LogGrid, phi: np.ndarray) -> np.ndarray:

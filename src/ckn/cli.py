@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import _forms, closedform, identities, numerics, spectral, transforms, variational
-from .errors import CknError, MaxIters, NoConvergence, TailInadequate
+from .errors import BadGridSpec, CknError, MaxIters, NoConvergence, TailInadequate
 from .numerics import RadialProfile, make_grid
 from .params import (CknParams, beta_lower, derive, exponents, felli_schneider, regions,
                      second_variation_gap)
@@ -57,7 +57,7 @@ def _to_json(obj, indent=0) -> str:
         return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, float):
         return pad + (f"{obj:.17g}" if math.isfinite(obj) else "null")
-    plain = obj is None or isinstance(obj, (bool, int))      # null, true, false or an integer
+    plain = obj is None or isinstance(obj, int)      # null, an integer, or true or false (ints)
     return pad + json.dumps(obj if plain else str(obj), ensure_ascii=False)
 
 
@@ -111,10 +111,6 @@ def _settings(args) -> dict:
     return out | {key: getattr(args, key) for key, _ in keys if getattr(args, key) is not None}
 
 
-def _params_from(args) -> CknParams:
-    return derive(args.dim, args.alpha, args.beta)
-
-
 def _constants_doc(P: CknParams) -> dict:
     doc = {
         "N": P.N, "alpha": P.alpha, "beta": P.beta, "gamma": P.gamma,
@@ -136,7 +132,7 @@ def _constants_doc(P: CknParams) -> dict:
 
 
 def cmd_constants(args) -> int:
-    emit(_constants_doc(_params_from(args)), args.format)
+    emit(_constants_doc(derive(args.dim, args.alpha, args.beta)), args.format)
     return 0
 
 
@@ -150,6 +146,11 @@ def _random_profiles(grid, seed: int, count: int) -> list:
 
 
 def cmd_verify(args) -> int:
+    if args.suite in ("ode", "rellich-limit") and (args.t_min, args.t_max) != (None, None):
+        own = (make_grid(*transforms.ODE_CHECK_GRID) if args.suite == "ode"
+               else closedform.rellich_limit_grid())
+        raise BadGridSpec(f"verify {args.suite} keeps its own domain, t in [{own.t_min:g}, "
+                          f"{own.t_max:g}]: of the grid flags only -n applies")
     settings = _settings(args)
     checks = []
 
@@ -158,7 +159,7 @@ def cmd_verify(args) -> int:
         checks.append({"check": name, "value": value, "tolerance": tol, "pass": bool(ok)})
 
     if args.suite != "rellich-limit":
-        P = _params_from(args)
+        P = derive(args.dim, args.alpha, args.beta)
     if args.suite in ("identities", "linearized", "equivalence"):
         grid = make_grid(**settings)
     if args.suite == "ode":
@@ -230,7 +231,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.kmax < 0:
         raise CknError(f"need --kmax >= 0, got {args.kmax}")
-    P = _params_from(args)
+    P = derive(args.dim, args.alpha, args.beta)
     grid = make_grid(**_settings(args))
     rows = []
     for k in range(args.kmax + 1):
@@ -285,7 +286,7 @@ def cmd_region_map(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    P = _params_from(args)
+    P = derive(args.dim, args.alpha, args.beta)
     grid = make_grid(**_settings(args))
     t = grid.ts
     if args.init:
@@ -293,8 +294,6 @@ def cmd_minimize(args) -> int:
             vals = np.loadtxt(args.init, dtype=float, ndmin=1)
         except (ValueError, OSError) as exc:
             raise CknError(f"unreadable init file {args.init}: {exc}") from exc
-        if vals.ndim != 1 or len(vals) != grid.n:
-            raise CknError(f"init file must hold {grid.n} values, got shape {vals.shape}")
         init = RadialProfile(grid=grid, values=vals)
     else:
         init = RadialProfile(grid=grid, values=numerics.grid_exp(-t * t - P.kappa1 * t, "init"))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .errors import EpsOutOfRange, MOutOfRange, NonPositiveRadius, ScalarOverflow
-from .numerics import LogGrid, log_gamma
+from .numerics import LogGrid
 from .params import CknParams, check_alpha, check_dimension, check_index, require_subcritical
 
 __all__ = [
@@ -100,7 +100,7 @@ def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:
 
 def omega_sphere(N: int) -> float:
     """Surface area of the unit sphere in R^N: 2 pi^{N/2} / Gamma(N/2)."""
-    return math.exp(math.log(2.0) + N / 2.0 * math.log(math.pi) - log_gamma(N / 2.0))
+    return math.exp(math.log(2.0) + N / 2.0 * math.log(math.pi) - math.lgamma(N / 2.0))
 
 
 def sobolev_s0(N: int) -> float:
@@ -110,7 +110,7 @@ def sobolev_s0(N: int) -> float:
     """
     check_dimension(N)
     return (math.pi ** 2 * N * (N - 4) * (N ** 2 - 4)
-            * math.exp(4.0 / N * (log_gamma(N / 2.0) - log_gamma(float(N)))))
+            * math.exp(4.0 / N * (math.lgamma(N / 2.0) - math.lgamma(float(N)))))
 
 
 def b_of_m(M: float) -> float:
@@ -121,7 +121,7 @@ def b_of_m(M: float) -> float:
     if not 4 < M < math.inf:
         raise MOutOfRange(f"need finite M > 4, got {M}")
     return ((M - 4.0) * (M - 2.0) * M * (M + 2.0)
-            * math.exp(4.0 / M * (2.0 * log_gamma(M / 2.0) - math.log(2.0) - log_gamma(M))))
+            * math.exp(4.0 / M * (2.0 * math.lgamma(M / 2.0) - math.log(2.0) - math.lgamma(M))))
 
 
 def radial_constant_sr(params: CknParams) -> float:
@@ -176,8 +176,7 @@ def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
                the extra direction that appears exactly on the Felli-Schneider curve.
     BadGridSpec where a sample overflows (numerics.grid_exp).
     """
-    if isinstance(which, bool) or which not in (0, 1):
-        raise ValueError("which must be 0 or 1")
+    check_index(which, "which", (0, 1))
     return _family(params, r, 1.0, 0.0, 1.0 - which / 2.0, which == 0, f"Z{which}")
 
 

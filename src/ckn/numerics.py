@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
-from .params import check_index
+from .params import check_index, is_index
 
 DEFAULT_T_MIN = -14.0
 DEFAULT_T_MAX = 14.0
@@ -65,9 +65,8 @@ class RadialProfile:
 
 def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
               n: int = DEFAULT_N) -> LogGrid:
-    """Uniform log grid: odd int n >= 3 (Simpson; no bool), -T_LIMIT <= t_min < t_max <= T_LIMIT."""
-    if (not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or isinstance(n, bool)
-            or not isinstance(n, (int, np.integer)) or n < 3 or n % 2 == 0):
+    """Uniform log grid: -T_LIMIT <= t_min < t_max <= T_LIMIT, n odd >= 3 (Simpson) by is_index."""
+    if not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or not is_index(n) or n < 3 or n % 2 == 0:
         raise BadGridSpec(f"need -{T_LIMIT:.2f} <= t_min < t_max <= {T_LIMIT:.2f} and odd n >= 3,"
                           f" got ({t_min}, {t_max}, {n})")
     h = (t_max - t_min) / (n - 1)
@@ -113,21 +112,23 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-@lru_cache(maxsize=2)
-def stencil_weights(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of d^order/dt^order for h = 1, in apply_rows' layout: the interior stencil
-    on offsets -2..2, rows 0, 1, 2 on columns 0..6 and rows n-1, n-2, n-3 on columns
-    n-7..n-1 (read-only: every caller shares them)."""
-    weights = (_fd_weights(np.arange(-2, 3), order),
-               np.array([_fd_weights(np.arange(0, 7) - i, order) for i in range(3)]),
-               np.array([_fd_weights(np.arange(-6, 1) + i, order) for i in range(3)]))
-    for w in weights:
+@lru_cache(maxsize=16)
+def diff_rows(h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of d^order/dt^order on nodes h apart, in apply_rows' layout: the interior stencil
+    on offsets -2..2, rows 0, 1, 2 on columns 0..6 and rows n-1, n-2, n-3 on columns n-7..n-1.
+    Cached and read-only, as every grid with this h shares them; the rows for h = 1, used on
+    every miss, stay the most recently used entries."""
+    rows = ((_fd_weights(np.arange(-2, 3), order),
+             np.array([_fd_weights(np.arange(0, 7) - i, order) for i in range(3)]),
+             np.array([_fd_weights(np.arange(-6, 1) + i, order) for i in range(3)]))
+            if h == 1.0 else tuple(w / h ** order for w in diff_rows(1.0, order)))
+    for w in rows:
         w.flags.writeable = False
-    return weights
+    return rows
 
 
 def apply_rows(rows, values: np.ndarray) -> np.ndarray:
-    """The one stencil kernel: values under rows (inner, left, right) laid out as stencil_weights'
+    """The one stencil kernel: values under rows (inner, left, right) laid out as diff_rows'
     are; GridTooSmall below 7 nodes.  One correlate and six row sums, each summed from 0 in
     rising column order as a CSR product is: bit for bit (a matmul of the end rows is not)."""
     inner, left, right = rows
@@ -137,11 +138,6 @@ def apply_rows(rows, values: np.ndarray) -> np.ndarray:
     out[:3] = (left * values[:7]).sum(axis=1)
     out[-3:] = (right[::-1] * values[-7:]).sum(axis=1)
     return out
-
-
-def diff_rows(h: float, order: int) -> list[np.ndarray]:
-    """The rows of d^order/dt^order on nodes h apart, for apply_rows."""
-    return [w / h ** order for w in stencil_weights(order)]
 
 
 @lru_cache(maxsize=64)
@@ -159,15 +155,21 @@ def diff_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
 
 
-def differentiate(profile: RadialProfile, order: int) -> RadialProfile:
-    """Derivative of the samples with respect to t = ln s by apply_rows: order the int 1 or 2
-    (ValueError otherwise, bools too), samples of shape (grid.n,) (BadGridSpec otherwise)."""
-    if check_index(order, "order") not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    grid, values = profile.grid, np.asarray(profile.values)
+def check_samples(values, grid: LogGrid) -> np.ndarray:
+    """The samples rule: values, as a float array, of shape (grid.n,); BadGridSpec otherwise."""
+    values = np.asarray(values, dtype=float)
     if values.shape != (grid.n,):
         raise BadGridSpec(f"need {grid.n} samples on the grid, got shape {values.shape}")
-    return RadialProfile(grid=grid, values=apply_rows(diff_rows(grid.h, order), values))
+    return values
+
+
+def differentiate(profile: RadialProfile, order: int) -> RadialProfile:
+    """Derivative of the samples with respect to t = ln s by apply_rows: order 1 or 2 under
+    check_index (ValueError otherwise), samples under check_samples (BadGridSpec otherwise)."""
+    check_index(order, "order", (1, 2))
+    grid = profile.grid
+    return RadialProfile(grid=grid, values=apply_rows(diff_rows(grid.h, order),
+                                                      check_samples(profile.values, grid)))
 
 
 def even_residual(values: np.ndarray, grid: LogGrid, K2: float, K0: float, rhs) -> float:
@@ -234,15 +236,15 @@ def integrate(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
     """Composite Simpson value of  int_0^inf f(s) s^w ds  from samples of f.
 
     Computed as int f(e^t) e^{(w+1)t} dt; the caller guarantees that both
-    tails are negligible on the grid (see tail_fraction).
+    tails are negligible on the grid (see tail_fraction).  Samples under check_samples.
     """
-    return float(simpson_terms(np.asarray(samples, dtype=float), grid, weight_exp).sum())
+    return float(simpson_terms(check_samples(samples, grid), grid, weight_exp).sum())
 
 
 def tail_fraction(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
     """Fraction of the integral's absolute mass carried by the outermost
-    TAIL_WIDTH of t at each end."""
-    terms = simpson_terms(np.abs(np.asarray(samples, dtype=float)), grid, weight_exp)
+    TAIL_WIDTH of t at each end; samples under check_samples."""
+    terms = simpson_terms(np.abs(check_samples(samples, grid)), grid, weight_exp)
     return float(tail_share(*mass_and_tail(terms, grid.h)))
 
 
@@ -251,7 +253,7 @@ def gamma_fn(x: float) -> float:
 
     Exact to ~1e-15 relative for x <= 170; above that it is exponentiated
     log-Gamma and may overflow to inf, so large arguments should only ever
-    appear inside log-Gamma differences (see log_gamma).
+    appear inside log-Gamma differences.
     """
     if not x > 0:
         raise NonPositiveArgument(f"gamma_fn requires x > 0, got {x}")
@@ -261,13 +263,6 @@ def gamma_fn(x: float) -> float:
         return math.exp(math.lgamma(x))
     except OverflowError:
         return math.inf
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0; the building block for all constant formulas."""
-    if not x > 0:
-        raise NonPositiveArgument(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float, what: str) -> None:

@@ -5,8 +5,8 @@ alpha - 2 fixes every scalar of the theory: the third weight gamma, the critical
 the Emden-Fowler constants, the effective dimension M, and the Felli-Schneider threshold
 beta_fs separating stable from unstable radial extremals.  ``derive`` computes them all;
 ``classify`` places the point in the (alpha, beta) plane.  Each rule on raw inputs is stated
-once, here: check_dimension, check_alpha, require_subcritical and check_index, which every
-module calls in place of an inline guard; derive is the only beta check.
+once, here: check_dimension, check_alpha, require_subcritical and is_index with check_index,
+which every module calls in place of an inline guard; derive is the only beta check.
 """
 
 from __future__ import annotations
@@ -87,10 +87,16 @@ def require_subcritical(params, what: str) -> None:
         raise RellichBoundary(f"{what} requires beta < alpha - 2")
 
 
-def check_index(k, what: str):
-    """The mode-index rule: k, an int or NumPy integer >= 0 and not a bool; ValueError otherwise."""
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0):
-        raise ValueError(f"need integer {what} >= 0, got {what} = {k!r}")
+def is_index(k) -> bool:
+    """The integer rule: k is an int or NumPy integer >= 0, not a bool (np.bool_ is neither)."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 0
+
+
+def check_index(k, what: str, among=None):
+    """The index and selector rule: is_index(k), and k in among when given; ValueError otherwise."""
+    if not (is_index(k) and (among is None or k in among)):
+        raise ValueError(f"need integer {what} {'>= 0' if among is None else f'in {among}'}, "
+                         f"got {what} = {k!r}")
     return k
 
 

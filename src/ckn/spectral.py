@@ -25,8 +25,9 @@ from scipy.linalg.blas import dsbmv
 from . import _forms, numerics
 from .closedform import extremal_shape, linearized_degree, linearized_eigenvalue, omega_sphere
 from .errors import BadGridSpec, MOutOfRange, NoConvergence, WrongRegion
-from .numerics import LogGrid, RadialProfile, log_gamma
-from .params import CknParams, RegionClass, require_subcritical, second_variation_gap
+from .numerics import LogGrid, RadialProfile
+from .params import (CknParams, RegionClass, check_index, require_subcritical,
+                     second_variation_gap)
 from .variational import ModeSpec, make_mode
 
 __all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
@@ -117,9 +118,7 @@ def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
     """index-th eigenpair of the mode-k pencil (index 2 only for k = 0):
     entry index - 1 of mode_eigenpairs, whose one solve serves both mode-0
     indices, so a caller that wants both calls that instead."""
-    if isinstance(index, bool) or index not in (1, 2):
-        raise ValueError("index must be 1 or 2")
-    if index == 2 and mode.k != 0:
+    if check_index(index, "index", (1, 2)) == 2 and mode.k != 0:
         raise ValueError("index 2 is only available for mode k = 0")
     return mode_eigenpairs(params, mode, grid)[index - 1]
 
@@ -132,7 +131,7 @@ def second_variation_bracket(params: CknParams) -> float:
     require_subcritical(params, "the second variation")
     M = params.M_dim
     chi = params.q_pow ** 2 * (params.N - 1.0)
-    b0 = math.exp(2.0 * log_gamma(M / 2.0) - log_gamma(M))
+    b0 = math.exp(2.0 * math.lgamma(M / 2.0) - math.lgamma(M))
     if b0 < np.finfo(float).tiny:
         raise MOutOfRange(f"B(M/2, M/2) underflows at M = {M}")
     i1 = 0.5 * b0 * ((M - 2.0) * (M - 4.0) + 4.0 / (M - 2.0))     # int X1'^2 s^{M-3} ds
@@ -176,8 +175,7 @@ def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
     Their width in sigma, about (2/(M-4+2l_k))^{1/2}, sets n: (5, 1, -1.1), M = 82, passes at
     n = 8001 and (5, 1, -1.001), M = 8002, at n = 16001.  Derivatives are finite differences
     of samples, so the value certifies the profile."""
-    if which not in (0, 1):
-        raise ValueError("which must be 0 or 1")
+    check_index(which, "which", (0, 1))
     return _mode_residual(params, which, 1 - which, grid)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import _forms, numerics
 from .closedform import ExtremalSpec, extremal_shape
 from .errors import CknError, GridTooSmall, MOutOfRange
-from .numerics import LogGrid, RadialProfile
+from .numerics import LogGrid, RadialProfile, check_samples
 from .params import CknParams, require_subcritical
 
 __all__ = [
@@ -56,8 +56,9 @@ def to_emden_fowler(u: RadialProfile, params: CknParams) -> EmdenFowlerProfile:
 
 def from_emden_fowler(ef: EmdenFowlerProfile) -> RadialProfile:
     """Radial samples u(r) = r^{-kappa1} phi(-ln r): _forms.from_scaled mirrored."""
+    phi = check_samples(ef.phi, ef.grid)[::-1]
     grid = numerics.make_grid(-ef.grid.t_max, -ef.grid.t_min, ef.grid.n)
-    return RadialProfile(grid=grid, values=_forms.from_scaled(ef.params, grid, ef.phi[::-1]))
+    return RadialProfile(grid=grid, values=_forms.from_scaled(ef.params, grid, phi))
 
 
 def cosh_constants(params: CknParams) -> tuple[float, float, float]:
@@ -87,7 +88,7 @@ def ode_residual(profile: EmdenFowlerProfile) -> float:
     """
     if profile.grid.n < 201:
         raise GridTooSmall(f"need n >= 201 for fourth derivatives, got {profile.grid.n}")
-    P, phi = profile.params, profile.phi
+    P, phi = profile.params, check_samples(profile.phi, profile.grid)
     res = numerics.even_residual(phi, profile.grid, P.K2, P.K0, np.abs(phi) ** (P.p - 2.0) * phi)
     return float(res / (1.0 + np.abs(phi) ** (P.p - 1.0)).max())
 
@@ -121,17 +122,17 @@ def to_dimension_m(u: RadialProfile, params: CknParams) -> RadialProfile:
     [t_max/q, t_min/q].
     """
     require_subcritical(params, "to_dimension_m")
-    values = (u.values * numerics.grid_power(params.a_shift, u.grid, "r^a"))[::-1].copy()
+    values = check_samples(u.values, u.grid) * numerics.grid_power(params.a_shift, u.grid, "r^a")
     grid = numerics.make_grid(u.grid.t_max / params.q_pow, u.grid.t_min / params.q_pow, u.grid.n)
-    return RadialProfile(grid=grid, values=values)
+    return RadialProfile(grid=grid, values=values[::-1].copy())
 
 
 def from_dimension_m(v: RadialProfile, params: CknParams) -> RadialProfile:
     """Inverse of to_dimension_m: u(r) = r^{-a} v(r^{1/q})."""
     require_subcritical(params, "from_dimension_m")
     grid = numerics.make_grid(v.grid.t_max * params.q_pow, v.grid.t_min * params.q_pow, v.grid.n)
-    values = v.values[::-1] * numerics.grid_power(-params.a_shift, grid, "r^-a")
-    return RadialProfile(grid=grid, values=values)
+    rev = check_samples(v.values, v.grid)[::-1]
+    return RadialProfile(grid=grid, values=rev * numerics.grid_power(-params.a_shift, grid, "r^-a"))
 
 
 def rayleigh_m(v: RadialProfile, M: float) -> float:

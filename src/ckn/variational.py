@@ -24,7 +24,7 @@ from . import _forms, numerics
 from .closedform import extremal_shape, omega_sphere
 from .errors import AmplitudeTooLarge, CknError, MaxIters
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
-from .params import CknParams, check_index, require_subcritical
+from .params import CknParams, check_index, is_index, require_subcritical
 
 __all__ = ["ModeSpec", "make_mode", "radial_energy", "mode_energy",
            "minimize_radial", "perturbed_quotient"]
@@ -87,15 +87,16 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     on average from certify-class starts, where s alone (the plain iteration) takes 16.35.
 
     Returns (quotient value, normalized profile), the value within 0.5% of
-    radial_constant_sr.  Raises CknError for max_iters < 1 or when init, in scaled
-    variables, is zero or not finite, MaxIters after max_iters solves,
+    radial_constant_sr.  Raises CknError unless max_iters is an integer >= 1 (is_index) or when
+    init, in scaled variables, is zero or not finite, BadGridSpec for init samples that
+    fail numerics.check_samples, MaxIters after max_iters solves,
     TailInadequate when the outermost nodes carry more of the final
     energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off),
     and NoConvergence if rounding leaves A without a Cholesky factor.
     """
     require_subcritical(params, "minimize_radial")
-    if not max_iters >= 1:
-        raise CknError(f"max_iters must be at least 1, got {max_iters}")
+    if not (is_index(max_iters) and max_iters >= 1):
+        raise CknError(f"need integer max_iters >= 1, got max_iters = {max_iters!r}")
     grid = init.grid
     keep = _forms.keep_indices(grid.n)
     w_full = trapezoid_weights(grid.n, grid.h)
@@ -169,8 +170,7 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     value drops strictly below radial_constant_sr for small t; above the
     curve it rises.
     """
-    if mode.k not in (0, 1):
-        raise ValueError("perturbed_quotient supports modes k in {0, 1}")
+    check_index(mode.k, "mode k", (0, 1))
     if not abs(t_amp) <= 0.2:
         raise AmplitudeTooLarge(f"|t| must be <= 0.2 after normalization, got {t_amp}")
     grid, N, p = direction.grid, params.N, params.p

@@ -180,6 +180,28 @@ class TestVerify:
         monkeypatch.setenv("CKN_CONFIG", str(cfg))
         assert quotients("-n", "2001") == flag
 
+    @pytest.mark.parametrize("argv,domain", [
+        (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-max=5"), "[-10, 10]"),
+        (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-min=-3", "--t-max=3"), "[-10, 10]"),
+        (("rellich-limit", "-N", "5", "--t-min=-300"), "[-400, 15]"),
+        (("rellich-limit", "-N", "5", "--t-min=-3", "--t-max=3"), "[-400, 15]")],
+        ids=["ode-t-max", "ode-both", "rellich-limit-t-min", "rellich-limit-both"])
+    def test_own_domain_rejects_grid_flags(self, capsys, argv, domain):
+        # both suites ignored --t-min and --t-max and printed the same stdout as without them
+        code, out = run(capsys, "verify", *argv, "--format", "json")
+        doc = json.loads(out)
+        assert code == 2 and doc["error"] == "BadGridSpec"
+        assert domain in doc["message"] and "only -n applies" in doc["message"]
+
+    def test_own_domain_skips_config_ends(self, capsys, tmp_path):
+        # a config file pins defaults for every command: its t_min and t_max stay unread here
+        cfg = tmp_path / "ckn.conf"
+        cfg.write_text("t_min = -3\nt_max = 3\n")
+        for argv in (("ode", "-N", "5", "-a", "1", "-b", "-2"), ("rellich-limit", "-N", "5")):
+            plain = run(capsys, "verify", *argv, "--format", "json")
+            assert plain[0] == 0
+            assert run(capsys, "verify", *argv, "--config", str(cfg), "--format", "json") == plain
+
     @pytest.mark.parametrize("eps", ["0.1,x", "", "0.1,,0.01", "0.1,0.1", "0.3,0.1,0.30"])
     def test_malformed_eps_exit_2(self, capsys, eps):
         # a ValueError traceback with exit 1 until --eps was parsed inside the CLI's errors;
@@ -683,9 +705,10 @@ class TestMinimize:
     def test_wrong_length_init_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "init.txt"
         bad.write_text("\n".join(["1.0"] * 10))
-        code, _ = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
-                      "--init", str(bad), "--format", "json")
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-2",
+                        "--init", str(bad), "--format", "json")
         assert code == 2
+        assert json.loads(out)["error"] == "BadGridSpec"     # the samples rule, check_samples
 
     @pytest.mark.parametrize("iters", ["-3", "0"])
     def test_max_iters_below_one_exit_2(self, capsys, iters):

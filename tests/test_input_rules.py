@@ -1,9 +1,11 @@
 """Every public function that takes a raw N, alpha, M, k, n, r or lambda, a mode selector, a
-derivative order, a grid's node count or samples on a grid, at the boundary of its domain and
-at +-inf and NaN: each row names the typed error that the input must raise.
-The rules themselves (check_dimension, check_alpha, require_subcritical, check_index) live in
-ckn.params; these rows pin every caller to them."""
+derivative order, an iteration bound, a grid's node count or samples on a grid, at the boundary
+of its domain and at +-inf and NaN: each row names the typed error that the input must raise.
+The rules themselves (check_dimension, check_alpha, require_subcritical, is_index and
+check_index) live in ckn.params, the samples rule (check_samples) in ckn.numerics; these rows
+pin every caller to them."""
 
+import inspect
 import math
 import pathlib
 import re
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from ckn import closedform as cf
-from ckn import identities, spectral, transforms, variational
-from ckn.errors import (AlphaOutOfRange, BadGridSpec, BetaOutOfRange, EpsOutOfRange,
+from ckn import _forms, identities, numerics, spectral, transforms, variational
+from ckn.errors import (AlphaOutOfRange, BadGridSpec, BetaOutOfRange, CknError, EpsOutOfRange,
                         InvalidDimension, MOutOfRange, NonPositiveRadius, RellichBoundary,
                         ScalarOverflow)
 from ckn.numerics import RadialProfile, differentiate, make_grid, sample
@@ -27,13 +29,22 @@ GRID = make_grid(-10.0, 10.0, 201)
 BUMP = sample(GRID, lambda s: (1.0 + s * s) ** -2.0)
 INIT = RadialProfile(grid=GRID, values=np.exp(-GRID.ts ** 2))
 MODE = variational.make_mode(P, 1)
+MODE64 = variational.make_mode(P, np.int64(1))
 # samples whose shape is not the grid's (201,)
 SHORT = RadialProfile(grid=GRID, values=np.ones(200))
 COLUMN = RadialProfile(grid=GRID, values=np.ones((201, 1)))
 ROWS2 = RadialProfile(grid=GRID, values=np.ones((2, 201)))
+SCALAR = RadialProfile(grid=GRID, values=np.array(1.0))
+OFF_GRID = (SHORT, COLUMN, ROWS2, SCALAR)
+# the same samples as Emden-Fowler profiles
+EF_OFF_GRID = tuple(transforms.EmdenFowlerProfile(grid=GRID, phi=prof.values, params=P)
+                    for prof in OFF_GRID)
 NAMES = {id(x): name for x, name in ((P, "P"), (R, "R"), (SPEC, "spec"), (GRID, "grid"),
                                      (BUMP, "bump"), (INIT, "init"), (MODE, "mode"),
-                                     (SHORT, "short"), (COLUMN, "column"), (ROWS2, "rows2"))}
+                                     (SHORT, "short"), (COLUMN, "column"), (ROWS2, "rows2"),
+                                     (SCALAR, "scalar"), (MODE64, "mode64"))}
+NAMES.update({id(x): f"{NAMES[id(prof)]}{suffix}" for prof, ef in zip(OFF_GRID, EF_OFF_GRID)
+              for x, suffix in ((prof.values, ".values"), (ef, "_ef"))})
 
 
 def row(outcome, fn, *args):
@@ -82,10 +93,30 @@ ROWS = [
     row(ValueError, cf.linearized_mode, P, True, 1.0),
     row(ValueError, spectral.linearized_residual, P, True, GRID),
     row(ValueError, spectral.mode_eigenvalue, P, MODE, True, GRID),
+    # ... nor a NumPy bool or a float, even one equal to a valid selector
+    *(row(ValueError, fn, *pre, sel, post) for sel in (np.True_, 1.0, np.float64(1.0), INF)
+      for fn, pre, post in ((cf.linearized_mode, (P,), 1.0),
+                            (spectral.linearized_residual, (P,), GRID),
+                            (spectral.mode_eigenvalue, (P, MODE), GRID))),
     # the order of differentiate: the int 1 or 2, not a bool or a float
     *(row(ValueError, differentiate, BUMP, order) for order in (True, 1.0, 2.0, np.float64(1.0))),
     # samples to differentiate: shape (grid.n,)
     *(row(BadGridSpec, differentiate, prof, 1) for prof in (SHORT, COLUMN, ROWS2)),
+    row(BadGridSpec, differentiate, SCALAR, 1),
+    # samples on a grid, for every entry point of the samples rule: shape (grid.n,)
+    *(row(BadGridSpec, fn, *args) for prof, ef in zip(OFF_GRID, EF_OFF_GRID)
+      for fn, *args in ((numerics.integrate, prof.values, GRID, 1.0),
+                        (numerics.tail_fraction, prof.values, GRID, 1.0),
+                        (_forms.to_scaled, P, GRID, prof.values),
+                        (variational.radial_energy, prof, P),
+                        (variational.mode_energy, prof, P, MODE),
+                        (variational.minimize_radial, P, prof),
+                        (variational.perturbed_quotient, P, 0.05, MODE, prof),
+                        (transforms.to_emden_fowler, prof, P),
+                        (transforms.to_dimension_m, prof, P),
+                        (transforms.from_dimension_m, prof, P),
+                        (transforms.from_emden_fowler, ef),
+                        (transforms.ode_residual, ef))),
     # n of a grid: an odd int or NumPy integer >= 3, not a bool
     *(row(BadGridSpec, make_grid, -10.0, 10.0, n) for n in (NAN, INF, 5.0)),
     # r: r > 0 (NaN fails)
@@ -126,6 +157,11 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     row(lambda v: math.isfinite(v[2]), identities.verify_iid, INIT, np.int64(1), 5),
     row(lambda g: g.n == 201, make_grid, -10.0, 10.0, np.int64(201)),
     row(lambda d: d.values.shape == (201,), differentiate, BUMP, np.int64(2)),
+    row(math.isfinite, cf.linearized_mode, P, np.int64(1), 1.0),
+    row(math.isfinite, spectral.linearized_residual, P, np.int64(0), GRID),
+    row(lambda r: math.isfinite(r.eigenvalue), spectral.mode_eigenvalue, P, MODE, np.int64(1),
+        GRID),
+    row(math.isfinite, variational.perturbed_quotient, P, 0.05, MODE64, BUMP),
     # eps of the Rellich test sequence: one float, or a tuple or ndarray of them
     row(lambda q: type(q) is float, cf.rellich_test_quotient, 5, np.float64(0.1), GRID),
     row(lambda q: len(q) == 2, cf.rellich_test_quotient, 5, (0.3, 0.1), GRID),
@@ -133,6 +169,27 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
 ])
 def test_inside_the_boundary_is_accepted(fn, args, check):
     assert check(fn(*args))
+
+
+@pytest.mark.parametrize("max_iters", [2.5, INF, 3.0, True, np.True_, np.float64(3.0), 0, -3],
+                         ids=repr)
+def test_max_iters_is_a_positive_integer(max_iters):
+    # a usage error before any solve (the CLI exits 2), not a TypeError or MaxIters after one
+    with pytest.raises(CknError) as info:
+        variational.minimize_radial(P, INIT, max_iters)
+    assert type(info.value) is CknError and "max_iters" in str(info.value)
+
+
+def test_integer_and_samples_rules_stated_only_in_their_checks():
+    # is_index and check_index are the only integer and selector tests, check_samples the only
+    # samples-shape test: every other module calls them
+    texts = {path.name: path.read_text()
+             for path in pathlib.Path(cf.__file__).parent.glob("*.py")}
+    integer = re.compile(r"isinstance\([^)]*\bbool\b|\bnot in [(\[{]-?\d|\bif\b.*\bin [(\[{]-?\d")
+    assert {name for name, text in texts.items() if integer.search(text)} == {"params.py"}
+    shape = re.compile(r"\.shape\s*[!=]=|\blen\([^)]*\)\s*[!=]=")
+    assert [name for name, text in texts.items() for _ in shape.finditer(text)] == ["numerics.py"]
+    assert shape.search(inspect.getsource(numerics.check_samples))
 
 
 def test_region_errors_raised_only_in_params():
