@@ -190,9 +190,8 @@ def cmd_verify(args) -> int:
             check("coeff_identity_1", abs(l1 - r1_) / max(abs(r1_), 1e-30), 1e-10)
             check("coeff_identity_2", abs(l2 - r2_) / max(abs(r2_), 1e-30), 1e-10)
     elif args.suite == "linearized":
-        for which in (0, 1):
-            check(f"linearized_residual_mode{which}",
-                  spectral.linearized_residual(P, which, grid), 1e-7)
+        for k, n in ((0, 1), (1, 0)):
+            check(f"linearized_residual_mode{k}", spectral.linearized_residual(P, k, n, grid), 1e-7)
     elif args.suite == "equivalence":
         ratios = list(identities.equivalence_ratio(_random_profiles(grid, args.seed, 20),
                                                    range(4), P))

@@ -108,7 +108,7 @@ def sobolev_s0(N: int) -> float:
 
         pi^2 N (N-4) (N^2-4) * (Gamma(N/2) / Gamma(N))^{4/N}.
     """
-    check_dimension(N)
+    N = check_dimension(N)
     return (math.pi ** 2 * N * (N - 4) * (N ** 2 - 4)
             * math.exp(4.0 / N * (math.lgamma(N / 2.0) - math.lgamma(float(N)))))
 
@@ -146,14 +146,16 @@ def rellich_constant(N: int, alpha: float) -> float:
 
     evaluated in the collapsed form, because the sum cancels as alpha -> 2 - N
     (1e-9 relative error at N = 8)."""
-    return ((N - 2.0 + check_alpha(N, alpha)) / 2.0) ** 4
+    N, alpha = check_alpha(N, alpha)
+    return ((N - 2.0 + alpha) / 2.0) ** 4
 
 
 def rellich_constant_alt(N: int, alpha: float) -> float:
     """The Rellich constant as H^2, H = ((N-2)/2 + alpha/2)^2 the sharp constant of
     int |x|^alpha |grad u|^2 >= H int |x|^{alpha-2} u^2; equal to the sum in
     rellich_constant because Q + ((N-4)/2)^2 = H."""
-    half = (N - 2.0) / 2.0 + check_alpha(N, alpha) / 2.0
+    N, alpha = check_alpha(N, alpha)
+    half = (N - 2.0) / 2.0 + alpha / 2.0
     hardy = half * half
     return hardy * hardy
 
@@ -163,7 +165,8 @@ def critical_constant(N: int, alpha: float) -> float:
 
         (1 + alpha/(N-2))^{4 - 4/N} * S0(N),  strictly below S0.
     """
-    return (1.0 + check_alpha(N, alpha, 0.0) / (N - 2.0)) ** (4.0 - 4.0 / N) * sobolev_s0(N)
+    N, alpha = check_alpha(N, alpha, 0.0)
+    return (1.0 + alpha / (N - 2.0)) ** (4.0 - 4.0 / N) * sobolev_s0(N)
 
 
 def linearized_mode(params: CknParams, which: int, r) -> np.ndarray | float:
@@ -259,7 +262,7 @@ def rellich_test_quotient(N: int, eps, grid: LogGrid) -> float | list[float]:
     es = np.array(eps, dtype=float, ndmin=1)
     if es.ndim != 1 or not np.all((0 < es) & (es < 0.5)):
         raise EpsOutOfRange(f"need 0 < eps < 1/2, one or a flat sequence, got {eps}")
-    check_dimension(N)
+    N = check_dimension(N)
     if not es.size:
         return []
     sigma = es[:, None] - (N - 4.0) / 2.0

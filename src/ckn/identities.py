@@ -106,7 +106,7 @@ def xi_sign(N: int, alpha: float) -> tuple[float, int]:
     xi > 0 iff alpha > 0, xi = 0 iff alpha = 0, xi < 0 iff 2-N < alpha < 0; ScalarOverflow
     where xi leaves the float range, from |alpha| of about 1e77 on.
     """
-    alpha = check_alpha(N, alpha)
+    N, alpha = check_alpha(N, alpha)
     A = -(N * alpha / (2.0 * (N - 2.0))) * ((N - 4.0) * alpha / (2.0 * (N - 2.0)) + (N - 2.0))
     B = -2.0 * alpha / (N - 2.0)
     with contextlib.suppress(OverflowError):
@@ -130,7 +130,7 @@ def rellich_coeff_identities(N: int, alpha: float
     C_{mu,2} = N^2/(16(N-4)^2) mu^2 (2(N-4)-mu)^2 - (N-2)/2 mu (2(N-4)-mu).
     Returns (lhs1, rhs1, lhs2, rhs2).
     """
-    alpha = check_alpha(N, alpha, 0.0)
+    N, alpha = check_alpha(N, alpha, 0.0)
     eta = -2.0 - N * alpha / (2.0 * (N - 2.0))
     mu = -(N - 4.0) * alpha / (N - 2.0)
     s = N + alpha + eta - 2.0

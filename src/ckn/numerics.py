@@ -99,8 +99,8 @@ def anchored_ts(grid: LogGrid) -> np.ndarray:
 
 
 def sample(grid: LogGrid, fn) -> RadialProfile:
-    """Sample fn(s) at the grid nodes."""
-    return RadialProfile(grid=grid, values=np.asarray(fn(grid.nodes), dtype=float))
+    """Sample fn(s) at the grid nodes, under check_samples (BadGridSpec unless one per node)."""
+    return RadialProfile(grid=grid, values=check_samples(fn(grid.nodes), grid))
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:

@@ -66,19 +66,19 @@ class CknParams:
         return not on_rellich_line(self.alpha, self.beta)
 
 
-def check_dimension(N) -> None:
-    """The dimension rule: N is an int with N >= 5 (a bool, 0 or 1, fails it); InvalidDimension."""
-    if not (isinstance(N, int) and N >= 5):
+def check_dimension(N) -> int:
+    """The dimension rule: is_index(N) and N >= 5, else InvalidDimension; returns int(N)."""
+    if not (is_index(N) and N >= 5):
         raise InvalidDimension(f"need integer N >= 5, got {N!r}")
+    return int(N)
 
 
-def check_alpha(N: int, alpha, upper: float = math.inf) -> float:
-    """The alpha rule after check_dimension(N): float(alpha), finite with 2 - N < alpha < upper."""
-    check_dimension(N)
-    alpha = float(alpha)
+def check_alpha(N: int, alpha, upper: float = math.inf) -> tuple[int, float]:
+    """The alpha rule after check_dimension: (int(N), float(alpha)), 2 - N < alpha < upper."""
+    N, alpha = check_dimension(N), float(alpha)
     if not 2 - N < alpha < upper:
         raise AlphaOutOfRange(f"need finite alpha with {2 - N} < alpha < {upper:g}, got {alpha}")
-    return alpha
+    return N, alpha
 
 
 def require_subcritical(params, what: str) -> None:
@@ -111,7 +111,7 @@ def felli_schneider(N: int, alpha: float) -> float:
     Radial extremals lose linearized stability below this curve (alpha > 0).
     At alpha = 0 it collapses to -4 for every N since (N-2)^2 + 4(N-1) = N^2.
     """
-    check_dimension(N)
+    N = check_dimension(N)
     if not math.isfinite(alpha):      # alpha <= 2 - N is legal: region-map prints Invalid cells
         raise AlphaOutOfRange(f"beta_fs needs a finite alpha, got {alpha}")
     try:
@@ -169,7 +169,7 @@ def regions(N: int, alpha: np.ndarray, beta: np.ndarray, lo, bfs) -> tuple[np.nd
 
 def derive(N: int, alpha: float, beta: float) -> CknParams:
     """Validate (N, alpha, beta) and populate every derived scalar."""
-    alpha, beta = check_alpha(N, alpha), float(beta)
+    (N, alpha), beta = check_alpha(N, alpha), float(beta)
     lo, hi = beta_lower(N, alpha), alpha - 2.0
     # beta = -N, the excluded alpha -> 2 - N limit of lo, is reached only by rounding
     if not (lo <= beta <= hi) or N + beta == 0.0:

@@ -115,9 +115,8 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
 
 def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
                     grid: LogGrid) -> SpectralResult:
-    """index-th eigenpair of the mode-k pencil (index 2 only for k = 0):
-    entry index - 1 of mode_eigenpairs, whose one solve serves both mode-0
-    indices, so a caller that wants both calls that instead."""
+    """index-th eigenpair of the mode-k pencil (index 2 only for k = 0): entry index - 1 of
+    mode_eigenpairs, whose one solve serves both mode-0 indices; a caller wanting both calls it."""
     if check_index(index, "index", (1, 2)) == 2 and mode.k != 0:
         raise ValueError("index 2 is only available for mode k = 0")
     return mode_eigenpairs(params, mode, grid)[index - 1]
@@ -162,40 +161,31 @@ def second_variation_sign(params: CknParams) -> int:
     return int(np.sign(second_variation_gap(params.N, params.q_pow, params.M_dim)))
 
 
-def linearized_residual(params: CknParams, which: int, grid: LogGrid) -> float:
+def linearized_residual(params: CknParams, k: int, n: int, grid: LogGrid) -> float:
     """Normalized sup residual of the effective-dimension linearized ODE of mode k,
 
         (L_s - q^2 lambda_k/s^2)^2 X = nu_{k,n} Gamma_M (1+s^2)^{-4} X, L_s = d_ss + (M-1)/s d_s,
 
-    at X0 = (1-s^2)(1+s^2)^{-(M-2)/2} (which = 0: k = 0, n = 1, the scaling direction) or
-    X1 = s^{l_1}(1+s^2)^{-(M-4)/2-l_1} (which = 1: k = 1, n = 0), with l_k from
-    closedform.linearized_degree and nu_{k,n} from closedform.linearized_eigenvalue, the grid
-    read in sigma = ln s (_mode_residual; BadGridSpec where the profile underflows at every
-    node).  Both are exact at every subcritical point; l_1 = 1 on the Felli-Schneider curve.
-    Their width in sigma, about (2/(M-4+2l_k))^{1/2}, sets n: (5, 1, -1.1), M = 82, passes at
-    n = 8001 and (5, 1, -1.001), M = 8002, at n = 16001.  Derivatives are finite differences
-    of samples, so the value certifies the profile."""
-    check_index(which, "which", (0, 1))
-    return _mode_residual(params, which, 1 - which, grid)
-
-
-def _mode_residual(params: CknParams, k: int, n: int, grid: LogGrid) -> float:
-    """linearized_residual's value for X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k}
-    C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)) at nu_{k,n}.  With X = s^m phi, m = -(M-4)/2, and
+    at X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)), exact at
+    every subcritical point for any k, n >= 0 (check_index: ValueError before any work); (0, 1)
+    is the scaling direction, (1, 0) the mode-1 one.  With X = s^m phi, m = -(M-4)/2, and
     sigma = ln s at numerics.anchored_ts, the equation times s^{4-m} is the even ODE
 
         phi'''' - (4 - 2b) phi'' + b^2 phi = nu_{k,n} (Gamma_M/16) sech^4(sigma) phi,
         b = m(m+M-2) - q^2 lambda_k,
 
-    solved by the bounded phi = cosh(sigma)^{m-l_k} C_n^{l_k+(M-1)/2}(-tanh sigma):
-    numerics.even_residual's sup over max|rhs|."""
+    solved by phi = cosh(sigma)^{m-l_k} C_n^{l_k+(M-1)/2}(-tanh sigma): numerics.even_residual's
+    sup over max|rhs|, BadGridSpec where phi underflows at every node.  The width in sigma,
+    about (2/(M-4+2l_k))^{1/2}, sets n: (5, 1, -1.1), M = 82, passes at n = 8001, (5, 1, -1.001),
+    M = 8002, at n = 16001.  Finite differences of samples, so the value certifies the profile."""
+    nu_kn = linearized_eigenvalue(params, k, n)
     from scipy.special import eval_gegenbauer     # here, so import ckn skips its ~4 MB
     M, lk, m = params.M_dim, linearized_degree(params, k), -(params.M_dim - 4.0) / 2.0
     b = m * (m + M - 2.0) - make_mode(params, k).q2lambda_k
     t = numerics.anchored_ts(grid) / params.nu       # sigma / nu: cosh(nu t) is cosh(sigma)
     phi = (extremal_shape(params, t, m - lk)
            * eval_gegenbauer(n, lk + (M - 1.0) / 2.0, -np.tanh(params.nu * t)))
-    rhs = (linearized_eigenvalue(params, k, n) * (M - 4.0) * (M - 2.0) * M * (M + 2.0) / 16.0
+    rhs = (nu_kn * (M - 4.0) * (M - 2.0) * M * (M + 2.0) / 16.0
            * extremal_shape(params, t, -4.0) * phi)
     if not rhs.any():
         raise BadGridSpec(f"X_{k},{n} underflows at every node: the grid misses its peak")

@@ -49,6 +49,14 @@ class TestConstants:
         assert "S_r" in doc
         assert list(doc) == sorted(doc)
 
+    def test_negative_alpha_reports_critical_constant(self, capsys):
+        # 2 - N < alpha < 0: the sharp constant of the critical lower boundary rides along
+        code, out = run(capsys, "constants", "-N", "5", "-a", "-1", "-b", "-3.5",
+                        "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["S_critical"] == ckn.critical_constant(5, -1.0) == 27.972867094209988
+
     def test_zero_case_reports_s0(self, capsys):
         code, out = run(capsys, "constants", "-N", "5", "-a", "0", "-b", "-4",
                         "--format", "json")
@@ -145,6 +153,14 @@ class TestVerify:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"] == "ScalarOverflow" and "M = 2002" in doc["message"]
+
+    def test_identities_at_negative_alpha_check_the_coefficient_identities(self, capsys):
+        code, out = run(capsys, "verify", "identities", "-N", "5", "-a", "-1", "-b", "-3.5",
+                        "--format", "json")
+        assert code == 0
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        for name in ("coeff_identity_1", "coeff_identity_2"):
+            assert checks[name]["pass"] is True and checks[name]["value"] < 1e-14, name
 
     def test_rellich_limit_suite(self, capsys):
         code, out = run(capsys, "verify", "rellich-limit", "-N", "5",

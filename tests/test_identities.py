@@ -9,7 +9,8 @@ import ckn
 from ckn import identities, numerics
 from ckn.cli import _random_profiles
 from ckn.closedform import rellich_constant, rellich_constant_alt
-from ckn.errors import AlphaOutOfRange, BadGridSpec, MaxIters, TailInadequate, WeightOutOfRange
+from ckn.errors import (AlphaOutOfRange, BadGridSpec, CknError, MaxIters, TailInadequate,
+                        WeightOutOfRange)
 from ckn.identities import (equivalence_bounds, equivalence_bracket, equivalence_ratio,
                             rellich_coeff_identities, verify_hardy_identity,
                             verify_iid, weighted_hardy_check, xi_sign)
@@ -251,6 +252,11 @@ class TestModeBatch:
 
 
 class TestEquivalenceRatio:
+    def test_zero_profile_has_no_energy(self, grid):
+        zero = RadialProfile(grid=grid, values=np.zeros(grid.n))
+        with pytest.raises(CknError, match="zero denominator: profile has no energy"):
+            equivalence_ratio(zero, 1, ckn.derive(5, -1.0, -3.5))
+
     def test_identity_at_alpha_zero(self, grid):
         p = ckn.derive(5, 0.0, -3.0)
         for prof in random_profiles(grid, seed=3, count=5):

@@ -36,13 +36,26 @@ COLUMN = RadialProfile(grid=GRID, values=np.ones((201, 1)))
 ROWS2 = RadialProfile(grid=GRID, values=np.ones((2, 201)))
 SCALAR = RadialProfile(grid=GRID, values=np.array(1.0))
 OFF_GRID = (SHORT, COLUMN, ROWS2, SCALAR)
+
+
+def scalar_fn(s):
+    """A sampled function that returns one number, not one per node."""
+    return 1.0
+
+
+def column_fn(s):
+    """A sampled function that returns an (n, 1) column."""
+    return s[:, None]
+
+
 # the same samples as Emden-Fowler profiles
 EF_OFF_GRID = tuple(transforms.EmdenFowlerProfile(grid=GRID, phi=prof.values, params=P)
                     for prof in OFF_GRID)
 NAMES = {id(x): name for x, name in ((P, "P"), (R, "R"), (SPEC, "spec"), (GRID, "grid"),
                                      (BUMP, "bump"), (INIT, "init"), (MODE, "mode"),
                                      (SHORT, "short"), (COLUMN, "column"), (ROWS2, "rows2"),
-                                     (SCALAR, "scalar"), (MODE64, "mode64"))}
+                                     (SCALAR, "scalar"), (MODE64, "mode64"),
+                                     (scalar_fn, "scalar_fn"), (column_fn, "column_fn"))}
 NAMES.update({id(x): f"{NAMES[id(prof)]}{suffix}" for prof, ef in zip(OFF_GRID, EF_OFF_GRID)
               for x, suffix in ((prof.values, ".values"), (ef, "_ef"))})
 
@@ -54,11 +67,12 @@ def row(outcome, fn, *args):
 
 
 ROWS = [
-    # N: an int >= 5
-    *(row(InvalidDimension, fn, N, *rest) for N in (4, 5.0, True, INF, NAN)
+    # N: an int or NumPy integer >= 5, not a bool
+    *(row(InvalidDimension, fn, N, *rest) for N in (4, 5.0, True, np.True_, INF, NAN)
       for fn, rest in ((derive, (1.0, -3.0)), (felli_schneider, (1.0,)), (cf.sobolev_s0, ()),
                        (cf.rellich_constant, (1.0,)), (identities.xi_sign, (1.0,)))),
     row(InvalidDimension, cf.rellich_test_quotient, 4, 0.1, GRID),
+    row(InvalidDimension, cf.rellich_test_quotient, np.True_, 0.1, GRID),
     # alpha: finite with 2 - N < alpha (< 0 on the critical boundary)
     *(row(AlphaOutOfRange, fn, 5, a) for a in (-3.0, INF, -INF, NAN)
       for fn in (cf.rellich_constant, cf.rellich_constant_alt, cf.critical_constant,
@@ -89,14 +103,16 @@ ROWS = [
                        (identities.equivalence_ratio, (P,)),
                        (identities.weighted_hardy_check, (5, 0.5)))),
     row(ValueError, identities.verify_iid, INIT, [0, 1.5], 5),
+    # ... and linearized_residual's k and n, before any work
+    *(row(ValueError, spectral.linearized_residual, P, k, n, GRID)
+      for k, n in ((True, 0), (np.True_, 0), (1.0, 0), (np.float64(1.0), 0), (INF, 0), (-1, 0),
+                   (0, 1.5), (0, np.True_))),
     # which and index: the two-valued selectors, not bools
     row(ValueError, cf.linearized_mode, P, True, 1.0),
-    row(ValueError, spectral.linearized_residual, P, True, GRID),
     row(ValueError, spectral.mode_eigenvalue, P, MODE, True, GRID),
     # ... nor a NumPy bool or a float, even one equal to a valid selector
     *(row(ValueError, fn, *pre, sel, post) for sel in (np.True_, 1.0, np.float64(1.0), INF)
       for fn, pre, post in ((cf.linearized_mode, (P,), 1.0),
-                            (spectral.linearized_residual, (P,), GRID),
                             (spectral.mode_eigenvalue, (P, MODE), GRID))),
     # the order of differentiate: the int 1 or 2, not a bool or a float
     *(row(ValueError, differentiate, BUMP, order) for order in (True, 1.0, 2.0, np.float64(1.0))),
@@ -117,6 +133,8 @@ ROWS = [
                         (transforms.from_dimension_m, prof, P),
                         (transforms.from_emden_fowler, ef),
                         (transforms.ode_residual, ef))),
+    # ... and sample, whose function must return one value per node
+    *(row(BadGridSpec, sample, GRID, fn) for fn in (scalar_fn, column_fn)),
     # n of a grid: an odd int or NumPy integer >= 3, not a bool
     *(row(BadGridSpec, make_grid, -10.0, 10.0, n) for n in (NAN, INF, 5.0)),
     # r: r > 0 (NaN fails)
@@ -133,7 +151,7 @@ ROWS = [
         (cf.linearized_eigenvalue, R, 1, 0), (variational.make_mode, R, 1),
         (variational.minimize_radial, R, INIT), (spectral.mode_eigenpairs, R, MODE, GRID),
         (spectral.second_variation_bracket, R), (spectral.second_variation_sign, R),
-        (spectral.second_variation_z1, R), (spectral.linearized_residual, R, 1, GRID),
+        (spectral.second_variation_z1, R), (spectral.linearized_residual, R, 1, 0, GRID),
         (transforms.to_dimension_m, BUMP, R), (transforms.from_dimension_m, BUMP, R),
         (transforms.cosh_constants, R))),
 ]
@@ -149,6 +167,13 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     # finite alpha <= 2 - N is legal for beta_fs: region-map prints it beside Invalid cells
     row(math.isfinite, felli_schneider, 5, -3.0),
     row(math.isfinite, felli_schneider, 5, -10.0),
+    # N as a NumPy integer: the formulas see int(N), and derive stores it
+    row(lambda p: type(p.N) is int and p == derive(5, 1.0, -3.0), derive, np.int64(5), 1.0, -3.0),
+    *(row(lambda v, fn=fn, rest=rest: type(v) is float and v == fn(5, *rest), fn, np.int64(5),
+          *rest)
+      for fn, rest in ((felli_schneider, (1.0,)), (cf.sobolev_s0, ()),
+                       (cf.rellich_test_quotient, (0.1, GRID)), (cf.rellich_constant, (1.0,)))),
+    row(lambda v: v == identities.xi_sign(5, 1.0), identities.xi_sign, np.int64(5), 1.0),
     row(lambda v: math.isfinite(v[0]) and v[1] == 1, identities.xi_sign, 5, 1e70),
     row(lambda v: v == 0.0, cf.extremal_u, SPEC, INF),
     row(math.isfinite, cf.b_of_m, 4.5),
@@ -158,7 +183,7 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     row(lambda g: g.n == 201, make_grid, -10.0, 10.0, np.int64(201)),
     row(lambda d: d.values.shape == (201,), differentiate, BUMP, np.int64(2)),
     row(math.isfinite, cf.linearized_mode, P, np.int64(1), 1.0),
-    row(math.isfinite, spectral.linearized_residual, P, np.int64(0), GRID),
+    row(math.isfinite, spectral.linearized_residual, P, np.int64(0), np.int64(1), GRID),
     row(lambda r: math.isfinite(r.eigenvalue), spectral.mode_eigenvalue, P, MODE, np.int64(1),
         GRID),
     row(math.isfinite, variational.perturbed_quotient, P, 0.05, MODE64, BUMP),

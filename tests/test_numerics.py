@@ -122,6 +122,10 @@ class TestDiffMatrix:
     def test_cached(self):
         assert diff_matrix(101, 0.02, 1) is diff_matrix(101, 0.02, 1)
 
+    def test_too_small(self):
+        with pytest.raises(GridTooSmall, match="at least 7 nodes"):
+            diff_matrix(5, 1.0, 1)
+
 
 #: (n, half-width of the t domain): the grids of test_forms.GRIDS, the smallest and a fine one
 STENCIL_GRIDS = [(n, width) for _, n, width in GRIDS] + [(7, 1.0), (32001, 14.0)]
@@ -344,6 +348,11 @@ class TestGammaFn:
     def test_recurrence_sweep(self):
         for x in np.linspace(0.1, 80.0, 100):
             assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
+
+    def test_above_170_through_log_gamma(self):
+        # exponentiated log-Gamma past 170, and inf where Gamma leaves the float range
+        assert gamma_fn(171.0) == pytest.approx(math.gamma(171.0), rel=1e-12)
+        assert gamma_fn(200.0) == math.inf
 
     def test_nonpositive(self):
         with pytest.raises(NonPositiveArgument):

@@ -7,7 +7,7 @@ import pytest
 import ckn
 from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, InvalidDimension,
                         RellichBoundary, ScalarOverflow)
-from ckn.params import (RegionClass, beta_lower, derive, felli_schneider,
+from ckn.params import (RegionClass, beta_lower, classify, derive, felli_schneider,
                         on_rellich_line, region_of, regions, second_variation_gap)
 from ckn.spectral import second_variation_sign
 from conftest import ORACLE
@@ -176,6 +176,11 @@ class TestClassify:
 
     def test_conjectured_region_negative_alpha(self):
         assert derive(5, -1.0, -3.5).region is RegionClass.CONJECTURED_SYMMETRY
+
+    def test_classify_reads_the_derived_region(self):
+        assert classify(derive(5, 1.0, -3.0)) is RegionClass.SYMMETRY_BREAKING
+        for point in SAMPLES:
+            assert classify(derive(*point)) is region_of(*point), point
 
 
 

@@ -306,26 +306,30 @@ OFF_CURVE = [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5), (6, -1.0, -4.0), (5
              (8, 3.0, -1.9)]
 
 
+# the two modes of verify linearized, (k, n) = (0, 1) and (1, 0), named by k as its rows are
+CLI_MODES = [pytest.param(0, 1, id="0"), pytest.param(1, 0, id="1")]
+
+
 class TestLinearizedResidual:
     def test_mode0_exact(self, p512, grid):
-        assert linearized_residual(p512, 0, grid) < 1e-7
+        assert linearized_residual(p512, 0, 1, grid) < 1e-7
 
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_grid_without_residual_nodes(self, p512, which):
+    @pytest.mark.parametrize("k,n", CLI_MODES)
+    def test_grid_without_residual_nodes(self, p512, k, n):
         # at n <= 2 RESIDUAL_MARGIN no node is left to take the max over
         with pytest.raises(GridTooSmall, match="16 nodes"):
-            linearized_residual(p512, which, ckn.make_grid(n=2 * numerics.RESIDUAL_MARGIN - 1))
-        assert math.isfinite(linearized_residual(p512, which, ckn.make_grid(n=17)))
+            linearized_residual(p512, k, n, ckn.make_grid(n=2 * numerics.RESIDUAL_MARGIN - 1))
+        assert math.isfinite(linearized_residual(p512, k, n, ckn.make_grid(n=17)))
 
     def test_mode1_exact_on_curve(self, grid):
         pf = ckn.derive(5, 1.0, ckn.felli_schneider(5, 1.0))
-        assert linearized_residual(pf, 1, grid) < 1e-7
+        assert linearized_residual(pf, 1, 0, grid) < 1e-7
 
     def test_mode1_off_curve(self, grid):
         # X1 = s^{l_1}(1+s^2)^{-(M-4)/2-l_1} at nu_{1,0} solves the mode-1 equation at every
         # point; s(1+s^2)^{-(M-2)/2} at p - 1 left residuals of 0.17 to 3.9e3 here
         for point in OFF_CURVE:
-            assert linearized_residual(ckn.derive(*point), 1, grid) < 1e-7, point
+            assert linearized_residual(ckn.derive(*point), 1, 0, grid) < 1e-7, point
 
     def test_mode1_degree_is_one_on_the_curve_only(self):
         for N, a in ((5, 1.0), (6, 2.0), (8, 0.3), (7, 0.5)):
@@ -338,24 +342,26 @@ class TestLinearizedResidual:
         # l_1 = 16.6 (M = 82) and l_1 = 1657 (M = 8002): X1 narrows, and its sigma-form
         # cosh(sigma)^{-(M-4)/2-l_1} is representable where s (1+s^2)^{-(M-2)/2} underflows
         for beta, n in ((-1.1, 8001), (-1.001, 32001)):
-            assert linearized_residual(ckn.derive(5, 1.0, beta), 1, ckn.make_grid(n=n)) < 1e-7
+            assert linearized_residual(ckn.derive(5, 1.0, beta), 1, 0, ckn.make_grid(n=n)) < 1e-7
 
-    @pytest.mark.parametrize("n,which", [(16001, 0), (16001, 1), (32001, 0)])
-    def test_both_modes_at_m_8002(self, n, which):
+    @pytest.mark.parametrize("nodes,k,n", [(16001, 0, 1), (16001, 1, 0), (32001, 0, 1)],
+                             ids=["16001-0", "16001-1", "32001-0"])
+    def test_both_modes_at_m_8002(self, nodes, k, n):
         # (5, 1, -1.001): the s-space route read 1.3e-7, 7.7e-7 and 6.5e-7 here (mode 1 at
         # n = 32001 is above); in sigma = ln s the profiles stay bounded and resolved
-        assert linearized_residual(ckn.derive(5, 1.0, -1.001), which, ckn.make_grid(n=n)) < 1e-7
+        P = ckn.derive(5, 1.0, -1.001)
+        assert linearized_residual(P, k, n, ckn.make_grid(n=nodes)) < 1e-7
 
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_grid_that_misses_the_profile(self, which):
+    @pytest.mark.parametrize("k,n", CLI_MODES)
+    def test_grid_that_misses_the_profile(self, k, n):
         # at M = 8002 both profiles underflow at every node of sigma in [5, 14], where the
         # normalization by max|rhs| would divide by zero
         with pytest.raises(BadGridSpec, match="underflows at every node"):
-            linearized_residual(ckn.derive(5, 1.0, -1.001), which, ckn.make_grid(5.0, 14.0, 201))
+            linearized_residual(ckn.derive(5, 1.0, -1.001), k, n, ckn.make_grid(5.0, 14.0, 201))
 
     def test_small_nu_on_the_default_grid(self, grid):
         # nu = 0.15: mode 0 read 1.09e-7 through s and s^2 (mode 1 passed; both: test_cli.py)
-        assert linearized_residual(ckn.derive(5, -2.5, -4.8), 0, grid) < 1e-7
+        assert linearized_residual(ckn.derive(5, -2.5, -4.8), 0, 1, grid) < 1e-7
 
     @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (6, -1.0, -4.0), (5, 1.0, -2.0),
                                        (8, 3.0, -1.9)])
@@ -366,10 +372,10 @@ class TestLinearizedResidual:
         P = ckn.derive(*point)
         for k in range(4):
             for n in range(4):
-                assert spectral._mode_residual(P, k, n, grid) < 3e-7, (k, n)
+                assert linearized_residual(P, k, n, grid) < 3e-7, (k, n)
 
     def test_mode0_other_params(self, grid):
-        assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, grid) < 1e-7
+        assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, 1, grid) < 1e-7
 
 
 class TestSpectralGap:
