@@ -17,10 +17,10 @@ grid = ckn.make_grid()
 print("mode-0 and mode-1 eigenvalues at (5, 1, -2):")
 P = ckn.derive(5, 1.0, -2.0)
 for k in (0, 1, 2):
-    # one solve per mode: mode 0 returns both of its eigenpairs at once
+    # one Lanczos run per mode: mode 0 returns both of its eigenpairs at once
     for idx, r in enumerate(spectral.mode_eigenpairs(P, ckn.make_mode(P, k), grid), 1):
         print(f"  k = {k}, index = {idx}: nu = {r.eigenvalue:.8f}   "
-              f"(backward error {r.residual:.1e}, {r.iters} factor solves)")
+              f"(backward error {r.residual:.1e}, {r.iters} matvecs)")
 print(f"  reference p - 1 = {P.p - 1:.8f}")
 
 print("\nmode-1 bottom eigenvalue across beta at (N, alpha) = (5, 1):")

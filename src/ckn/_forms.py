@@ -1,33 +1,26 @@
-"""Internal weak-form assembly shared by the variational and spectral modules.
+"""Internal form assembly shared by the variational and spectral modules.
 
-All quadratic forms are assembled in the scaled variable
-phi(t) = r^{kappa1} f(r), t = ln r, where the second-order mode operator
+All quadratic forms live in the scaled variable phi(t) = r^{kappa1} f(r), t = ln r, where the
+mode operator f'' + (N-1+alpha)/r f' - lambda_k/r^2 f of spherical mode k conjugates to the
+constant-coefficient B_k phi = phi'' - 2 nu phi' - (cal_B + lambda_k) phi and the energy weight
+r^{N+2 alpha - beta - 1} dr becomes plain dt: no form carries the e^{+-T t} dynamic range.  The
+mass form's weight in t, mass_weight = (Gamma_M nu^4/16) sech^4(nu t), needs no amplitude.
 
-    f'' + (N-1+alpha)/r f' - lambda_k/r^2 f        (per spherical mode k)
+The spectrum uses no grid form: B_k is diagonal in Fourier space, so spectral.mode_eigenpairs
+divides by its symbol on a domain derived from the decay of the eigenfunctions, with
+mass_weight as the mass.  The radial minimizer works on the caller's grid:
 
-conjugates to the constant-coefficient operator
-
-    B_k phi = phi'' - 2 nu phi' - (cal_B + lambda_k) phi,
-
-and the energy weight r^{N+2 alpha - beta - 1} dr becomes plain dt.  This
-removes the e^{+-T t} dynamic range from every matrix.
-
-Form quadrature uses uniform (trapezoid) weights on purpose: the 4-2-4
-alternation of composite Simpson weights lets a minimizer shave the value
-of a quadratic form by a factor 8/9 with a grid-frequency modulation of
-the operator image, which shows up as a spurious global 8/9 on the
-spectrum.  Trapezoid weights cannot be gamed and are spectrally accurate
-for the decaying integrands that appear here.
-
-The two outermost nodes on each side are clamped (phi = 0); without the
-clamp the discrete kernel of B_k admits truncated exponentials e^{kappa1 t},
-e^{-kappa2 t} that are not limits of admissible functions and show up as
-spurious near-zero energies.
-
-B_k has one set of rows, _mode_rows: mode_applier applies them with numerics.apply_rows, the
-stencil kernel of d/dt too, and energy_band assembles E_k = B_k^T W B_k in LAPACK band storage.
-The sparse mode_operator and energy_matrix are only the references that both match bit for bit
-in the tests; the benchmark tracer still wraps them by name.  mass_vector needs no amplitude.
+- form quadrature uses trapezoid weights on purpose: the 4-2-4 alternation of composite
+  Simpson weights lets a minimizer shave a quadratic form by 8/9 with a grid-frequency
+  modulation of the operator image; trapezoid weights cannot be gamed and are spectrally
+  accurate for the decaying integrands here;
+- the two outermost nodes on each side are clamped (phi = 0): without the clamp the discrete
+  kernel of B_k admits truncated exponentials e^{kappa1 t}, e^{-kappa2 t}, which are not limits
+  of admissible functions and show up as spurious near-zero energies;
+- B_k has one set of rows, _mode_rows: mode_applier applies them with numerics.apply_rows, the
+  stencil kernel of d/dt too, and energy_band assembles E_k = B_k^T W B_k in LAPACK band
+  storage for cholesky_solver.  The sparse mode_operator and energy_matrix, and the clamped
+  mass_vector, are references for the tests that the benchmark tracer still wraps by name.
 """
 
 from __future__ import annotations
@@ -137,10 +130,14 @@ def cholesky_solver(ab: np.ndarray, what: str):
     return lambda rhs: sla.cho_solve_banded((factor, False), rhs, check_finite=False)
 
 
-def mass_vector(params: CknParams, grid: LogGrid) -> np.ndarray:
-    """Diagonal of the mass form int U^{p-2} f^2 r^{gamma+N-1} dr = int phi_U^{p-2} phi^2 dt
-    (clamped): (Gamma_M nu^4/16) sech^4(nu t), Gamma_M nu^4/16 = kappa1 kappa2 (kappa1^2 - nu^2),
-    with sech^4 the extremal shape at m = -4."""
+def mass_weight(params: CknParams, t) -> np.ndarray:
+    """Weight of the mass form int U^{p-2} f^2 r^{gamma+N-1} dr = int phi_U^{p-2} phi^2 dt in t:
+    (Gamma_M nu^4/16) sech^4(nu t), Gamma_M nu^4/16 = kappa1 kappa2 (kappa1^2 - nu^2), with
+    sech^4 the extremal shape at m = -4."""
     coef = params.cal_B * (params.a_shift / 2.0) * (params.kappa1 + params.nu)
-    d = trapezoid_weights(grid.n, grid.h) * (coef * extremal_shape(params, grid.ts, -4.0))
-    return d[keep_indices(grid.n)]
+    return coef * extremal_shape(params, t, -4.0)
+
+
+def mass_vector(params: CknParams, grid: LogGrid) -> np.ndarray:
+    """Diagonal of the mass form on the grid: trapezoid weights times mass_weight (clamped)."""
+    return (trapezoid_weights(grid.n, grid.h) * mass_weight(params, grid.ts))[keep_indices(grid.n)]

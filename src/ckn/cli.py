@@ -344,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("spectrum", help="per-mode linearized eigenvalues")
+    p = sub.add_parser("spectrum", help="per-mode linearized eigenvalues",
+                       description="Eigenvalues on a domain derived from (N, alpha, beta); -n, "
+                       "--t-min and --t-max set only the grid the eigenprofiles are sampled on.")
     add_common(p)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(fn=cmd_spectrum)

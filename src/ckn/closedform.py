@@ -11,6 +11,7 @@ linearized mode, and the Rellich test-sequence quotient.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -145,18 +146,23 @@ def rellich_constant(N: int, alpha: float) -> float:
         Q = (2+alpha)/2 * (N - 2 + alpha - (2+alpha)/2),
 
     evaluated in the collapsed form, because the sum cancels as alpha -> 2 - N
-    (1e-9 relative error at N = 8)."""
+    (1e-9 relative error at N = 8).  ScalarOverflow where it leaves the float range, from
+    |alpha| of about 1e77 on."""
     N, alpha = check_alpha(N, alpha)
-    return ((N - 2.0 + alpha) / 2.0) ** 4
+    with contextlib.suppress(OverflowError):
+        return ((N - 2.0 + alpha) / 2.0) ** 4
+    raise ScalarOverflow(f"the Rellich constant overflows at N = {N}, alpha = {alpha}")
 
 
 def rellich_constant_alt(N: int, alpha: float) -> float:
     """The Rellich constant as H^2, H = ((N-2)/2 + alpha/2)^2 the sharp constant of
     int |x|^alpha |grad u|^2 >= H int |x|^{alpha-2} u^2; equal to the sum in
-    rellich_constant because Q + ((N-4)/2)^2 = H."""
+    rellich_constant because Q + ((N-4)/2)^2 = H; ScalarOverflow where rellich_constant has it."""
     N, alpha = check_alpha(N, alpha)
     half = (N - 2.0) / 2.0 + alpha / 2.0
     hardy = half * half
+    if not math.isfinite(hardy * hardy):
+        raise ScalarOverflow(f"the Rellich constant overflows at N = {N}, alpha = {alpha}")
     return hardy * hardy
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dsbmv
 
 from . import _forms, numerics
 from .closedform import extremal_shape, linearized_degree, linearized_eigenvalue, omega_sphere
@@ -34,22 +33,20 @@ __all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
            "second_variation_z1", "second_variation_bracket", "second_variation_sign",
            "linearized_residual", "spectral_gap"]
 
-#: Shift, basis size (clamped to the order) and stopping tolerance of the one shift-invert
-#: Lanczos run per mode (see mode_eigenpairs).  Every mode-k eigenvalue is >= 1 (the mode-0
-#: bottom eigenvalue), so E - SHIFT D is positive definite and the eigenvalues nearest 0.9
-#: are the wanted ones.
-SHIFT, LANCZOS_NCV, LANCZOS_TOL = 0.9, 10, 1e-8
+#: Basis size and stopping tolerance of the one Lanczos run per mode, and the level at which
+#: its periodic domain cuts the eigenfunctions (see mode_eigenpairs).
+LANCZOS_NCV, LANCZOS_TOL, DOMAIN_EPS = 10, 1e-8, 1e-14
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Eigenpair: profile normalized to unit weighted mass (int U^{p-2} f^2 r^{gamma+N-1}
-    dr = 1) and positive at the first interior node.  eigenvalue is its Rayleigh quotient
-    sum w (B_k phi)^2.  residual, the backward error ||E x - nu D x|| / ((||E||_1 + |nu|
-    max D) ||x||), is normalized by ||E||_1 ~ h^-4: about 1e-18 at n = 4001, and below
-    1e-12 even for an eigenvalue 1e-5 off, so accuracy rests on mode_eigenpairs' argument
-    and the closed-form tests, not on residual.  iters counts the Cholesky solves of the
-    mode's one Lanczos run, which both mode-0 indices share."""
+    """Eigenpair: profile of unit weighted mass (int U^{p-2} f^2 r^{gamma+N-1} dr = 1, trapezoid
+    sum on its grid), positive at its first sample of at least 1e-3 of its peak.  eigenvalue is
+    the Rayleigh quotient of the Fourier pencil, within 1e-12 (measured 7e-14) of
+    closedform.linearized_eigenvalue on any grid.  residual is that pencil's backward error
+    ||A x - nu W x|| / ((||A|| + |nu| ||W||) ||x||), which ||A|| ~ xi_max^4 keeps small, so the
+    accuracy rests on the derived domain and the closed-form tests, not on residual.  iters
+    counts the matvecs of the mode's one Lanczos run, which both mode-0 indices share."""
 
     eigenvalue: float
     profile: RadialProfile
@@ -57,60 +54,88 @@ class SpectralResult:
     iters: int
 
 
-def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
-    """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k
-    pencil (E, D = diag(d)), in that order, from one band assembly, one
-    banded Cholesky factor of E - SHIFT D (NoConvergence if there is none:
-    then the pencil has an eigenvalue below SHIFT) and one Lanczos run
-    (ARPACK through eigsh) on D^{1/2} (E - SHIFT D)^{-1} D^{1/2}, whose largest
-    eigenvalues theta = 1/(nu - SHIFT) are the wanted ones (ARPACK Users' Guide, 4.2).
+def _fourier_domain(params: CknParams, a: float) -> tuple[float, int]:
+    """Half-width L and node count n of the periodic domain [-L, L) of cosh(nu t)^{-a} times a
+    polynomial in tanh(nu t) (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch.
+    17): L = arccosh(eps^{-1/a})/nu cuts it at eps = DOMAIN_EPS; the poles of sech at nu t =
+    +-i pi/2 and the core of width 1/(nu sqrt a) need xi_max = 1.5 nu max(sqrt(2a ln 1/eps),
+    2 ln(1/eps)/pi); n is the least power of two >= 2 L xi_max/pi, and at least 64."""
+    log_eps = -math.log(DOMAIN_EPS)
+    half = (log_eps / a + math.log1p(math.sqrt(-math.expm1(-2.0 * log_eps / a)))) / params.nu
+    xi_max = 1.5 * params.nu * max(math.sqrt(2.0 * a * log_eps), 2.0 * log_eps / math.pi)
+    return half, max(64, 1 << math.ceil(math.log2(2.0 * half * xi_max / math.pi)))
 
-    The run keeps LANCZOS_NCV vectors and stops at Ritz residual LANCZOS_TOL: nu is
-    not the Ritz value but the Rayleigh quotient sum w (B_k phi)^2 of x = (E - SHIFT D)^{-1}
-    D^{1/2} y (D^{-1/2} y up to scale), one inverse-iteration step beyond the Ritz vector y,
-    so its error is quadratic in the Ritz residual and the last solve damps high frequencies;
-    nu sits on the eps/h^4 floor of the sum, below that of SHIFT + 1/theta or x^T E x."""
+
+def _chirp_z(b: np.ndarray, theta: float, m: int) -> np.ndarray:
+    """sum_k b[k] e^{i theta j k} for j < m, per column of b, by Bluestein's chirp-z transform:
+    jk = (j^2 + k^2 - (j-k)^2)/2 makes it one numpy.fft convolution with e^{-i theta j^2/2},
+    padded to the least f 2^i >= K + m - 1 over a few small odd f, lengths that FFT fast."""
+    K = len(b)
+    size = min(f << (-(-(K + m - 1) // f) - 1).bit_length() for f in (1, 3, 5, 9, 15))
+    j = np.arange(max(K, m))
+    chirp = np.exp(0.5j * theta * (j * j))
+    kernel = np.zeros(size, complex)
+    kernel[:m], kernel[size - K + 1:] = chirp[:m].conj(), chirp[K - 1:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(b * chirp[:K, None], size, axis=0)
+                       * np.fft.fft(kernel)[:, None], axis=0)
+    return chirp[:m, None] * conv[:m]
+
+
+def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
+    """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k pencil
+    int (B_k phi)^2 dt = nu int w phi^2 dt, w = _forms.mass_weight, in that order.
+
+    B_k has constant coefficients, so the energy A divides by |sigma_k(xi)|^2 = (xi^2 + cal_B +
+    lambda_k)^2 + 4 nu^2 xi^2 in Fourier space.  On the domain of _fourier_domain at a = l_k +
+    (M-4)/2, which the grid does not enter, one Lanczos run (eigsh, LANCZOS_NCV vectors, a fixed
+    start) on W^{1/2} A^{-1} W^{1/2} finds the largest theta = 1/nu, to a Ritz residual of
+    LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap 1 - nu_{k,0}/nu_{k,1} = 4/(a+4), which
+    closes as a grows.  nu is the Rayleigh quotient, by Parseval, of x = A^{-1} W^{1/2} y, one
+    inverse iteration beyond the Ritz vector y.  The profiles are x's trigonometric interpolants
+    at the grid's nodes, 0 outside [-L, L), mapped back by _forms.from_scaled; BadGridSpec where
+    the grid misses them or r^{-kappa1} overflows on it (before the solve)."""
     require_subcritical(params, "mode_eigenpairs")
-    # r^{-kappa1}, built first: a grid on which it overflows raises BadGridSpec before the solve
     back = _forms.from_scaled(params, grid, 1.0)
-    ab = _forms.energy_band(params, mode.lambda_k, grid)
-    d = _forms.mass_vector(params, grid)
-    solve = _forms.cholesky_solver(np.vstack([ab[:-1], ab[-1] - SHIFT * d]),
-                                   f"mode {mode.k}: E - {SHIFT} D")
-    root_d = np.sqrt(d)
-    solves = 0
+    a = linearized_degree(params, mode.k) + (params.M_dim - 4.0) / 2.0
+    half, n = _fourier_domain(params, a)
+    h = 2.0 * half / n
+    xi = np.fft.rfftfreq(n, h / (2.0 * np.pi))
+    symbol = (xi * xi + params.cal_B + mode.lambda_k) ** 2 + (2.0 * params.nu * xi) ** 2
+    root_w = np.sqrt(_forms.mass_weight(params, h * np.arange(n) - half))
+    matvecs = 0
 
     def op(y: np.ndarray) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        return root_d * solve(root_d * y)
+        nonlocal matvecs
+        matvecs += 1
+        return root_w * np.fft.irfft(np.fft.rfft(root_w * y) / symbol, n)
 
-    m = len(d)
-    # a fixed start vector keeps every answer reproducible bit for bit
-    v0 = np.random.default_rng(1234).standard_normal(m)
     try:
-        thetas, Y = spla.eigsh(spla.LinearOperator((m, m), matvec=op, dtype=float),
-                               2 if mode.k == 0 else 1, which="LA", v0=v0,
-                               ncv=min(LANCZOS_NCV, m), tol=LANCZOS_TOL)
+        thetas, Y = spla.eigsh(spla.LinearOperator((n, n), matvec=op, dtype=float),
+                               2 if mode.k == 0 else 1, which="LA", ncv=LANCZOS_NCV,
+                               tol=LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)),
+                               v0=np.random.default_rng(1234).standard_normal(n))
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos on mode {mode.k}: {exc}") from None
-    X = solve(root_d[:, None] * Y)
-    norm_e = float(dsbmv(_forms.BAND, 1.0, np.abs(ab), np.ones(m)).max())
-    w = numerics.trapezoid_weights(grid.n, grid.h)
-    apply_b = _forms.mode_applier(params, mode.lambda_k, grid)
-    results = []
-    for j in np.argsort(-thetas):
-        x = X[:, j]
-        x = x / math.sqrt(np.dot(x * d, x))
-        # positive at the first interior node, zero at the clamped nodes
-        phi = np.pad(-x if x[0] < 0 else x, _forms.N_CLAMP)
-        nu = float(w @ apply_b(phi) ** 2)
-        residual = float(np.linalg.norm(dsbmv(_forms.BAND, 1.0, ab, x) - nu * (d * x))
-                         / ((norm_e + abs(nu) * d.max()) * np.linalg.norm(x)))
-        profile = RadialProfile(grid=grid, values=phi * back)
-        results.append(SpectralResult(eigenvalue=nu, profile=profile, residual=residual,
-                                      iters=solves))
-    return results
+    Y = root_w[:, None] * Y[:, np.argsort(-thetas)]            # W^{1/2} y, that is A x
+    C = np.fft.rfft(Y, axis=0) / symbol[:, None]               # rfft of x
+    X = np.fft.irfft(C, n, axis=0)
+    parts = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n      # Parseval over rfft halves
+    nus = (parts * symbol) @ np.abs(C) ** 2 / ((root_w[:, None] * X) ** 2).sum(axis=0)
+    residuals = (np.linalg.norm(Y - nus * root_w[:, None] ** 2 * X, axis=0)
+                 / ((symbol.max() + nus * root_w.max() ** 2) * np.linalg.norm(X, axis=0)))
+    lo, hi = np.searchsorted(grid.ts, (-half, half)).tolist()  # the nodes in [-L, L)
+    shift = parts * np.exp(1j * xi * (grid.t_min + lo * grid.h + half))   # -L to node lo
+    vals = _chirp_z(shift[:, None] * C, xi[1] * grid.h, hi - lo).real
+    w = numerics.trapezoid_weights(grid.n, grid.h)[lo:hi]
+    mass = (w * _forms.mass_weight(params, grid.ts[lo:hi])) @ vals ** 2
+    if not mass.all():
+        raise BadGridSpec(f"the grid misses the mode-{mode.k} profiles, on |t| < {half:.4g}")
+    big = np.abs(vals) >= 1e-3 * np.abs(vals).max(axis=0)
+    phi = np.zeros((grid.n, len(nus)))
+    phi[lo:hi] = vals / np.copysign(np.sqrt(mass), vals[big.argmax(axis=0), range(len(nus))])
+    return [SpectralResult(eigenvalue=nu, profile=RadialProfile(grid, col * back),
+                           residual=res, iters=matvecs)
+            for nu, col, res in zip(nus.tolist(), phi.T, residuals.tolist())]
 
 
 def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,
@@ -194,11 +219,11 @@ def linearized_residual(params: CknParams, k: int, n: int, grid: LogGrid) -> flo
 
 def spectral_gap(params: CknParams, grid: LogGrid) -> float:
     """Lowest nonradial eigenvalue nu_{1,0} on the critical lower boundary with alpha < 0,
-    from the mode-1 pencil on grid.  nu_{k,0} = Gamma_{M+2 l_k}/Gamma_M rises with l_k, and
+    from the mode-1 pencil.  nu_{k,0} = Gamma_{M+2 l_k}/Gamma_M rises with l_k, and
     l_k with k, so mode 1 is the lowest nonradial mode.  It is not the third eigenvalue
     counted over all modes: the radial nu_{0,2} = (M+4)(M+6)/((M-4)(M-2)) lies below it at
-    (5, -2), (6, -1.5) and (7, -3).  Grid-dependent; the tests hold it to
-    closedform.linearized_eigenvalue(params, 1, 0)."""
+    (5, -2), (6, -1.5) and (7, -3).  The grid only samples the eigenfunction: the value comes
+    from mode_eigenpairs' own domain, within 1e-12 of closedform.linearized_eigenvalue."""
     if params.region is not RegionClass.CRITICAL_UPPER_ALPHA_NEG:
         raise WrongRegion("spectral_gap is defined on the critical lower "
                           "boundary with 2 - N < alpha < 0")

@@ -73,3 +73,24 @@ def weighted_cosine(params, grid, f, g) -> float:
     b = _forms.to_scaled(params, grid, np.asarray(g, dtype=float))
     return abs(float(np.sum(d * a * b))) / np.sqrt(float(np.sum(d * a * a))
                                                    * float(np.sum(d * b * b)))
+
+
+def count_matvecs(monkeypatch):
+    """Wrap scipy's eigsh so that the matvecs of each run are counted; returns the counts,
+    one per run, in call order."""
+    import scipy.sparse.linalg as spla
+
+    eigsh, runs = spla.eigsh, []
+
+    def counted(A, *args, **kwargs):
+        run = len(runs)
+        runs.append(0)
+
+        def matvec(y):
+            runs[run] += 1
+            return A.matvec(y)
+
+        return eigsh(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counted)
+    return runs

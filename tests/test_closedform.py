@@ -169,6 +169,19 @@ class TestRellichConstant:
         with pytest.raises(AlphaOutOfRange):
             rellich_constant(5, -3.0)
 
+    @pytest.mark.parametrize("alpha", [1e100, 1e200])
+    def test_overflow_is_typed(self, alpha):
+        # ** 4 ended in a bare OverflowError, and the product of squares returned inf
+        for fn in (rellich_constant, rellich_constant_alt):
+            with pytest.raises(ScalarOverflow):
+                fn(5, alpha)
+
+    @pytest.mark.parametrize("alpha", [1e76, 3e76, 1e77, -2.5, 1.0])
+    def test_finite_values_keep_their_formulas(self, alpha):
+        assert rellich_constant(5, alpha) == ((3.0 + alpha) / 2.0) ** 4
+        half = 1.5 + alpha / 2.0
+        assert rellich_constant_alt(5, alpha) == (half * half) * (half * half)
+
     @pytest.mark.parametrize("N", range(5, 12))
     def test_closed_forms_at_suite_alphas(self, N):
         # the alpha values of verify identities' rellich_closed_forms_agree

@@ -83,6 +83,8 @@ ROWS = [
     *(row(AlphaOutOfRange, felli_schneider, 5, a) for a in (INF, -INF, NAN)),
     row(ScalarOverflow, identities.xi_sign, 5, 1e160),
     row(ScalarOverflow, identities.xi_sign, 5, 1e100),
+    *(row(ScalarOverflow, fn, 5, a) for a in (1e100, 1e200)
+      for fn in (cf.rellich_constant, cf.rellich_constant_alt)),
     # beta: derive is the one check
     *(row(BetaOutOfRange, derive, 5, 1.0, b) for b in (-1.0 + 1e-12, INF, -INF, NAN)),
     # M: finite and > 4

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ckn
 from ckn import _forms, numerics, spectral, transforms
@@ -16,7 +16,7 @@ from ckn.spectral import (linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
                           second_variation_z1, spectral_gap)
 from ckn.variational import make_mode
-from conftest import weighted_cosine
+from conftest import count_matvecs, weighted_cosine
 
 # (omega_4/5) nu^3 (chi - (M-1)) {2 I1 + (3M-9+chi) I2} at (5,1,-3), where
 # I1 = int X1'^2 s^3 ds = 3/20 and I2 = int X1^2 s ds = 1/12 by Beta
@@ -77,78 +77,54 @@ class TestModeEigenvalues:
 
     @pytest.mark.parametrize("index", [1, 2])
     def test_solves_and_iters_per_index(self, p513, grid_fast, monkeypatch, index):
-        # either index costs one assembly, one factorization and one Lanczos
-        # run; iters is that run's solves (one right-hand side each), the
-        # same for both indices, and one more solve recovers the vectors
-        assemblies, factors, solves = [], [], []
-        energy_band, cholesky_banded, cho_solve_banded = (
-            _forms.energy_band, sla.cholesky_banded, sla.cho_solve_banded)
-
-        def counted_energy(*args, **kwargs):
-            assemblies.append(1)
-            return energy_band(*args, **kwargs)
-
-        def counted_cholesky(*args, **kwargs):
-            factors.append(1)
-            return cholesky_banded(*args, **kwargs)
-
-        def counted_solve(factor, b, **kwargs):
-            solves.append(np.ndim(b))
-            return cho_solve_banded(factor, b, **kwargs)
-
-        monkeypatch.setattr(_forms, "energy_band", counted_energy)
-        monkeypatch.setattr(sla, "cholesky_banded", counted_cholesky)
-        monkeypatch.setattr(sla, "cho_solve_banded", counted_solve)
+        # either index costs one Lanczos run, whose every matvec is one solve by division
+        # by the symbol; iters is that run's matvec count, the same for both indices
+        runs = count_matvecs(monkeypatch)
         r = mode_eigenvalue(p513, make_mode(p513, 0), index, grid_fast)
-        assert (len(assemblies), len(factors)) == (1, 1)
-        assert r.iters == solves.count(1) > 0
-        assert solves.count(2) == 1
+        assert len(runs) == 1
+        assert r.iters == runs[0] > 0
         other = mode_eigenvalue(p513, make_mode(p513, 0), 3 - index, grid_fast)
-        assert other.iters == r.iters
+        assert len(runs) == 2
+        assert other.iters == r.iters == runs[1]
 
-    def test_failed_cholesky_raises_no_convergence(self, p513, grid_fast, monkeypatch):
-        # with the mass form tripled the pencil's eigenvalues fall to about
-        # 1/3, below the shift 0.9, so E - 0.9 D is indefinite
-        mass_vector = _forms.mass_vector
-        monkeypatch.setattr(_forms, "mass_vector", lambda *args: 3.0 * mass_vector(*args))
-        with pytest.raises(NoConvergence):
+    def test_lanczos_no_convergence_raises(self, p513, grid_fast, monkeypatch):
+        # ARPACK's ArpackNoConvergence is a typed NoConvergence, never a traceback
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(NoConvergence, match="Lanczos on mode 0"):
             mode_eigenvalue(p513, make_mode(p513, 0), 1, grid_fast)
 
     def test_mode1_where_a_moving_shift_went_astray(self):
-        # a shift that follows the Rayleigh quotient can settle on a higher
-        # eigenvalue here (7.0306); a fixed shift below the spectrum cannot
+        # a shift that follows the Rayleigh quotient settled on a higher eigenvalue
+        # here (7.0306); Lanczos for the largest 1/nu cannot
         p = ckn.derive(6, 2.678, -2.319)
         grid = ckn.make_grid(-14.3, 14.3, 4077)
         r = mode_eigenvalue(p, make_mode(p, 1), 1, grid)
         assert r.eigenvalue == pytest.approx(2.0809807, abs=1e-6)
 
     def test_mode0_bottom_on_gate_grid(self, p513, grid):
-        # the discretization error here is about 5e-8; a loose eigen stop
+        # finite differences erred by about 5e-8 here; a loose eigen stop
         # test shows up as an error of 1e-6 or more
         r = mode_eigenvalue(p513, make_mode(p513, 0), 1, grid)
         assert abs(r.eigenvalue - 1.0) < 2e-7
 
     def test_mode0_on_fine_grid(self, p513):
-        # the Ritz value carries the eps h^-4 rounding of E = B^T W B (1.5e-4
-        # here); the Rayleigh quotient summed as squares does not
+        # the finite-difference Ritz value carried the eps h^-4 rounding of
+        # E = B^T W B (1.5e-4 here); the Fourier solve does not read the grid
         grid = ckn.make_grid(-14.0, 14.0, 32001)
         r0, r1 = ckn.mode_eigenpairs(p513, make_mode(p513, 0), grid)
         assert abs(r0.eigenvalue - 1.0) < 1e-8
         assert abs(r1.eigenvalue - (p513.p - 1.0)) < 1e-8 * (p513.p - 1.0)
 
     def test_mode_eigenpairs_one_solve_for_both_pairs(self, p513, grid_fast, monkeypatch):
-        # both mode-0 pairs come from one assembly and one factorization, and
-        # mode_eigenvalue(..., i) is entry i - 1, field for field
-        calls = {"energy_band": 0, "cholesky_banded": 0}
-        for module, name in ((_forms, "energy_band"), (sla, "cholesky_banded")):
-            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        # both mode-0 pairs come from one Lanczos run, and mode_eigenvalue(..., i) is
+        # entry i - 1, field for field
+        runs = count_matvecs(monkeypatch)
         pairs = ckn.mode_eigenpairs(p513, make_mode(p513, 0), grid_fast)
-        assert calls == {"energy_band": 1, "cholesky_banded": 1}
-        assert len(pairs) == 2
+        assert len(runs) == 1 and len(pairs) == 2
+        assert [pair.iters for pair in pairs] == runs * 2
         for index, pair in enumerate(pairs, 1):
             r = mode_eigenvalue(p513, make_mode(p513, 0), index, grid_fast)
             assert (r.eigenvalue, r.residual, r.iters) == (pair.eigenvalue, pair.residual,
@@ -159,8 +135,8 @@ class TestModeEigenvalues:
 
 
 #: Rows of the ROADMAP Baseline table whose t-domain holds the eigenfunctions:
-#: (N, alpha, beta), half-width of the t-domain, n.  Their errors against
-#: nu_{k,n} are 3.6e-9 at worst (mode 0 at n = 32001, the eps/h^4 floor).
+#: (N, alpha, beta), half-width of the t-domain, n.  Finite differences met nu_{k,n}
+#: to 3.6e-9 on them at worst; the Fourier solve meets it to 6.3e-14.
 BASELINE_ROWS = [((5, 1.0, -3.0), 14.0, 4001), ((5, 1.0, -3.0), 14.0, 32001),
                  ((6, -1.0, -4.0), 40.0, 16001), ((6, -3.0, -5.4), 60.0, 16001),
                  ((5, -2.5, -4.8), 150.0, 16001), ((5, -2.5, -4.6), 120.0, 16001),
@@ -199,7 +175,8 @@ class TestClosedFormSpectrum:
         P = ckn.derive(N, alpha, beta)
         # The default grid, widened where the tail of phi_U^2 ~ e^{-(M-4) nu |t|} at
         # t = 14 exceeds e^{-25}: at N = 5, alpha = 0.5, 15 % above beta_lower the
-        # +-14 cut-off alone errs by 1.4e-7 in mode 0 (ROADMAP item 4).
+        # finite-difference +-14 cut-off alone erred by 1.4e-7 in mode 0
+        # (test_whole_region_sweep drops both limits).
         half = max(-numerics.DEFAULT_T_MIN, 25.0 / ((P.M_dim - 4.0) * P.nu))
         grid = ckn.make_grid(-half, half, numerics.DEFAULT_N)
         for k in range(4):
@@ -217,12 +194,49 @@ class TestClosedFormSpectrum:
                 assert abs(pair.eigenvalue - exact) < 1e-8 * exact, (k, n)
 
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(5, 8), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_max=True))
+    # M = 3e6 and 6e9, where a's gaps close: a fixed Lanczos tolerance of 1e-8 erred by
+    # 1.7e-10 and 6.8e-9 there
+    @example(N=5, a_frac=1e-12, b_frac=1.0 - 1e-6)
+    @example(N=8, a_frac=0.5, b_frac=1.0 - 1e-9)
+    def test_whole_region_sweep(self, grid, N, a_frac, b_frac):
+        # alpha anywhere in (2 - N + 0.05, 4) and beta anywhere in [beta_lower, alpha - 2),
+        # near either end included, on the default grid: the derived domain follows the
+        # profiles wherever they live, and the Lanczos tolerance follows a mode's gaps
+        alpha = 2.05 - N + a_frac * (N + 1.95)
+        lo = ckn.beta_lower(N, alpha)
+        P = ckn.derive(N, alpha, lo + b_frac * (alpha - 2.0 - lo))
+        assume(P.subcritical)
+        for k in range(4):
+            for n, pair in enumerate(ckn.mode_eigenpairs(P, make_mode(P, k), grid)):
+                exact = linearized_eigenvalue(P, k, n)
+                assert abs(pair.eigenvalue - exact) <= 1e-12 * exact, (k, n)
+
+    @pytest.mark.parametrize("point", [
+        # the +-14 finite-difference grid read 99.9 for nu_00 = 1 and 737 for p - 1 = 5 here
+        (5, -2.9, -4.95),
+        # ... and 1.323 and 4.025 for 1 and 2, with backward error 1.7e-18
+        (5, -2.5, -4.6),
+        # ... and nu_00 = 1 + 1.4e-7: M = 5.10, phi_U^2 is only e^{-17} at t = 14
+        (5, 0.5, ckn.beta_lower(5, 0.5) + 0.15 * (ckn.felli_schneider(5, 0.5)
+                                                  - ckn.beta_lower(5, 0.5)))],
+        ids=["nu-0.025", "nu-0.05", "M-5.10"])
+    def test_points_the_fixed_grid_got_wrong(self, grid, point):
+        P = ckn.derive(*point)
+        for k in range(4):
+            for n, pair in enumerate(ckn.mode_eigenpairs(P, make_mode(P, k), grid)):
+                exact = linearized_eigenvalue(P, k, n)
+                assert abs(pair.eigenvalue - exact) <= 1e-12 * exact, (k, n)
+
+
 class TestRightSizedLanczos:
     """The run stops at LANCZOS_TOL with LANCZOS_NCV vectors, not at machine precision."""
 
     def test_matches_full_precision_run(self, baseline_spectra, monkeypatch):
         # scipy's defaults (20 vectors, tolerance 0) are the reference; the reported
-        # Rayleigh quotients agree to the eps/h^4 floor (2.0e-12 at worst measured)
+        # Rayleigh quotients agree to rounding (4.8e-16 at worst measured)
         monkeypatch.setattr(spectral, "LANCZOS_NCV", 20)
         monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
         full = _spectra(BASELINE_ROWS + [ASTRAY_ROW])
@@ -234,17 +248,64 @@ class TestRightSizedLanczos:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_solves_per_mode(self, p513, grid, k):
-        # 21 solves with scipy's defaults; a run sized to LANCZOS_TOL needs 11
+        # 21 matvecs with scipy's defaults; a run sized to LANCZOS_TOL needs 11
         assert ckn.mode_eigenpairs(p513, make_mode(p513, k), grid)[0].iters <= 12
 
     @pytest.mark.parametrize("lo,hi,n", [(-1.0, 1.0, 9), (-2.0, 2.0, 11)])
     def test_narrow_grids_return_pairs(self, p513, lo, hi, n):
-        # m = n - 4 unknowns, fewer than LANCZOS_NCV: eigsh gets ncv = m
+        # the grid only samples the profiles: on 9 or 11 nodes the eigenvalues are those of
+        # the derived domain (finite differences read them above 1, the truncation error)
         grid = ckn.make_grid(lo, hi, n)
         for k, count in ((0, 2), (1, 1)):
             pairs = ckn.mode_eigenpairs(p513, make_mode(p513, k), grid)
             assert len(pairs) == count
-            assert all(math.isfinite(p.eigenvalue) and p.eigenvalue > 1.0 for p in pairs)
+            for index, pair in enumerate(pairs):
+                exact = linearized_eigenvalue(p513, k, index)
+                assert abs(pair.eigenvalue - exact) <= 1e-12 * exact, (k, index)
+
+
+def _direct_chirp_z(b, theta, m):
+    """The O(Km) sum that spectral._chirp_z evaluates by one FFT convolution."""
+    return np.exp(1j * theta * np.outer(np.arange(m), np.arange(len(b)))) @ b
+
+
+class TestProfileSampling:
+    """Profiles are the trigonometric interpolants of the Fourier eigenvectors at the nodes of
+    the caller's grid, 0 outside the derived domain (half-width 32.9 for mode 0 at p513)."""
+
+    @pytest.mark.parametrize("k,bounds", [(0, (-40.0, 40.0, 801)), (1, (-40.0, 40.0, 801)),
+                                          (0, (-14.0, 14.0, 4001)), (1, (-14.0, 14.0, 4001)),
+                                          (0, (32.5, 33.5, 3)), (0, (-1.0, 1.0, 3))],
+                             ids=["wider-than-domain-0", "wider-than-domain-1", "default-0",
+                                  "default-1", "one-node-inside", "3-nodes"])
+    def test_chirp_z_matches_the_direct_sum(self, p513, monkeypatch, k, bounds):
+        grid, mode = ckn.make_grid(*bounds), make_mode(p513, k)
+        fast = ckn.mode_eigenpairs(p513, mode, grid)
+        monkeypatch.setattr(spectral, "_chirp_z", _direct_chirp_z)
+        slow = ckn.mode_eigenpairs(p513, mode, grid)
+        half = spectral._fourier_domain(p513, linearized_degree(p513, k) + 1.0)[0]   # M = 6
+        for a, b in zip(fast, slow):
+            assert a.eigenvalue == b.eigenvalue
+            # compared in the scaled variable, where the profiles are bounded
+            phi_a, phi_b = (_forms.to_scaled(p513, grid, r.profile.values) for r in (a, b))
+            assert np.abs(phi_a - phi_b).max() <= 1e-11 * np.abs(phi_b).max()
+            assert np.count_nonzero(phi_b) == np.count_nonzero(np.abs(grid.ts) < half)
+
+    @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (5, -2.9, -4.95), (8, 3.0, -1.9)])
+    def test_mode0_profiles_are_the_closed_forms(self, grid, point):
+        # nu_00 = 1 belongs to U and nu_01 = p - 1 to the scaling direction: in t,
+        # cosh(nu t)^m and cosh(nu t)^m tanh(nu t), m = -(M-4)/2 (measured: 4.1e-13 at worst)
+        P = ckn.derive(*point)
+        shape = extremal_shape(P, grid.ts)
+        for r, want in zip(ckn.mode_eigenpairs(P, make_mode(P, 0), grid),
+                           (shape, shape * np.tanh(P.nu * grid.ts))):
+            phi = _forms.to_scaled(P, grid, r.profile.values)
+            peak = np.argmax(np.abs(phi))
+            assert np.abs(phi - want * (phi[peak] / want[peak])).max() <= 1e-11 * abs(phi[peak])
+
+    def test_grid_that_misses_the_profiles(self, p513):
+        with pytest.raises(BadGridSpec, match="misses the mode-0 profiles"):
+            ckn.mode_eigenpairs(p513, make_mode(p513, 0), ckn.make_grid(40.0, 60.0, 11))
 
 
 class TestSecondVariation:
@@ -429,12 +490,11 @@ class TestSpectralGap:
 
 class TestDiscretizationQuality:
     def test_eigenvalue_refinement_order(self, p512):
-        # nu1 = 1 exactly, so the discrete error itself is observable
-        errs = []
+        # nu1 = 1 exactly, so the error itself is observable: finite differences halved it by
+        # an h^2 order per refinement, and the Fourier solve on the derived domain has none left
         for n in (1001, 2001):
             g = ckn.make_grid(-14.0, 14.0, n)
-            errs.append(abs(mode_eigenvalue(p512, make_mode(p512, 0), 1, g).eigenvalue - 1.0))
-        assert math.log2(errs[0] / errs[1]) >= 2.0
+            assert abs(mode_eigenvalue(p512, make_mode(p512, 0), 1, g).eigenvalue - 1.0) <= 1e-13
 
     def test_clamping_insensitive_to_domain_extension(self, p512):
         vals = []
