@@ -32,15 +32,15 @@ for beta in (-3.4, -3.0, bfs, -2.4, -2.0):
     print(f"  beta = {beta:+.6f}: nu_1(k=1) - (p-1) = "
           f"{eig - (Pb.p - 1):+.6f}{marker}")
 
-print("\nexact-solution certificates for the reduced fourth-order ODE:")
+print("\nexact-solution certificates of the linearized mode equations:")
 print(f"  mode-0 profile residual:            "
-      f"{spectral.linearized_residual(P, 0, 1, grid):.2e}")
+      f"{spectral.linearized_residual(P, 0, 1):.2e}")
 Pf = ckn.derive(5, 1.0, bfs)
 print(f"  mode-1 profile residual on curve:   "
-      f"{spectral.linearized_residual(Pf, 1, 0, grid):.2e}")
+      f"{spectral.linearized_residual(Pf, 1, 0):.2e}")
 Poff = ckn.derive(5, 1.0, bfs + 0.3)
 print(f"  mode-1 profile residual off curve:  "
-      f"{spectral.linearized_residual(Poff, 1, 0, grid):.2e} "
+      f"{spectral.linearized_residual(Poff, 1, 0):.2e} "
       f"(real degree l_1 = {ckn.linearized_degree(Poff, 1):.6f})")
 
 print("\nnonradial modes against p - 1 at (5, 1, -2): nu_(k,0) = Gamma_(M+2 l_k)/Gamma_M "

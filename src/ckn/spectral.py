@@ -54,16 +54,23 @@ class SpectralResult:
     iters: int
 
 
-def _fourier_domain(params: CknParams, a: float) -> tuple[float, int]:
-    """Half-width L and node count n of the periodic domain [-L, L) of cosh(nu t)^{-a} times a
-    polynomial in tanh(nu t) (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., 2001, ch.
-    17): L = arccosh(eps^{-1/a})/nu cuts it at eps = DOMAIN_EPS; the poles of sech at nu t =
-    +-i pi/2 and the core of width 1/(nu sqrt a) need xi_max = 1.5 nu max(sqrt(2a ln 1/eps),
-    2 ln(1/eps)/pi); n is the least power of two >= 2 L xi_max/pi, and at least 64."""
+def _mode_pencil(params: CknParams, mode: ModeSpec):
+    """Mode k's one discretization, where mode_eigenpairs solves and linearized_residual checks:
+    the decay a = l_k + (M-4)/2 of its eigenfunctions, cosh(nu t)^{-a} times a polynomial in
+    tanh(nu t); the nodes of their periodic domain [-L, L) (Boyd, Chebyshev and Fourier Spectral
+    Methods, 2nd ed., 2001, ch. 17), L = arccosh(eps^{-1/a})/nu cutting them at eps = DOMAIN_EPS,
+    n the least power of two >= 2 L xi_max/pi and >= 64, xi_max = 1.5 nu max(sqrt(2a ln 1/eps),
+    2 ln(1/eps)/pi) for the poles of sech at nu t = +-i pi/2 and the core of width 1/(nu sqrt a);
+    the rfft frequencies xi; and B_k^* B_k's symbol (xi^2 + cal_B + lambda_k)^2 + 4 nu^2 xi^2."""
+    a = linearized_degree(params, mode.k) + (params.M_dim - 4.0) / 2.0
     log_eps = -math.log(DOMAIN_EPS)
     half = (log_eps / a + math.log1p(math.sqrt(-math.expm1(-2.0 * log_eps / a)))) / params.nu
     xi_max = 1.5 * params.nu * max(math.sqrt(2.0 * a * log_eps), 2.0 * log_eps / math.pi)
-    return half, max(64, 1 << math.ceil(math.log2(2.0 * half * xi_max / math.pi)))
+    n = max(64, 1 << math.ceil(math.log2(2.0 * half * xi_max / math.pi)))
+    h = 2.0 * half / n
+    xi = np.fft.rfftfreq(n, h / (2.0 * np.pi))
+    symbol = (xi * xi + params.cal_B + mode.lambda_k) ** 2 + (2.0 * params.nu * xi) ** 2
+    return a, h * np.arange(n) - half, xi, symbol
 
 
 def _chirp_z(b: np.ndarray, theta: float, m: int) -> np.ndarray:
@@ -85,23 +92,20 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k pencil
     int (B_k phi)^2 dt = nu int w phi^2 dt, w = _forms.mass_weight, in that order.
 
-    B_k has constant coefficients, so the energy A divides by |sigma_k(xi)|^2 = (xi^2 + cal_B +
-    lambda_k)^2 + 4 nu^2 xi^2 in Fourier space.  On the domain of _fourier_domain at a = l_k +
-    (M-4)/2, which the grid does not enter, one Lanczos run (eigsh, LANCZOS_NCV vectors, a fixed
-    start) on W^{1/2} A^{-1} W^{1/2} finds the largest theta = 1/nu, to a Ritz residual of
-    LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap 1 - nu_{k,0}/nu_{k,1} = 4/(a+4), which
-    closes as a grows.  nu is the Rayleigh quotient, by Parseval, of x = A^{-1} W^{1/2} y, one
-    inverse iteration beyond the Ritz vector y.  The profiles are x's trigonometric interpolants
-    at the grid's nodes, 0 outside [-L, L), mapped back by _forms.from_scaled; BadGridSpec where
-    the grid misses them or r^{-kappa1} overflows on it (before the solve)."""
+    B_k has constant coefficients, so on the domain of _mode_pencil, which the grid does not
+    enter, the energy A multiplies by its symbol in Fourier space.  One Lanczos run (eigsh,
+    LANCZOS_NCV vectors, a fixed start) on W^{1/2} A^{-1} W^{1/2} finds the largest theta = 1/nu
+    to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap 1 - nu_{k,0}/
+    nu_{k,1} = 4/(a+4), which closes as a grows.  nu is the Rayleigh quotient, by Parseval, of
+    x = A^{-1} W^{1/2} y, one inverse iteration beyond the Ritz vector y.  The profiles are x's
+    trigonometric interpolants at the grid's nodes, 0 outside [-L, L), mapped back by
+    _forms.from_scaled; BadGridSpec where the grid misses them or r^{-kappa1} overflows on it
+    (before the solve)."""
     require_subcritical(params, "mode_eigenpairs")
     back = _forms.from_scaled(params, grid, 1.0)
-    a = linearized_degree(params, mode.k) + (params.M_dim - 4.0) / 2.0
-    half, n = _fourier_domain(params, a)
-    h = 2.0 * half / n
-    xi = np.fft.rfftfreq(n, h / (2.0 * np.pi))
-    symbol = (xi * xi + params.cal_B + mode.lambda_k) ** 2 + (2.0 * params.nu * xi) ** 2
-    root_w = np.sqrt(_forms.mass_weight(params, h * np.arange(n) - half))
+    a, ts, xi, symbol = _mode_pencil(params, mode)
+    half, n = -ts[0], len(ts)
+    root_w = np.sqrt(_forms.mass_weight(params, ts))
     matvecs = 0
 
     def op(y: np.ndarray) -> np.ndarray:
@@ -186,35 +190,24 @@ def second_variation_sign(params: CknParams) -> int:
     return int(np.sign(second_variation_gap(params.N, params.q_pow, params.M_dim)))
 
 
-def linearized_residual(params: CknParams, k: int, n: int, grid: LogGrid) -> float:
-    """Normalized sup residual of the effective-dimension linearized ODE of mode k,
-
-        (L_s - q^2 lambda_k/s^2)^2 X = nu_{k,n} Gamma_M (1+s^2)^{-4} X, L_s = d_ss + (M-1)/s d_s,
-
-    at X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)), exact at
-    every subcritical point for any k, n >= 0 (check_index: ValueError before any work); (0, 1)
-    is the scaling direction, (1, 0) the mode-1 one.  With X = s^m phi, m = -(M-4)/2, and
-    sigma = ln s at numerics.anchored_ts, the equation times s^{4-m} is the even ODE
-
-        phi'''' - (4 - 2b) phi'' + b^2 phi = nu_{k,n} (Gamma_M/16) sech^4(sigma) phi,
-        b = m(m+M-2) - q^2 lambda_k,
-
-    solved by phi = cosh(sigma)^{m-l_k} C_n^{l_k+(M-1)/2}(-tanh sigma): numerics.even_residual's
-    sup over max|rhs|, BadGridSpec where phi underflows at every node.  The width in sigma,
-    about (2/(M-4+2l_k))^{1/2}, sets n: (5, 1, -1.1), M = 82, passes at n = 8001, (5, 1, -1.001),
-    M = 8002, at n = 16001.  Finite differences of samples, so the value certifies the profile."""
+def linearized_residual(params: CknParams, k: int, n: int) -> float:
+    """sup|A X - nu w X| / sup|nu w X| on the nodes of _mode_pencil, where mode_eigenpairs
+    solves, with A = B_k^* B_k by rfft and irfft, w = _forms.mass_weight and nu = nu_{k,n}, at
+    X_{k,n} = cosh(nu t)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}(-tanh nu t) (in dimension M,
+    s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2))), exact at every subcritical
+    point for any k, n >= 0 (check_index: ValueError before any work); (0, 1) is the scaling
+    direction, (1, 0) the mode-1 one.  No grid from the caller; at most 1.5e-9 measured over the
+    admissible region.  Blind spots: a shape error slowly varying in nu t nearly commutes with A
+    and w as nu -> 0 at k >= 1 and as M grows: X (1 + 0.01 tanh nu t) reads 3.9e-10 in mode
+    (2, 0) at (5, -2.998, -4.99804), nu = 2e-5, and 2.6e-10 in mode (0, 1) at M = 8e5."""
     nu_kn = linearized_eigenvalue(params, k, n)
     from scipy.special import eval_gegenbauer     # here, so import ckn skips its ~4 MB
-    M, lk, m = params.M_dim, linearized_degree(params, k), -(params.M_dim - 4.0) / 2.0
-    b = m * (m + M - 2.0) - make_mode(params, k).q2lambda_k
-    t = numerics.anchored_ts(grid) / params.nu       # sigma / nu: cosh(nu t) is cosh(sigma)
-    phi = (extremal_shape(params, t, m - lk)
-           * eval_gegenbauer(n, lk + (M - 1.0) / 2.0, -np.tanh(params.nu * t)))
-    rhs = (nu_kn * (M - 4.0) * (M - 2.0) * M * (M + 2.0) / 16.0
-           * extremal_shape(params, t, -4.0) * phi)
-    if not rhs.any():
-        raise BadGridSpec(f"X_{k},{n} underflows at every node: the grid misses its peak")
-    return numerics.even_residual(phi, grid, 4.0 - 2.0 * b, b * b, rhs) / float(np.abs(rhs).max())
+    a, ts, _, symbol = _mode_pencil(params, make_mode(params, k))
+    x = (extremal_shape(params, ts, -a) * eval_gegenbauer(
+        n, linearized_degree(params, k) + (params.M_dim - 1.0) / 2.0, -np.tanh(params.nu * ts)))
+    rhs = nu_kn * _forms.mass_weight(params, ts) * x
+    return float(np.abs(np.fft.irfft(symbol * np.fft.rfft(x), len(ts)) - rhs).max()
+                 / np.abs(rhs).max())
 
 
 def spectral_gap(params: CknParams, grid: LogGrid) -> float:

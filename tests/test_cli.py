@@ -259,17 +259,33 @@ class TestVerify:
 
     @pytest.mark.parametrize("point", [("5", "1", "-2"), ("5", "1", "-3"), ("6", "0.5", "-2.5"),
                                        ("6", "-1", "-4"), ("5", "-2.5", "-4.6"),
-                                       ("8", "3", "-1.9")])
+                                       ("8", "3", "-1.9"), ("8", "2.253", "0.222"),
+                                       ("7", "0.053", "-1.971"), ("6", "-3.176", "-5.181")])
     def test_linearized_off_curve(self, capsys, point):
-        # mode 1 was a row with tolerance null off the curve, which always passed
+        # mode 1 was a row with tolerance null off the curve, which always passed; the last
+        # three (M = 539, M = 418, nu = 0.0025) exited 1 while the residual ran by finite
+        # differences on the default grid (8.3e-7, 6.6e-7 and 7.1e-7)
         N, a, b = point
         code, out = run(capsys, "verify", "linearized", "-N", N, "-a", a, "-b", b,
                         "--format", "json")
         assert code == 0
         checks = json.loads(out)["checks"]
         assert [c["check"] for c in checks] == ["linearized_residual_mode0",
-                                                "linearized_residual_mode1"]
+                                                "linearized_residual_mode1",
+                                                "linearized_residual_mode2"]
         assert all(c["tolerance"] == 1e-7 and c["value"] < 1e-7 and c["pass"] for c in checks)
+
+    @pytest.mark.parametrize("flag", [("-n", "8001"), ("--t-min=-700",), ("--t-max=700",)],
+                             ids=["n", "t-min", "t-max"])
+    def test_linearized_rejects_grid_flags(self, capsys, flag):
+        # the residual runs on the domain that spectrum solves on: -n 8001 at (5, 1, -3) read
+        # 4.2e-7 and exited 1 on a true statement, the eps/h^4 floor of finite differences
+        code, out = run(capsys, "verify", "linearized", "-N", "5", "-a", "1", "-b", "-3",
+                        *flag, "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "BadGridSpec"
+        assert "domain derived from (N, alpha, beta)" in doc["message"]
 
     def test_linearized_mode0_generic_point(self, capsys):
         code, out = run(capsys, "verify", "linearized", "-N", "6", "-a", "0.5",
@@ -293,11 +309,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("n", ["7", "15"])
     def test_linearized_grid_without_residual_nodes_exit_2(self, capsys, n):
-        # the residual's max over no nodes was a ValueError traceback with exit 1
+        # the residual's max over no nodes was a ValueError traceback with exit 1, then
+        # GridTooSmall; the suite now takes no grid, so -n is a usage error at any value
         code, out = run(capsys, "verify", "linearized", "-N", "5", "-a", "1", "-b", "-2",
                         "-n", n, "--format", "json")
         assert code == 2
-        assert json.loads(out)["error"] == "GridTooSmall"
+        assert json.loads(out)["error"] == "BadGridSpec"
 
 
 class TestSpectrum:
@@ -760,9 +777,7 @@ def _leaves(doc, key=None):
 class TestWideGrids:
     # Grids inside make_grid's bound on which a power of r can overflow.  Each
     # command ends in a typed outcome, with no NaN and no traceback (tier-1
-    # turns every RuntimeWarning into an error).  The linearized residual exits 1
-    # on both wide grids at the default n: it misses 1e-7 at h = 0.18 (7.9e-3), the
-    # truncation error of the stencils; at h = 0.007 it passes (below).
+    # turns every RuntimeWarning into an error).
     COMMANDS = [("spectrum", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
                 ("minimize", "-N", "5", "-a", "1", "-b", "-3", "--perturb", "0.05"),
@@ -771,7 +786,6 @@ class TestWideGrids:
                 ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5"),
                 ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5"),
                 ("verify", "rellich-limit", "-N", "5")]
-    CHECK_FAILURES = {("linearized", "--t-min=-700"): None, ("linearized", "--t-max=700"): None}
 
     @pytest.mark.parametrize("grid", ["--t-max=700", "--t-min=-700"])
     @pytest.mark.parametrize("cmd", COMMANDS, ids=["spectrum", "minimize", "minimize-perturb",
@@ -780,18 +794,12 @@ class TestWideGrids:
     def test_typed_outcome(self, capsys, cmd, grid):
         code, out = run(capsys, *cmd, grid, "--format", "json")
         doc = json.loads(out)
-        if (cmd[1], grid) in self.CHECK_FAILURES:
-            assert code == 1
-            assert doc.get("error") == self.CHECK_FAILURES[(cmd[1], grid)]
-        else:
-            assert code in (0, 2)
-            assert code == 0 or doc["error"] == "BadGridSpec"
+        assert code in (0, 2)
+        assert code == 0 or doc["error"] == "BadGridSpec"
         for _, leaf in _leaves(doc):
             assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
 
     @pytest.mark.parametrize("cmd", [
-        # node noise of linspace, eps |t_min|, once put the residual at 1.8e-6
-        ("verify", "linearized", "-N", "6", "-a", "0.5", "-b", "-2.5", "-n", "102001"),
         # the tail of a node-count rule once spanned [-3.85, 14]
         ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5")])
     def test_true_statement_passes(self, capsys, cmd):
@@ -838,11 +846,10 @@ class TestNearRellichBoundary:
         assert doc["drops_below_radial"] is False
         assert doc["perturbed_plus"] > doc["S_r"] and doc["perturbed_minus"] > doc["S_r"]
 
-    @pytest.mark.parametrize("args", [("-a", "1", "-b", "-1.001", "-n", "16001"),
-                                      ("-a", "-2.5", "-b", "-4.8")])
+    @pytest.mark.parametrize("args", [("-a", "1", "-b", "-1.001"), ("-a", "-2.5", "-b", "-4.8")])
     def test_linearized_true_statement_passes(self, capsys, args):
-        # both exited 1 while the residual ran in s = r^{1/q}: M = 8002 on the default width,
-        # and nu = 0.15 on the default grid (mode 0 at 1.3e-7 and 1.09e-7)
+        # both exited 1 while the residual ran in s = r^{1/q}: M = 8002 at -n 16001, and
+        # nu = 0.15 on the default grid (mode 0 at 1.3e-7 and 1.09e-7)
         code, out = run(capsys, "verify", "linearized", "-N", "5", *args, "--format", "json")
         assert code == 0
         assert json.loads(out)["pass"] is True

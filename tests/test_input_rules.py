@@ -106,7 +106,7 @@ ROWS = [
                        (identities.weighted_hardy_check, (5, 0.5)))),
     row(ValueError, identities.verify_iid, INIT, [0, 1.5], 5),
     # ... and linearized_residual's k and n, before any work
-    *(row(ValueError, spectral.linearized_residual, P, k, n, GRID)
+    *(row(ValueError, spectral.linearized_residual, P, k, n)
       for k, n in ((True, 0), (np.True_, 0), (1.0, 0), (np.float64(1.0), 0), (INF, 0), (-1, 0),
                    (0, 1.5), (0, np.True_))),
     # which and index: the two-valued selectors, not bools
@@ -153,7 +153,7 @@ ROWS = [
         (cf.linearized_eigenvalue, R, 1, 0), (variational.make_mode, R, 1),
         (variational.minimize_radial, R, INIT), (spectral.mode_eigenpairs, R, MODE, GRID),
         (spectral.second_variation_bracket, R), (spectral.second_variation_sign, R),
-        (spectral.second_variation_z1, R), (spectral.linearized_residual, R, 1, 0, GRID),
+        (spectral.second_variation_z1, R), (spectral.linearized_residual, R, 1, 0),
         (transforms.to_dimension_m, BUMP, R), (transforms.from_dimension_m, BUMP, R),
         (transforms.cosh_constants, R))),
 ]
@@ -185,7 +185,7 @@ def test_out_of_range_input_raises_its_typed_error(fn, args, error):
     row(lambda g: g.n == 201, make_grid, -10.0, 10.0, np.int64(201)),
     row(lambda d: d.values.shape == (201,), differentiate, BUMP, np.int64(2)),
     row(math.isfinite, cf.linearized_mode, P, np.int64(1), 1.0),
-    row(math.isfinite, spectral.linearized_residual, P, np.int64(0), np.int64(1), GRID),
+    row(math.isfinite, spectral.linearized_residual, P, np.int64(0), np.int64(1)),
     row(lambda r: math.isfinite(r.eigenvalue), spectral.mode_eigenvalue, P, MODE, np.int64(1),
         GRID),
     row(math.isfinite, variational.perturbed_quotient, P, 0.05, MODE64, BUMP),

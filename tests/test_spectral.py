@@ -10,7 +10,7 @@ import ckn
 from ckn import _forms, numerics, spectral, transforms
 from ckn.closedform import (ExtremalSpec, extremal_shape, extremal_u, linearized_degree,
                             linearized_eigenvalue, omega_sphere, scaling_direction)
-from ckn.errors import (BadGridSpec, GridTooSmall, MOutOfRange, NoConvergence, RellichBoundary,
+from ckn.errors import (BadGridSpec, MOutOfRange, NoConvergence, RellichBoundary,
                         WrongRegion)
 from ckn.spectral import (linearized_residual, mode_eigenvalue,
                           second_variation_bracket, second_variation_sign,
@@ -283,7 +283,7 @@ class TestProfileSampling:
         fast = ckn.mode_eigenpairs(p513, mode, grid)
         monkeypatch.setattr(spectral, "_chirp_z", _direct_chirp_z)
         slow = ckn.mode_eigenpairs(p513, mode, grid)
-        half = spectral._fourier_domain(p513, linearized_degree(p513, k) + 1.0)[0]   # M = 6
+        half = -spectral._mode_pencil(p513, mode)[1][0]
         for a, b in zip(fast, slow):
             assert a.eigenvalue == b.eigenvalue
             # compared in the scaled variable, where the profiles are bounded
@@ -367,30 +367,53 @@ OFF_CURVE = [(5, 1.0, -2.0), (5, 1.0, -3.0), (6, 0.5, -2.5), (6, -1.0, -4.0), (5
              (8, 3.0, -1.9)]
 
 
-# the two modes of verify linearized, (k, n) = (0, 1) and (1, 0), named by k as its rows are
-CLI_MODES = [pytest.param(0, 1, id="0"), pytest.param(1, 0, id="1")]
+# the three modes of verify linearized, (k, n) = (0, 1), (1, 0) and (2, 0), named by k as its
+# rows are
+CLI_MODES = [pytest.param(0, 1, id="0"), pytest.param(1, 0, id="1"), pytest.param(2, 0, id="2")]
+
+
+@pytest.fixture(scope="module")
+def residual_sweep():
+    """300 seeded points over the admissible region, N = 5..8, alpha in (2 - N + 0.05, 4) and
+    beta uniform in [beta_lower, alpha - 2), then 100 edge draws: alpha 1e-3 to 5 above 2 - N,
+    beta within 1e-9 to 1e-1 of either end of its interval (as a share of its length)."""
+    rng = np.random.default_rng(2027)
+    points = []
+    for i in range(400):
+        N = int(rng.integers(5, 9))
+        if i < 300:
+            alpha = rng.uniform(2.05 - N, 4.0)
+            frac = rng.uniform()
+        else:
+            alpha = 2.0 - N + 10.0 ** rng.uniform(-3.0, math.log10(5.0))
+            near = 10.0 ** rng.uniform(-9.0, -1.0)
+            frac = near if rng.uniform() < 0.5 else 1.0 - near
+        lo = ckn.beta_lower(N, alpha)
+        P = ckn.derive(N, alpha, lo + frac * (alpha - 2.0 - lo))
+        if P.subcritical:
+            points.append(P)
+    return points
+
+
+def _point(P):
+    return P.N, P.alpha, P.beta
 
 
 class TestLinearizedResidual:
-    def test_mode0_exact(self, p512, grid):
-        assert linearized_residual(p512, 0, 1, grid) < 1e-7
+    """linearized_residual on the domain of mode_eigenpairs, with no grid from the caller."""
 
-    @pytest.mark.parametrize("k,n", CLI_MODES)
-    def test_grid_without_residual_nodes(self, p512, k, n):
-        # at n <= 2 RESIDUAL_MARGIN no node is left to take the max over
-        with pytest.raises(GridTooSmall, match="16 nodes"):
-            linearized_residual(p512, k, n, ckn.make_grid(n=2 * numerics.RESIDUAL_MARGIN - 1))
-        assert math.isfinite(linearized_residual(p512, k, n, ckn.make_grid(n=17)))
+    def test_mode0_exact(self, p512):
+        assert linearized_residual(p512, 0, 1) < 1e-7
 
-    def test_mode1_exact_on_curve(self, grid):
+    def test_mode1_exact_on_curve(self):
         pf = ckn.derive(5, 1.0, ckn.felli_schneider(5, 1.0))
-        assert linearized_residual(pf, 1, 0, grid) < 1e-7
+        assert linearized_residual(pf, 1, 0) < 1e-7
 
-    def test_mode1_off_curve(self, grid):
+    def test_mode1_off_curve(self):
         # X1 = s^{l_1}(1+s^2)^{-(M-4)/2-l_1} at nu_{1,0} solves the mode-1 equation at every
         # point; s(1+s^2)^{-(M-2)/2} at p - 1 left residuals of 0.17 to 3.9e3 here
         for point in OFF_CURVE:
-            assert linearized_residual(ckn.derive(*point), 1, 0, grid) < 1e-7, point
+            assert linearized_residual(ckn.derive(*point), 1, 0) < 1e-7, point
 
     def test_mode1_degree_is_one_on_the_curve_only(self):
         for N, a in ((5, 1.0), (6, 2.0), (8, 0.3), (7, 0.5)):
@@ -400,43 +423,72 @@ class TestLinearizedResidual:
             assert abs(linearized_degree(ckn.derive(*point), 1) - 1.0) > 1e-2, point
 
     def test_mode1_narrow_profile_near_the_rellich_boundary(self):
-        # l_1 = 16.6 (M = 82) and l_1 = 1657 (M = 8002): X1 narrows, and its sigma-form
-        # cosh(sigma)^{-(M-4)/2-l_1} is representable where s (1+s^2)^{-(M-2)/2} underflows
-        for beta, n in ((-1.1, 8001), (-1.001, 32001)):
-            assert linearized_residual(ckn.derive(5, 1.0, beta), 1, 0, ckn.make_grid(n=n)) < 1e-7
-
-    @pytest.mark.parametrize("nodes,k,n", [(16001, 0, 1), (16001, 1, 0), (32001, 0, 1)],
-                             ids=["16001-0", "16001-1", "32001-0"])
-    def test_both_modes_at_m_8002(self, nodes, k, n):
-        # (5, 1, -1.001): the s-space route read 1.3e-7, 7.7e-7 and 6.5e-7 here (mode 1 at
-        # n = 32001 is above); in sigma = ln s the profiles stay bounded and resolved
-        P = ckn.derive(5, 1.0, -1.001)
-        assert linearized_residual(P, k, n, ckn.make_grid(n=nodes)) < 1e-7
+        # l_1 = 16.6 (M = 82) and l_1 = 1657 (M = 8002): X1 narrows, and its form
+        # cosh(nu t)^{-(M-4)/2-l_1} is representable where s (1+s^2)^{-(M-2)/2} underflows
+        for beta in (-1.1, -1.001):
+            assert linearized_residual(ckn.derive(5, 1.0, beta), 1, 0) < 1e-7
 
     @pytest.mark.parametrize("k,n", CLI_MODES)
-    def test_grid_that_misses_the_profile(self, k, n):
-        # at M = 8002 both profiles underflow at every node of sigma in [5, 14], where the
-        # normalization by max|rhs| would divide by zero
-        with pytest.raises(BadGridSpec, match="underflows at every node"):
-            linearized_residual(ckn.derive(5, 1.0, -1.001), k, n, ckn.make_grid(5.0, 14.0, 201))
+    def test_every_mode_at_m_8002(self, k, n):
+        # (5, 1, -1.001): finite differences needed n = 16001 in mode 1 and 32001 in mode 0
+        assert linearized_residual(ckn.derive(5, 1.0, -1.001), k, n) < 1e-7
 
-    def test_small_nu_on_the_default_grid(self, grid):
+    def test_small_nu_on_the_default_grid(self):
         # nu = 0.15: mode 0 read 1.09e-7 through s and s^2 (mode 1 passed; both: test_cli.py)
-        assert linearized_residual(ckn.derive(5, -2.5, -4.8), 0, 1, grid) < 1e-7
+        assert linearized_residual(ckn.derive(5, -2.5, -4.8), 0, 1) < 1e-7
 
     @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (6, -1.0, -4.0), (5, 1.0, -2.0),
                                        (8, 3.0, -1.9)])
-    def test_gegenbauer_eigenfunctions(self, grid, point):
+    def test_gegenbauer_eigenfunctions(self, point):
         # X_{k,n} = s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2)) at nu_{k,n},
-        # also for n >= 2, which mode_eigenpairs never returns (worst 2.3e-7: k = n = 3 at
-        # (6, -1, -4), the eps/h^4 floor of the stacked stencils)
+        # also for n >= 2, which mode_eigenpairs never returns (worst 3.7e-10, (0, 1) at
+        # (5, 1, -3); finite differences on the default grid read up to 2.3e-7)
         P = ckn.derive(*point)
         for k in range(4):
             for n in range(4):
-                assert linearized_residual(P, k, n, grid) < 3e-7, (k, n)
+                assert linearized_residual(P, k, n) < 3e-7, (k, n)
 
-    def test_mode0_other_params(self, grid):
-        assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, 1, grid) < 1e-7
+    def test_mode0_other_params(self):
+        assert linearized_residual(ckn.derive(6, 0.5, -2.5), 0, 1) < 1e-7
+
+    def test_whole_region_sweep(self, residual_sweep):
+        # finite differences on the default grid failed 36 of the 600 (0, 1) and (1, 0)
+        # checks at the first 300 points; measured here at most 1.5e-9, near M = 5
+        for P in residual_sweep:
+            for k, n in ((0, 1), (1, 0), (2, 0)):
+                assert linearized_residual(P, k, n) < 1e-7, (_point(P), k, n)
+
+    @pytest.mark.parametrize("point", [(8, 2.253, 0.222), (7, 0.053, -1.971),
+                                       (6, -3.176, -5.181)])
+    def test_points_the_default_grid_failed(self, point):
+        # narrow profiles (M = 539 and 418) and nu = 0.0025: finite differences on the default
+        # grid read 8.3e-7, 6.6e-7 and 7.1e-7 at the worst mode; measured at most 1.5e-13
+        P = ckn.derive(*point)
+        for k, n in ((0, 1), (1, 0), (2, 0)):
+            assert linearized_residual(P, k, n) < 1e-12, (k, n)
+
+    def test_wrong_eigenvalue_fails(self, residual_sweep, monkeypatch):
+        # nu_{k,n} (1 + 1e-6) leaves delta/(1 + delta) = 1e-6 - 1e-12, less the 1.5e-9 floor
+        exact = spectral.linearized_eigenvalue
+        monkeypatch.setattr(spectral, "linearized_eigenvalue",
+                            lambda P, k, n: exact(P, k, n) * (1.0 + 1e-6))
+        for P in residual_sweep:
+            for k, n in ((0, 1), (1, 0), (2, 0)):
+                assert linearized_residual(P, k, n) >= 0.998e-6, (_point(P), k, n)
+
+    def test_wrong_shape_fails(self, residual_sweep, monkeypatch):
+        # X (1 + 0.01 tanh nu t), 1 % off in shape.  The blind spots of the docstring: at
+        # k >= 1 the reading falls with nu (3.9e-7 at nu = 0.0024, 1.6e-10 at nu = 7.8e-6;
+        # at least 1.3e-3 nu^2 here), and at any k as M grows, so the sweep's points of
+        # M > 1000 are left out
+        shape = spectral.extremal_shape
+        monkeypatch.setattr(spectral, "extremal_shape",
+                            lambda P, t, m: shape(P, t, m) * (1.0 + 0.01 * np.tanh(P.nu * t)))
+        for P in residual_sweep:
+            if P.M_dim <= 1000.0:
+                for k, n in ((0, 1), (1, 0), (2, 0)):
+                    floor = min(2.6e-6, 1e-3 * P.nu ** 2) if k else 2.6e-6
+                    assert linearized_residual(P, k, n) >= floor, (_point(P), k, n)
 
 
 class TestSpectralGap:
