@@ -800,6 +800,9 @@ class TestWideGrids:
             assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
 
     @pytest.mark.parametrize("cmd", [
+        # verify linearized takes no --t-min (its domain is derived); the wide
+        # left end is held by equivalence, here in a second dimension
+        ("verify", "equivalence", "-N", "6", "-a", "-1", "-b", "-4"),
         # the tail of a node-count rule once spanned [-3.85, 14]
         ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5")])
     def test_true_statement_passes(self, capsys, cmd):
