@@ -235,10 +235,12 @@ def cmd_spectrum(args) -> int:
         raise CknError(f"need --kmax >= 0, got {args.kmax}")
     P = derive(args.dim, args.alpha, args.beta)
     grid = make_grid(**_settings(args))
+    modes = [variational.make_mode(P, k) for k in range(args.kmax + 1)]
+    _forms.from_scaled(P, grid, 1.0)        # mode_eigenpairs' r^{-kappa1} rule, before any solve
     rows = []
-    for k in range(args.kmax + 1):
-        pairs = spectral.mode_eigenpairs(P, variational.make_mode(P, k), grid)
-        rows += [[k, idx, r.eigenvalue, r.residual, r.iters] for idx, r in enumerate(pairs, 1)]
+    for mode in modes:      # eigenvalues only: no profile is printed, so none is sampled
+        nus, residuals, iters, _ = spectral._mode_solve(P, mode)
+        rows += [[mode.k, i + 1, nus[i], residuals[i], iters] for i in range(len(nus))]
     doc = {"N": P.N, "alpha": P.alpha, "beta": P.beta, "p_minus_1": P.p - 1.0,
            "rows": [{"k": r[0], "index": r[1], "eigenvalue": r[2],
                      "residual": r[3], "iters": r[4]} for r in rows]}
@@ -350,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("spectrum", help="per-mode linearized eigenvalues",
-                       description="Eigenvalues on a domain derived from (N, alpha, beta); -n, "
-                       "--t-min and --t-max set only the grid the eigenprofiles are sampled on.")
+                       description="Eigenvalues on a domain derived from (N, alpha, beta). -n, "
+                       "--t-min and --t-max must pass make_grid's rules and keep r^(-kappa1) "
+                       "finite, but sample nothing: no printed number depends on them.")
     add_common(p)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(fn=cmd_spectrum)

@@ -88,23 +88,15 @@ def _chirp_z(b: np.ndarray, theta: float, m: int) -> np.ndarray:
     return chirp[:m, None] * conv[:m]
 
 
-def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
-    """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k pencil
-    int (B_k phi)^2 dt = nu int w phi^2 dt, w = _forms.mass_weight, in that order.
-
-    B_k has constant coefficients, so on the domain of _mode_pencil, which the grid does not
-    enter, the energy A multiplies by its symbol in Fourier space.  One Lanczos run (eigsh,
-    LANCZOS_NCV vectors, a fixed start) on W^{1/2} A^{-1} W^{1/2} finds the largest theta = 1/nu
-    to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap 1 - nu_{k,0}/
-    nu_{k,1} = 4/(a+4), which closes as a grows.  nu is the Rayleigh quotient, by Parseval, of
-    x = A^{-1} W^{1/2} y, one inverse iteration beyond the Ritz vector y.  The profiles are x's
-    trigonometric interpolants at the grid's nodes, 0 outside [-L, L), mapped back by
-    _forms.from_scaled; BadGridSpec where the grid misses them or r^{-kappa1} overflows on it
-    (before the solve)."""
-    require_subcritical(params, "mode_eigenpairs")
-    back = _forms.from_scaled(params, grid, 1.0)
+def _mode_solve(params: CknParams, mode: ModeSpec):
+    """Mode k's one Lanczos run, on the domain of _mode_pencil: eigsh (LANCZOS_NCV vectors, a
+    fixed start) on W^{1/2} A^{-1} W^{1/2}, A by its symbol in Fourier space, finds the largest
+    theta = 1/nu to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap
+    1 - nu_{k,0}/nu_{k,1} = 4/(a+4).  nu is the Rayleigh quotient, by Parseval, of x = A^{-1}
+    W^{1/2} y, one inverse iteration beyond the Ritz vector y.  Returns the nu, their backward
+    errors, the matvec count, and L, xi, the Parseval weights and x's rfft to sample x with."""
     a, ts, xi, symbol = _mode_pencil(params, mode)
-    half, n = -ts[0], len(ts)
+    n = len(ts)
     root_w = np.sqrt(_forms.mass_weight(params, ts))
     matvecs = 0
 
@@ -127,6 +119,20 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     nus = (parts * symbol) @ np.abs(C) ** 2 / ((root_w[:, None] * X) ** 2).sum(axis=0)
     residuals = (np.linalg.norm(Y - nus * root_w[:, None] ** 2 * X, axis=0)
                  / ((symbol.max() + nus * root_w.max() ** 2) * np.linalg.norm(X, axis=0)))
+    return nus.tolist(), residuals.tolist(), matvecs, (-ts[0], xi, parts, C)
+
+
+def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
+    """Eigenpairs of index 1 and 2 (k = 0) or index 1 (k >= 1) of the mode-k pencil
+    int (B_k phi)^2 dt = nu int w phi^2 dt, w = _forms.mass_weight, in that order.
+
+    B_k has constant coefficients, so one Lanczos run in Fourier space, _mode_solve (all that
+    ckn spectrum runs), finds them; the grid only samples the profiles: x's trigonometric
+    interpolants at its nodes, 0 outside [-L, L), mapped back by _forms.from_scaled; BadGridSpec
+    where the grid misses them or r^{-kappa1} overflows on it (before the solve)."""
+    require_subcritical(params, "mode_eigenpairs")
+    back = _forms.from_scaled(params, grid, 1.0)
+    nus, residuals, matvecs, (half, xi, parts, C) = _mode_solve(params, mode)
     lo, hi = np.searchsorted(grid.ts, (-half, half)).tolist()  # the nodes in [-L, L)
     shift = parts * np.exp(1j * xi * (grid.t_min + lo * grid.h + half))   # -L to node lo
     vals = _chirp_z(shift[:, None] * C, xi[1] * grid.h, hi - lo).real
@@ -139,7 +145,7 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     phi[lo:hi] = vals / np.copysign(np.sqrt(mass), vals[big.argmax(axis=0), range(len(nus))])
     return [SpectralResult(eigenvalue=nu, profile=RadialProfile(grid, col * back),
                            residual=res, iters=matvecs)
-            for nu, col, res in zip(nus.tolist(), phi.T, residuals.tolist())]
+            for nu, col, res in zip(nus, phi.T, residuals)]
 
 
 def mode_eigenvalue(params: CknParams, mode: ModeSpec, index: int,

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import ckn
-from ckn import _forms, cli, identities
+from ckn import _forms, cli, identities, spectral
 from ckn.cli import build_parser, emit, load_config, main
 from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
 from ckn.spectral import second_variation_sign
@@ -356,6 +356,60 @@ class TestSpectrum:
             r = ckn.mode_eigenvalue(P, ckn.make_mode(P, row["k"]), row["index"], grid)
             assert (row["eigenvalue"], row["residual"], row["iters"]) == (
                 r.eigenvalue, r.residual, r.iters)
+
+    @pytest.mark.parametrize("point, flags, grid", [
+        ((5, -2.9, -4.95), (), {}),
+        ((5, 1.0, -1.001), ("--t-min=-300", "--t-max=300", "-n", "16001"),
+         {"t_min": -300.0, "t_max": 300.0, "n": 16001}),
+        ((8, 2.253, 0.222), (), {}),
+        # 15 % of the symmetry-breaking range above beta_lower
+        ((6, 0.5, 0.85 * beta_lower(6, 0.5) + 0.15 * felli_schneider(6, 0.5)), (), {})],
+        ids=["nu-0.025", "m-8002", "m-539", "beta-lower-15pct"])
+    def test_rows_equal_the_library_bit_for_bit(self, capsys, point, flags, grid):
+        # the CLI skips the profile sampling, not the solve: across the region its rows are
+        # mode_eigenpairs' eigenvalues, residuals and matvec counts, digit for digit
+        N, alpha, beta = point
+        code, out = run(capsys, "spectrum", "-N", str(N), "-a", repr(alpha), "-b", repr(beta),
+                        *flags, "--format", "json")
+        assert code == 0
+        P, mesh = derive(N, alpha, beta), ckn.make_grid(**grid)
+        lib = [(k, i, r.eigenvalue, r.residual, r.iters) for k in range(3) for i, r in
+               enumerate(ckn.mode_eigenpairs(P, ckn.make_mode(P, k), mesh), 1)]
+        assert [(r["k"], r["index"], r["eigenvalue"], r["residual"], r["iters"])
+                for r in json.loads(out)["rows"]] == lib
+
+    def test_rellich_boundary_before_the_grid_bound(self, capsys):
+        # beta = alpha - 2 on a grid where r^{-kappa1} overflows: the point's error comes first,
+        # as it did when every mode went through mode_eigenpairs
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-1", "--t-max=700",
+                        "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {"error": "RellichBoundary",
+                                   "message": "make_mode requires beta < alpha - 2"}
+
+    def test_the_cli_samples_no_profile(self, capsys, monkeypatch):
+        # spectrum prints no profile, so it runs no chirp-z pass; the library runs one per mode
+        calls = count_calls(monkeypatch, (spectral, "_chirp_z"))
+        code, _ = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "2",
+                      "--format", "json")
+        assert code == 0 and calls == {"_chirp_z": 0}
+        P, grid = derive(5, 1.0, -3.0), ckn.make_grid()
+        for k in range(3):
+            ckn.mode_eigenpairs(P, ckn.make_mode(P, k), grid)
+        assert calls == {"_chirp_z": 3}
+
+    def test_grid_that_misses_the_domain_still_prints_the_rows(self, capsys):
+        # the profiles live on |t| < 32.93 and the grid on [40, 60]; mode_eigenpairs raises
+        # BadGridSpec there, but no printed number depends on the grid, so spectrum exited 2
+        # for nothing
+        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--t-min=40",
+                        "--t-max=60", "-n", "11", "--format", "json")
+        assert code == 0
+        P, rows = derive(5, 1.0, -3.0), json.loads(out)["rows"]
+        assert [(r["k"], r["index"]) for r in rows] == [(0, 1), (0, 2), (1, 1), (2, 1)]
+        for r in rows:
+            exact = ckn.linearized_eigenvalue(P, r["k"], r["index"] - 1)
+            assert abs(r["eigenvalue"] - exact) < 1e-12 * exact
 
     def test_one_lanczos_run_per_mode(self, capsys, monkeypatch):
         # one eigsh run per mode, shared by both mode-0 rows; iters is its matvec count
