@@ -19,15 +19,13 @@ mass_weight as the mass.  The radial minimizer works on the caller's grid:
   of admissible functions and show up as spurious near-zero energies;
 - B_k has one set of rows, _mode_rows: mode_applier applies them with numerics.apply_rows, the
   stencil kernel of d/dt too, and energy_band assembles E_k = B_k^T W B_k in LAPACK band
-  storage for cholesky_solver.  The sparse mode_operator and energy_matrix, and the clamped
-  mass_vector, are references for the tests that the benchmark tracer still wraps by name.
+  storage for cholesky_solver.  The sparse mode_operator and energy_matrix (scipy imported on
+  call) and mass_vector are test references that the benchmark tracer still wraps by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .closedform import extremal_shape
 from .errors import GridTooSmall, NoConvergence
@@ -40,8 +38,9 @@ N_CLAMP = 2
 BAND = 4
 
 
-def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csr_matrix:
-    """Matrix of B_k acting on scaled samples phi_i = r_i^{kappa1} f(r_i)."""
+def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid):
+    """scipy.sparse CSR matrix of B_k acting on scaled samples phi_i = r_i^{kappa1} f(r_i)."""
+    import scipy.sparse as sp
     n, h = grid.n, grid.h
     D1 = diff_matrix(n, h, 1)
     D2 = diff_matrix(n, h, 2)
@@ -65,8 +64,9 @@ def keep_indices(n: int) -> np.ndarray:
     return np.arange(N_CLAMP, n - N_CLAMP)
 
 
-def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid) -> sp.csc_matrix:
-    """Quadratic form of int (B_k phi)^2 dt (trapezoid weights, clamped)."""
+def energy_matrix(params: CknParams, lambda_k: float, grid: LogGrid):
+    """Quadratic form of int (B_k phi)^2 dt (trapezoid weights, clamped), scipy.sparse CSC."""
+    import scipy.sparse as sp
     B = mode_operator(params, lambda_k, grid)
     W = sp.diags(trapezoid_weights(grid.n, grid.h))
     keep = keep_indices(grid.n)
@@ -123,6 +123,7 @@ def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray
 def cholesky_solver(ab: np.ndarray, what: str):
     """rhs -> A^{-1} rhs for the band form A, by one banded Cholesky factorization;
     NoConvergence if A, positive definite in exact arithmetic, has no factor."""
+    import scipy.linalg as sla
     try:
         factor = sla.cholesky_banded(ab)
     except np.linalg.LinAlgError as exc:

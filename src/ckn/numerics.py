@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
 from .params import check_index, is_index
@@ -141,10 +140,11 @@ def apply_rows(rows, values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def diff_matrix(n: int, h: float, order: int) -> sp.csr_matrix:
-    """Differentiation matrix in t: 4th-order central stencils at interior
-    nodes, one-sided stencils of at least 4th order at the 3 nodes nearest
-    each boundary.  Only apply_rows' test reference; the benchmark tracer reads its cache."""
+def diff_matrix(n: int, h: float, order: int):
+    """Differentiation matrix in t, scipy.sparse CSR: 4th-order central stencils inside, one-sided
+    of at least 4th order at the 3 nodes nearest each end.  Only apply_rows' test reference, so
+    scipy.sparse is imported when called; the benchmark tracer reads its cache."""
+    import scipy.sparse as sp
     if n < 7:
         raise GridTooSmall(f"need at least 7 nodes, got {n}")
     inner, left, right = diff_rows(h, order)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import _forms, numerics
 from .closedform import extremal_shape, linearized_degree, linearized_eigenvalue, omega_sphere
@@ -95,6 +94,7 @@ def _mode_solve(params: CknParams, mode: ModeSpec):
     1 - nu_{k,0}/nu_{k,1} = 4/(a+4).  nu is the Rayleigh quotient, by Parseval, of x = A^{-1}
     W^{1/2} y, one inverse iteration beyond the Ritz vector y.  Returns the nu, their backward
     errors, the matvec count, and L, xi, the Parseval weights and x's rfft to sample x with."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     a, ts, xi, symbol = _mode_pencil(params, mode)
     n = len(ts)
     root_w = np.sqrt(_forms.mass_weight(params, ts))
@@ -106,11 +106,11 @@ def _mode_solve(params: CknParams, mode: ModeSpec):
         return root_w * np.fft.irfft(np.fft.rfft(root_w * y) / symbol, n)
 
     try:
-        thetas, Y = spla.eigsh(spla.LinearOperator((n, n), matvec=op, dtype=float),
-                               2 if mode.k == 0 else 1, which="LA", ncv=LANCZOS_NCV,
-                               tol=LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)),
-                               v0=np.random.default_rng(1234).standard_normal(n))
-    except spla.ArpackNoConvergence as exc:
+        thetas, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float),
+                          2 if mode.k == 0 else 1, which="LA", ncv=LANCZOS_NCV,
+                          tol=LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)),
+                          v0=np.random.default_rng(1234).standard_normal(n))
+    except ArpackNoConvergence as exc:
         raise NoConvergence(f"Lanczos on mode {mode.k}: {exc}") from None
     Y = root_w[:, None] * Y[:, np.argsort(-thetas)]            # W^{1/2} y, that is A x
     C = np.fft.rfft(Y, axis=0) / symbol[:, None]               # rfft of x
@@ -202,15 +202,17 @@ def linearized_residual(params: CknParams, k: int, n: int) -> float:
     X_{k,n} = cosh(nu t)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}(-tanh nu t) (in dimension M,
     s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2))), exact at every subcritical
     point for any k, n >= 0 (check_index: ValueError before any work); (0, 1) is the scaling
-    direction, (1, 0) the mode-1 one.  No grid from the caller; at most 1.5e-9 measured over the
-    admissible region.  Blind spots: a shape error slowly varying in nu t nearly commutes with A
-    and w as nu -> 0 at k >= 1 and as M grows: X (1 + 0.01 tanh nu t) reads 3.9e-10 in mode
-    (2, 0) at (5, -2.998, -4.99804), nu = 2e-5, and 2.6e-10 in mode (0, 1) at M = 8e5."""
+    direction, (1, 0) the mode-1 one.  C_n^lam(c) by the recurrence from C_{-1} = 0, C_0 = 1,
+    j C_j = 2c (j+lam-1) C_{j-1} - (j+2lam-2) C_{j-2}.  No grid from the caller; at most 1.5e-9
+    measured over the admissible region.  Blind spots: a shape error slowly varying in nu t nearly
+    commutes with A and w as nu -> 0 at k >= 1 and as M grows: X (1 + 0.01 tanh nu t) reads
+    3.9e-10 in mode (2, 0) at (5, -2.998, -4.99804), nu = 2e-5, and 2.6e-10 in (0, 1) at M = 8e5."""
     nu_kn = linearized_eigenvalue(params, k, n)
-    from scipy.special import eval_gegenbauer     # here, so import ckn skips its ~4 MB
     a, ts, _, symbol = _mode_pencil(params, make_mode(params, k))
-    x = (extremal_shape(params, ts, -a) * eval_gegenbauer(
-        n, linearized_degree(params, k) + (params.M_dim - 1.0) / 2.0, -np.tanh(params.nu * ts)))
+    lam, c = linearized_degree(params, k) + (params.M_dim - 1.0) / 2.0, -np.tanh(params.nu * ts)
+    prev, x = 0.0, extremal_shape(params, ts, -a)             # C_{-1} and C_0, times the shape
+    for j in range(1, n + 1):
+        prev, x = x, (2.0 * c * (j + lam - 1.0) * x - (j + 2.0 * lam - 2.0) * prev) / j
     rhs = nu_kn * _forms.mass_weight(params, ts) * x
     return float(np.abs(np.fft.irfft(symbol * np.fft.rfft(x), len(ts)) - rhs).max()
                  / np.abs(rhs).max())
@@ -221,12 +223,13 @@ def spectral_gap(params: CknParams, grid: LogGrid) -> float:
     from the mode-1 pencil.  nu_{k,0} = Gamma_{M+2 l_k}/Gamma_M rises with l_k, and
     l_k with k, so mode 1 is the lowest nonradial mode.  It is not the third eigenvalue
     counted over all modes: the radial nu_{0,2} = (M+4)(M+6)/((M-4)(M-2)) lies below it at
-    (5, -2), (6, -1.5) and (7, -3).  The grid only samples the eigenfunction: the value comes
-    from mode_eigenpairs' own domain, within 1e-12 of closedform.linearized_eigenvalue."""
+    (5, -2), (6, -1.5) and (7, -3).  mode_eigenvalue's value bit for bit, by _mode_solve alone:
+    the grid meets only the r^{-kappa1} rule (BadGridSpec), and one missing the profile gets it."""
     if params.region is not RegionClass.CRITICAL_UPPER_ALPHA_NEG:
         raise WrongRegion("spectral_gap is defined on the critical lower "
                           "boundary with 2 - N < alpha < 0")
-    value = mode_eigenvalue(params, make_mode(params, 1), 1, grid).eigenvalue
+    _forms.from_scaled(params, grid, 1.0)
+    value = _mode_solve(params, make_mode(params, 1))[0][0]
     if value <= params.p - 1.0:
         raise NoConvergence(f"gap surrogate {value} does not exceed p-1 = {params.p - 1.0}")
     return value

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import _forms, numerics
 from .closedform import extremal_shape, omega_sphere
@@ -148,7 +147,8 @@ def _gauss_sphere(N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     sin^{N-2}(theta) dtheta, by Golub & Welsch (Math. Comp. 23, 1969); cached, read-only."""
     lam, k = (N - 2) / 2.0, np.arange(1.0, count)
     off = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
-    nodes, vecs = sla.eigh_tridiagonal(np.zeros(count), off)
+    from scipy.linalg import eigh_tridiagonal
+    nodes, vecs = eigh_tridiagonal(np.zeros(count), off)
     weights = vecs[0] ** 2 * (omega_sphere(N) / omega_sphere(N - 1))   # mu0 = int (1-c^2)^{lam-1/2}
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

@@ -3,6 +3,10 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,6 +452,43 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["error"] == "BadGridSpec" and "r^-kappa1" in doc["message"]
         assert calls == {"cholesky_solver": 0, "eigsh": 0}
+
+
+#: Run in a fresh interpreter: import ckn, then every command that calls no solver, and print
+#: the scipy modules loaded after each step.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import ckn
+from ckn import cli
+report = {"import ckn": loaded()}
+P = ["-N", "5", "-a", "1", "-b", "-2"]
+for argv, code in [(["constants", *P], 0),
+                   *((["verify", s, *P], 0) for s in ("ode", "identities", "linearized")),
+                   (["verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5"], 0),
+                   (["verify", "rellich-limit", "-N", "5"], 0),
+                   *((["region-map", "-N", "5", "--alpha-range=0:3", "--beta-range=-4:-1",
+                       "--resolution", "40", "--format", f], 0) for f in ("json", "csv")),
+                   (["constants", "-N", "5", "-a", "1e200", "-b", "5e199"], 2)]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        got = cli.main(argv)
+    report[" ".join(argv)] = loaded() if got == code else f"exit {got}, expected {code}"
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    def test_numpy_only_commands_load_no_scipy(self):
+        # scipy is imported by the solvers that call it: spectrum, minimize and the test
+        # references, so ckn starts, and these commands run, on numpy alone
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        report = json.loads(proc.stdout)
+        assert len(report) == 10
+        assert report == {step: [] for step in report}
 
 
 class TestParser:

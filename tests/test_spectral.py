@@ -491,6 +491,29 @@ class TestLinearizedResidual:
                     assert linearized_residual(P, k, n) >= floor, (_point(P), k, n)
 
 
+class TestGegenbauerRecurrence:
+    """linearized_residual's C_n^lam(c), by its three-term recurrence, against scipy's."""
+
+    @pytest.mark.parametrize("lam", [2.05, 2.5, 10.0, 250.5, 4e6, 3e9])
+    def test_matches_eval_gegenbauer(self, p513, lam, monkeypatch):
+        from scipy.special import eval_gegenbauer     # test-only: slow to import
+        # on nodes where c = -tanh(nu t) covers (-1, 1), with a unit shape and degree lam, the
+        # residual's X is C_n^lam(c): read it where the residual transforms it
+        c = np.cos(np.linspace(0.0, np.pi, 257))[1:-1]
+        ts = -np.arctanh(c) / p513.nu
+        monkeypatch.setattr(spectral, "_mode_pencil",
+                            lambda P, mode: (0.0, ts, None, np.ones(len(ts) // 2 + 1)))
+        monkeypatch.setattr(spectral, "extremal_shape", lambda P, t, m: np.ones_like(t))
+        monkeypatch.setattr(spectral, "linearized_degree",
+                            lambda P, k: lam - (P.M_dim - 1.0) / 2.0)
+        rfft, seen = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda x: seen.append(x) or rfft(x))
+        for n in range(9):
+            linearized_residual(p513, 0, n)
+            want = eval_gegenbauer(n, lam, c)
+            assert np.abs(seen.pop() - want).max() <= 1e-14 * np.abs(want).max(), n
+
+
 class TestSpectralGap:
     def test_gap_exceeds_p_minus_1(self, grid):
         p = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0))
@@ -504,20 +527,40 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("N, alpha", [(5, -1.0), (5, -2.0), (6, -1.5), (7, -3.0)])
     def test_is_the_mode1_closed_form(self, grid, N, alpha):
-        # the bottom of mode 1 is the gap; measured 6e-12 to 5.5e-11 on the default grid
+        # the bottom of mode 1 is the gap, bit for bit mode_eigenvalue's; measured 6e-12 to
+        # 5.5e-11 on the default grid
         p = ckn.derive(N, alpha, ckn.beta_lower(N, alpha))
-        assert spectral_gap(p, grid) == pytest.approx(linearized_eigenvalue(p, 1, 0), rel=1e-8)
+        gap = spectral_gap(p, grid)
+        assert gap == mode_eigenvalue(p, make_mode(p, 1), 1, grid).eigenvalue
+        assert gap == pytest.approx(linearized_eigenvalue(p, 1, 0), rel=1e-8)
 
     def test_one_mode_solve(self, grid, monkeypatch):
-        # one Lanczos run, on mode 1: nu_{k,0} rises with k
-        solve, calls = spectral.mode_eigenpairs, []
+        # one Lanczos run, on mode 1 (nu_{k,0} rises with k), and no profile sampled
+        solve, chirp_z, calls = spectral._mode_solve, spectral._chirp_z, []
 
-        def counted(P, mode, g):
+        def counted(P, mode):
             calls.append(mode.k)
-            return solve(P, mode, g)
-        monkeypatch.setattr(spectral, "mode_eigenpairs", counted)
+            return solve(P, mode)
+        monkeypatch.setattr(spectral, "_mode_solve", counted)
+        monkeypatch.setattr(spectral, "_chirp_z", lambda *a: calls.append("chirp_z") or chirp_z(*a))
         spectral_gap(ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0)), grid)
         assert calls == [1]
+
+    def test_grid_that_misses_the_profile_gets_the_value(self):
+        # the grid only meets the r^{-kappa1} rule: t in [40, 60] samples nothing, which
+        # mode_eigenpairs refuses, yet the value needs no sample
+        p, far = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0)), ckn.make_grid(40.0, 60.0, 11)
+        with pytest.raises(BadGridSpec, match="misses"):
+            mode_eigenvalue(p, make_mode(p, 1), 1, far)
+        assert spectral_gap(p, far) == mode_eigenvalue(p, make_mode(p, 1), 1,
+                                                       ckn.make_grid()).eigenvalue
+
+    def test_overflowing_grid_raises_before_the_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "_mode_solve", lambda *a: calls.append(a))
+        with pytest.raises(BadGridSpec, match="r\\^-kappa1"):
+            spectral_gap(ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0)), ckn.make_grid(-14.0, 700.0))
+        assert calls == []
 
     @pytest.mark.parametrize("N, alpha, below", [(5, -1.0, False), (5, -2.0, True),
                                                  (6, -1.5, True), (7, -3.0, True)])

@@ -320,8 +320,9 @@ class TestPerturbedQuotient:
         assert val == pytest.approx(float.fromhex("0x1.bb1984bedfcc5p+7"), rel=1e-12)
 
     def test_gauss_rule_computed_once(self, p513, grid, monkeypatch):
-        calls, eigh = [], variational.sla.eigh_tridiagonal
-        monkeypatch.setattr(variational.sla, "eigh_tridiagonal",
+        import scipy.linalg       # _gauss_sphere imports eigh_tridiagonal from it when called
+        calls, eigh = [], scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                             lambda *args: calls.append(len(args[0])) or eigh(*args))
         variational._gauss_sphere.cache_clear()
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
