@@ -146,14 +146,13 @@ def _random_profiles(grid, seed: int, count: int) -> list:
 
 
 def cmd_verify(args) -> int:
-    if args.suite in ("ode", "rellich-limit") and (args.t_min, args.t_max) != (None, None):
-        own = (make_grid(*transforms.ODE_CHECK_GRID) if args.suite == "ode"
-               else closedform.rellich_limit_grid())
-        raise BadGridSpec(f"verify {args.suite} keeps its own domain, t in [{own.t_min:g}, "
-                          f"{own.t_max:g}]: of the grid flags only -n applies")
-    if args.suite == "linearized" and (args.n, args.t_min, args.t_max) != (None, None, None):
-        raise BadGridSpec("verify linearized runs on the domain derived from (N, alpha, beta) "
+    if args.suite in ("ode", "linearized") and (args.n, args.t_min, args.t_max) != (None,) * 3:
+        raise BadGridSpec(f"verify {args.suite} runs on the domain derived from (N, alpha, beta) "
                           "that spectrum solves on: it takes no -n, --t-min or --t-max")
+    if args.suite == "rellich-limit" and (args.t_min, args.t_max) != (None, None):
+        own = closedform.rellich_limit_grid()
+        raise BadGridSpec(f"verify rellich-limit keeps its own domain, t in [{own.t_min:g}, "
+                          f"{own.t_max:g}]: of the grid flags only -n applies")
     settings = _settings(args)
     checks = []
 
@@ -170,9 +169,7 @@ def cmd_verify(args) -> int:
         check("cosh_relation_1", r1, 1e-10)
         check("cosh_relation_2", r2, 1e-10)
         check("cosh_relation_3", r3, 1e-10)
-        lo, hi, n_check = transforms.ODE_CHECK_GRID
-        ef = transforms.cosh_profile(P, make_grid(lo, hi, settings.get("n", n_check)))
-        check("ode_residual", transforms.ode_residual(ef), 1e-7)
+        check("ode_residual", spectral.linearized_residual(P, 0, 0), 1e-7)     # U, nu_00 = 1
     elif args.suite == "identities":
         profs = _random_profiles(grid, args.seed, 20)
         # zip draws both in turn: tail checks fail in the order profile, mode, iid, hardy
@@ -310,8 +307,8 @@ def cmd_minimize(args) -> int:
         z1 = RadialProfile(grid=grid, values=_forms.from_scaled(P, grid, shape))
         doc["perturbed_plus"] = variational.perturbed_quotient(P, args.perturb, mode, z1)
         doc["perturbed_minus"] = variational.perturbed_quotient(P, -args.perturb, mode, z1)
-        doc["drops_below_radial"] = bool(doc["perturbed_plus"] < s_r
-                                         and doc["perturbed_minus"] < s_r)
+        q0 = variational.perturbed_quotient(P, 0.0, mode, z1)    # this grid's radial quotient
+        doc["drops_below_radial"] = bool(doc["perturbed_plus"] < q0 and doc["perturbed_minus"] < q0)
     emit(doc, args.format)
     return 0
 
@@ -339,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("verify", help="run a named verification suite", description="Grid flags: "
-                       "identities and equivalence take -n, --t-min and --t-max, ode and "
-                       "rellich-limit only -n, linearized none (its domain is derived).")
+                       "identities and equivalence take -n, --t-min and --t-max, rellich-limit "
+                       "only -n, ode and linearized none (their domain is derived).")
     p.add_argument("suite", choices=VERIFY_SUITES)
     add_common(p, params=False)
     p.add_argument("-a", "--alpha", type=float, default=0.0)

@@ -206,7 +206,8 @@ def linearized_residual(params: CknParams, k: int, n: int) -> float:
     j C_j = 2c (j+lam-1) C_{j-1} - (j+2lam-2) C_{j-2}.  No grid from the caller; at most 1.5e-9
     measured over the admissible region.  Blind spots: a shape error slowly varying in nu t nearly
     commutes with A and w as nu -> 0 at k >= 1 and as M grows: X (1 + 0.01 tanh nu t) reads
-    3.9e-10 in mode (2, 0) at (5, -2.998, -4.99804), nu = 2e-5, and 2.6e-10 in (0, 1) at M = 8e5."""
+    3.9e-10 in mode (2, 0) at (5, -2.998, -4.99804), nu = 2e-5, and 2.6e-10 in (0, 1) at M = 8e5.
+    (0, 0) is U's Emden-Fowler ODE, verify ode: B_0^* B_0 = d^4 - K2 d^2 + K0, w = phi_U^{p-2}."""
     nu_kn = linearized_eigenvalue(params, k, n)
     a, ts, _, symbol = _mode_pencil(params, make_mode(params, k))
     lam, c = linearized_degree(params, k) + (params.M_dim - 1.0) / 2.0, -np.tanh(params.nu * ts)

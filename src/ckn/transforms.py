@@ -31,10 +31,10 @@ __all__ = [
     "to_dimension_m", "from_dimension_m", "rayleigh_m",
 ]
 
-#: Default grid of the exact-solution ODE residual check: the node count
-#: balances the h^4 truncation of the stacked stencils against the
-#: eps/h^4 amplification of sample rounding, which is where the sup
-#: residual of an exact solution bottoms out in double precision.
+#: Grid of the library's exact-solution ODE residual check (ode_residual on cosh_profile, as
+#: acceptance criterion 3 runs it; verify ode runs linearized_residual(P, 0, 0) instead): the
+#: node count balances the h^4 truncation of the stacked stencils against the eps/h^4
+#: amplification of sample rounding, where the sup residual of an exact solution bottoms out.
 ODE_CHECK_GRID = (-10.0, 10.0, 1401)
 
 
@@ -77,14 +77,14 @@ def cosh_profile(params: CknParams, grid: LogGrid) -> EmdenFowlerProfile:
 
 
 def ode_residual(profile: EmdenFowlerProfile) -> float:
-    """Sup residual of phi'''' - K2 phi'' + K0 phi = |phi|^{p-2} phi,
-    normalized by the magnitude 1 + max|phi|^{p-1} of the equation.
+    """Sup residual of phi'''' - K2 phi'' + K0 phi = |phi|^{p-2} phi, normalized by the magnitude
+    1 + max|phi|^{p-1} of the equation.  Blind spot: where max|phi| is tiny the 1 dominates, and
+    any profile passes (C_cosh = 1.4e-63 at (6, -3.176, -5.181)); for the closed-form profile,
+    spectral.linearized_residual(params, 0, 0) checks the same equation without an amplitude.
 
-    The fourth derivative and the RESIDUAL_MARGIN nodes skipped at each end
-    are numerics.even_residual's.  The floor of this quantity is set by
-    rounding of the float64 samples amplified through the fourth derivative
-    (about eps/h^4 relative), not by truncation, once the grid is finer than
-    a few thousand nodes.
+    The fourth derivative and the RESIDUAL_MARGIN nodes skipped at each end are
+    numerics.even_residual's.  Its floor is rounding of the float64 samples amplified by the fourth
+    derivative (about eps/h^4 relative), not truncation, once n exceeds a few thousand nodes.
     """
     if profile.grid.n < 201:
         raise GridTooSmall(f"need n >= 201 for fourth derivatives, got {profile.grid.n}")

@@ -140,6 +140,45 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["seed"] == 42
 
+    @pytest.mark.parametrize("point", [("8", "3", "-1.9"), ("6", "2", "-2.9"),
+                                       ("7", "0.053", "-1.971")])
+    def test_ode_true_statements_exit_0(self, capsys, point):
+        # finite differences on t in [-10, 10], n = 1401, read 3.7e-7, 2.9e-7 and 2.3e-7 here
+        # and exited 1; ode_residual is now linearized_residual(P, 0, 0) on the derived domain
+        N, a, b = point
+        code, out = run(capsys, "verify", "ode", "-N", N, "-a", a, "-b", b, "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks] == ["cosh_relation_1", "cosh_relation_2",
+                                                "cosh_relation_3", "ode_residual"]
+        assert checks[-1]["tolerance"] == 1e-7 and checks[-1]["value"] < 1e-9
+
+    def test_ode_tiny_amplitude_checks_the_shape(self, capsys, monkeypatch):
+        # C_cosh = 1.4e-63: normalized by 1 + max|phi|^{p-1}, the exact profile read 1.1e-68
+        # and one 1 % wrong in shape 5.9e-65, so any profile passed
+        argv = ("verify", "ode", "-N", "6", "-a", "-3.176", "-b", "-5.181", "--format", "json")
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["checks"][-1]["value"] < 1e-12
+        shape = spectral.extremal_shape
+        monkeypatch.setattr(spectral, "extremal_shape",
+                            lambda P, t, m: shape(P, t, m) * (1.0 + 0.01 * np.tanh(P.nu * t)))
+        code, out = run(capsys, *argv)
+        row = json.loads(out)["checks"][-1]
+        assert code == 1 and row["check"] == "ode_residual" and row["pass"] is False
+
+    def test_derived_domain_suites_share_one_grid_rule(self, capsys):
+        # verify ode took -n on its own grid; it and verify linearized now reject each grid
+        # flag with one message that differs only in the suite's name
+        for flag in (("-n", "1401"), ("--t-min=-3",), ("--t-max=3",)):
+            said = []
+            for suite in ("ode", "linearized"):
+                code, out = run(capsys, "verify", suite, "-N", "5", "-a", "1", "-b", "-2", *flag,
+                                "--format", "json")
+                doc = json.loads(out)
+                assert code == 2 and doc["error"] == "BadGridSpec", (suite, flag)
+                said.append(doc["message"].replace(suite, "SUITE"))
+            assert said[0] == said[1], flag
+
     def test_ode_overflowing_amplitude_exit_2(self, capsys):
         # used to exit 1 with null values for cosh relation 3 and the residual
         code, out = run(capsys, "verify", "ode", "-N", "5", "-a", "1", "-b", "-1.001",
@@ -182,7 +221,7 @@ class TestVerify:
         assert code == 0 and calls == {"rellich_test_quotient": 1}
 
     def test_rellich_limit_honors_n(self, capsys, tmp_path, monkeypatch):
-        # n is resolved as verify ode does: the flag, then the config, then the default
+        # n is resolved as identities and equivalence do: the flag, then the config, the default
         def quotients(*extra):
             code, out = run(capsys, "verify", "rellich-limit", "-N", "5", *extra,
                             "--format", "json")
@@ -199,18 +238,21 @@ class TestVerify:
         monkeypatch.setenv("CKN_CONFIG", str(cfg))
         assert quotients("-n", "2001") == flag
 
-    @pytest.mark.parametrize("argv,domain", [
-        (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-max=5"), "[-10, 10]"),
-        (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-min=-3", "--t-max=3"), "[-10, 10]"),
-        (("rellich-limit", "-N", "5", "--t-min=-300"), "[-400, 15]"),
-        (("rellich-limit", "-N", "5", "--t-min=-3", "--t-max=3"), "[-400, 15]")],
+    @pytest.mark.parametrize("argv,says", [
+        (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-max=5"), "domain derived from (N, alpha"),
+        (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-min=-3", "--t-max=3"),
+         "domain derived from (N, alpha"),
+        (("rellich-limit", "-N", "5", "--t-min=-300"), "[-400, 15]: of the grid flags only -n"),
+        (("rellich-limit", "-N", "5", "--t-min=-3", "--t-max=3"),
+         "[-400, 15]: of the grid flags only -n")],
         ids=["ode-t-max", "ode-both", "rellich-limit-t-min", "rellich-limit-both"])
-    def test_own_domain_rejects_grid_flags(self, capsys, argv, domain):
-        # both suites ignored --t-min and --t-max and printed the same stdout as without them
+    def test_own_domain_rejects_grid_flags(self, capsys, argv, says):
+        # both suites ignored --t-min and --t-max and printed the same stdout as without them;
+        # verify ode kept t in [-10, 10] and took -n until it ran on the derived domain
         code, out = run(capsys, "verify", *argv, "--format", "json")
         doc = json.loads(out)
         assert code == 2 and doc["error"] == "BadGridSpec"
-        assert domain in doc["message"] and "only -n applies" in doc["message"]
+        assert says in doc["message"]
 
     def test_own_domain_skips_config_ends(self, capsys, tmp_path):
         # a config file pins defaults for every command: its t_min and t_max stay unread here
@@ -779,6 +821,19 @@ class TestMinimize:
         doc = json.loads(out)
         assert doc["drops_below_radial"] is True
         assert doc["perturbed_plus"] < doc["S_r"]
+
+    @pytest.mark.parametrize("beta,amp,drops", [
+        ("-2", "1e-300", False), ("-3", "0", False), ("-3", "-0.0", False),
+        ("-3", "1e-320", False), ("-3", "0.05", True), ("-2", "0.05", False)])
+    def test_drop_is_judged_against_the_grid_radial_quotient(self, capsys, beta, amp, drops):
+        # Q(0) sits below S_r by the grid floor (2.2e-9 at (5, 1, -2)): judged against S_r, the
+        # four vanishing perturbations, where Q(+-t) = Q(0), printed true.  beta_fs = -2.657
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", beta, "--perturb", amp,
+                        "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["drops_below_radial"] is drops
+        if amp != "0.05":
+            assert doc["perturbed_plus"] < doc["S_r"] and doc["perturbed_minus"] < doc["S_r"]
 
     @pytest.mark.parametrize("amp", ["nan", "inf", "0.3"])
     def test_bad_amplitude_exit_2(self, capsys, amp):

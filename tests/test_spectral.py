@@ -453,40 +453,44 @@ class TestLinearizedResidual:
 
     def test_whole_region_sweep(self, residual_sweep):
         # finite differences on the default grid failed 36 of the 600 (0, 1) and (1, 0)
-        # checks at the first 300 points; measured here at most 1.5e-9, near M = 5
+        # checks at the first 300 points; measured here at most 1.5e-9, near M = 5.  (0, 0) is
+        # U's own Emden-Fowler equation, the ode_residual row of verify ode: at most 8.1e-10
         for P in residual_sweep:
-            for k, n in ((0, 1), (1, 0), (2, 0)):
+            for k, n in ((0, 0), (0, 1), (1, 0), (2, 0)):
                 assert linearized_residual(P, k, n) < 1e-7, (_point(P), k, n)
 
     @pytest.mark.parametrize("point", [(8, 2.253, 0.222), (7, 0.053, -1.971),
                                        (6, -3.176, -5.181)])
     def test_points_the_default_grid_failed(self, point):
         # narrow profiles (M = 539 and 418) and nu = 0.0025: finite differences on the default
-        # grid read 8.3e-7, 6.6e-7 and 7.1e-7 at the worst mode; measured at most 1.5e-13
+        # grid read 8.3e-7, 6.6e-7 and 7.1e-7 at the worst mode; measured at most 1.5e-13.  In
+        # (0, 0), verify ode read 2.3e-7 by finite differences at (7, 0.053, -1.971), and 1.1e-68
+        # at (6, -3.176, -5.181), where its 1 + max|phi|^{p-1} normalization measured nothing
         P = ckn.derive(*point)
-        for k, n in ((0, 1), (1, 0), (2, 0)):
+        for k, n in ((0, 0), (0, 1), (1, 0), (2, 0)):
             assert linearized_residual(P, k, n) < 1e-12, (k, n)
 
     def test_wrong_eigenvalue_fails(self, residual_sweep, monkeypatch):
-        # nu_{k,n} (1 + 1e-6) leaves delta/(1 + delta) = 1e-6 - 1e-12, less the 1.5e-9 floor
+        # nu_{k,n} (1 + 1e-6) leaves delta/(1 + delta) = 1e-6 - 1e-12, less the 1.5e-9 floor;
+        # at nu_00 = 1 it is verify ode's ode_residual row for an equation off by 1e-6
         exact = spectral.linearized_eigenvalue
         monkeypatch.setattr(spectral, "linearized_eigenvalue",
                             lambda P, k, n: exact(P, k, n) * (1.0 + 1e-6))
         for P in residual_sweep:
-            for k, n in ((0, 1), (1, 0), (2, 0)):
+            for k, n in ((0, 0), (0, 1), (1, 0), (2, 0)):
                 assert linearized_residual(P, k, n) >= 0.998e-6, (_point(P), k, n)
 
     def test_wrong_shape_fails(self, residual_sweep, monkeypatch):
-        # X (1 + 0.01 tanh nu t), 1 % off in shape.  The blind spots of the docstring: at
-        # k >= 1 the reading falls with nu (3.9e-7 at nu = 0.0024, 1.6e-10 at nu = 7.8e-6;
-        # at least 1.3e-3 nu^2 here), and at any k as M grows, so the sweep's points of
-        # M > 1000 are left out
+        # X (1 + 0.01 tanh nu t), 1 % off in shape (in (0, 0) at least 2.9e-6).  The blind
+        # spots of the docstring: at k >= 1 the reading falls with nu (3.9e-7 at nu = 0.0024,
+        # 1.6e-10 at nu = 7.8e-6; at least 1.3e-3 nu^2 here), and at any k as M grows, so the
+        # sweep's points of M > 1000 are left out
         shape = spectral.extremal_shape
         monkeypatch.setattr(spectral, "extremal_shape",
                             lambda P, t, m: shape(P, t, m) * (1.0 + 0.01 * np.tanh(P.nu * t)))
         for P in residual_sweep:
             if P.M_dim <= 1000.0:
-                for k, n in ((0, 1), (1, 0), (2, 0)):
+                for k, n in ((0, 0), (0, 1), (1, 0), (2, 0)):
                     floor = min(2.6e-6, 1e-3 * P.nu ** 2) if k else 2.6e-6
                     assert linearized_residual(P, k, n) >= floor, (_point(P), k, n)
 
