@@ -84,9 +84,11 @@ def extremal_shape(params: CknParams, t, m: float | None = None) -> np.ndarray:
     """cosh(nu t)^m = r^{kappa1} U(r) / C_cosh at r = e^t, m = -(M-4)/2 (m = -(M-2)/2 gives
     r^{kappa1} Z1 2^{(M-2)/2}): even, at most 1, finite everywhere, also where C_amp overflows."""
     require_subcritical(params, "extremal_shape")
-    z = np.abs(params.nu * np.asarray(t, dtype=float))
+    z = np.abs(params.nu * np.array(t, dtype=float, ndmin=1))
     m = params.m_exp if m is None else m
-    return np.exp(m * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)))
+    log_cosh, small = z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0), z < 0.5
+    log_cosh[small] = 0.5 * np.log1p(np.sinh(z[small]) ** 2)    # no cancellation near z = 0
+    return np.exp(m * log_cosh).reshape(np.shape(t))[()]
 
 
 def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:
@@ -133,7 +135,7 @@ def radial_constant_sr(params: CknParams) -> float:
     with T = N + 2 alpha - beta - 4 and M = 2T/(alpha-beta-2).
     """
     require_subcritical(params, "radial_constant_sr")
-    anb2 = params.alpha - params.beta - 2.0
+    anb2 = 2.0 * params.nu                    # derive's alpha - beta - 2, the one M is made of
     T = 2.0 * params.kappa1
     e = 2.0 * anb2 / T
     return ((2.0 / anb2) ** (e - 4.0) * omega_sphere(params.N) ** e * b_of_m(params.M_dim))

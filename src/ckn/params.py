@@ -122,16 +122,17 @@ def felli_schneider(N: int, alpha: float) -> float:
 
 def on_rellich_line(alpha, beta):
     """True on the p = 2 boundary beta = alpha - 2 (array-capable), and just
-    below it, where the denominator alpha - beta - 2 of M or 2 + beta - alpha
-    of q rounds to 0, so that the subcritical fields do not exist."""
+    below it, where alpha - beta - 2 or 2 + beta - alpha, the denominator of
+    q and M, rounds to 0, so that the subcritical fields do not exist."""
     return (beta == alpha - 2.0) | (alpha - beta - 2.0 == 0.0) | (2.0 + beta - alpha == 0.0)
 
 
 def exponents(N: int, alpha, beta):
-    """(q, M) = (2/(2+beta-alpha), 2(N+2alpha-beta-4)/(alpha-beta-2)),
-    array-capable; defined off the Rellich line only."""
-    return (2.0 / (2.0 + beta - alpha),
-            2.0 * (N + 2.0 * alpha - beta - 4.0) / (alpha - beta - 2.0))
+    """(q, M) = (2/(2+beta-alpha), -(N+2alpha-beta-4) q), array-capable; defined off the
+    Rellich line only.  2 + beta - alpha is exact near that line, where alpha - beta rounds
+    near 2, so q, M and derive's nu share its one value (l_k/M then carries no rounding)."""
+    q = 2.0 / (2.0 + beta - alpha)
+    return q, -(N + 2.0 * alpha - beta - 4.0) * q
 
 
 def second_variation_gap(N: int, q, M):
@@ -176,6 +177,7 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
         raise BetaOutOfRange(f"need beta in [{lo}, {hi}] and beta > -{N}, got {beta}")
 
     T = N + 2.0 * alpha - beta - 4.0          # = 2 kappa1 > 0
+    d = 2.0 + beta - alpha                    # = -2 nu, exact near the Rellich line
     gamma = T * T / (N + beta) - N
     p = 2.0 * T / (N + beta)
     kappa1 = T / 2.0
@@ -185,22 +187,22 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
     # inf).  gamma, K0 and amp_base bound every scalar here, so a check on them turns any
     # overflow into ScalarOverflow and leaves each finite result as it was.
     try:
-        K2 = ((N + alpha - 2.0) ** 2 + (beta + 2.0 - alpha) ** 2) / 2.0
+        K2 = ((N + alpha - 2.0) ** 2 + d ** 2) / 2.0
         K0 = cal_B ** 2
     except OverflowError:
         K2 = K0 = math.inf
-    nu = (alpha - beta - 2.0) / 2.0
+    nu = -d / 2.0
     a_shift = N + alpha - 2.0
     amp_base = (N + beta) * (N + alpha - 2.0) * T * (N + 3.0 * alpha - 2.0 * beta - 6.0)
     if not all(map(math.isfinite, (gamma, K0, amp_base))):
         raise ScalarOverflow(f"derived scalars overflow at (N, alpha, beta) = "
                              f"({N}, {alpha}, {beta})")
     if not on_rellich_line(alpha, beta):
-        m_exp = (N + beta) / (beta + 2.0 - alpha)
+        m_exp = (N + beta) / d
         q_pow, M_dim = exponents(N, alpha, beta)
         try:
             # the amplitude blows up as beta -> alpha - 2; inf is the honest value
-            C_amp = math.exp((N + beta) / (4.0 * (alpha - beta - 2.0)) * math.log(amp_base))
+            C_amp = math.exp(-(N + beta) / (4.0 * d) * math.log(amp_base))
         except OverflowError:
             C_amp = math.inf
     else:

@@ -32,9 +32,9 @@ __all__ = ["SpectralResult", "mode_eigenpairs", "mode_eigenvalue",
            "second_variation_z1", "second_variation_bracket", "second_variation_sign",
            "linearized_residual", "spectral_gap"]
 
-#: Basis size and stopping tolerance of the one Lanczos run per mode, and the level at which
+#: Stopping tolerance and step cap of the one Lanczos run per mode, and the level at which
 #: its periodic domain cuts the eigenfunctions (see mode_eigenpairs).
-LANCZOS_NCV, LANCZOS_TOL, DOMAIN_EPS = 10, 1e-8, 1e-14
+LANCZOS_TOL, LANCZOS_STEPS, DOMAIN_EPS = 1e-9, 100, 1e-14
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class SpectralResult:
     closedform.linearized_eigenvalue on any grid.  residual is that pencil's backward error
     ||A x - nu W x|| / ((||A|| + |nu| ||W||) ||x||), which ||A|| ~ xi_max^4 keeps small, so the
     accuracy rests on the derived domain and the closed-form tests, not on residual.  iters
-    counts the matvecs of the mode's one Lanczos run, which both mode-0 indices share."""
+    counts the steps, one matvec each, of the mode's one Lanczos run (_lanczos, at most
+    LANCZOS_STEPS), which both mode-0 indices share."""
 
     eigenvalue: float
     profile: RadialProfile
@@ -87,32 +88,44 @@ def _chirp_z(b: np.ndarray, theta: float, m: int) -> np.ndarray:
     return chirp[:m, None] * conv[:m]
 
 
+def _lanczos(op, v0: np.ndarray, count: int, tol: float, k: int):
+    """The count largest eigenvalues of the symmetric op, falling, their Ritz vectors and the
+    step count (one matvec each): Lanczos from v0 with full reorthogonalization (J. Res. NBS
+    45, 1950; Parlett, The Symmetric Eigenvalue Problem, ch. 13), stopped from step 6 on once
+    each Ritz residual beta_j |s_ji| is at most tol theta_i; NoConvergence past LANCZOS_STEPS."""
+    V = np.empty((LANCZOS_STEPS + 1, len(v0)))
+    V[0] = v0 / np.linalg.norm(v0)
+    alpha, beta = [], []
+    for j in range(LANCZOS_STEPS):
+        w = op(V[j])
+        alpha.append(V[j] @ w)                  # before the reorthogonalization removes it
+        for _ in range(2):                      # one pass lost orthogonality at M = 802
+            w -= V[:j + 1].T @ (V[:j + 1] @ w)
+        beta.append(np.linalg.norm(w))
+        V[j + 1] = w / beta[j]
+        if j >= 5:
+            thetas, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:j], 1), UPLO="U")
+            if np.all(beta[j] * np.abs(S[-1, -count:]) <= tol * thetas[-count:]):
+                # Fortran-ordered, so numpy sums each vector pairwise (_mode_solve's mass)
+                return thetas[:-count - 1:-1], (S[:, :-count - 1:-1].T @ V[:j + 1]).T, j + 1
+    raise NoConvergence(f"Lanczos on mode {k}: no convergence in {LANCZOS_STEPS} steps")
+
+
 def _mode_solve(params: CknParams, mode: ModeSpec):
-    """Mode k's one Lanczos run, on the domain of _mode_pencil: eigsh (LANCZOS_NCV vectors, a
-    fixed start) on W^{1/2} A^{-1} W^{1/2}, A by its symbol in Fourier space, finds the largest
-    theta = 1/nu to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap
+    """Mode k's one Lanczos run, on the domain of _mode_pencil: _lanczos from a fixed start on
+    W^{1/2} A^{-1} W^{1/2}, A by its symbol in Fourier space, finds the largest theta = 1/nu
+    to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap
     1 - nu_{k,0}/nu_{k,1} = 4/(a+4).  nu is the Rayleigh quotient, by Parseval, of x = A^{-1}
     W^{1/2} y, one inverse iteration beyond the Ritz vector y.  Returns the nu, their backward
     errors, the matvec count, and L, xi, the Parseval weights and x's rfft to sample x with."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     a, ts, xi, symbol = _mode_pencil(params, mode)
     n = len(ts)
     root_w = np.sqrt(_forms.mass_weight(params, ts))
-    matvecs = 0
-
-    def op(y: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return root_w * np.fft.irfft(np.fft.rfft(root_w * y) / symbol, n)
-
-    try:
-        thetas, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float),
-                          2 if mode.k == 0 else 1, which="LA", ncv=LANCZOS_NCV,
-                          tol=LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)),
-                          v0=np.random.default_rng(1234).standard_normal(n))
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(f"Lanczos on mode {mode.k}: {exc}") from None
-    Y = root_w[:, None] * Y[:, np.argsort(-thetas)]            # W^{1/2} y, that is A x
+    _, Y, matvecs = _lanczos(
+        lambda y: root_w * np.fft.irfft(np.fft.rfft(root_w * y) / symbol, n),
+        np.random.default_rng(1234).standard_normal(n), 2 if mode.k == 0 else 1,
+        LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)), mode.k)
+    Y = root_w[:, None] * Y                                    # W^{1/2} y, that is A x
     C = np.fft.rfft(Y, axis=0) / symbol[:, None]               # rfft of x
     X = np.fft.irfft(C, n, axis=0)
     parts = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n      # Parseval over rfft halves

@@ -147,8 +147,7 @@ def _gauss_sphere(N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     sin^{N-2}(theta) dtheta, by Golub & Welsch (Math. Comp. 23, 1969); cached, read-only."""
     lam, k = (N - 2) / 2.0, np.arange(1.0, count)
     off = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
-    from scipy.linalg import eigh_tridiagonal
-    nodes, vecs = eigh_tridiagonal(np.zeros(count), off)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1), UPLO="U")      # the Jacobi matrix
     weights = vecs[0] ** 2 * (omega_sphere(N) / omega_sphere(N - 1))   # mu0 = int (1-c^2)^{lam-1/2}
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

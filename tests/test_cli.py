@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import ckn
 from ckn import _forms, cli, identities, spectral
@@ -458,7 +457,7 @@ class TestSpectrum:
             assert abs(r["eigenvalue"] - exact) < 1e-12 * exact
 
     def test_one_lanczos_run_per_mode(self, capsys, monkeypatch):
-        # one eigsh run per mode, shared by both mode-0 rows; iters is its matvec count
+        # one _lanczos run per mode, shared by both mode-0 rows; iters is its matvec count
         runs = count_matvecs(monkeypatch)
         code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
                         "--kmax", "2", "--format", "json", "-n", "2001")
@@ -475,10 +474,8 @@ class TestSpectrum:
         assert first == second
 
     def test_lanczos_no_convergence_exit_1(self, capsys, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(spla, "eigsh", stalled)
+        # a run past its step cap is a typed NoConvergence; the first stop test is at step 6
+        monkeypatch.setattr(spectral, "LANCZOS_STEPS", 5)
         code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3",
                         "--kmax", "0", "--format", "json", "-n", "2001")
         assert code == 1
@@ -487,13 +484,13 @@ class TestSpectrum:
     def test_overflowing_map_back_raises_before_the_solve(self, capsys, monkeypatch):
         # r^{-kappa1} overflows on t in [-14, 700]; it was found only when the profiles were
         # mapped back, after a factorization and a Lanczos run
-        calls = count_calls(monkeypatch, (_forms, "cholesky_solver"), (spla, "eigsh"))
+        calls = count_calls(monkeypatch, (_forms, "cholesky_solver"), (spectral, "_lanczos"))
         code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--t-max=700",
                         "--format", "json")
         assert code == 2
         doc = json.loads(out)
         assert doc["error"] == "BadGridSpec" and "r^-kappa1" in doc["message"]
-        assert calls == {"cholesky_solver": 0, "eigsh": 0}
+        assert calls == {"cholesky_solver": 0, "_lanczos": 0}
 
 
 #: Run in a fresh interpreter: import ckn, then every command that calls no solver, and print
@@ -505,10 +502,12 @@ import ckn
 from ckn import cli
 report = {"import ckn": loaded()}
 P = ["-N", "5", "-a", "1", "-b", "-2"]
+S = ["-N", "5", "-a", "1", "-b", "-3", "--kmax", "3"]
 for argv, code in [(["constants", *P], 0),
                    *((["verify", s, *P], 0) for s in ("ode", "identities", "linearized")),
                    (["verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5"], 0),
                    (["verify", "rellich-limit", "-N", "5"], 0),
+                   *((["spectrum", *S, *n], 0) for n in ([], ["-n", "32001"])),
                    *((["region-map", "-N", "5", "--alpha-range=0:3", "--beta-range=-4:-1",
                        "--resolution", "40", "--format", f], 0) for f in ("json", "csv")),
                    (["constants", "-N", "5", "-a", "1e200", "-b", "5e199"], 2)]:
@@ -521,15 +520,15 @@ print(json.dumps(report))
 
 class TestStartup:
     def test_numpy_only_commands_load_no_scipy(self):
-        # scipy is imported by the solvers that call it: spectrum, minimize and the test
-        # references, so ckn starts, and these commands run, on numpy alone
+        # scipy is imported by the solvers that call it: minimize and the test references,
+        # so ckn starts, and these commands, spectrum among them, run on numpy alone
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         report = json.loads(proc.stdout)
-        assert len(report) == 10
+        assert len(report) == 12
         assert report == {step: [] for step in report}
 
 

@@ -85,6 +85,17 @@ class TestExtremalShape:
         with pytest.raises(RellichBoundary):
             extremal_shape(ckn.derive(5, 1.0, -1.0), 0.0)
 
+    @pytest.mark.parametrize("z", [1e-6, 1e-4, 0.01, 0.1, -0.3, 0.49])
+    def test_small_argument_is_the_series(self, p513, z):
+        # ln cosh z = z^2/2 - z^4/12 + z^6/45 - 17 z^8/2520 + ...; formed as
+        # z + log1p(e^{-2z}) - ln 2, from terms of size ln 2, it was off by 2e-8 relative
+        # at z = 1e-4.  m puts cosh^m near 1/e, where the log recovers m ln cosh z.
+        # nu = 1 at p513, so z = t.
+        m = -2.0 / (z * z)
+        series = z ** 2 / 2.0 - z ** 4 / 12.0 + z ** 6 / 45.0
+        got = math.log(extremal_shape(p513, z, m)) / m
+        assert abs(got - series) <= 1e-15 * series + 17.0 / 2520.0 * z ** 8
+
     @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (7, 1.5, -2.0), (6, -3.0, -5.4)])
     def test_exponent_gives_scaled_z1(self, point, grid):
         # r^{kappa1} Z1 = (2 cosh nu t)^{-(M-2)/2}
@@ -141,6 +152,13 @@ class TestRadialConstant:
         for beta in np.linspace(lo + 1e-6, -1.0 - 1e-6, 20):
             val = radial_constant_sr(ckn.derive(5, 1.0, beta))
             assert math.isfinite(val) and val > 0
+
+    def test_near_the_rellich_line(self):
+        # M = 5.19e12, where alpha - beta rounds near 2: the power of 2/(alpha - beta - 2)
+        # and B(M) must share derive's one difference (mixed, they read 3.3e-4 off).
+        # 50-digit value at the float alpha and beta.
+        P = ckn.derive(7, 0.053, (0.053 - 2.0) - 1.947e-12)
+        assert radial_constant_sr(P) == pytest.approx(40.745270964984014, rel=1e-13)
 
     def test_rellich_boundary(self):
         with pytest.raises(RellichBoundary):
@@ -438,14 +456,24 @@ FAMILY_REFERENCES = [
     ("scaling_direction", (6, 0.5, -2.5), 0.2, -150.0, 1.8608863902719117797e+67),
     ("extremal_u", (6, 0.5, -2.5), 0.2, 140.0, 1.057817962244374966e-270),
     ("scaling_direction", (6, 0.5, -2.5), 0.2, 140.0, -9.2559071696382804389e-270),
-    ("extremal_u", (5, 1.0, -1.01), 0.2, -300.0, 1.1429811192367324593e+232),
-    ("scaling_direction", (5, 1.0, -1.01), 0.2, -300.0, 1.0336268670542335993e+233),
-    ("extremal_u", (5, 1.0, -1.01), 0.2, 300.0, 1.3369854478588937821e-288),
-    ("scaling_direction", (5, 1.0, -1.01), 0.2, 300.0, -1.2051910731865355174e-287),
-    ("Z0", (5, 1.0, -1.01), 1.0, -300.0, -6.9217659593553872967e-8),
-    ("Z1", (5, 1.0, -1.01), 1.0, -300.0, 1.625377529190362509e-8),
-    ("Z0", (5, 1.0, -1.01), 1.0, 150.0, 2.1114900312417927026e-296),
-    ("Z1", (5, 1.0, -1.01), 1.0, 150.0, 1.2838666351049131663e-296),
+    # derive's nu at (5, 1, -1.01) moved from 0.004999999999999893 to 0.0050000000000000044
+    # when it came from 2 + beta - alpha; the values follow it, the ids keep the old ones
+    pytest.param("extremal_u", (5, 1.0, -1.01), 0.2, -300.0, 1.1429811192246864979e+232,
+                 id="extremal_u-point20-0.2--300.0-1.1429811192367324e+232"),
+    pytest.param("scaling_direction", (5, 1.0, -1.01), 0.2, -300.0, 1.0336268670433469087e+233,
+                 id="scaling_direction-point21-0.2--300.0-1.0336268670542335e+233"),
+    pytest.param("extremal_u", (5, 1.0, -1.01), 0.2, 300.0, 1.3369854478447086541e-288,
+                 id="extremal_u-point22-0.2-300.0-1.3369854478588937e-288"),
+    pytest.param("scaling_direction", (5, 1.0, -1.01), 0.2, 300.0, -1.2051910731737567761e-287,
+                 id="scaling_direction-point23-0.2-300.0--1.2051910731865356e-287"),
+    pytest.param("Z0", (5, 1.0, -1.01), 1.0, -300.0, -6.9217659593676016848e-8,
+                 id="Z0-point24-1.0--300.0--6.921765959355388e-08"),
+    pytest.param("Z1", (5, 1.0, -1.01), 1.0, -300.0, 1.6253775291931708976e-8,
+                 id="Z1-point25-1.0--300.0-1.6253775291903626e-08"),
+    pytest.param("Z0", (5, 1.0, -1.01), 1.0, 150.0, 2.1114900312506708703e-296,
+                 id="Z0-point26-1.0-150.0-2.1114900312417928e-296"),
+    pytest.param("Z1", (5, 1.0, -1.01), 1.0, 150.0, 1.2838666351102777691e-296,
+                 id="Z1-point27-1.0-150.0-1.283866635104913e-296"),
 ]
 
 

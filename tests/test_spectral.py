@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ckn
@@ -88,11 +87,9 @@ class TestModeEigenvalues:
         assert other.iters == r.iters == runs[1]
 
     def test_lanczos_no_convergence_raises(self, p513, grid_fast, monkeypatch):
-        # ARPACK's ArpackNoConvergence is a typed NoConvergence, never a traceback
-        def stalled(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(spla, "eigsh", stalled)
+        # a run past LANCZOS_STEPS is a typed NoConvergence, never a traceback or a value;
+        # this run needs 9 steps
+        monkeypatch.setattr(spectral, "LANCZOS_STEPS", 8)
         with pytest.raises(NoConvergence, match="Lanczos on mode 0"):
             mode_eigenvalue(p513, make_mode(p513, 0), 1, grid_fast)
 
@@ -230,15 +227,34 @@ class TestClosedFormSpectrum:
                 exact = linearized_eigenvalue(P, k, n)
                 assert abs(pair.eigenvalue - exact) <= 1e-12 * exact, (k, n)
 
+    def test_near_the_rellich_line(self):
+        # M = 5.19e12.  alpha - beta rounds near 2 here while 2 + beta - alpha is exact; a nu
+        # and an M formed from the former put 1.6e-4 into the closed form's nu_10 and 2.3e-4
+        # into nu_20, against a solve right to rounding.  Pins: 50-digit values at the float
+        # alpha and beta.
+        P = ckn.derive(7, 0.053, (0.053 - 2.0) - 1.947e-12)
+        for k in range(3):
+            for n, nu in enumerate(spectral._mode_solve(P, make_mode(P, k))[0]):
+                exact = linearized_eigenvalue(P, k, n)
+                assert abs(nu - exact) <= 1e-12 * exact, (k, n)
+        assert linearized_eigenvalue(P, 1) == pytest.approx(3.7634722836505932626, rel=1e-14)
+        assert linearized_eigenvalue(P, 2) == pytest.approx(10.196887249252106105, rel=1e-14)
+
+
+def _dense_lanczos(op, v0, count, tol, k):
+    """spectral._lanczos's answer to machine precision: numpy.linalg.eigh of op applied to
+    the identity, row by row (op is symmetric)."""
+    thetas, S = np.linalg.eigh(op(np.eye(len(v0))))
+    return thetas[:-count - 1:-1], S[:, :-count - 1:-1], len(v0)
+
 
 class TestRightSizedLanczos:
-    """The run stops at LANCZOS_TOL with LANCZOS_NCV vectors, not at machine precision."""
+    """The run stops at LANCZOS_TOL, not at machine precision."""
 
     def test_matches_full_precision_run(self, baseline_spectra, monkeypatch):
-        # scipy's defaults (20 vectors, tolerance 0) are the reference; the reported
-        # Rayleigh quotients agree to rounding (4.8e-16 at worst measured)
-        monkeypatch.setattr(spectral, "LANCZOS_NCV", 20)
-        monkeypatch.setattr(spectral, "LANCZOS_TOL", 0.0)
+        # a dense eigh of the same operator is the reference; the reported Rayleigh
+        # quotients agree to rounding (1.4e-15 at worst measured)
+        monkeypatch.setattr(spectral, "_lanczos", _dense_lanczos)
         full = _spectra(BASELINE_ROWS + [ASTRAY_ROW])
         for loose_row, full_row in zip(baseline_spectra, full):
             for loose, ref in zip(loose_row, full_row):
@@ -246,9 +262,18 @@ class TestRightSizedLanczos:
                 for a, b in zip(loose, ref):
                     assert abs(a.eigenvalue - b.eigenvalue) < 1e-11 * b.eigenvalue
 
+    def test_lanczos_on_a_known_spectrum(self):
+        # diag(1, 1/2, ..., 1/200): the two largest eigenvalues, falling, and their unit
+        # eigenvectors, as Fortran-ordered columns, which numpy sums pairwise
+        d = 1.0 / np.arange(1.0, 201.0)
+        thetas, Y, steps = spectral._lanczos(lambda y: d * y, np.ones(200), 2, 1e-12, 0)
+        assert thetas == pytest.approx([1.0, 0.5], rel=1e-14)
+        assert np.abs(np.abs(Y[:2]) - np.eye(2)).max() < 1e-12 and Y.flags.f_contiguous
+        assert 6 <= steps < spectral.LANCZOS_STEPS
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_solves_per_mode(self, p513, grid, k):
-        # 21 matvecs with scipy's defaults; a run sized to LANCZOS_TOL needs 11
+        # the run sized to LANCZOS_TOL stops at 9, 8 and 9 matvecs here
         assert ckn.mode_eigenpairs(p513, make_mode(p513, k), grid)[0].iters <= 12
 
     @pytest.mark.parametrize("lo,hi,n", [(-1.0, 1.0, 9), (-2.0, 2.0, 11)])
@@ -294,7 +319,8 @@ class TestProfileSampling:
     @pytest.mark.parametrize("point", [(5, 1.0, -3.0), (5, -2.9, -4.95), (8, 3.0, -1.9)])
     def test_mode0_profiles_are_the_closed_forms(self, grid, point):
         # nu_00 = 1 belongs to U and nu_01 = p - 1 to the scaling direction: in t,
-        # cosh(nu t)^m and cosh(nu t)^m tanh(nu t), m = -(M-4)/2 (measured: 4.1e-13 at worst)
+        # cosh(nu t)^m and cosh(nu t)^m tanh(nu t), m = -(M-4)/2 (measured: 7.8e-12 at worst,
+        # the scaling direction at (8, 3, -1.9); a Lanczos tolerance of 1e-8 gave 2.8e-10)
         P = ckn.derive(*point)
         shape = extremal_shape(P, grid.ts)
         for r, want in zip(ckn.mode_eigenpairs(P, make_mode(P, 0), grid),
