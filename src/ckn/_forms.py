@@ -48,16 +48,20 @@ def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid):
             - (params.cal_B + lambda_k) * sp.identity(n, format="csr")).tocsr()
 
 
+def scale_rule(params: CknParams, grid: LogGrid, what: str = "r^-kappa1") -> None:
+    """grid_exp's BadGridSpec where r^{+-kappa1} overflows: |kappa1| max(-t_min, t_max) > T_LIMIT"""
+    grid_exp(None, what, abs(params.kappa1) * max(-grid.t_min, grid.t_max))
+
+
 def to_scaled(params: CknParams, grid: LogGrid, values: np.ndarray) -> np.ndarray:
-    """phi samples r^{kappa1} f(r) from radial samples f(r) under check_samples; BadGridSpec
-    where r^{kappa1} or r^{-kappa1} overflows on the grid, so that from_scaled is finite too."""
-    reach = abs(params.kappa1) * max(-grid.t_min, grid.t_max)
-    return check_samples(values, grid) * grid_exp(params.kappa1 * grid.ts, "r^kappa1", reach)
+    """phi samples r^{kappa1} f(r) from radial samples f(r), under scale_rule and check_samples."""
+    scale_rule(params, grid, "r^kappa1")
+    return check_samples(values, grid) * np.exp(params.kappa1 * grid.ts)
 
 
 def from_scaled(params: CknParams, grid: LogGrid, phi: np.ndarray) -> np.ndarray:
-    reach = abs(params.kappa1) * max(-grid.t_min, grid.t_max)
-    return phi * grid_exp(-params.kappa1 * grid.ts, "r^-kappa1", reach)
+    scale_rule(params, grid)
+    return phi * np.exp(-params.kappa1 * grid.ts)
 
 
 def keep_indices(n: int) -> np.ndarray:

@@ -231,9 +231,8 @@ def cmd_spectrum(args) -> int:
     if args.kmax < 0:
         raise CknError(f"need --kmax >= 0, got {args.kmax}")
     P = derive(args.dim, args.alpha, args.beta)
-    grid = make_grid(**_settings(args))
     modes = [variational.make_mode(P, k) for k in range(args.kmax + 1)]
-    _forms.from_scaled(P, grid, 1.0)        # mode_eigenpairs' r^{-kappa1} rule, before any solve
+    _forms.scale_rule(P, make_grid(**_settings(args)))      # the grid's rules, before any solve
     rows = []
     for mode in modes:      # eigenvalues only: no profile is printed, so none is sampled
         nus, residuals, iters, _ = spectral._mode_solve(P, mode)

@@ -33,19 +33,22 @@ RESIDUAL_MARGIN = 8
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Uniform grid in t = ln s, nodes s_i = exp(t_i); ts is cached and read-only."""
+    """Uniform grid in t = ln s, equal by its four scalars; ts (read-only) and nodes are lazy."""
 
     t_min: float
     t_max: float
     n: int
     h: float
-    nodes: np.ndarray
 
     @cached_property
     def ts(self) -> np.ndarray:
         ts = np.linspace(self.t_min, self.t_max, self.n)
         ts.flags.writeable = False
         return ts
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.exp(self.ts)
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,17 @@ def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
     if not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or not is_index(n) or n < 3 or n % 2 == 0:
         raise BadGridSpec(f"need -{T_LIMIT:.2f} <= t_min < t_max <= {T_LIMIT:.2f} and odd n >= 3,"
                           f" got ({t_min}, {t_max}, {n})")
-    h = (t_max - t_min) / (n - 1)
-    nodes = np.exp(np.linspace(t_min, t_max, n))
-    return LogGrid(t_min=float(t_min), t_max=float(t_max), n=int(n), h=h, nodes=nodes)
+    return LogGrid(t_min=float(t_min), t_max=float(t_max), n=int(n), h=(t_max - t_min) / (n - 1))
 
 
 def grid_exp(x, what: str, top=None):
     """e^x for x that grows with the grid: the one overflow rule.  BadGridSpec
-    before exp runs when top, max x unless the caller knows it, passes T_LIMIT.
-    An exponent that only underflows is legal."""
+    before exp runs when top, max x unless the caller knows it, passes T_LIMIT;
+    x = None tests top alone.  An exponent that only underflows is legal."""
     top = np.max(x) if top is None else top
     if top > T_LIMIT:
         raise BadGridSpec(f"{what} overflows: log {top:.4g} > {T_LIMIT:.2f}; narrow the grid")
-    return np.exp(x)
+    return None if x is None else np.exp(x)
 
 
 def grid_power(c, grid: LogGrid, what: str) -> np.ndarray:

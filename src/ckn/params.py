@@ -36,8 +36,8 @@ class RegionClass(enum.Enum):
 class CknParams:
     """Validated parameter point with every derived scalar.
 
-    On the p = 2 boundary (see on_rellich_line) the subcritical-only fields
-    m_exp, q_pow, M_dim and C_amp are NaN: the formulas divide by
+    On the p = 2 boundary (see on_rellich_line) the subcritical-only fields m_exp, q_pow, M_dim,
+    C_amp and log_C_amp (ln C_amp, finite where C_amp is not) are NaN: the formulas divide by
     alpha - beta - 2 there and no operation on that boundary uses them.
     """
 
@@ -54,6 +54,7 @@ class CknParams:
     m_exp: float
     nu: float
     C_amp: float
+    log_C_amp: float
     a_shift: float
     q_pow: float
     M_dim: float
@@ -200,20 +201,21 @@ def derive(N: int, alpha: float, beta: float) -> CknParams:
     if not on_rellich_line(alpha, beta):
         m_exp = (N + beta) / d
         q_pow, M_dim = exponents(N, alpha, beta)
+        log_C_amp = -(N + beta) / (4.0 * d) * math.log(amp_base)
         try:
             # the amplitude blows up as beta -> alpha - 2; inf is the honest value
-            C_amp = math.exp(-(N + beta) / (4.0 * d) * math.log(amp_base))
+            C_amp = math.exp(log_C_amp)
         except OverflowError:
             C_amp = math.inf
     else:
-        m_exp = q_pow = M_dim = C_amp = math.nan
+        m_exp = q_pow = M_dim = C_amp = log_C_amp = math.nan
 
     bfs = felli_schneider(N, alpha)
     region = next((r for r, holds in _region_rules(N, alpha, beta, lo, bfs) if holds),
                   RegionClass.CONJECTURED_SYMMETRY)
     return CknParams(N=N, alpha=alpha, beta=beta, gamma=gamma, p=p,
                      kappa1=kappa1, kappa2=kappa2, cal_B=cal_B,
-                     K2=K2, K0=K0, m_exp=m_exp, nu=nu, C_amp=C_amp,
+                     K2=K2, K0=K0, m_exp=m_exp, nu=nu, C_amp=C_amp, log_C_amp=log_C_amp,
                      a_shift=a_shift, q_pow=q_pow, M_dim=M_dim,
                      beta_fs=bfs, region=region)
 

@@ -42,7 +42,9 @@ class SpectralResult:
     """Eigenpair: profile of unit weighted mass (int U^{p-2} f^2 r^{gamma+N-1} dr = 1, trapezoid
     sum on its grid), positive at its first sample of at least 1e-3 of its peak.  eigenvalue is
     the Rayleigh quotient of the Fourier pencil, within 1e-12 (measured 7e-14) of
-    closedform.linearized_eigenvalue on any grid.  residual is that pencil's backward error
+    closedform.linearized_eigenvalue on any grid.  The profile carries the Lanczos stop to first
+    order, the eigenvalue squared (at LANCZOS_TOL = 1e-9 the mode-0 scaling direction at
+    (8, 3, -1.9) misses its closed form by 7.8e-12).  residual is that pencil's backward error
     ||A x - nu W x|| / ((||A|| + |nu| ||W||) ||x||), which ||A|| ~ xi_max^4 keeps small, so the
     accuracy rests on the derived domain and the closed-form tests, not on residual.  iters
     counts the steps, one matvec each, of the mode's one Lanczos run (_lanczos, at most
@@ -94,20 +96,20 @@ def _lanczos(op, v0: np.ndarray, count: int, tol: float, k: int):
     45, 1950; Parlett, The Symmetric Eigenvalue Problem, ch. 13), stopped from step 6 on once
     each Ritz residual beta_j |s_ji| is at most tol theta_i; NoConvergence past LANCZOS_STEPS."""
     V = np.empty((LANCZOS_STEPS + 1, len(v0)))
+    T = np.zeros((LANCZOS_STEPS + 1,) * 2)     # tridiagonal, upper half; last beta in column cap
     V[0] = v0 / np.linalg.norm(v0)
-    alpha, beta = [], []
     for j in range(LANCZOS_STEPS):
-        w = op(V[j])
-        alpha.append(V[j] @ w)                  # before the reorthogonalization removes it
+        basis, w = V[:j + 1], op(V[j])
+        T[j, j] = V[j] @ w                      # before the reorthogonalization removes it
         for _ in range(2):                      # one pass lost orthogonality at M = 802
-            w -= V[:j + 1].T @ (V[:j + 1] @ w)
-        beta.append(np.linalg.norm(w))
-        V[j + 1] = w / beta[j]
+            w -= basis.T @ (basis @ w)
+        T[j, j + 1] = beta = math.sqrt(w @ w)
+        V[j + 1] = w / beta
         if j >= 5:
-            thetas, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:j], 1), UPLO="U")
-            if np.all(beta[j] * np.abs(S[-1, -count:]) <= tol * thetas[-count:]):
+            thetas, S = np.linalg.eigh(T[:j + 1, :j + 1], UPLO="U")
+            if np.all(beta * np.abs(S[-1, -count:]) <= tol * thetas[-count:]):
                 # Fortran-ordered, so numpy sums each vector pairwise (_mode_solve's mass)
-                return thetas[:-count - 1:-1], (S[:, :-count - 1:-1].T @ V[:j + 1]).T, j + 1
+                return thetas[:-count - 1:-1], (S[:, :-count - 1:-1].T @ basis).T, j + 1
     raise NoConvergence(f"Lanczos on mode {k}: no convergence in {LANCZOS_STEPS} steps")
 
 
@@ -141,8 +143,9 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
 
     B_k has constant coefficients, so one Lanczos run in Fourier space, _mode_solve (all that
     ckn spectrum runs), finds them; the grid only samples the profiles: x's trigonometric
-    interpolants at its nodes, 0 outside [-L, L), mapped back by _forms.from_scaled; BadGridSpec
-    where the grid misses them or r^{-kappa1} overflows on it (before the solve)."""
+    interpolants at its nodes, 0 outside [-L, L), mapped back by _forms.from_scaled, accurate to
+    first order in the Lanczos stop (SpectralResult); BadGridSpec where the grid misses them or
+    r^{-kappa1} overflows on it (before the solve)."""
     require_subcritical(params, "mode_eigenpairs")
     back = _forms.from_scaled(params, grid, 1.0)
     nus, residuals, matvecs, (half, xi, parts, C) = _mode_solve(params, mode)
@@ -242,7 +245,7 @@ def spectral_gap(params: CknParams, grid: LogGrid) -> float:
     if params.region is not RegionClass.CRITICAL_UPPER_ALPHA_NEG:
         raise WrongRegion("spectral_gap is defined on the critical lower "
                           "boundary with 2 - N < alpha < 0")
-    _forms.from_scaled(params, grid, 1.0)
+    _forms.scale_rule(params, grid)
     value = _mode_solve(params, make_mode(params, 1))[0][0]
     if value <= params.p - 1.0:
         raise NoConvergence(f"gap surrogate {value} does not exceed p-1 = {params.p - 1.0}")

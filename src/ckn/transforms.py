@@ -99,18 +99,18 @@ def cosh_ansatz_check(params: CknParams) -> tuple[float, float, float]:
 
       1. m^4 nu^4 - K2 m^2 nu^2 + K0 = 0
       2. (m^2 + (m-2)^2) nu^2 - K2 = 0
-      3. C_cosh^{p-2} = m(m-1)(m-2)(m-3) nu^4
+      3. C_cosh^{p-2} = m(m-1)(m-2)(m-3) nu^4, in logs (ln C_cosh = log_C_amp + m ln 2)
 
     All three are < 1e-10 for admissible parameters away from beta = alpha-2.
     """
-    c, nu, m = cosh_constants(params)
-    K2, K0, p = params.K2, params.K0, params.p
+    require_subcritical(params, "the cosh ansatz")
+    nu, m, K2, K0, p = params.nu, params.m_exp, params.K2, params.K0, params.p
     t1 = m ** 4 * nu ** 4
     t2 = K2 * m ** 2 * nu ** 2
     r1 = abs(t1 - t2 + K0) / max(t1, t2, K0)
     r2 = abs((m ** 2 + (m - 2.0) ** 2) * nu ** 2 - K2) / K2
-    amp = m * (m - 1.0) * (m - 2.0) * (m - 3.0) * nu ** 4
-    r3 = abs(c ** (p - 2.0) - amp) / abs(amp)
+    log_amp = np.log(abs(m * (m - 1.0) * (m - 2.0) * (m - 3.0) * nu ** 4))
+    r3 = abs(np.expm1((p - 2.0) * (params.log_C_amp + m * np.log(2.0)) - log_amp))
     return r1, r2, r3
 
 

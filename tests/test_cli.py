@@ -140,10 +140,13 @@ class TestVerify:
         assert doc["seed"] == 42
 
     @pytest.mark.parametrize("point", [("8", "3", "-1.9"), ("6", "2", "-2.9"),
-                                       ("7", "0.053", "-1.971")])
+                                       ("7", "0.053", "-1.971"),
+                                       ("5", "1", "-1.001"), ("5", "-2.9", "-4.9001")])
     def test_ode_true_statements_exit_0(self, capsys, point):
-        # finite differences on t in [-10, 10], n = 1401, read 3.7e-7, 2.9e-7 and 2.3e-7 here
-        # and exited 1; ode_residual is now linearized_residual(P, 0, 0) on the derived domain
+        # finite differences on t in [-10, 10], n = 1401, read 3.7e-7, 2.9e-7 and 2.3e-7 at the
+        # first three and exited 1; ode_residual is now linearized_residual(P, 0, 0) on the
+        # derived domain.  At the last two C_cosh overflows (M = 8002) or underflows (M = 2002)
+        # and cosh relation 3 exited 2 with ScalarOverflow; it is now checked in logs
         N, a, b = point
         code, out = run(capsys, "verify", "ode", "-N", N, "-a", a, "-b", b, "--format", "json")
         assert code == 0
@@ -177,23 +180,6 @@ class TestVerify:
                 assert code == 2 and doc["error"] == "BadGridSpec", (suite, flag)
                 said.append(doc["message"].replace(suite, "SUITE"))
             assert said[0] == said[1], flag
-
-    def test_ode_overflowing_amplitude_exit_2(self, capsys):
-        # used to exit 1 with null values for cosh relation 3 and the residual
-        code, out = run(capsys, "verify", "ode", "-N", "5", "-a", "1", "-b", "-1.001",
-                        "--format", "json")
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["error"] == "ScalarOverflow" and "M = 8002" in doc["message"]
-
-    def test_ode_underflowing_amplitude_exit_2(self, capsys):
-        # C_amp underflows to 0 at M = 2002: used to exit 1 next to an ode_residual of 0
-        # "passed" on an all-zero profile
-        code, out = run(capsys, "verify", "ode", "-N", "5", "-a", "-2.9", "-b", "-4.9001",
-                        "--format", "json")
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["error"] == "ScalarOverflow" and "M = 2002" in doc["message"]
 
     def test_identities_at_negative_alpha_check_the_coefficient_identities(self, capsys):
         code, out = run(capsys, "verify", "identities", "-N", "5", "-a", "-1", "-b", "-3.5",
@@ -362,7 +348,43 @@ class TestVerify:
         assert json.loads(out)["error"] == "BadGridSpec"
 
 
+#: ckn spectrum --format json rows, (k, index, float.hex of eigenvalue and residual, iters), as
+#: the Lanczos run with a tridiagonal rebuilt each step printed them: the README line, then 20
+#: whole-region points (default_rng(4032): N = 5..8, alpha uniform in (2.05 - N, 4), beta
+#: uniform in [beta_lower, alpha - 2)) at --kmax 2
+SPECTRUM_PINS = json.loads(Path(__file__).with_name("spectrum_pins.json").read_text())
+
+
 class TestSpectrum:
+    @pytest.mark.parametrize("pin", SPECTRUM_PINS,
+                             ids=["readme", *map(str, range(1, len(SPECTRUM_PINS)))])
+    def test_rows_are_pinned_bit_for_bit(self, capsys, pin):
+        code, out = run(capsys, "spectrum", *pin["argv"], "--format", "json")
+        assert code == 0
+        assert [[r["k"], r["index"], float(r["eigenvalue"]).hex(), float(r["residual"]).hex(),
+                 r["iters"]] for r in json.loads(out)["rows"]] == pin["rows"]
+
+    def test_reads_no_node_of_the_grid(self, capsys, monkeypatch):
+        # the grid flags feed only the closed-form r^{-kappa1} rule: ts and nodes stay unevaluated
+        grids = []
+        monkeypatch.setattr(cli, "make_grid", lambda **kw: grids.append(ckn.make_grid(**kw))
+                            or grids[-1])
+        code, _ = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--format", "json")
+        assert code == 0 and len(grids) == 1
+        assert "ts" not in vars(grids[0]) and "nodes" not in vars(grids[0])
+
+    @pytest.mark.parametrize("step, code", [(1e-9, 2), (-1e-9, 0)])
+    def test_overflow_rule_at_its_edge(self, capsys, monkeypatch, step, code):
+        # kappa1 = 3 at (5, 1, -3): r^{-kappa1} overflows past t = T_LIMIT/3, and on that side no
+        # Lanczos step runs
+        runs = count_matvecs(monkeypatch)
+        got, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "0",
+                       f"--t-max={ckn.numerics.T_LIMIT / 3.0 + step!r}", "--format", "json")
+        assert got == code and (runs == []) == (code == 2)
+        if code == 2:
+            assert json.loads(out) == {"error": "BadGridSpec", "message":
+                                       "r^-kappa1 overflows: log 709.8 > 709.78; narrow the grid"}
+
     def test_negative_kmax_exit_2(self, capsys):
         # exited 0 with an empty rows list
         code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "-1",

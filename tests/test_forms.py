@@ -8,7 +8,7 @@ import ckn
 from ckn import _forms, numerics
 from ckn.closedform import ExtremalSpec, extremal_u
 from ckn.cli import main
-from ckn.errors import GridTooSmall
+from ckn.errors import BadGridSpec, GridTooSmall
 
 POINTS = [(5, 1.0, -3.0), (6, -3.0, -5.4), (7, 1.5, -2.0), (8, -2.0, -4.5), (5, -2.5, -4.6)]
 # (lambda_k, n, half-width of the t domain)
@@ -99,3 +99,20 @@ def test_mass_vector_finite_where_the_amplitude_overflows():
     P = ckn.derive(5, 1.0, -1.001)
     d = _forms.mass_vector(P, ckn.make_grid(-700.0, 700.0, 4001))
     assert np.isfinite(d).all() and d.min() > 0.0
+
+
+@pytest.mark.parametrize("step", [1e-9, -1e-9])
+def test_scale_rule_at_its_edge(step):
+    # |kappa1| max(-t_min, t_max) against T_LIMIT, from the grid's ends: kappa1 = 3 at
+    # (5, 1, -3), so just past T_LIMIT/3 it raises from_scaled's message, and just short of it
+    # from_scaled is finite
+    P = ckn.derive(5, 1.0, -3.0)
+    grid = ckn.make_grid(-3.0, numerics.T_LIMIT / 3.0 + step, 11)
+    if step < 0:
+        _forms.scale_rule(P, grid)
+        assert np.isfinite(_forms.from_scaled(P, grid, 1.0)).all()
+        return
+    for rule in (_forms.scale_rule, lambda *a: _forms.from_scaled(*a, 1.0)):
+        with pytest.raises(BadGridSpec) as err:
+            rule(P, grid)
+        assert str(err.value) == "r^-kappa1 overflows: log 709.8 > 709.78; narrow the grid"

@@ -54,6 +54,22 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             g.ts[0] = 0.0
 
+    @pytest.mark.parametrize("t_min, t_max, n", [(-3.0, 2.0, 11), (-14.0, 14.0, 4001),
+                                                 (-T_LIMIT, T_LIMIT, 5)])
+    def test_nodes_evaluated_on_first_read(self, t_min, t_max, n):
+        # make_grid takes no exponential; nodes, like ts, are cached on first read, bit for bit
+        # the exp of the linspace that make_grid used to store
+        g = make_grid(t_min, t_max, n)
+        assert "nodes" not in vars(g) and "ts" not in vars(g)
+        assert g.nodes.tobytes() == np.exp(np.linspace(t_min, t_max, n)).tobytes()
+        assert g.nodes is g.nodes
+
+    def test_grids_hash_and_compare_by_their_scalars(self):
+        a, b = make_grid(-3.0, 2.0, 11), make_grid(-3.0, 2.0, 11)
+        b.nodes                                 # a cached array takes no part
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, make_grid(-3.0, 2.0, 13), make_grid(-3.0, 2.5, 11)}) == 3
+
 
 class TestDifferentiate:
     def test_constant(self):

@@ -271,6 +271,14 @@ class TestRightSizedLanczos:
         assert np.abs(np.abs(Y[:2]) - np.eye(2)).max() < 1e-12 and Y.flags.f_contiguous
         assert 6 <= steps < spectral.LANCZOS_STEPS
 
+    def test_step_cap_raises_no_convergence(self, monkeypatch):
+        # the tridiagonal holds cap + 1 columns, as the last step's beta lands in column cap:
+        # a cap of 5 ends before the first stop test, with NoConvergence, never an IndexError
+        monkeypatch.setattr(spectral, "LANCZOS_STEPS", 5)
+        d = 1.0 / np.arange(1.0, 201.0)
+        with pytest.raises(NoConvergence, match="mode 3: no convergence in 5 steps"):
+            spectral._lanczos(lambda y: d * y, np.ones(200), 1, 1e-12, 3)
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_solves_per_mode(self, p513, grid, k):
         # the run sized to LANCZOS_TOL stops at 9, 8 and 9 matvecs here

@@ -92,6 +92,16 @@ class TestCoshAnsatz:
         with pytest.raises(ScalarOverflow, match="M = 8002"):
             cosh_constants(ckn.derive(5, 1.0, -1.001))
 
+    @pytest.mark.parametrize("point, M", [((5, 1.0, -1.001), "8002"), ((5, -2.9, -4.9001), "2002")])
+    def test_relations_hold_where_the_amplitude_leaves_the_float_range(self, point, M):
+        # C_cosh overflows at M = 8002 and underflows to 0 at M = 2002, so relation 3 raised
+        # ScalarOverflow; in logs it reads 1.3e-13 and 3.2e-13, relations 1 and 2 below 3e-15
+        P = ckn.derive(*point)
+        with pytest.raises(ScalarOverflow, match=f"M = {M}"):
+            cosh_constants(P)
+        r1, r2, r3 = cosh_ansatz_check(P)
+        assert r1 < 3e-15 and r2 < 3e-15 and r3 < 1e-12
+
 
 class TestDimensionM:
     def test_extremal_maps_to_standard_bubble(self, p512, grid):
