@@ -177,9 +177,8 @@ def cmd_verify(args) -> int:
                            identities.verify_hardy_identity(profs, range(4), P.N)))
         check("iid_worst_relerr", max(i[2] for i, _ in results), 1e-5)
         check("hardy_worst_relerr", max(h[2] for _, h in results), 1e-5)
-        alphas = np.linspace(2 - P.N + 1e-3, 3.0, 200)
-        sign_ok = all(identities.xi_sign(P.N, a)[1] == int(a > 0) - int(a < 0)
-                      for a in alphas)
+        sign_ok = all(identities.xi_sign(P.N, a)[1] == (a > 0) - (a < 0)
+                      for a in np.linspace(2 - P.N + 1e-3, 3.0, 200).tolist())
         check("xi_sign_matches_sign_alpha", 0.0, 0.0, ok=sign_ok)
         worst_s = max(abs(s - closedform.rellich_constant_alt(P.N, a)) / s
                       for a in np.linspace(2 - P.N + 0.1, 4.0, 50).tolist()
@@ -259,26 +258,28 @@ def cmd_region_map(args) -> int:
         raise CknError(f"empty or inverted ranges: alpha {args.alpha_range}, "
                        f"beta {args.beta_range}, resolution {res}")
     alphas, betas = np.linspace(a_lo, a_hi, res), np.linspace(b_lo, b_hi, res)
-    # scalar curves, once per alpha: beta_fs and every tie match derive() bit for bit
-    bfs = [felli_schneider(N, float(a)) for a in alphas]
-    lo = [beta_lower(N, float(a)) for a in alphas]
+    bfs = [felli_schneider(N, a) for a in alphas.tolist()]    # scalar, so ties match derive()
     a, b = alphas[:, None], betas[None, :]
-    codes, names = regions(N, a, b, np.array(lo)[:, None], np.array(bfs)[:, None])
+    codes, names = regions(N, a, b, beta_lower(N, a), np.array(bfs)[:, None])
+    sv, signed = np.full(codes.shape, 3), codes >= 2    # Invalid and RellichBoundary: no sign
     with np.errstate(all="ignore"):
-        sv = np.sign(second_variation_gap(N, *exponents(N, a, b))).astype(int) + 1
-    sv[codes < 2] = 3       # the first two rules, Invalid and RellichBoundary, carry no sign
+        sv[signed] = np.sign(second_variation_gap(N, *exponents(
+            N, *(np.broadcast_to(x, codes.shape)[signed] for x in (a, b))))).astype(int) + 1
     as_json = args.format == "json"
     sv_text = ["-1", "0", "1", '""' if as_json else ""]
-    num = _to_json if as_json else _fmt         # json writes NaN and inf as null
-    bs, fs, pres = ([num(float(x)) for x in v] for v in (betas, bfs, alphas))
+    bs, fs, als = ([f"{x:.17g}" if math.isfinite(x) or not as_json else "null" for x in v]
+                   for v in (betas.tolist(), bfs, alphas.tolist()))     # json: NaN, inf as null
     # A cell is pre(alpha) + beta + suf(beta_fs, tag, sv_sign), cells are joined by sep, and
     # along a row tag and sign stay equal over long runs: one str.join writes a run.
     head, pre, suf, sep, tail = _MAP_TEXT["json" if as_json else "csv"]
-    rows, cols = np.nonzero(np.diff(codes * 4 + sv, axis=1, prepend=-1))    # run starts
+    pres = [pre.format(x) for x in als]
+    halves = [[suf.format(f="\0", tag=t, v=x).split("\0") for x in sv_text] for t in names]
+    key = codes * 4 + sv            # run starts: column 0 and every change of key along a row
+    rows, cols = np.nonzero(np.hstack((key[:, :1] >= 0, key[:, 1:] != key[:, :-1])))
     out = [head.format(N=N)]
     for i, j, e, c, v in zip(rows.tolist(), cols.tolist(), np.append(cols[1:], 0).tolist(),
                              codes[rows, cols].tolist(), sv[rows, cols].tolist()):
-        p, s = pre.format(pres[i]), suf.format(f=fs[i], tag=names[c], v=sv_text[v])
+        p, s = pres[i], fs[i].join(halves[c][v])     # suf with its beta_fs, tag and sign
         out += [p, (s + sep + p).join(bs[j:e or res]), s, sep]     # e = 0: the row ends
     out[-1] = tail
     sys.stdout.writelines(out)

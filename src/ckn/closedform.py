@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import EpsOutOfRange, MOutOfRange, NonPositiveRadius, ScalarOverflow
+from .errors import EpsOutOfRange, GridTooSmall, MOutOfRange, NonPositiveRadius, ScalarOverflow
 from .numerics import LogGrid
 from .params import CknParams, check_alpha, check_dimension, check_index, require_subcritical
 
@@ -27,7 +27,7 @@ __all__ = [
     "omega_sphere", "radial_constant_sr", "rellich_constant",
     "rellich_constant_alt", "critical_constant", "linearized_mode",
     "linearized_degree", "linearized_eigenvalue", "rellich_test_quotient", "rellich_limit_grid",
-    "RAMP_WIDTH",
+    "RAMP_WIDTH", "RAMP_NODES",
 ]
 
 
@@ -231,6 +231,8 @@ def linearized_eigenvalue(params: CknParams, k: int, n: int = 0) -> float:
 #: Width (in t = ln r) of the quintic cutoff ramp used by the Rellich
 #: test sequence; the ramp spans r in [1, e^RAMP_WIDTH].
 RAMP_WIDTH = 12.0
+#: Fewest grid steps per ramp accepted: below 12 the quotient is off by 1-75 %, from 20 by 1.7e-3.
+RAMP_NODES = 24
 
 
 def _cutoff(t: np.ndarray, L: float = RAMP_WIDTH):
@@ -258,9 +260,9 @@ def rellich_test_quotient(N: int, eps, grid: LogGrid) -> float | list[float]:
 
         int |x|^4 |div(|x|^{-2} grad u_eps)|^2 dx / int |x|^{-4} u_eps^2 dx,
 
-    with the fixed cutoff of _cutoff.  Decreases to ((N-4)/2)^4 as eps -> 0+;
-    the grid must reach far below r = 1 (see rellich_limit_grid) because the
-    mass concentrates near the origin like r^{2 eps - 1}.
+    with the fixed cutoff of _cutoff.  Decreases to ((N-4)/2)^4 as eps -> 0+; the grid must
+    reach far below r = 1 (see rellich_limit_grid), as the mass concentrates near the origin
+    like r^{2 eps - 1}, and give the ramp RAMP_NODES steps or more (GridTooSmall otherwise).
 
     One eps gives a float, a flat sequence (tuple, list, ndarray) the list of quotients.
     Every eps is checked (0 < eps < 1/2, EpsOutOfRange) before any is evaluated; one cutoff
@@ -271,6 +273,8 @@ def rellich_test_quotient(N: int, eps, grid: LogGrid) -> float | list[float]:
     if es.ndim != 1 or not np.all((0 < es) & (es < 0.5)):
         raise EpsOutOfRange(f"need 0 < eps < 1/2, one or a flat sequence, got {eps}")
     N = check_dimension(N)
+    if RAMP_WIDTH / grid.h < RAMP_NODES:
+        raise GridTooSmall(f"cutoff ramp spans {RAMP_WIDTH / grid.h:.3g} steps, need {RAMP_NODES}")
     if not es.size:
         return []
     sigma = es[:, None] - (N - 4.0) / 2.0

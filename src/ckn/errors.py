@@ -34,7 +34,7 @@ class BadGridSpec(CknError):
 
 
 class GridTooSmall(CknError):
-    """Grid has too few nodes for the requested stencil."""
+    """Grid has too few nodes for the requested stencil or cutoff ramp."""
 
 
 class NonPositiveArgument(CknError):

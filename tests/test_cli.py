@@ -130,7 +130,31 @@ class TestConstants:
         assert vals["S_r"] == f"{ckn.radial_constant_sr(ckn.derive(5, 1.0, -2.0)):.17g}"
 
 
+#: verify identities and verify equivalence --format json checks, (name, float.hex of value and
+#: tolerance, pass), as they were printed before the identity suites took their derivatives
+#: without wrapper copies: the README lines, then 20 whole-region points (default_rng(4034):
+#: N = 5..8, alpha uniform in (2.05 - N, 4), beta uniform in [beta_lower, alpha - 2), a drawn
+#: --seed) under both suites.  9 of them exit 1 with TailInadequate, which is pinned as well.
+IDENTITY_PINS = json.loads(Path(__file__).with_name("identity_pins.json").read_text())
+
+
+def _hex(value):
+    return [float(v).hex() for v in value] if isinstance(value, list) else float(value).hex()
+
+
 class TestVerify:
+    @pytest.mark.parametrize("pin", IDENTITY_PINS, ids=[f"{p['suite']}-{i}"
+                                                        for i, p in enumerate(IDENTITY_PINS)])
+    def test_identity_suites_are_pinned_bit_for_bit(self, capsys, pin):
+        code, out = run(capsys, "verify", pin["suite"], *pin["argv"], "--format", "json")
+        doc = json.loads(out)
+        assert code == pin["code"]
+        if "error" in pin:
+            assert doc["error"] == pin["error"]
+        else:
+            assert [[c["check"], _hex(c["value"]), _hex(c["tolerance"]), c["pass"]]
+                    for c in doc["checks"]] == pin["checks"]
+
     def test_ode_suite_passes(self, capsys):
         code, out = run(capsys, "verify", "ode", "-N", "5", "-a", "1", "-b", "-2",
                         "--format", "json")
@@ -270,6 +294,19 @@ class TestVerify:
         if code:
             doc = json.loads(out)
             assert doc["error"] == "CknError" and "seed" in doc["message"]
+
+    def test_rellich_limit_coarse_grid_exits_2(self, capsys):
+        # -n 5 printed quotients 0.0256 .. 0.0624, below the sharp 1/16, and exited 1 with two
+        # failed checks: a false verdict on a theorem.  The cutoff ramp needs RAMP_NODES steps
+        for n in ("5", "79", "829"):
+            code, out = run(capsys, "verify", "rellich-limit", "-N", "5", "-n", n,
+                            "--format", "json")
+            doc = json.loads(out)
+            assert code == 2 and doc["error"] == "GridTooSmall"
+            assert "cutoff ramp spans" in doc["message"]
+        code, out = run(capsys, "verify", "rellich-limit", "-N", "5", "-n", "831",
+                        "--format", "json")
+        assert code == 0 and json.loads(out)["pass"] is True
 
     def test_rellich_limit_csv_is_rfc4180(self, capsys):
         # the quotients list is one quoted field: every row has the header's 4 fields

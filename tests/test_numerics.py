@@ -11,7 +11,8 @@ from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInade
 from ckn.numerics import (RESIDUAL_MARGIN, T_LIMIT, RadialProfile, _fd_weights,
                           checked_integrals, checked_sums, diff_matrix, differentiate,
                           even_residual, gamma_fn, grid_exp, grid_power, integrate, make_grid,
-                          require_tail, simpson_terms, simpson_weights, tail_fraction, tail_nodes)
+                          require_tail, simpson_terms, simpson_weights, tail_fraction, tail_nodes,
+                          with_derivatives)
 from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
 from conftest import ORACLE
 from test_forms import GRIDS
@@ -180,6 +181,36 @@ class TestStencilKernel:
             d2 = D @ v
             want = np.abs(D @ d2 - K2 * d2 + K0 * v - rhs)[RESIDUAL_MARGIN:-RESIDUAL_MARGIN].max()
             assert even_residual(v, g, K2, K0, rhs) == float(want)
+
+
+class TestWithDerivatives:
+    """with_derivatives builds its profile directly from check_samples and apply_rows, with no
+    differentiate round trip: the same bits, errors and inputs as differentiate gives."""
+
+    @pytest.mark.parametrize("n, width", STENCIL_GRIDS)
+    def test_bit_equal_to_differentiate(self, n, width):
+        g = make_grid(-width, width, n)
+        for v in spread_samples(g, n):
+            kept = v.copy()
+            prof = RadialProfile(grid=g, values=v)
+            got = with_derivatives(prof)
+            assert got.grid is g and got.values.tobytes() == kept.tobytes()
+            for d, order in ((got.d1, 1), (got.d2, 2)):
+                assert d.tobytes() == differentiate(prof, order).values.tobytes()
+            assert prof.d1 is None and prof.d2 is None and v.tobytes() == kept.tobytes()
+
+    def test_filled_profile_is_returned_unchanged(self):
+        g = make_grid(-2.0, 2.0, 21)
+        prof = with_derivatives(RadialProfile(grid=g, values=np.exp(-g.ts ** 2)))
+        assert with_derivatives(prof) is prof
+        half = RadialProfile(grid=g, values=prof.values, d1=prof.d1)      # d2 missing: both
+        assert with_derivatives(half).d2.tobytes() == prof.d2.tobytes()
+
+    @pytest.mark.parametrize("values", [np.ones(20), np.ones(22), np.ones((2, 21)), np.ones(())])
+    def test_wrong_shape_is_bad_grid_spec(self, values):
+        g = make_grid(-2.0, 2.0, 21)
+        with pytest.raises(BadGridSpec, match="need 21 samples"):
+            with_derivatives(RadialProfile(grid=g, values=values))
 
 
 class TestIntegrate:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckn import cli
 from ckn.cli import _fmt, main
 from ckn.params import (RegionClass, beta_lower, exponents, felli_schneider, regions,
                         second_variation_gap)
@@ -67,6 +68,14 @@ def assert_matches_reference(N, alpha_range, beta_range, res):
         assert first_difference(out.getvalue(), want) is None, fmt
 
 
+def classified(N, alpha_range, beta_range, res):
+    """The window's alpha and beta axes, each cell's rule index and the tag of each index."""
+    alphas, betas = np.linspace(*alpha_range, res), np.linspace(*beta_range, res)
+    lo = np.array([beta_lower(N, float(a)) for a in alphas])[:, None]
+    bfs = np.array([felli_schneider(N, float(a)) for a in alphas])[:, None]
+    return (alphas, betas, *regions(N, alphas[:, None], betas[None, :], lo, bfs))
+
+
 @st.composite
 def windows(draw):
     """A window whose first or last alpha row may put a beta grid end exactly on
@@ -120,10 +129,45 @@ def test_tie_windows(N, alpha_range, beta_range, res):
 
 def test_tie_windows_hit_every_tag():
     tags = set()
-    for N, alpha_range, beta_range, res in _tie_windows():
-        alphas, betas = np.linspace(*alpha_range, res), np.linspace(*beta_range, res)
-        lo = np.array([beta_lower(N, float(a)) for a in alphas])[:, None]
-        bfs = np.array([felli_schneider(N, float(a)) for a in alphas])[:, None]
-        codes, names = regions(N, alphas[:, None], betas[None, :], lo, bfs)
+    for window in _tie_windows():
+        _, _, codes, names = classified(*window)
         tags |= {names[c] for c in np.unique(codes)}
     assert tags == {r.value for r in RegionClass}
+
+
+#: (window, least Invalid share, least signed share): the signs are evaluated on signed cells
+#: only, so these stress a window with almost none, one with no other and |alpha| near 1e150
+LEAN_WINDOWS = [
+    ((6, (-3.9, -1.0), (-8.0, 4.0), 60), 0.9, 0.0),
+    ((6, (0.5, 2.0), (-2.9, -1.6), 40), 0.0, 1.0),
+    ((6, (-1e150, 1e150), (-2e150, 1e150), 50), 0.9, 0.0),
+    ((7, (1e150, 1.5e150), (5e149, 1e150), 30), 0.0, 0.4),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("window,invalid,signed", LEAN_WINDOWS,
+                         ids=["mostly-invalid", "all-signed", "huge-wide", "huge-signed"])
+def test_lean_windows(window, invalid, signed):
+    codes = classified(*window)[2]
+    assert (codes == 0).mean() >= invalid and (codes >= 2).mean() >= signed
+    assert_matches_reference(*window)
+
+
+@pytest.mark.parametrize("window", [w for w, _, _ in LEAN_WINDOWS] + _tie_windows()[:7])
+def test_signs_only_on_signed_cells(monkeypatch, window):
+    # second_variation_gap gets exactly the cells whose tag carries a sign: rules 2 and on, not
+    # Invalid or RellichBoundary, once per map
+    seen, sizes = [], []
+    exponents, gap = cli.exponents, cli.second_variation_gap
+    monkeypatch.setattr(cli, "exponents", lambda N, a, b: seen.append((a, b)) or exponents(N, a, b))
+    monkeypatch.setattr(cli, "second_variation_gap",
+                        lambda N, q, M: sizes.append(np.size(q)) or gap(N, q, M))
+    N, alpha_range, beta_range, res = window
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["region-map", "-N", str(N), "--alpha-range={!r}:{!r}".format(*alpha_range),
+                     "--beta-range={!r}:{!r}".format(*beta_range), "--resolution", str(res)]) == 0
+    alphas, betas, codes, _ = classified(*window)
+    i, j = np.nonzero(codes >= 2)
+    (a, b), = seen
+    assert sizes == [i.size] and np.array_equal(a, alphas[i]) and np.array_equal(b, betas[j])
