@@ -10,10 +10,8 @@ The spectrum uses no grid form: B_k is diagonal in Fourier space, so spectral.mo
 divides by its symbol on a domain derived from the decay of the eigenfunctions, with
 mass_weight as the mass.  The radial minimizer works on the caller's grid:
 
-- form quadrature uses trapezoid weights on purpose: the 4-2-4 alternation of composite
-  Simpson weights lets a minimizer shave a quadratic form by 8/9 with a grid-frequency
-  modulation of the operator image; trapezoid weights cannot be gamed and are spectrally
-  accurate for the decaying integrands here;
+- forms sum with trapezoid weights, the one rule of every integral in t: equal weights that a
+  minimizer cannot game, spectrally accurate for the decaying integrands here;
 - the two outermost nodes on each side are clamped (phi = 0): without the clamp the discrete
   kernel of B_k admits truncated exponentials e^{kappa1 t}, e^{-kappa2 t}, which are not limits
   of admissible functions and show up as spurious near-zero energies;

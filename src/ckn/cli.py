@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-range", required=True, help="lo:hi")
     p.add_argument("--resolution", type=int, required=True, help="cells per axis")
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="csv",
+                   help="text writes csv")
     p.set_defaults(fn=cmd_region_map)
 
     p = sub.add_parser("minimize", help="radial quotient minimization")

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import BadGridSpec, CknError, MaxIters, ScalarOverflow, WeightOutOfRange
-from .numerics import (RadialProfile, checked_sums, grid_power, simpson_terms, tail_nodes,
+from .numerics import (RadialProfile, checked_sums, grid_power, quadrature_terms, tail_nodes,
                        with_derivatives)
 from .params import CknParams, check_alpha, check_index
 
@@ -39,7 +39,7 @@ def _per_profile(prof, k, N: int, each):
         out = list(each(prof.grid, [prof], lams))
         return out[0] if one else out
     profs = list(prof)
-    if len({(p.grid.t_min, p.grid.t_max, p.grid.n) for p in profs}) > 1:
+    if len({p.grid for p in profs}) > 1:
         raise BadGridSpec("the profiles of one call must share one grid")
     return each(profs[0].grid, profs, lams) if profs else iter(())
 
@@ -71,7 +71,7 @@ def verify_iid(v_mode, k, N: int):
     """Check int |x|^4 |Delta u|^2 dx = int |Delta v|^2 dx for u = |x|^{-2} v, mode by
     mode: (lhs, rhs, relative error) per profile and mode (_per_profile)."""
     def each(grid, profs, lams):
-        rows = simpson_terms(np.ones(grid.n), grid, np.array([N - 1.0, N - 5.0]))
+        rows = quadrature_terms(np.ones(grid.n), grid, np.array([N - 1.0, N - 5.0]))
         r2 = grid_power(-2.0, grid, "r^-2")
         for v in map(with_derivatives, profs):
             u = with_derivatives(RadialProfile(grid=grid, values=v.values * r2))
@@ -86,7 +86,7 @@ def verify_hardy_identity(w_mode, k, N: int):
     """Check the dilation identity (N-2) int |grad w|^2 = 2 int Delta w (x . grad w), mode
     by mode: (lhs, rhs, relative error) per profile and mode (_per_profile)."""
     def each(grid, profs, lams):
-        row = simpson_terms(np.ones(grid.n), grid, N - 3.0)
+        row = quadrature_terms(np.ones(grid.n), grid, N - 3.0)
         for w in map(with_derivatives, profs):
             # |grad w|^2 = w'^2 + lambda w^2; Delta w (x . grad w) = (w'' + (N-2) w' - lambda w) w'
             with np.errstate(invalid="ignore", over="ignore"):    # as in _squares
@@ -208,7 +208,7 @@ def equivalence_ratio(u_mode, k, params: CknParams):
     equivalence_bounds(params).  One ratio per profile and mode (see _per_profile).
     """
     def each(grid, profs, lams):
-        row = simpson_terms(np.ones(grid.n), grid, 2.0 * params.kappa1 - 1.0)
+        row = quadrature_terms(np.ones(grid.n), grid, 2.0 * params.kappa1 - 1.0)
         for u in map(with_derivatives, profs):
             sq = np.stack([_squares(u, c, row, lams)
                            for c in (params.N - 2.0, params.N + params.alpha - 2.0)], 1)
@@ -233,7 +233,7 @@ def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
     if not a_w < (N - 2.0) / 2.0:
         raise WeightOutOfRange(f"need a < (N-2)/2 = {(N - 2) / 2}, got {a_w}")
     u = with_derivatives(u_mode)
-    s = _sums(u.d1, u.values, simpson_terms(np.ones(u.grid.n), u.grid, N - 2.0 * a_w - 3.0),
+    s = _sums(u.d1, u.values, quadrature_terms(np.ones(u.grid.n), u.grid, N - 2.0 * a_w - 3.0),
               u.grid.h)
     (lhs,) = next(checked_sums(*s[:, 2:], ("weighted_hardy lhs",)))
     return lhs, (2.0 / (N - 2.0 * a_w - 2.0)) ** 2 * float(s[0, 0] + k * (N - 2 + k) * s[0, 2])

@@ -67,7 +67,8 @@ class RadialProfile:
 
 def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
               n: int = DEFAULT_N) -> LogGrid:
-    """Uniform log grid: -T_LIMIT <= t_min < t_max <= T_LIMIT, n odd >= 3 (Simpson) by is_index."""
+    """Uniform log grid: -T_LIMIT <= t_min < t_max <= T_LIMIT, n odd >= 3 by is_index.  Odd n
+    is the CLI's input contract, not a need of the quadrature: an even -n exits 2."""
     if not (-T_LIMIT <= t_min < t_max <= T_LIMIT) or not is_index(n) or n < 3 or n % 2 == 0:
         raise BadGridSpec(f"need -{T_LIMIT:.2f} <= t_min < t_max <= {T_LIMIT:.2f} and odd n >= 3,"
                           f" got ({t_min}, {t_max}, {n})")
@@ -193,25 +194,18 @@ def with_derivatives(profile: RadialProfile) -> RadialProfile:
     return RadialProfile(grid, values, *(apply_rows(diff_rows(grid.h, k), values) for k in (1, 2)))
 
 
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
     return w
 
 
-def simpson_terms(samples: np.ndarray, grid: LogGrid, weight_exp) -> np.ndarray:
-    """Terms S_i e^{(w+1) t_i} h_i of the Simpson sum for int_0^inf f(s) s^w ds,
+def quadrature_terms(samples: np.ndarray, grid: LogGrid, weight_exp) -> np.ndarray:
+    """Terms S_i e^{(w+1) t_i} h_i of the trapezoid sum for int_0^inf f(s) s^w ds,
     samples S in the last axis; weight_exp is one w or an array of them that
     broadcasts against samples.shape[:-1].  The sums are integrate's values."""
     terms = samples * grid_power(np.asarray(weight_exp, dtype=float) + 1.0, grid, "s^(w+1)")
-    terms *= simpson_weights(grid.n, grid.h)
+    terms *= trapezoid_weights(grid.n, grid.h)
     return terms
 
 
@@ -234,18 +228,19 @@ def mass_and_tail(terms: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
-    """Composite Simpson value of  int_0^inf f(s) s^w ds  from samples of f.
+    """Trapezoid value of  int_0^inf f(s) s^w ds  from samples of f.
 
-    Computed as int f(e^t) e^{(w+1)t} dt; the caller guarantees that both
+    Computed as int f(e^t) e^{(w+1)t} dt with equal weights, spectrally accurate for integrands
+    that decay at both ends (a Gaussian in t to rounding); the caller guarantees that both
     tails are negligible on the grid (see tail_fraction).  Samples under check_samples.
     """
-    return float(simpson_terms(check_samples(samples, grid), grid, weight_exp).sum())
+    return float(quadrature_terms(check_samples(samples, grid), grid, weight_exp).sum())
 
 
 def tail_fraction(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> float:
     """Fraction of the integral's absolute mass carried by the outermost
     TAIL_WIDTH of t at each end; samples under check_samples."""
-    terms = simpson_terms(np.abs(check_samples(samples, grid)), grid, weight_exp)
+    terms = quadrature_terms(np.abs(check_samples(samples, grid)), grid, weight_exp)
     return float(tail_share(*mass_and_tail(terms, grid.h)))
 
 
@@ -268,13 +263,13 @@ def gamma_fn(x: float) -> float:
 
 def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float, what: str) -> None:
     """Raise TailInadequate when the tail diagnostic exceeds TAIL_TOL."""
-    checked_integrals(simpson_terms(np.abs(samples), grid, weight_exp), grid.h, (what,))
+    checked_integrals(quadrature_terms(np.abs(samples), grid, weight_exp), grid.h, (what,))
 
 
 def checked_integrals(terms: np.ndarray, h: float, whats: tuple[str, ...]) -> np.ndarray:
-    """Integrals of nonnegative quadrature terms on nodes h apart (simpson_terms, or
-    trapezoid weights times samples), terms[c, ...] for the check named whats[c], after
-    the one tail rule (checked_sums)."""
+    """Integrals of nonnegative trapezoid terms on nodes h apart (quadrature_terms, or the
+    weights times samples in t), terms[c, ...] for the check named whats[c], after the one
+    tail rule (checked_sums)."""
     total, tail = mass_and_tail(terms, h)
     list(checked_sums(total, tail, whats))
     return total

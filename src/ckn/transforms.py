@@ -149,7 +149,7 @@ def rayleigh_m(v: RadialProfile, M: float) -> float:
     p_m = 2.0 * M / (M - 4.0)
     vv = numerics.with_derivatives(v)
     lap = vv.d2 + (M - 2.0) * vv.d1          # s^2 * (v'' + (M-1)/s v')
-    num, den = numerics.checked_integrals(numerics.simpson_terms(
+    num, den = numerics.checked_integrals(numerics.quadrature_terms(
         np.array([lap ** 2, np.abs(v.values) ** p_m]), v.grid, np.array([M - 5.0, M - 1.0])),
         v.grid.h, ("rayleigh_m numerator", "rayleigh_m denominator"))
     if not den > 0:

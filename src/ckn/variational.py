@@ -199,6 +199,6 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     for j in range(len(cosines)):   # |u + t f cos|^p in place; a broadcast add takes a buffer
         radial[j] += u
     radial = wq @ np.power(np.abs(radial, out=radial), p, out=radial)   # over the sphere
-    den = om_sub * float(numerics.checked_integrals(numerics.simpson_terms(
+    den = om_sub * float(numerics.checked_integrals(numerics.quadrature_terms(
         radial, grid, -1.0), grid.h, ("perturbed quotient denominator",)))
     return numerator / den ** (2.0 / p)

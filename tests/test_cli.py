@@ -131,10 +131,11 @@ class TestConstants:
 
 
 #: verify identities and verify equivalence --format json checks, (name, float.hex of value and
-#: tolerance, pass), as they were printed before the identity suites took their derivatives
-#: without wrapper copies: the README lines, then 20 whole-region points (default_rng(4034):
-#: N = 5..8, alpha uniform in (2.05 - N, 4), beta uniform in [beta_lower, alpha - 2), a drawn
-#: --seed) under both suites.  9 of them exit 1 with TailInadequate, which is pinned as well.
+#: tolerance, pass), as printed once every integral summed with trapezoid weights (re-taken when
+#: Simpson's rule went; no exit code or pass moved): the README lines, then 20 whole-region
+#: points (default_rng(4034): N = 5..8, alpha uniform in (2.05 - N, 4), beta uniform in
+#: [beta_lower, alpha - 2), a drawn --seed) under both suites.  9 of them exit 1 with
+#: TailInadequate, which is pinned as well.
 IDENTITY_PINS = json.loads(Path(__file__).with_name("identity_pins.json").read_text())
 
 
@@ -386,9 +387,9 @@ class TestVerify:
 
 
 #: ckn spectrum --format json rows, (k, index, float.hex of eigenvalue and residual, iters), as
-#: the Lanczos run with a tridiagonal rebuilt each step printed them: the README line, then 20
-#: whole-region points (default_rng(4032): N = 5..8, alpha uniform in (2.05 - N, 4), beta
-#: uniform in [beta_lower, alpha - 2)) at --kmax 2
+#: printed once extremal_shape took ln cosh as one expression (re-taken then: last bits moved,
+#: no iteration count): the README line, then 20 whole-region points (default_rng(4032):
+#: N = 5..8, alpha uniform in (2.05 - N, 4), beta uniform in [beta_lower, alpha - 2)) at --kmax 2
 SPECTRUM_PINS = json.loads(Path(__file__).with_name("spectrum_pins.json").read_text())
 
 

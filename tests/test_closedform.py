@@ -148,7 +148,7 @@ class TestExtremalShapeSweep:
 
     def test_whole_region(self):
         # per point 31 samples with |m ln cosh nu t| from 1e-12 to 690 and 30 with nu t in
-        # [0.45, 1], across the switch between the two forms of ln cosh at 0.5; t of either sign
+        # [0.45, 1], where ln cosh once switched forms at 0.5; t of either sign
         units, biggest_m = [], 0.0
         for P, rng in self.points():
             s = np.geomspace(1e-12, 690.0, 31) / abs(P.m_exp)                  # ln cosh z
@@ -159,12 +159,10 @@ class TestExtremalShapeSweep:
         assert len(units) > 2700 and biggest_m > 7e9
         assert max(u for _, u in units) <= 1.0
 
-    @pytest.mark.xfail(reason="z + log1p(e^-2z) - ln 2 cancels just above the switch at z = 0.5: "
-                       "up to 4.4 eps relative on ln cosh z (CHANGES.md FOUND line); not "
-                       "strict, as NumPy's exp and log1p may round otherwise on other CPUs")
     def test_just_above_the_switch(self):
         # 8 of these 3000 samples, at M = 800 to 5000 where m ln cosh nu t is -60 to -690, read
-        # 1.01 to 1.17 units
+        # 1.01 to 1.17 units while ln cosh z above z = 0.5 was z + log1p(e^-2z) - ln 2, whose
+        # terms cancel there by up to 4.4 eps; log1p(sinh^2 z)/2 up to z = 20 reads 0.50 at most
         units = []
         for N, a in [(5, 1.0), (6, -2.0), (7, 2.0), (8, -4.582165067738527), (5, 3.0)]:
             lo = beta_lower(N, a)
@@ -444,9 +442,19 @@ class TestRellichTestQuotient:
             with pytest.raises(GridTooSmall, match="cutoff ramp spans"):
                 rellich_test_quotient(N, 0.1, rellich_limit_grid(n))
 
+    def test_converges_against_a_fine_grid(self):
+        # the default --eps against n = 40001, worst over N = 5, 8, 12: 3.4e-4 at the floor
+        # n = 831 and 6.5e-6 at n = 4001.  The cutoff's kink makes the sums O(h^2) here
+        eps = [0.3, 0.1, 0.03, 0.01]
+        for N in (5, 8, 12):
+            ref = np.array(rellich_test_quotient(N, eps, rellich_limit_grid(40001)))
+            for n, tol in ((831, 5e-4), (4001, 1e-5)):
+                got = np.array(rellich_test_quotient(N, eps, rellich_limit_grid(n)))
+                assert np.max(np.abs(got / ref - 1)) < tol
+
     @pytest.mark.parametrize("n", [831, 2001, 4001])
     def test_sequence_equals_scalar_calls_bit_for_bit(self, n):
-        # one Simpson sum for every eps, each row summed on its own
+        # one trapezoid sum for every eps, each row summed on its own
         g = rellich_limit_grid(n)
         eps = (0.3, 0.1, 0.03, 0.01, 0.45, 0.2, 1e-3)
         for N in range(5, 11):

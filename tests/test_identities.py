@@ -14,7 +14,7 @@ from ckn.errors import (AlphaOutOfRange, BadGridSpec, CknError, MaxIters, TailIn
 from ckn.identities import (equivalence_bounds, equivalence_bracket, equivalence_ratio,
                             rellich_coeff_identities, verify_hardy_identity,
                             verify_iid, weighted_hardy_check, xi_sign)
-from ckn.numerics import RadialProfile, simpson_weights, with_derivatives
+from ckn.numerics import RadialProfile, trapezoid_weights, with_derivatives
 from conftest import gaussian_profile, random_profiles
 
 
@@ -150,7 +150,7 @@ class TestModeBatch:
 
     @pytest.mark.parametrize("N", [5, 6, 7, 8])
     def test_one_mode_matches_per_mode_formulas(self, monkeypatch, N):
-        # each identity written out for one mode with plain Simpson sums; the library sums
+        # each identity written out for one mode with plain trapezoid sums; the library sums
         # each bracket square as three weighted sums, so each integral may differ by rounding
         # (1.8e-15 relative at worst, measured), and the Hardy rhs relative to int |integrand|.
         # Only the sums are compared: the tail rule is off, as the +-8 grid cuts the profiles
@@ -160,8 +160,8 @@ class TestModeBatch:
 
     @staticmethod
     def one_mode_matches_per_mode_formulas(grid, N):
-        def simpson(samples, w):
-            return float(np.sum(simpson_weights(grid.n, grid.h)
+        def trapezoid(samples, w):
+            return float(np.sum(trapezoid_weights(grid.n, grid.h)
                                 * (samples * np.exp((w + 1.0) * grid.ts))))
 
         def bracket(prof, coeff, lam):
@@ -178,18 +178,18 @@ class TestModeBatch:
             for k in range(12):
                 lam = float(k * (N - 2 + k))
                 lhs, rhs, rel = verify_iid(prof, k, N)
-                want_l = simpson(bracket(u, N - 2.0, lam) ** 2, N - 1.0)
-                want_r = simpson(bracket(prof, N - 2.0, lam) ** 2, N - 5.0)
+                want_l = trapezoid(bracket(u, N - 2.0, lam) ** 2, N - 1.0)
+                want_r = trapezoid(bracket(prof, N - 2.0, lam) ** 2, N - 5.0)
                 assert close(lhs, want_l) and close(rhs, want_r)
                 assert abs(rel - abs(want_l - want_r) / max(want_l, want_r)) <= 2e-14
                 lhs, rhs, rel = verify_hardy_identity(prof, k, N)
                 cross = bracket(prof, N - 2.0, lam) * d.d1
-                assert close(lhs, (N - 2.0) * simpson(d.d1 ** 2 + lam * d.values ** 2, N - 3.0))
-                assert close(rhs, 2.0 * simpson(cross, N - 3.0),
-                             2.0 * simpson(abs(cross), N - 3.0))
+                assert close(lhs, (N - 2.0) * trapezoid(d.d1 ** 2 + lam * d.values ** 2, N - 3.0))
+                assert close(rhs, 2.0 * trapezoid(cross, N - 3.0),
+                             2.0 * trapezoid(abs(cross), N - 3.0))
                 w = 2.0 * p.kappa1 - 1.0
-                want = (simpson(bracket(prof, N - 2.0, lam) ** 2, w)
-                        / simpson(bracket(prof, N + p.alpha - 2.0, lam) ** 2, w))
+                want = (trapezoid(bracket(prof, N - 2.0, lam) ** 2, w)
+                        / trapezoid(bracket(prof, N + p.alpha - 2.0, lam) ** 2, w))
                 assert abs(equivalence_ratio(prof, k, p) - want) <= 2e-14 * want
 
     @pytest.mark.parametrize("k", [KS, 2])

@@ -11,7 +11,7 @@ from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInade
 from ckn.numerics import (RESIDUAL_MARGIN, T_LIMIT, RadialProfile, _fd_weights,
                           checked_integrals, checked_sums, diff_matrix, differentiate,
                           even_residual, gamma_fn, grid_exp, grid_power, integrate, make_grid,
-                          require_tail, simpson_terms, simpson_weights, tail_fraction, tail_nodes,
+                          quadrature_terms, require_tail, tail_fraction, tail_nodes,
                           with_derivatives)
 from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
 from conftest import ORACLE
@@ -238,19 +238,14 @@ class TestIntegrate:
         rhs = 2.5 * integrate(f1, g, 1.0) - 0.5 * integrate(f2, g, 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
-    def test_cubic_exactness(self):
-        # with weight_exp = -1 the integrand is the raw samples in t, and
-        # composite Simpson is exact on cubics
-        for n in (5, 11, 41):
-            g = make_grid(-1.5, 2.5, n)
-            t = g.ts
-            val = integrate(t ** 3 - 2.0 * t ** 2 + 0.25, g, -1.0)
-            exact = (2.5 ** 4 - (-1.5) ** 4) / 4 - 2 * (2.5 ** 3 - (-1.5) ** 3) / 3 + 0.25 * 4
-            assert val == pytest.approx(exact, rel=1e-13)
-
-    def test_simpson_weights_sum(self):
-        w = simpson_weights(11, 0.1)
-        assert w.sum() == pytest.approx(1.0, rel=1e-14)
+    @pytest.mark.parametrize("n", [201, 1001, 4001])
+    @pytest.mark.parametrize("w", [-2.5, -1.0, 0.0, 1.5])
+    def test_gaussian_in_t_to_rounding(self, w, n):
+        # the stated contract: equal weights are spectrally accurate for an integrand that
+        # decays at both ends, int_0^inf e^{-(ln s)^2} s^w ds = sqrt(pi) e^{(w+1)^2/4}
+        g = make_grid(-14.0, 14.0, n)
+        exact = math.sqrt(math.pi) * math.exp((w + 1.0) ** 2 / 4.0)
+        assert integrate(np.exp(-g.ts ** 2), g, w) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestTailFraction:
@@ -277,11 +272,11 @@ class TestTailRule:
         with pytest.raises(TailInadequate, match="not finite"):
             require_tail(samples, g, -1.0, "bad")
         with pytest.raises(TailInadequate, match="not finite"):
-            checked_integrals(simpson_terms(np.abs(samples), g, -1.0), g.h, ("bad",))
+            checked_integrals(quadrature_terms(np.abs(samples), g, -1.0), g.h, ("bad",))
 
     def test_zero_integral_passes(self):
         g = make_grid(-2.0, 2.0, 21)
-        assert checked_integrals(simpson_terms(np.zeros(g.n), g, 3.0), g.h, ("zero",)) == 0.0
+        assert checked_integrals(quadrature_terms(np.zeros(g.n), g, 3.0), g.h, ("zero",)) == 0.0
 
     @pytest.mark.parametrize("grid,m", [((-14.0, 14.0, 4001), 100),   # 2.5 % of the nodes
                                         ((-700.0, 14.0, 4001), 4),
@@ -290,7 +285,7 @@ class TestTailRule:
                                         ((-1.0, 1.0, 3), 1)])          # the cap: n // 2
     def test_tail_is_a_width_in_t(self, grid, m):
         g = make_grid(*grid)
-        terms = simpson_terms(np.ones(g.n), g, -1.0)
+        terms = quadrature_terms(np.ones(g.n), g, -1.0)
         want = (terms[:m].sum() + terms[-m:].sum()) / terms.sum()
         assert tail_fraction(np.ones(g.n), g, -1.0) == want
 

@@ -158,7 +158,7 @@ class TestMinimizeRadial:
         target = ORACLE[key]
         assert abs(value - target) / target < 1e-9
         # returned profile reproduces the value through the public quotient
-        # (trapezoid forms inside the minimizer vs Simpson quadrature here)
+        # (the clamped forms inside the minimizer vs radial_energy and integrate here)
         assert quotient(profile, P) == pytest.approx(value, rel=1e-6)
 
     def test_far_apart_bumps(self, grid):
@@ -311,14 +311,17 @@ class TestPerturbedQuotient:
         # exponential per sample of closedform's family kernel, which moves its samples on
         # this grid by up to 1e-14 relative, then from 0x1.bb1984bedf01dp+7 by 6.5e-14
         # relative, towards the r-space value, when extremal_shape took ln cosh z as
-        # log1p(sinh^2 z)/2 below z = 0.5, where the sum of terms of size ln 2 cancelled
+        # log1p(sinh^2 z)/2 below z = 0.5, where the sum of terms of size ln 2 cancelled,
+        # then from 0x1.bb1984bedf219p+7 by 7.4e-15 relative, again towards it, when ln cosh
+        # became that one expression up to z = 20 (7.3e-15) and the denominator a trapezoid
+        # sum in place of Simpson's (1 ulp)
         calls, shape = [], variational.extremal_shape
         monkeypatch.setattr(variational, "extremal_shape",
                             lambda *args: calls.append(1) or shape(*args))
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
         val = perturbed_quotient(p513, 0.05, make_mode(p513, 1), z1)
         assert len(calls) == 1
-        assert val == float.fromhex("0x1.bb1984bedf219p+7")
+        assert val == float.fromhex("0x1.bb1984bedf253p+7")
         assert val == pytest.approx(float.fromhex("0x1.bb1984bedfcc5p+7"), rel=1e-12)
 
     def test_gauss_rule_computed_once(self, p513, grid):
