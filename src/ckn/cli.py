@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import _forms, closedform, identities, numerics, spectral, transforms, variational
-from .errors import BadGridSpec, CknError, MaxIters, NoConvergence, TailInadequate
+from .errors import BadGridSpec, CknError, MaxIters, NoConvergence, OutOfMemory, TailInadequate
 from .numerics import RadialProfile, make_grid
 from .params import (CknParams, beta_lower, derive, exponents, felli_schneider, regions,
                      second_variation_gap)
@@ -140,9 +140,10 @@ def _random_profiles(grid, seed: int, count: int) -> list:
     """Seeded Gaussians in t, with the t-derivatives that every mode shares."""
     if not 0 <= seed < 2 ** 32:
         raise CknError(f"need 0 <= seed < 2^32 for --seed, got {seed}")
-    return [numerics.with_derivatives(RadialProfile(grid=grid, values=amp * np.exp(
-        -((grid.ts - c) / width) ** 2))) for c, width, amp in      # centre, width, amplitude
-        np.random.RandomState(seed).uniform((-2.0, 0.6, 0.5), 2.0, (count, 3)).tolist()]
+    rows = [numerics.diff_rows(grid.h, k) for k in (1, 2)]
+    draws = np.random.RandomState(seed).uniform((-2.0, 0.6, 0.5), 2.0, (count, 3)).tolist()
+    return [RadialProfile(grid, v, *(numerics.apply_rows(r, v) for r in rows)) for v in
+            (amp * np.exp(-((grid.ts - centre) / width) ** 2) for centre, width, amp in draws)]
 
 
 def cmd_verify(args) -> int:
@@ -177,9 +178,9 @@ def cmd_verify(args) -> int:
                            identities.verify_hardy_identity(profs, range(4), P.N)))
         check("iid_worst_relerr", max(i[2] for i, _ in results), 1e-5)
         check("hardy_worst_relerr", max(h[2] for _, h in results), 1e-5)
-        sign_ok = all(identities.xi_sign(P.N, a)[1] == (a > 0) - (a < 0)
-                      for a in np.linspace(2 - P.N + 1e-3, 3.0, 200).tolist())
-        check("xi_sign_matches_sign_alpha", 0.0, 0.0, ok=sign_ok)
+        alphas = np.linspace(2 - P.N + 1e-3, 3.0, 200)      # xi_sign's formula, in range
+        check("xi_sign_matches_sign_alpha", 0.0, 0.0,
+              ok=np.array_equal(np.sign(identities._xi(P.N, alphas)), np.sign(alphas)))
         worst_s = max(abs(s - closedform.rellich_constant_alt(P.N, a)) / s
                       for a in np.linspace(2 - P.N + 0.1, 4.0, 50).tolist()
                       for s in (closedform.rellich_constant(P.N, a),))
@@ -258,17 +259,17 @@ def cmd_region_map(args) -> int:
         raise CknError(f"empty or inverted ranges: alpha {args.alpha_range}, "
                        f"beta {args.beta_range}, resolution {res}")
     alphas, betas = np.linspace(a_lo, a_hi, res), np.linspace(b_lo, b_hi, res)
-    bfs = [felli_schneider(N, a) for a in alphas.tolist()]    # scalar, so ties match derive()
+    bfs = felli_schneider(N, alphas)        # bit for bit the scalar's, so ties match derive()
     a, b = alphas[:, None], betas[None, :]
-    codes, names = regions(N, a, b, beta_lower(N, a), np.array(bfs)[:, None])
+    codes, names = regions(N, a, b, beta_lower(N, a), bfs[:, None])
     sv, signed = np.full(codes.shape, 3), codes >= 2    # Invalid and RellichBoundary: no sign
     with np.errstate(all="ignore"):
         sv[signed] = np.sign(second_variation_gap(N, *exponents(
             N, *(np.broadcast_to(x, codes.shape)[signed] for x in (a, b))))).astype(int) + 1
     as_json = args.format == "json"
     sv_text = ["-1", "0", "1", '""' if as_json else ""]
-    bs, fs, als = ([f"{x:.17g}" if math.isfinite(x) or not as_json else "null" for x in v]
-                   for v in (betas.tolist(), bfs, alphas.tolist()))     # json: NaN, inf as null
+    bs, fs, als = ([f"{x:.17g}" if math.isfinite(x) or not as_json else "null" for x in v.tolist()]
+                   for v in (betas, bfs, alphas))     # json: NaN, inf as null
     # A cell is pre(alpha) + beta + suf(beta_fs, tag, sv_sign), cells are joined by sep, and
     # along a row tag and sign stay equal over long runs: one str.join writes a run.
     head, pre, suf, sep, tail = _MAP_TEXT["json" if as_json else "csv"]
@@ -386,6 +387,9 @@ def main(argv=None) -> int:
         return _CHECK_ERRORS
     except CknError as exc:
         _emit_error(exc, fmt)
+        return _USAGE_ERRORS
+    except MemoryError as exc:        # numpy's, for an array the request sizes: a usage error
+        _emit_error(OutOfMemory(str(exc) or "out of memory"), fmt)
         return _USAGE_ERRORS
 
 

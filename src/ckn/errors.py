@@ -69,5 +69,9 @@ class MaxIters(CknError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 
 
+class OutOfMemory(CknError):
+    """A request needs more memory than the process may allocate: a coarser grid or map fits."""
+
+
 class NoConvergence(CknError):
     """Eigen iteration did not converge, or a positive definite form had no Cholesky factor."""

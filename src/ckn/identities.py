@@ -12,14 +12,13 @@ at high accuracy, from three weighted sums per profile that serve every mode (_s
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
 from .errors import BadGridSpec, CknError, MaxIters, ScalarOverflow, WeightOutOfRange
-from .numerics import (RadialProfile, checked_sums, grid_power, quadrature_terms, tail_nodes,
-                       with_derivatives)
+from .numerics import (RadialProfile, apply_rows, checked_sums, diff_rows, grid_power,
+                       quadrature_terms, tail_nodes, with_derivatives)
 from .params import CknParams, check_alpha, check_index
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
@@ -44,23 +43,34 @@ def _per_profile(prof, k, N: int, each):
     return each(profs[0].grid, profs, lams) if profs else iter(())
 
 
-def _sums(a, b, row, h: float) -> np.ndarray:
-    """The kernel: sum W a^2, sum W a b, sum W b^2 (columns) for W the quadrature row, on the
-    whole grid and on its tail nodes (rows).  For a = f'' + c f' and b = f they give every
-    mode's sum W (a - lambda_k b)^2 = sum W a^2 - 2 lambda_k sum W a b + lambda_k^2 sum W b^2,
-    within 1.8e-15 relative of the plain per-mode sum (measured: k <= 11, N = 5..9, 3 grids)."""
-    x, m = np.empty((3, len(row))), tail_nodes(len(row), h)
-    for out, (f, g) in zip(x, ((a, a), (a, b), (b, b))):       # one array, no stacked copies
-        np.multiply(f, g, out=out)
-    return np.array([x @ row, x[:, :m] @ row[:m] + x[:, -m:] @ row[-m:]])
+def _bracket(x, d1, d2, c: float) -> np.ndarray:
+    """f'' + c f' from f's derivatives d1, d2, written into the scratch row x."""
+    return np.add(d2, np.multiply(d1, c, out=x), out=x)
 
 
 @np.errstate(invalid="ignore", over="ignore")  # inf - inf or overflow: NaN sums fail the tail rule
-def _squares(f: RadialProfile, c: float, row, lams) -> np.ndarray:
-    """_sums of the squared mode bracket f'' + c f' - lambda_k f (f'' + (c+1)/r f' - lambda_k/r^2 f
-    in t, e^{-2t} booked into row) on the whole grid and the tail nodes, one column per k."""
-    s = _sums(f.d2 + c * f.d1, f.values, row, f.grid.h)
-    return s[:, :1] - 2.0 * lams * s[:, 1:2] + lams * lams * s[:, 2:]
+def _sums(profs, pairs, count: int) -> np.ndarray:
+    """The kernel: S[i, j] = sum W a^2, sum W a b, sum W b^2 (columns) on the grid and on its tail
+    nodes (rows) for the j-th of the count (a, b, W) that pairs(profile i, x[3]) yields, every
+    product in one scratch x.  With a = f'' + c f', b = f they give each mode's sum W (a -
+    lambda_k b)^2 within 1.8e-15 relative of the plain sum (measured: k <= 11, N = 5..9)."""
+    n, h = profs[0].grid.n, profs[0].grid.h
+    S, x, m = np.empty((len(profs), count, 2, 3)), np.empty((4, n)), tail_nodes(n, h)
+    for s, prof in zip(S, map(with_derivatives, profs)):
+        for out, (a, b, row) in zip(s, pairs(prof, x[3])):
+            for o, (f, g) in zip(x, ((a, a), (a, b), (b, b))):
+                np.multiply(f, g, out=o)
+            np.matmul(x[:3], row, out=out[0])
+            np.add(x[:3, :m] @ row[:m], x[:3, -m:] @ row[-m:], out=out[1])
+    return S
+
+
+@np.errstate(invalid="ignore", over="ignore")  # as in _sums
+def _squares(S, lams, whats):
+    """The one tail rule (checked_sums), per profile and mode, on the integrals of the squared
+    brackets f'' + c f' - lambda_k f (f'' + (c+1)/r f' - lambda_k/r^2 f in t) of _sums' S."""
+    sq = S[..., :1] - 2.0 * lams * S[..., 1:2] + lams * lams * S[..., 2:]
+    return checked_sums(*sq.transpose(2, 1, 0, 3), whats)
 
 
 def _relerr(lhs, rhs) -> tuple[float, float, float]:
@@ -72,13 +82,15 @@ def verify_iid(v_mode, k, N: int):
     mode: (lhs, rhs, relative error) per profile and mode (_per_profile)."""
     def each(grid, profs, lams):
         rows = quadrature_terms(np.ones(grid.n), grid, np.array([N - 1.0, N - 5.0]))
-        r2 = grid_power(-2.0, grid, "r^-2")
-        for v in map(with_derivatives, profs):
-            u = with_derivatives(RadialProfile(grid=grid, values=v.values * r2))
-            # (L u)^2 r^{N+3} dr and (L v)^2 r^{N-1} dr
-            sq = np.stack([_squares(f, N - 2.0, row, lams) for f, row in zip((u, v), rows)], 1)
-            for lhs, rhs in checked_sums(*sq, ("verify_iid lhs", "verify_iid rhs")):
-                yield _relerr(lhs, rhs)
+        r2, d = grid_power(-2.0, grid, "r^-2"), [diff_rows(grid.h, j) for j in (1, 2)]
+
+        def pairs(v, x):          # (L u)^2 r^{N+3} dr and (L v)^2 r^{N-1} dr
+            u = v.values * r2
+            yield _bracket(x, *(apply_rows(r, u) for r in d), N - 2.0), u, rows[0]
+            yield _bracket(x, v.d1, v.d2, N - 2.0), v.values, rows[1]
+        S = _sums(profs, pairs, 2)
+        for lhs, rhs in _squares(S, lams, ("verify_iid lhs", "verify_iid rhs")):
+            yield _relerr(lhs, rhs)
     return _per_profile(v_mode, k, N, each)
 
 
@@ -86,16 +98,29 @@ def verify_hardy_identity(w_mode, k, N: int):
     """Check the dilation identity (N-2) int |grad w|^2 = 2 int Delta w (x . grad w), mode
     by mode: (lhs, rhs, relative error) per profile and mode (_per_profile)."""
     def each(grid, profs, lams):
-        row = quadrature_terms(np.ones(grid.n), grid, N - 3.0)
-        for w in map(with_derivatives, profs):
-            # |grad w|^2 = w'^2 + lambda w^2; Delta w (x . grad w) = (w'' + (N-2) w' - lambda w) w'
-            with np.errstate(invalid="ignore", over="ignore"):    # as in _squares
-                s = _sums(w.d1, w.values, row, grid.h)
-                cross = float(row @ ((w.d2 + (N - 2.0) * w.d1) * w.d1)) - lams * s[0, 1]
-                grad = s[:, :1] + lams * s[:, 2:]
-            for (g,), c in zip(checked_sums(*grad, ("verify_hardy lhs",)), cross.tolist()):
-                yield _relerr((N - 2.0) * g, 2.0 * c)
+        row, cross = quadrature_terms(np.ones(grid.n), grid, N - 3.0), []
+
+        def pairs(w, x):          # the lambda-free part of Delta w (x . grad w), then grad w
+            cross.append(row @ (_bracket(x, w.d1, w.d2, N - 2.0) * w.d1))
+            yield w.d1, w.values, row
+        S = _sums(profs, pairs, 1)
+        # |grad w|^2 = w'^2 + lambda w^2; Delta w (x . grad w) = (w'' + (N-2) w' - lambda w) w'
+        with np.errstate(invalid="ignore", over="ignore"):        # as in _sums
+            grad = S[..., :1] + lams * S[..., 2:]
+            cross = np.array(cross)[:, None] - lams * S[:, 0, 0, 1:2]
+        for (g,), c in zip(checked_sums(*grad.transpose(2, 1, 0, 3), ("verify_hardy lhs",)),
+                           cross.ravel().tolist()):
+            yield _relerr((N - 2.0) * g, 2.0 * c)
     return _per_profile(w_mode, k, N, each)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _xi(N: int, alpha):
+    """xi of xi_sign, array-capable, unchecked (np.float_power is libm pow, as CPython's ** is)."""
+    A = -(N * alpha / (2.0 * (N - 2.0))) * ((N - 4.0) * alpha / (2.0 * (N - 2.0)) + (N - 2.0))
+    B = -2.0 * alpha / (N - 2.0)
+    xi = (B * N - 2.0 * A + np.float_power(B, 2) - 4.0 * B) * N ** 2 / 4.0
+    return xi + A * (A - (B - 2.0) * N)
 
 
 def xi_sign(N: int, alpha: float) -> tuple[float, int]:
@@ -106,16 +131,13 @@ def xi_sign(N: int, alpha: float) -> tuple[float, int]:
         xi = (BN - 2A + B^2 - 4B) N^2/4 + A (A - (B-2) N).
 
     xi > 0 iff alpha > 0, xi = 0 iff alpha = 0, xi < 0 iff 2-N < alpha < 0; ScalarOverflow
-    where xi leaves the float range, from |alpha| of about 1e77 on.
+    where xi leaves the float range, from |alpha| of about 1e77 on.  _xi is the formula.
     """
     N, alpha = check_alpha(N, alpha)
-    A = -(N * alpha / (2.0 * (N - 2.0))) * ((N - 4.0) * alpha / (2.0 * (N - 2.0)) + (N - 2.0))
-    B = -2.0 * alpha / (N - 2.0)
-    with contextlib.suppress(OverflowError):
-        xi = (B * N - 2.0 * A + B ** 2 - 4.0 * B) * N ** 2 / 4.0 + A * (A - (B - 2.0) * N)
-        if math.isfinite(xi):
-            return xi, (xi > 0) - (xi < 0)
-    raise ScalarOverflow(f"xi overflows at N = {N}, alpha = {alpha}")
+    xi = float(_xi(N, alpha))
+    if not math.isfinite(xi):
+        raise ScalarOverflow(f"xi overflows at N = {N}, alpha = {alpha}")
+    return xi, (xi > 0) - (xi < 0)
 
 
 def rellich_coeff_identities(N: int, alpha: float
@@ -209,18 +231,20 @@ def equivalence_ratio(u_mode, k, params: CknParams):
     """
     def each(grid, profs, lams):
         row = quadrature_terms(np.ones(grid.n), grid, 2.0 * params.kappa1 - 1.0)
-        for u in map(with_derivatives, profs):
-            sq = np.stack([_squares(u, c, row, lams)
-                           for c in (params.N - 2.0, params.N + params.alpha - 2.0)], 1)
-            for num, den in checked_sums(*sq, ("equivalence_ratio numerator",
-                                               "equivalence_ratio denominator")):
-                if not den:
-                    raise CknError("zero denominator: profile has no energy")
-                yield num / den
+
+        def pairs(u, x):
+            for c in (params.N - 2.0, params.N + params.alpha - 2.0):
+                yield _bracket(x, u.d1, u.d2, c), u.values, row
+        S = _sums(profs, pairs, 2)
+        for num, den in _squares(S, lams, ("equivalence_ratio numerator",
+                                           "equivalence_ratio denominator")):
+            if not den:
+                raise CknError("zero denominator: profile has no energy")
+            yield num / den
     return _per_profile(u_mode, k, params.N, each)
 
 
-@np.errstate(invalid="ignore", over="ignore")    # as in _squares
+@np.errstate(invalid="ignore", over="ignore")    # as in _sums
 def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
                          ) -> tuple[float, float]:
     """Both sides of the weighted Hardy inequality per mode:
@@ -233,7 +257,7 @@ def weighted_hardy_check(u_mode: RadialProfile, k: int, N: int, a_w: float
     if not a_w < (N - 2.0) / 2.0:
         raise WeightOutOfRange(f"need a < (N-2)/2 = {(N - 2) / 2}, got {a_w}")
     u = with_derivatives(u_mode)
-    s = _sums(u.d1, u.values, quadrature_terms(np.ones(u.grid.n), u.grid, N - 2.0 * a_w - 3.0),
-              u.grid.h)
+    row = quadrature_terms(np.ones(u.grid.n), u.grid, N - 2.0 * a_w - 3.0)
+    s = _sums([u], lambda u, x: [(u.d1, u.values, row)], 1)[0, 0]
     (lhs,) = next(checked_sums(*s[:, 2:], ("weighted_hardy lhs",)))
     return lhs, (2.0 / (N - 2.0 * a_w - 2.0)) ** 2 * float(s[0, 0] + k * (N - 2 + k) * s[0, 2])

@@ -106,26 +106,33 @@ def beta_lower(N: int, alpha: float) -> float:
     return (N - 4) * alpha / (N - 2) - 4.0
 
 
-def felli_schneider(N: int, alpha: float) -> float:
+@np.errstate(over="ignore", invalid="ignore")      # overflow: not finite, so ScalarOverflow
+def felli_schneider(N: int, alpha):
     """Felli-Schneider threshold beta_fs(alpha) = N + 2a - 4 - sqrt((N-2+a)^2 + 4(N-1)).
 
     Radial extremals lose linearized stability below this curve (alpha > 0).
     At alpha = 0 it collapses to -4 for every N since (N-2)^2 + 4(N-1) = N^2.
+    Array-capable: at an array of alpha one evaluation gives what one call per alpha gives, bit
+    for bit (np.float_power is libm pow, as CPython's ** is), or raises its first error.
     """
     N = check_dimension(N)
+    bfs = N + 2.0 * alpha - 4.0 - np.sqrt(np.float_power(N - 2.0 + alpha, 2) + 4.0 * (N - 1.0))
+    if isinstance(bfs, np.ndarray):
+        for a in alpha[~np.isfinite(bfs)][:1].tolist():
+            felli_schneider(N, a)           # raises: a value that is not finite fails a check
+        return bfs
     if not math.isfinite(alpha):      # alpha <= 2 - N is legal: region-map prints Invalid cells
         raise AlphaOutOfRange(f"beta_fs needs a finite alpha, got {alpha}")
-    try:
-        return N + 2.0 * alpha - 4.0 - math.sqrt((N - 2.0 + alpha) ** 2 + 4.0 * (N - 1.0))
-    except OverflowError:
-        raise ScalarOverflow(f"beta_fs overflows at N = {N}, alpha = {alpha}") from None
+    if not math.isfinite(bfs):
+        raise ScalarOverflow(f"beta_fs overflows at N = {N}, alpha = {alpha}")
+    return float(bfs)
 
 
 def on_rellich_line(alpha, beta):
-    """True on the p = 2 boundary beta = alpha - 2 (array-capable), and just
-    below it, where alpha - beta - 2 or 2 + beta - alpha, the denominator of
-    q and M, rounds to 0, so that the subcritical fields do not exist."""
-    return (beta == alpha - 2.0) | (alpha - beta - 2.0 == 0.0) | (2.0 + beta - alpha == 0.0)
+    """True on the p = 2 boundary beta = alpha - 2 (array-capable), and just below it, where
+    alpha - beta - 2 or 2 + beta - alpha, the denominator of q and M, rounds to 0 (x - y is 0
+    exactly where x == y), so that the subcritical fields do not exist."""
+    return (beta == alpha - 2.0) | (alpha - beta == 2.0) | (2.0 + beta == alpha)
 
 
 def exponents(N: int, alpha, beta):
@@ -144,27 +151,25 @@ def second_variation_gap(N: int, q, M):
 
 
 def _region_rules(N: int, alpha, beta, lo, bfs):
-    """(region, condition) pairs on floats or arrays, lo = beta_lower and
-    bfs = felli_schneider at alpha.  The first that holds names the region,
-    ConjecturedSymmetry the rest.  Ties are broken by exact comparison, so
-    sweeps must quantize beta onto grid values first."""
-    return (
-        (RegionClass.INVALID,
-         np.logical_not((alpha > 2 - N) & (lo <= beta) & (beta <= alpha - 2.0))
-         | (N + beta == 0.0)),
-        (RegionClass.RELLICH_BOUNDARY, on_rellich_line(alpha, beta)),
-        (RegionClass.CRITICAL_UPPER_ALPHA_ZERO, (alpha == 0.0) & (beta == -4.0)),
-        (RegionClass.CRITICAL_UPPER_ALPHA_POS, (beta == lo) & (alpha > 0.0)),
-        (RegionClass.CRITICAL_UPPER_ALPHA_NEG, beta == lo),
-        (RegionClass.FS_CURVE, (beta == bfs) & (alpha >= 0.0)),
-        (RegionClass.SYMMETRY_BREAKING, (alpha > 0.0) & (lo < beta) & (beta < bfs)),
-    )
+    """(region, condition) pairs on floats or arrays, each evaluated when it is drawn, lo =
+    beta_lower and bfs = felli_schneider at alpha.  The first that holds names the region,
+    ConjecturedSymmetry the rest.  Ties are broken by exact comparison, so sweeps must
+    quantize beta onto grid values first."""
+    yield (RegionClass.INVALID,
+           np.logical_not((alpha > 2 - N) & (lo <= beta) & (beta <= alpha - 2.0))
+           | (N + beta == 0.0))
+    yield RegionClass.RELLICH_BOUNDARY, on_rellich_line(alpha, beta)
+    yield RegionClass.CRITICAL_UPPER_ALPHA_ZERO, (alpha == 0.0) & (beta == -4.0)
+    yield RegionClass.CRITICAL_UPPER_ALPHA_POS, (on_lo := beta == lo) & (alpha > 0.0)
+    yield RegionClass.CRITICAL_UPPER_ALPHA_NEG, on_lo
+    yield RegionClass.FS_CURVE, (beta == bfs) & (alpha >= 0.0)
+    yield RegionClass.SYMMETRY_BREAKING, (alpha > 0.0) & (lo < beta) & (beta < bfs)
 
 
 def regions(N: int, alpha: np.ndarray, beta: np.ndarray, lo, bfs) -> tuple[np.ndarray, list]:
     """Index of the first rule of _region_rules that holds at every (alpha, beta) of broadcast
     arrays (len(rules) where none does), and the RegionClass value each index names."""
-    rules = _region_rules(N, alpha, beta, lo, bfs)
+    rules = list(_region_rules(N, alpha, beta, lo, bfs))
     return (np.select([holds for _, holds in rules], list(range(len(rules))), len(rules)),
             [r.value for r, _ in rules] + [RegionClass.CONJECTURED_SYMMETRY.value])
 

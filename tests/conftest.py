@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,22 @@ def count_matvecs(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lanczos", counted)
     return runs
+
+
+def overflow_start(fn, exc):
+    """The least float alpha > 1 at which fn(alpha) raises exc, where fn(1.0) returns and
+    fn(1e300) raises it: a bisection on the bit patterns, which order positive floats."""
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def value(i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+    lo, hi = bits(1.0), bits(1e300)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            fn(value(mid))
+            lo = mid
+        except exc:
+            hi = mid
+    return value(hi)

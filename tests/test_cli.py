@@ -813,9 +813,12 @@ class TestVerifyModeBatch:
 
     # the N = 9 case fails the iid check first at k = 1 but the hardy check at
     # k = 0, so one call per identity alone would report the wrong check
+    # on t in [-9, 9] profile 11 of seed 42 is the first to fail, in both suites: the tail rule,
+    # applied once per suite, must still raise the failure of the first profile drawn
     @pytest.mark.parametrize("suite,N,a,b,t_max", [
         ("identities", 5, 1.0, -2.0, 6.0), ("identities", 9, 1.0, -2.0, 10.0),
-        ("equivalence", 5, -1.0, -3.5, 6.0)])
+        ("equivalence", 5, -1.0, -3.5, 6.0), ("identities", 5, 1.0, -2.0, 9.0),
+        ("equivalence", 5, -1.0, -3.5, 9.0)])
     def test_same_first_failure(self, capsys, suite, N, a, b, t_max):
         code, out = run(capsys, "verify", suite, "-N", str(N), f"--alpha={a}", f"--beta={b}",
                         f"--t-min={-t_max}", f"--t-max={t_max}", "--format", "json")
@@ -856,6 +859,37 @@ class TestVerifyModeBatch:
         check = next(c for c in json.loads(out)["checks"]
                      if c["check"] == "rellich_closed_forms_agree")
         assert check["pass"] is True and check["value"] < 1e-14
+
+
+def _address_space_cap(limit: int):
+    """A preexec_fn that caps the child's address space (RLIMIT_AS) at limit bytes."""
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return cap
+
+
+class TestOutOfMemory:
+    """A request that sizes an array past what the process may allocate exits 2 with a JSON
+    error, not numpy's MemoryError traceback and exit 1.  The child alone runs under an
+    address-space cap below its request's first large array (9.3 GiB for the map, 1.5 GiB for
+    the grids), so the allocation fails at once and no test touches that memory."""
+
+    @pytest.mark.parametrize("argv,cap", [
+        (("region-map", "-N", "5", "--alpha-range=0:1", "--beta-range=-4:-1",
+          "--resolution", "100000"), 3_000_000_000),
+        (("verify", "identities", "-N", "5", "-a", "1", "-b", "-2", "-n", "200000001"),
+         1_000_000_000),
+        (("minimize", "-N", "5", "-a", "1", "-b", "-3", "-n", "200000001"), 1_000_000_000),
+        (("verify", "rellich-limit", "-N", "5", "-n", "200000001"), 1_000_000_000)])
+    def test_exit_2_with_json_error(self, argv, cap):
+        env = dict(os.environ, PYTHONPATH=str(Path(ckn.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "ckn.cli", *argv, "--format", "json"],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=_address_space_cap(cap))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"] == "OutOfMemory" and proc.stderr == ""
 
 
 class TestMinimize:

@@ -9,13 +9,13 @@ import ckn
 from ckn import identities, numerics
 from ckn.cli import _random_profiles
 from ckn.closedform import rellich_constant, rellich_constant_alt
-from ckn.errors import (AlphaOutOfRange, BadGridSpec, CknError, MaxIters, TailInadequate,
-                        WeightOutOfRange)
+from ckn.errors import (AlphaOutOfRange, BadGridSpec, CknError, MaxIters, ScalarOverflow,
+                        TailInadequate, WeightOutOfRange)
 from ckn.identities import (equivalence_bounds, equivalence_bracket, equivalence_ratio,
                             rellich_coeff_identities, verify_hardy_identity,
                             verify_iid, weighted_hardy_check, xi_sign)
 from ckn.numerics import RadialProfile, trapezoid_weights, with_derivatives
-from conftest import gaussian_profile, random_profiles
+from conftest import gaussian_profile, overflow_start, random_profiles
 
 
 class TestWeightShiftIdentity:
@@ -93,6 +93,25 @@ class TestXiSign:
     def test_range(self):
         with pytest.raises(AlphaOutOfRange):
             xi_sign(5, -3.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("N", [5, 6, 9])
+    def test_array_core_matches_scalar(self, N):
+        # verify identities sweeps the signs in one evaluation of _xi: bit for bit xi_sign's xi,
+        # from just above 2 - N, through 0, to the last alpha before ScalarOverflow, and not
+        # finite (with no warning) where xi_sign raises it.  The 20000 seeded alphas catch a
+        # square taken as B * B, 1 ulp off libm pow at some of them
+        start = overflow_start(lambda a: xi_sign(N, a), ScalarOverflow)
+        alphas = np.array([0.0, math.nextafter(2.0 - N, math.inf), *np.linspace(2 - N, 4, 301)[1:],
+                           *np.geomspace(1e-300, start, 60), math.nextafter(start, 0.0), 1e300,
+                           *np.random.default_rng(N).uniform(2 - N, 4, 20000)])
+        for a, xi in zip(alphas.tolist(), identities._xi(N, alphas).tolist()):
+            try:
+                want = xi_sign(N, a)[0]
+            except ScalarOverflow:
+                assert a >= start and not math.isfinite(xi)
+            else:
+                assert a < start and xi.hex() == want.hex()
 
 
 class TestRellichCoeffIdentities:

@@ -10,7 +10,7 @@ from ckn.errors import (AlphaOutOfRange, BetaOutOfRange, InvalidDimension,
 from ckn.params import (RegionClass, beta_lower, classify, derive, felli_schneider,
                         on_rellich_line, region_of, regions, second_variation_gap)
 from ckn.spectral import second_variation_sign
-from conftest import ORACLE
+from conftest import ORACLE, overflow_start
 
 # admissible sample points used by the invariant sweeps
 SAMPLES = [(5, 1.0, -2.0), (5, 1.0, -3.0), (5, 1.0, -11 / 3), (6, 0.5, -2.5),
@@ -141,6 +141,28 @@ class TestFelliSchneider:
         for alpha in (0.5, 1.0, 2.0, 3.0):
             bfs = felli_schneider(5, alpha)
             assert beta_lower(5, alpha) < bfs < alpha - 2.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("N", [5, 6, 9])
+    def test_array_matches_scalar(self, N):
+        # one evaluation over an array gives each scalar value bit for bit, on both sides of
+        # alpha = 2 - N and up to the last |alpha| before ScalarOverflow, and beyond it raises
+        # the scalar's error at the first alpha that overflows.  The 20000 seeded alphas catch
+        # a square taken as x * x, 1 ulp off libm pow at some of them
+        start = overflow_start(lambda a: felli_schneider(N, a), ScalarOverflow)
+        last = math.nextafter(start, 0.0)
+        alphas = np.array([0.0, -0.0, math.nextafter(2.0 - N, math.inf), 2.0 - N, last, -last,
+                           *np.linspace(-12.0, 4.0, 301), *np.geomspace(1e-300, last, 60),
+                           *np.random.default_rng(N).uniform(-12.0, 4.0, 20000)])
+        got = felli_schneider(N, alphas)
+        assert [x.hex() for x in got.tolist()] == [felli_schneider(N, a).hex()
+                                                   for a in alphas.tolist()]
+        for bad in (start, -start, 1e300):
+            with pytest.raises(ScalarOverflow) as scalar:
+                felli_schneider(N, bad)
+            with pytest.raises(ScalarOverflow) as array:
+                felli_schneider(N, np.append(alphas, [bad, start]))
+            assert str(array.value) == str(scalar.value)
 
 
 class TestClassify:

@@ -3,6 +3,7 @@ byte for byte the reference in csv, json and text, on windows drawn by
 Hypothesis and on fixed windows whose grid cells land on the tie lines."""
 
 import contextlib
+import functools
 import io
 import math
 
@@ -12,18 +13,28 @@ from hypothesis import given, settings, strategies as st
 
 from ckn import cli
 from ckn.cli import _fmt, main
-from ckn.params import (RegionClass, beta_lower, exponents, felli_schneider, regions,
-                        second_variation_gap)
+from ckn.params import (RegionClass, _region_rules, beta_lower, exponents, felli_schneider,
+                        regions, second_variation_gap)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_tags(N, alpha_range, beta_range, res) -> np.ndarray:
+    """Each cell's tag from the scalar rules, first match as derive takes it, not from regions."""
+    rows = []
+    for a in np.linspace(*alpha_range, res).tolist():
+        lo, bfs = beta_lower(N, a), felli_schneider(N, a)
+        rows.append([next((r.value for r, holds in _region_rules(N, a, b, lo, bfs) if holds),
+                          RegionClass.CONJECTURED_SYMMETRY.value)
+                     for b in np.linspace(*beta_range, res).tolist()])
+    return np.array(rows)
 
 
 def reference_map(N, alpha_range, beta_range, res, fmt) -> str:
     """The region map as one f-string per cell renders it."""
     alphas, betas = np.linspace(*alpha_range, res), np.linspace(*beta_range, res)
     bfs = [felli_schneider(N, float(a)) for a in alphas]
-    lo = [beta_lower(N, float(a)) for a in alphas]
     a, b = alphas[:, None], betas[None, :]
-    codes, names = regions(N, a, b, np.array(lo)[:, None], np.array(bfs)[:, None])
-    tags = np.array(names)[codes]
+    tags = reference_tags(N, tuple(alpha_range), tuple(beta_range), res)
     with np.errstate(all="ignore"):
         sv = np.sign(second_variation_gap(N, *exponents(N, a, b))).astype(int) + 1
     sv[np.isin(tags, (RegionClass.INVALID.value, RegionClass.RELLICH_BOUNDARY.value))] = 3
