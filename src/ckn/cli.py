@@ -28,6 +28,7 @@ from .params import (CknParams, beta_lower, derive, exponents, felli_schneider, 
 
 _USAGE_ERRORS = 2
 _CHECK_ERRORS = 1
+_legacy_rng = functools.cache(np.random.RandomState)
 
 VERIFY_SUITES = ("ode", "identities", "linearized", "equivalence", "rellich-limit")
 #: region-map text per format: head, cell prefix (alpha), cell suffix, cell separator, tail
@@ -141,7 +142,8 @@ def _random_profiles(grid, seed: int, count: int) -> list:
     if not 0 <= seed < 2 ** 32:
         raise CknError(f"need 0 <= seed < 2^32 for --seed, got {seed}")
     rows = [numerics.diff_rows(grid.h, k) for k in (1, 2)]
-    draws = np.random.RandomState(seed).uniform((-2.0, 0.6, 0.5), 2.0, (count, 3)).tolist()
+    _legacy_rng().seed(seed)    # one generator: RandomState(seed) first seeds from OS entropy
+    draws = _legacy_rng().uniform((-2.0, 0.6, 0.5), 2.0, (count, 3)).tolist()
     return [RadialProfile(grid, v, *(numerics.apply_rows(r, v) for r in rows)) for v in
             (amp * np.exp(-((grid.ts - centre) / width) ** 2) for centre, width, amp in draws)]
 

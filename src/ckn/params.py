@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,9 @@ class CknParams:
 
 
 def check_dimension(N) -> int:
-    """The dimension rule: is_index(N) and N >= 5, else InvalidDimension; returns int(N)."""
-    if not (is_index(N) and N >= 5):
-        raise InvalidDimension(f"need integer N >= 5, got {N!r}")
+    """The dimension rule: is_index(N), 5 <= N <= float max, else InvalidDimension; -> int(N)."""
+    if not (is_index(N) and 5 <= N <= sys.float_info.max):
+        raise InvalidDimension(f"need integer N >= 5 that a float holds, got {N!r}")
     return int(N)
 
 

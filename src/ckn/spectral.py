@@ -15,6 +15,7 @@ threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,9 +93,10 @@ def _chirp_z(b: np.ndarray, theta: float, m: int) -> np.ndarray:
 
 def _lanczos(op, v0: np.ndarray, count: int, tol: float, k: int):
     """The count largest eigenvalues of the symmetric op, falling, their Ritz vectors and the
-    step count (one matvec each): Lanczos from v0 with full reorthogonalization (J. Res. NBS
-    45, 1950; Parlett, The Symmetric Eigenvalue Problem, ch. 13), stopped from step 6 on once
-    each Ritz residual beta_j |s_ji| is at most tol theta_i; NoConvergence past LANCZOS_STEPS."""
+    step count (one matvec each): Lanczos from v0, only read (_mode_solve's is the cached
+    _start_vector), with full reorthogonalization (J. Res. NBS 45, 1950; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13), stopped from step 6 on once each Ritz residual beta_j |s_ji| is
+    at most tol theta_i (tested on Python floats); NoConvergence past LANCZOS_STEPS."""
     V = np.empty((LANCZOS_STEPS + 1, len(v0)))
     T = np.zeros((LANCZOS_STEPS + 1,) * 2)     # tridiagonal, upper half; last beta in column cap
     V[0] = v0 / np.linalg.norm(v0)
@@ -104,33 +106,45 @@ def _lanczos(op, v0: np.ndarray, count: int, tol: float, k: int):
         for _ in range(2):                      # one pass lost orthogonality at M = 802
             w -= basis.T @ (basis @ w)
         T[j, j + 1] = beta = math.sqrt(w @ w)
-        V[j + 1] = w / beta
+        np.divide(w, beta, out=V[j + 1])
         if j >= 5:
             thetas, S = np.linalg.eigh(T[:j + 1, :j + 1], UPLO="U")
-            if np.all(beta * np.abs(S[-1, -count:]) <= tol * thetas[-count:]):
+            if all(beta * abs(s) <= tol * theta
+                   for s, theta in zip(S[-1, -count:].tolist(), thetas[-count:].tolist())):
                 # Fortran-ordered, so numpy sums each vector pairwise (_mode_solve's mass)
                 return thetas[:-count - 1:-1], (S[:, :-count - 1:-1].T @ basis).T, j + 1
     raise NoConvergence(f"Lanczos on mode {k}: no convergence in {LANCZOS_STEPS} steps")
 
 
+@functools.cache
+def _start_vector(n: int) -> np.ndarray:
+    """_mode_solve's fixed Lanczos start on n nodes (a power of two), drawn once; read-only."""
+    v0 = np.random.default_rng(1234).standard_normal(n)
+    v0.flags.writeable = False
+    return v0
+
+
 def _mode_solve(params: CknParams, mode: ModeSpec):
-    """Mode k's one Lanczos run, on the domain of _mode_pencil: _lanczos from a fixed start on
+    """Mode k's one Lanczos run, on the domain of _mode_pencil: _lanczos from _start_vector(n) on
     W^{1/2} A^{-1} W^{1/2}, A by its symbol in Fourier space, finds the largest theta = 1/nu
     to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap
     1 - nu_{k,0}/nu_{k,1} = 4/(a+4).  nu is the Rayleigh quotient, by Parseval, of x = A^{-1}
     W^{1/2} y, one inverse iteration beyond the Ritz vector y.  Returns the nu, their backward
     errors, the matvec count, and L, xi, the Parseval weights and x's rfft to sample x with."""
     a, ts, xi, symbol = _mode_pencil(params, mode)
-    n = len(ts)
-    root_w = np.sqrt(_forms.mass_weight(params, ts))
-    _, Y, matvecs = _lanczos(
-        lambda y: root_w * np.fft.irfft(np.fft.rfft(root_w * y) / symbol, n),
-        np.random.default_rng(1234).standard_normal(n), 2 if mode.k == 0 else 1,
-        LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)), mode.k)
+    n, root_w, wy = len(ts), np.sqrt(_forms.mass_weight(params, ts)), np.empty_like(ts)
+
+    def matvec(y):                          # root_w irfft(rfft(root_w y) / symbol), in place
+        c = np.fft.rfft(np.multiply(root_w, y, out=wy))
+        x = np.fft.irfft(np.divide(c, symbol, out=c), n)
+        return np.multiply(x, root_w, out=x)
+    _, Y, matvecs = _lanczos(matvec, _start_vector(n), 2 if mode.k == 0 else 1,
+                             LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)), mode.k)
     Y = root_w[:, None] * Y                                    # W^{1/2} y, that is A x
     C = np.fft.rfft(Y, axis=0) / symbol[:, None]               # rfft of x
     X = np.fft.irfft(C, n, axis=0)
-    parts = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n      # Parseval over rfft halves
+    parts = np.full(n // 2 + 1, 2.0 / n)                       # Parseval over rfft halves
+    parts[0] = parts[-1] = 1.0 / n
     nus = (parts * symbol) @ np.abs(C) ** 2 / ((root_w[:, None] * X) ** 2).sum(axis=0)
     residuals = (np.linalg.norm(Y - nus * root_w[:, None] ** 2 * X, axis=0)
                  / ((symbol.max() + nus * root_w.max() ** 2) * np.linalg.norm(X, axis=0)))

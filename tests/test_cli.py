@@ -73,6 +73,16 @@ class TestConstants:
         assert code == 2
         assert json.loads(out)["error"] == "InvalidDimension"
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "-a", "1", "-b", "-2"],
+        ["region-map", "--alpha-range=0:3", "--beta-range=-4:-1", "--resolution", "3"]],
+        ids=["constants", "region-map"])
+    def test_dimension_beyond_float_exit_2(self, capsys, argv):
+        # N = 10^320 passed the dimension rule and ended in an OverflowError traceback
+        code, out = run(capsys, argv[0], "-N", "1" + "0" * 320, *argv[1:], "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "InvalidDimension"
+
     @pytest.mark.parametrize("N", [5, 6, 8])
     def test_beta_lower_rounds_to_minus_n(self, capsys, N):
         # at alpha = nextafter(2 - N, inf), beta_lower(alpha) rounds to -N,
@@ -422,6 +432,20 @@ class TestSpectrum:
         if code == 2:
             assert json.loads(out) == {"error": "BadGridSpec", "message":
                                        "r^-kappa1 overflows: log 709.8 > 709.78; narrow the grid"}
+
+    def test_start_vector_is_drawn_once(self, capsys, monkeypatch):
+        # the fixed Lanczos start is cached per node count: a second run at the same node
+        # counts builds no generator
+        spectral._start_vector.cache_clear()
+        calls = count_calls(monkeypatch, (np.random, "default_rng"))
+        argv = ["spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "3", "--format", "json"]
+        outs = []
+        for expected in (True, False):
+            before = calls["default_rng"]
+            code, out = run(capsys, *argv)
+            assert code == 0 and (calls["default_rng"] > before) == expected
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_negative_kmax_exit_2(self, capsys):
         # exited 0 with an empty rows list

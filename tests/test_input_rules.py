@@ -36,6 +36,8 @@ COLUMN = RadialProfile(grid=GRID, values=np.ones((201, 1)))
 ROWS2 = RadialProfile(grid=GRID, values=np.ones((2, 201)))
 SCALAR = RadialProfile(grid=GRID, values=np.array(1.0))
 OFF_GRID = (SHORT, COLUMN, ROWS2, SCALAR)
+# dimensions past the largest float: each ended in OverflowError at its first float arithmetic
+HUGE_N = (2 ** 1024, 10 ** 320)
 
 
 def scalar_fn(s):
@@ -55,7 +57,8 @@ NAMES = {id(x): name for x, name in ((P, "P"), (R, "R"), (SPEC, "spec"), (GRID, 
                                      (BUMP, "bump"), (INIT, "init"), (MODE, "mode"),
                                      (SHORT, "short"), (COLUMN, "column"), (ROWS2, "rows2"),
                                      (SCALAR, "scalar"), (MODE64, "mode64"),
-                                     (scalar_fn, "scalar_fn"), (column_fn, "column_fn"))}
+                                     (scalar_fn, "scalar_fn"), (column_fn, "column_fn"),
+                                     (HUGE_N[0], "2**1024"), (HUGE_N[1], "10**320"))}
 NAMES.update({id(x): f"{NAMES[id(prof)]}{suffix}" for prof, ef in zip(OFF_GRID, EF_OFF_GRID)
               for x, suffix in ((prof.values, ".values"), (ef, "_ef"))})
 
@@ -67,8 +70,8 @@ def row(outcome, fn, *args):
 
 
 ROWS = [
-    # N: an int or NumPy integer >= 5, not a bool
-    *(row(InvalidDimension, fn, N, *rest) for N in (4, 5.0, True, np.True_, INF, NAN)
+    # N: an int or NumPy integer >= 5 that a float holds, not a bool
+    *(row(InvalidDimension, fn, N, *rest) for N in (4, 5.0, True, np.True_, INF, NAN, *HUGE_N)
       for fn, rest in ((derive, (1.0, -3.0)), (felli_schneider, (1.0,)), (cf.sobolev_s0, ()),
                        (cf.rellich_constant, (1.0,)), (identities.xi_sign, (1.0,)))),
     row(InvalidDimension, cf.rellich_test_quotient, 4, 0.1, GRID),

@@ -243,8 +243,8 @@ class TestClosedFormSpectrum:
 
 def _dense_lanczos(op, v0, count, tol, k):
     """spectral._lanczos's answer to machine precision: numpy.linalg.eigh of op applied to
-    the identity, row by row (op is symmetric)."""
-    thetas, S = np.linalg.eigh(op(np.eye(len(v0))))
+    the identity, row by row (op is symmetric, and a matvec: it takes one vector)."""
+    thetas, S = np.linalg.eigh(np.array([op(e) for e in np.eye(len(v0))]))
     return thetas[:-count - 1:-1], S[:, :-count - 1:-1], len(v0)
 
 
@@ -278,6 +278,27 @@ class TestRightSizedLanczos:
         d = 1.0 / np.arange(1.0, 201.0)
         with pytest.raises(NoConvergence, match="mode 3: no convergence in 5 steps"):
             spectral._lanczos(lambda y: d * y, np.ones(200), 1, 1e-12, 3)
+
+    def test_calls_return_independent_arrays(self, p513, grid):
+        # each solve reuses only its own buffers and the read-only start vector: at the README
+        # point two calls agree, and writing into the first result reaches no later call
+        mode = make_mode(p513, 0)
+        first, second = (ckn.mode_eigenpairs(p513, mode, grid) for _ in range(2))
+        for a, b in zip(first, second):
+            assert (a.eigenvalue, a.residual, a.iters) == (b.eigenvalue, b.residual, b.iters)
+            assert np.array_equal(a.profile.values, b.profile.values)
+            assert not np.shares_memory(a.profile.values, b.profile.values)
+        kept = [r.profile.values.copy() for r in second]
+        for r in first:
+            r.profile.values[:] = np.nan
+        third = ckn.mode_eigenpairs(p513, mode, grid)
+        for values, b, c in zip(kept, second, third):
+            assert np.array_equal(b.profile.values, values)
+            assert np.array_equal(c.profile.values, values)
+        v0 = spectral._start_vector(len(spectral._mode_pencil(p513, mode)[1]))
+        assert not v0.flags.writeable
+        with pytest.raises(ValueError):
+            v0[0] = 0.0
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_solves_per_mode(self, p513, grid, k):
