@@ -85,17 +85,16 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     step that lowers the value by at most tol times it; max_iters >= 1 bounds the solves: 8.69
     on average from certify-class starts, where s alone (the plain iteration) takes 16.35.
 
-    Returns (quotient value, normalized profile), the value within 0.5% of
-    radial_constant_sr.  Raises CknError unless max_iters is an integer >= 1 (is_index) or when
-    init, in scaled variables, is zero or not finite, BadGridSpec for init samples that
-    fail numerics.check_samples, MaxIters after max_iters solves,
-    TailInadequate when the outermost nodes carry more of the final
-    energy integrand than numerics.TAIL_TOL (the grid cuts the extremal off),
-    and NoConvergence if rounding leaves A without a Cholesky factor.
+    Returns (quotient value, normalized profile), the value within 0.5% of radial_constant_sr.
+    Raises CknError unless max_iters is an integer >= 1 (is_index) and 0 <= tol <= 1e-6, or when
+    init, in scaled variables, is zero or not finite; BadGridSpec for init samples that fail
+    numerics.check_samples, MaxIters after max_iters solves, TailInadequate when the outermost
+    nodes carry more of the final energy integrand than numerics.TAIL_TOL (the grid cuts the
+    extremal off), and NoConvergence if rounding leaves A without a Cholesky factor.
     """
     require_subcritical(params, "minimize_radial")
-    if not (is_index(max_iters) and max_iters >= 1):
-        raise CknError(f"need integer max_iters >= 1, got max_iters = {max_iters!r}")
+    if not (is_index(max_iters) and max_iters >= 1 and 0.0 <= tol <= 1e-6):
+        raise CknError(f"need integer max_iters >= 1, 0 <= tol <= 1e-6: got {max_iters!r}, {tol!r}")
     grid = init.grid
     keep = _forms.keep_indices(grid.n)
     w_full = trapezoid_weights(grid.n, grid.h)
@@ -135,7 +134,7 @@ def minimize_radial(params: CknParams, init: RadialProfile,
             break
     else:
         raise MaxIters(f"no stationary point within {max_iters} solves")
-    numerics.require_tail(sq, grid, -1.0, "radial minimizer")
+    numerics.checked_integrals(w_full * sq, grid.h, ("radial minimizer",))
     profile = RadialProfile(grid=grid, values=_forms.from_scaled(
         params, grid, np.pad(phi, _forms.N_CLAMP)))
     return omega_sphere(params.N) ** (1.0 - 2.0 / p) * value, profile
@@ -153,6 +152,16 @@ def _gauss_sphere(N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _sphere_mean(u: np.ndarray, tf: np.ndarray, N: int, p: float) -> np.ndarray:
+    """Sphere mean of (u + t f x_1/|x|)^p, |t f| <= u/2: u^p 2F1(-p/2, (1-p)/2; N/2; y^2), y = t f/u
+    (DLMF 15.2.1), to the first J >= p/2 with |a_J| Y^J/(1 - Y) < ulp(1)/2, Y = max y^2 (README)."""
+    y2 = np.square(np.divide(tf, u, out=np.zeros_like(u), where=u > 0))   # y only where u > 0
+    top, a = float(y2.max()), [1.0]
+    while (j := len(a) - 1) < p / 2 or abs(a[j]) * top ** j > np.finfo(float).epsneg * (1 - top):
+        a.append(a[j] * (j - p / 2) * (j + (1 - p) / 2) / ((j + 1) * (j + N / 2)))
+    return np.polyval(a[-2::-1], y2) * u ** p
+
+
 def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
                        direction: RadialProfile) -> float:
     """Quotient I(U + t f Psi_k) for the axisymmetric harmonic Psi_k.
@@ -162,8 +171,8 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     t the relative perturbation size; |t| <= 0.2 is enforced (NaN fails it).
     The quotient is 0-homogeneous and is taken in t on extremal_shape and r^{kappa1} f over
     its max (CknError if that is zero or not finite), where r^{gamma+N-1} dr = dt; the sphere
-    integrand, one array built in place, is summed in c = cos theta by Gauss-Gegenbauer: 16
-    nodes where |t f| <= U/2 keeps it analytic in c, else 64 for the kink (README).
+    integral of |u + t f Psi|^p is omega_N times its mean, the power itself for k = 0 and a series
+    where |t f| <= U/2 (_sphere_mean), else 64 Gauss-Gegenbauer nodes in c for the kink (README).
 
     For k = 1 with alpha > 0 and beta below the Felli-Schneider curve the
     value drops strictly below radial_constant_sr for small t; above the
@@ -194,11 +203,12 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
         # the scaled direction has sphere-weighted energy equal to ||U||^2
         numerator = om * e_u * (1.0 + t_amp ** 2)
 
-    cosines, wq = _gauss_sphere(N, 16 if mode.k == 0 or np.all(np.abs(t_amp * f) <= u / 2) else 64)
-    radial = np.multiply.outer(np.ones_like(cosines) if mode.k == 0 else cosines, t_amp * f)
-    for j in range(len(cosines)):   # |u + t f cos|^p in place; a broadcast add takes a buffer
-        radial[j] += u
-    radial = wq @ np.power(np.abs(radial, out=radial), p, out=radial)   # over the sphere
-    den = om_sub * float(numerics.checked_integrals(numerics.quadrature_terms(
-        radial, grid, -1.0), grid.h, ("perturbed quotient denominator",)))
+    tf = t_amp * f
+    if mode.k == 0 or np.all(np.abs(tf) <= u / 2):   # omega_N times the sphere mean
+        scale, radial = om, np.abs(u + tf) ** p if mode.k == 0 else _sphere_mean(u, tf, N, p)
+    else:   # |u + t f c|^p may have a kink in c: 64 Gauss-Gegenbauer nodes (README)
+        cosines, wq = _gauss_sphere(N, 64)
+        scale, radial = om_sub, wq @ np.abs(np.multiply.outer(cosines, tf) + u) ** p
+    den = scale * float(numerics.checked_integrals(trapezoid_weights(grid.n, grid.h) * radial,
+                                                   grid.h, ("perturbed quotient denominator",)))
     return numerator / den ** (2.0 / p)

@@ -210,6 +210,19 @@ def test_max_iters_is_a_positive_integer(max_iters):
     assert type(info.value) is CknError and "max_iters" in str(info.value)
 
 
+@pytest.mark.parametrize("tol", [INF, 1.0, 1e-2, 1.1e-6, -1.0, -INF, NAN], ids=repr)
+def test_tol_is_in_zero_to_1e_minus_6(tol, monkeypatch):
+    # a usage error before the energy form is factored: from two-bump starts at (6, 1.2, -3.1),
+    # tol = inf or 1 returned values 1.5 % to 52 % off S_r without an error, and tol = -1 or
+    # NaN took 2000 solves to raise MaxIters
+    factored = []
+    monkeypatch.setattr(_forms, "cholesky_solver", lambda *args: factored.append(1))
+    with pytest.raises(CknError) as info:
+        variational.minimize_radial(P, INIT, tol=tol)
+    assert type(info.value) is CknError and "tol" in str(info.value)
+    assert not factored
+
+
 def test_integer_and_samples_rules_stated_only_in_their_checks():
     # is_index and check_index are the only integer and selector tests, check_samples the only
     # samples-shape test: every other module calls them

@@ -12,7 +12,7 @@ from ckn.numerics import (RESIDUAL_MARGIN, T_LIMIT, RadialProfile, _fd_weights,
                           checked_integrals, checked_sums, diff_matrix, differentiate,
                           even_residual, gamma_fn, grid_exp, grid_power, integrate, make_grid,
                           quadrature_terms, require_tail, tail_fraction, tail_nodes,
-                          with_derivatives)
+                          trapezoid_weights, with_derivatives)
 from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
 from conftest import ORACLE
 from test_forms import GRIDS
@@ -305,6 +305,15 @@ class TestTailRule:
             next(sums)
         with pytest.raises(TailInadequate, match="^a: the integral is not finite"):
             next(checked_sums(np.array([[math.inf], [1.0]]), np.zeros((2, 1)), ("a", "b")))
+
+    @pytest.mark.parametrize("grid", [(-14.0, 14.0, 4001), (-700.0, 14.0, 4001)])
+    def test_unit_weight_terms_are_weights_times_samples(self, grid):
+        # w = -1 weighs by s^0 = 1: callers pass trapezoid weights times samples, the same
+        # terms bit for bit without an exponential per node
+        g = make_grid(*grid)
+        samples = np.exp(-g.ts ** 2)
+        np.testing.assert_array_equal(trapezoid_weights(g.n, g.h) * samples,
+                                      quadrature_terms(samples, g, -1.0))
 
     def test_asymmetric_grid_holds_a_centred_profile(self):
         # the right tail of [-700, 14] is [13.3, 14], not the 100 nodes on [-3.85, 14]

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -260,6 +262,15 @@ class TestMinimizeRadial:
         assert all(c < b for c, b in zip(counts, plain)), (counts, plain)
         assert sum(counts) <= 0.6 * sum(plain), (counts, plain)
 
+    def test_largest_tol_meets_the_stated_accuracy(self, grid):
+        # tol = 1e-6, the largest allowed, lands within 0.5 % of S_r from two bumps at
+        # (6, 1.2, -3.1) (measured: 2.4e-10), where tol = 1e-2 stopped 51 % above it
+        P = ckn.derive(6, 1.2, -3.1)
+        phi = np.exp(-(grid.ts + 2.0) ** 2) + np.exp(-(grid.ts - 2.0) ** 2)
+        init = RadialProfile(grid=grid, values=phi * np.exp(-P.kappa1 * grid.ts))
+        value, _ = minimize_radial(P, init, tol=1e-6)
+        assert value == pytest.approx(radial_constant_sr(P), rel=1e-9)
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.integers(6, 8), st.floats(0.5, 3.0), st.sampled_from(("sb", "cs")),
            st.floats(0.15, 0.85),
@@ -325,14 +336,16 @@ class TestPerturbedQuotient:
         assert val == pytest.approx(float.fromhex("0x1.bb1984bedfcc5p+7"), rel=1e-12)
 
     def test_gauss_rule_computed_once(self, p513, grid):
-        # one rule, the 16-point one, is computed for both calls and then read from the cache
+        # along Z1 the sphere mean is the series and builds no Gauss rule; a kinked direction
+        # builds the 64-point one once, then reads it from the cache
         variational._gauss_sphere.cache_clear()
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
-        for t in (0.05, -0.05):
-            perturbed_quotient(p513, t, make_mode(p513, 1), z1)
+        kinked = gaussian_profile(grid, center=1.0, width=0.8)
+        for direction in (z1, z1, kinked, kinked):
+            perturbed_quotient(p513, 0.2, make_mode(p513, 1), direction)
         info = variational._gauss_sphere.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        nodes, weights = variational._gauss_sphere(p513.N, 16)
+        nodes, weights = variational._gauss_sphere(p513.N, 64)
         assert variational._gauss_sphere.cache_info()[:2] == (2, 1)
         assert not (nodes.flags.writeable or weights.flags.writeable)
 
@@ -361,16 +374,17 @@ class TestPerturbedQuotient:
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_sphere_integrand_built_in_place(self, p513, grid, k):
-        # the 16 x n sphere integrand is one array, built in place
+        # the sphere mean along Z1 is one row of n: the peak is that of the energy forms,
+        # about 7 arrays of n floats (measured: 7.05), where 16 Gauss rows took 19
         z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(p513, 1, r))
-        perturbed_quotient(p513, 0.05, make_mode(p513, k), z1)    # warm the Gauss rule
+        perturbed_quotient(p513, 0.05, make_mode(p513, k), z1)    # warm the caches
         tracemalloc.start()
         try:
             perturbed_quotient(p513, 0.05, make_mode(p513, k), z1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * grid.n * 16 * 8
+        assert peak <= 9 * grid.n * 8
 
     @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
     def test_zero_or_non_finite_direction(self, p513, grid, fill):
@@ -417,14 +431,21 @@ class TestGaussSphere:
             lower = float(ckn.beta_lower(N, a))
             yield ckn.derive(N, a, lower + (a - 2.0 - lower) * rng.uniform(0.05, 0.95)), rng
 
-    def errors(self, P, grid, direction, monkeypatch):
-        """Largest relative error of perturbed_quotient at t = +-0.05, +-0.2 against
-        the quotient with a 512-node rule."""
+    @classmethod
+    def gegenbauer_mean(cls, u, tf, N, p):
+        """The sphere mean of |u + t f c|^p as an explicit 512-node Gegenbauer sum."""
+        nodes, weights = cls.reference(N, 512)
+        return weights @ np.abs(u + np.multiply.outer(nodes, tf)) ** p / weights.sum()
+
+    def errors(self, P, grid, direction, monkeypatch, ts=(0.05, -0.05, 0.2, -0.2)):
+        """Largest relative error of perturbed_quotient at each t in ts against the quotient
+        whose sphere integral is a 512-node sum, for both the series and the kink rule."""
         mode, out = make_mode(P, 1), []
-        for t in (0.05, -0.05, 0.2, -0.2):
+        for t in ts:
             val = perturbed_quotient(P, t, mode, direction)
             with monkeypatch.context() as m:
                 m.setattr(variational, "_gauss_sphere", lambda N, count: self.reference(N, 512))
+                m.setattr(variational, "_sphere_mean", self.gegenbauer_mean)
                 ref = perturbed_quotient(P, t, mode, direction)
             out.append(abs(val - ref) / ref)
         return max(out)
@@ -437,13 +458,20 @@ class TestGaussSphere:
         return counts
 
     def test_z1_directions(self, grid, monkeypatch):
-        # |t f| <= U/2 at |t| <= 0.2 along Z1: the integrand is analytic on a wide ellipse
-        # around c in [-1, 1], and 16 nodes are as accurate as 512 (measured: 1.0e-15)
+        # along Z1, N = 5..12 and p from 2.08 to 8: at |t| = 0.05 the sphere mean is the
+        # hypergeometric series, with no Gauss rule; at |t| = 0.2, |t f| passes U/2 at three of
+        # the points (N = 11, 12) and the 64-node rule takes over.  Either way the quotient
+        # matches 512 nodes (measured: 4.1e-16 by the series, 5.8e-16 by 64 nodes)
         counts = self.node_counts(monkeypatch)
-        for P, _ in self.points(20261, 8):
+        for N, (alpha, frac) in itertools.product(range(5, 13), ((0.5, 0.1), (2.0, 0.9))):
+            lower = ckn.beta_lower(N, alpha)
+            P = ckn.derive(N, alpha, lower + frac * (alpha - 2.0 - lower))
             z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(P, 1, r))
-            assert self.errors(P, grid, z1, monkeypatch) <= 1e-14
-        assert set(counts) == {16}
+            before = len(counts)
+            assert self.errors(P, grid, z1, monkeypatch, ts=(0.05, -0.05)) <= 2e-15
+            assert len(counts) == before
+            assert self.errors(P, grid, z1, monkeypatch, ts=(0.2, -0.2)) <= 2e-15
+        assert counts == [64] * 6
 
     def test_kinked_directions(self, grid, monkeypatch):
         # Gaussians in t = ln r, normalized like Z1, reach |t f| > U where U decays:
@@ -454,6 +482,81 @@ class TestGaussSphere:
             f = gaussian_profile(grid, center=rng.uniform(-2.0, 2.0), width=rng.uniform(0.6, 2.0))
             assert self.errors(P, grid, f, monkeypatch) <= 1e-7
         assert 64 in counts
+
+
+def decimal_2f1(p, N, y):
+    """2F1(-p/2, (1-p)/2; N/2; y^2) summed in 40-digit decimal arithmetic, to terms below 1e-40."""
+    with localcontext(prec=40):
+        a, b, c, z = -Decimal(p) / 2, (1 - Decimal(p)) / 2, Decimal(N) / 2, Decimal(y) ** 2
+        term = total = Decimal(1)
+        j = 0
+        while j < p / 2 or abs(term) > Decimal("1e-40"):
+            term *= (a + j) * (b + j) / ((j + 1) * (c + j)) * z
+            total += term
+            j += 1
+        return float(total)
+
+
+class TestSphereMean:
+    """The k = 1 sphere mean where |t f| <= U/2: u^p times a hypergeometric series in y^2."""
+
+    #: p from near 2 to 10, the largest p of the region, with integers and near-integers
+    EXPONENTS = (2.0 + 1e-9, 2.5, 3.0 - 1e-12, 4.0, 4.0 + 1e-10, 5.3, 7.77, 9.0 - 1e-8, 10.0)
+
+    @pytest.mark.parametrize("N", range(5, 13))
+    def test_series_to_the_last_bit(self, N):
+        # u = 1 leaves the series alone: within 2.2e-16 of 40 digits (measured) for |y| <= 1/2,
+        # so the remainder bound stops late enough
+        y = np.linspace(-0.5, 0.5, 21)
+        for p in self.EXPONENTS:
+            got = variational._sphere_mean(np.ones_like(y), y, N, p)
+            want = np.array([decimal_2f1(p, N, v) for v in y.tolist()])
+            np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("N", range(5, 13))
+    def test_matches_gegenbauer_sum(self, grid_fast, N):
+        # synthetic |t f/u| up to 1/2 on a decaying u: the trapezoid sum of the mean matches
+        # that of an explicit 512-node Gegenbauer sum (measured: 1.6e-15)
+        rng = np.random.default_rng(N)
+        t = grid_fast.ts
+        u, w = np.cosh(0.8 * t) ** -2.0, trapezoid_weights(grid_fast.n, grid_fast.h)
+        for p in self.EXPONENTS:
+            for y_max in (0.2, 0.5):
+                tf = y_max * np.sin(rng.uniform(0.3, 3.0) * t + rng.uniform(0.0, 6.0)) * u
+                got = w @ variational._sphere_mean(u, tf, N, p)
+                want = w @ TestGaussSphere.gegenbauer_mean(u, tf, N, p)
+                assert abs(got / want - 1.0) <= 2e-15, (p, y_max)
+
+    def test_symmetric_in_t(self, grid):
+        # the series sees t only through y^2, so Q(t) = Q(-t) bit for bit; 16 Gauss nodes,
+        # symmetric only to rounding, gave values 1.3e-16 apart at (5, 1, -3), t = 0.2
+        for point in ((5, 1.0, -3.0), (6, 2.0, -2.5), (8, 3.0, -1.9), (10, 1.0, -2.5)):
+            P = ckn.derive(*point)
+            z1, mode = ckn.sample(grid, lambda r: ckn.linearized_mode(P, 1, r)), make_mode(P, 1)
+            for t in (0.01, 0.05, 0.2):
+                assert perturbed_quotient(P, t, mode, z1) == perturbed_quotient(P, -t, mode, z1)
+
+    @pytest.mark.parametrize("point,pins", [
+        ((5, 1.0, -2.0), ("0x1.94566c5ec5f12p+6", "0x1.9496d02579103p+6")),
+        ((5, 1.0, -3.0), ("0x1.bb7c3dafc5c27p+7", "0x1.be1e77ae49a26p+7")),
+        ((8, 3.0, -1.9), ("0x1.46e2b5fe90ca0p+11", "0x1.475974cc13ab8p+11"))])
+    def test_mode0_one_row(self, grid, point, pins):
+        # k = 0 takes |u + t f|^p once; the pins (x86-64, numpy 2.4) are the values at t = 0.05
+        # and -0.2 along Z1 with 16 identical Gauss-Gegenbauer rows (measured: 1 ulp apart)
+        P = ckn.derive(*point)
+        z1 = ckn.sample(grid, lambda r: ckn.linearized_mode(P, 1, r))
+        for t, pin in zip((0.05, -0.2), pins):
+            val = perturbed_quotient(P, t, make_mode(P, 0), z1)
+            assert val == pytest.approx(float.fromhex(pin), rel=1e-15, abs=0.0)
+
+    def test_underflowing_u(self):
+        # y = t f/u is formed only where u > 0: a zero u (so t f = 0) gives a zero mean and no
+        # RuntimeWarning (tier-1 turns those into errors), a subnormal u a finite mean
+        u = np.array([0.0, 5e-324, 1e-310, 1e-200, 1.0])
+        tf = np.array([0.0, 0.0, -4e-311, 5e-201, 0.5])
+        mean = variational._sphere_mean(u, tf, 6, 3.7)
+        assert mean[0] == 0.0 and np.all(np.isfinite(mean))
+        assert mean[-1] == pytest.approx(decimal_2f1(3.7, 6, 0.5), rel=4e-16)
 
 
 class TestTailAdequacy:
