@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closedform import extremal_shape
-from .errors import GridTooSmall, NoConvergence
+from .errors import BadGridSpec, GridTooSmall, NoConvergence
 from .numerics import (LogGrid, apply_rows, check_samples, diff_matrix, diff_rows, grid_exp,
                        trapezoid_weights)
 from .params import CknParams
@@ -100,7 +100,8 @@ def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray
     """energy_matrix in upper LAPACK band storage, ab[BAND - d, j] = E[j - d, j].
     Each E[j, l] sums (B[i, j] w_i) B[i, l] over the rows i of B in rising
     order, as the sparse product (B^T W) B does, so the two agree bit for
-    bit: interior rows as slice adds, the end rows as outer products."""
+    bit: interior rows as slice adds, the end rows as outer products.
+    BadGridSpec where an entry is not finite: entries grow as h^-3, past float near h = 1e-103."""
     inner, left, right = _mode_rows(params, lambda_k, grid)
     n, h = grid.n, grid.h
     ab = np.zeros((BAND + 1, n))
@@ -111,23 +112,27 @@ def energy_band(params: CknParams, lambda_k: float, grid: LogGrid) -> np.ndarray
             for d in range(BAND + 1):
                 ab[BAND - d, at + d:at + 7] += np.diagonal(block, d)
 
-    add_rows(left, (h / 2.0, h, h), 0)
-    for d in range(BAND + 1):
-        for m in range(d - 2, 3):           # row i = j + m, ascending
-            ab[BAND - d, 3 - m + d:n - 3 - m + d] += (inner[2 - m] * h) * inner[2 + d - m]
-    add_rows(right[::-1], (h, h, h / 2.0), n - 7)
+    with np.errstate(over="ignore", invalid="ignore"):      # judged whole, below
+        add_rows(left, (h / 2.0, h, h), 0)
+        for d in range(BAND + 1):
+            for m in range(d - 2, 3):           # row i = j + m, ascending
+                ab[BAND - d, 3 - m + d:n - 3 - m + d] += (inner[2 - m] * h) * inner[2 + d - m]
+        add_rows(right[::-1], (h, h, h / 2.0), n - 7)
     ab = ab[:, N_CLAMP:n - N_CLAMP]
     for d in range(1, BAND + 1):            # couplings to clamped nodes
         ab[BAND - d, :d] = 0.0
+    if not np.isfinite(ab).all():           # cholesky_solver's one finiteness scan
+        raise BadGridSpec(f"the mode energy form overflows at grid step h = {h:.3g}; "
+                          "widen the grid or take fewer nodes")
     return ab
 
 
 def cholesky_solver(ab: np.ndarray, what: str):
-    """rhs -> A^{-1} rhs for the band form A, by one banded Cholesky factorization;
-    NoConvergence if A, positive definite in exact arithmetic, has no factor."""
+    """rhs -> A^{-1} rhs for the finite band form A (energy_band), by one banded Cholesky
+    factorization; NoConvergence if A, positive definite in exact arithmetic, has no factor."""
     import scipy.linalg as sla
     try:
-        factor = sla.cholesky_banded(ab)
+        factor = sla.cholesky_banded(ab, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"{what} has no Cholesky factor ({exc})") from None
     return lambda rhs: sla.cho_solve_banded((factor, False), rhs, check_finite=False)

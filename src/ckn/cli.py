@@ -1,11 +1,7 @@
 """Command-line front end: constants, verification suites, spectra, region
 maps, and radial minimization, with machine-readable output.
 
-Grid defaults can be pinned in a plain-text config file of
-``key = value`` lines (keys: t_min, t_max, n), selected with --config or
-the CKN_CONFIG environment variable; explicit flags win over the config,
-which wins over the built-ins.  Exit codes: 0 success, 1 assertion or
-convergence failure, 2 usage/validation error.
+Exit codes: 0 success, 1 assertion or convergence failure, 2 usage/validation error.
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -88,28 +83,9 @@ def _emit_error(exc: Exception, fmt: str) -> None:
     emit({"error": type(exc).__name__, "message": str(exc)}, "json" if fmt == "csv" else fmt)
 
 
-def load_config(path: str | None) -> dict:
-    path = path or os.environ.get("CKN_CONFIG")
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            pairs = [line.strip().partition("=") for line in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CknError(f"unreadable config file {path}: {exc}") from None
-    # key = value lines; blank lines, comments (#) and lines without "=" are skipped
-    return {key.strip(): val.strip() for key, eq, val in pairs if eq and not key.startswith("#")}
-
-
-def _settings(args) -> dict:
-    """make_grid's pinned arguments: the config's t_min, t_max and n, cast, under the flags
-    that are given.  The one parse of the config; CknError where a value is malformed."""
-    cfg, keys = load_config(args.config), (("t_min", float), ("t_max", float), ("n", int))
-    try:
-        out = {key: cast(cfg[key]) for key, cast in keys if key in cfg}
-    except ValueError as exc:
-        raise CknError(f"malformed config value: {exc}") from None
-    return out | {key: getattr(args, key) for key, _ in keys if getattr(args, key) is not None}
+def _grid_flags(args) -> dict:
+    """make_grid's arguments from the grid flags that are given; the others keep its defaults."""
+    return {key: val for key in ("t_min", "t_max", "n") if (val := getattr(args, key)) is not None}
 
 
 def _constants_doc(P: CknParams) -> dict:
@@ -156,7 +132,6 @@ def cmd_verify(args) -> int:
         own = closedform.rellich_limit_grid()
         raise BadGridSpec(f"verify rellich-limit keeps its own domain, t in [{own.t_min:g}, "
                           f"{own.t_max:g}]: of the grid flags only -n applies")
-    settings = _settings(args)
     checks = []
 
     def check(name, value, tol, ok=None):
@@ -166,7 +141,7 @@ def cmd_verify(args) -> int:
     if args.suite != "rellich-limit":
         P = derive(args.dim, args.alpha, args.beta)
     if args.suite in ("identities", "equivalence"):
-        grid = make_grid(**settings)
+        grid = make_grid(**_grid_flags(args))
     if args.suite == "ode":
         r1, r2, r3 = transforms.cosh_ansatz_check(P)
         check("cosh_relation_1", r1, 1e-10)
@@ -210,7 +185,7 @@ def cmd_verify(args) -> int:
             raise CknError(f"malformed --eps {args.eps!r}: need a comma list of numbers") from None
         if len(set(eps_list)) < len(eps_list):
             raise CknError(f"malformed --eps {args.eps!r}: a value repeats")
-        grid = closedform.rellich_limit_grid(settings.get("n", numerics.DEFAULT_N))
+        grid = closedform.rellich_limit_grid(**_grid_flags(args))     # -n only, checked above
         limit = ((args.dim - 4) / 2.0) ** 4
         quotients = closedform.rellich_test_quotient(args.dim, eps_list, grid)
         mono = all(a > b for a, b in zip(quotients, quotients[1:]))
@@ -234,7 +209,7 @@ def cmd_spectrum(args) -> int:
         raise CknError(f"need --kmax >= 0, got {args.kmax}")
     P = derive(args.dim, args.alpha, args.beta)
     modes = [variational.make_mode(P, k) for k in range(args.kmax + 1)]
-    _forms.scale_rule(P, make_grid(**_settings(args)))      # the grid's rules, before any solve
+    _forms.scale_rule(P, make_grid(**_grid_flags(args)))      # the grid's rules, before any solve
     rows = []
     for mode in modes:      # eigenvalues only: no profile is printed, so none is sampled
         nus, residuals, iters, _ = spectral._mode_solve(P, mode)
@@ -291,7 +266,7 @@ def cmd_region_map(args) -> int:
 
 def cmd_minimize(args) -> int:
     P = derive(args.dim, args.alpha, args.beta)
-    grid = make_grid(**_settings(args))
+    grid = make_grid(**_grid_flags(args))
     t = grid.ts
     if args.init:
         try:
@@ -329,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-b", "--beta", type=float, required=True)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if grid:
-            p.add_argument("--config", default=None, help="key=value file; or env CKN_CONFIG")
             p.add_argument("--t-min", type=float, default=None)
             p.add_argument("--t-max", type=float, default=None)
             p.add_argument("-n", type=int, default=None, help="grid nodes (odd)")

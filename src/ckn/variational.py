@@ -153,7 +153,7 @@ def _gauss_sphere(N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sphere_mean(u: np.ndarray, tf: np.ndarray, N: int, p: float) -> np.ndarray:
-    """Sphere mean of (u + t f x_1/|x|)^p, |t f| <= u/2: u^p 2F1(-p/2, (1-p)/2; N/2; y^2), y = t f/u
+    """Sphere mean of (u + t f x_1/|x|)^p, |t f| <= 3u/4: u^p 2F1(-p/2, (1-p)/2; N/2; y^2), y = tf/u
     (DLMF 15.2.1), to the first J >= p/2 with |a_J| Y^J/(1 - Y) < ulp(1)/2, Y = max y^2 (README)."""
     y2 = np.square(np.divide(tf, u, out=np.zeros_like(u), where=u > 0))   # y only where u > 0
     top, a = float(y2.max()), [1.0]
@@ -172,7 +172,7 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
     The quotient is 0-homogeneous and is taken in t on extremal_shape and r^{kappa1} f over
     its max (CknError if that is zero or not finite), where r^{gamma+N-1} dr = dt; the sphere
     integral of |u + t f Psi|^p is omega_N times its mean, the power itself for k = 0 and a series
-    where |t f| <= U/2 (_sphere_mean), else 64 Gauss-Gegenbauer nodes in c for the kink (README).
+    where |t f| <= 3U/4 (_sphere_mean), else 64 Gauss-Gegenbauer nodes in c for the kink (README).
 
     For k = 1 with alpha > 0 and beta below the Felli-Schneider curve the
     value drops strictly below radial_constant_sr for small t; above the
@@ -204,7 +204,7 @@ def perturbed_quotient(params: CknParams, t_amp: float, mode: ModeSpec,
         numerator = om * e_u * (1.0 + t_amp ** 2)
 
     tf = t_amp * f
-    if mode.k == 0 or np.all(np.abs(tf) <= u / 2):   # omega_N times the sphere mean
+    if mode.k == 0 or np.all(np.abs(tf) <= 0.75 * u):  # 1 + y c >= 1/4, no kink: omega_N times mean
         scale, radial = om, np.abs(u + tf) ** p if mode.k == 0 else _sphere_mean(u, tf, N, p)
     else:   # |u + t f c|^p may have a kink in c: 64 Gauss-Gegenbauer nodes (README)
         cosines, wq = _gauss_sphere(N, 64)

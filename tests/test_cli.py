@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import ckn
 from ckn import _forms, cli, identities, spectral
-from ckn.cli import build_parser, emit, load_config, main
+from ckn.cli import build_parser, emit, main
 from ckn.params import RegionClass, beta_lower, derive, felli_schneider, region_of
 from ckn.spectral import second_variation_sign
 from conftest import count_matvecs, random_profiles
@@ -240,8 +241,8 @@ class TestVerify:
         code, _ = run(capsys, "verify", "rellich-limit", "-N", "6", "--format", "json")
         assert code == 0 and calls == {"rellich_test_quotient": 1}
 
-    def test_rellich_limit_honors_n(self, capsys, tmp_path, monkeypatch):
-        # n is resolved as identities and equivalence do: the flag, then the config, the default
+    def test_rellich_limit_honors_n(self, capsys):
+        # -n is the one grid flag of its own domain: it sets the node count, else the default
         def quotients(*extra):
             code, out = run(capsys, "verify", "rellich-limit", "-N", "5", *extra,
                             "--format", "json")
@@ -249,14 +250,7 @@ class TestVerify:
             return next(c["value"] for c in json.loads(out)["checks"]
                         if c["check"] == "quotients")
 
-        default, flag = quotients(), quotients("-n", "2001")
-        assert flag != default
-        cfg = tmp_path / "ckn.conf"
-        cfg.write_text("n = 2001\n")
-        assert quotients("--config", str(cfg)) == flag
-        cfg.write_text("n = 1001\n")
-        monkeypatch.setenv("CKN_CONFIG", str(cfg))
-        assert quotients("-n", "2001") == flag
+        assert quotients("-n", "2001") != quotients() == quotients("-n", "4001")
 
     @pytest.mark.parametrize("argv,says", [
         (("ode", "-N", "5", "-a", "1", "-b", "-2", "--t-max=5"), "domain derived from (N, alpha"),
@@ -273,15 +267,6 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 2 and doc["error"] == "BadGridSpec"
         assert says in doc["message"]
-
-    def test_own_domain_skips_config_ends(self, capsys, tmp_path):
-        # a config file pins defaults for every command: its t_min and t_max stay unread here
-        cfg = tmp_path / "ckn.conf"
-        cfg.write_text("t_min = -3\nt_max = 3\n")
-        for argv in (("ode", "-N", "5", "-a", "1", "-b", "-2"), ("rellich-limit", "-N", "5")):
-            plain = run(capsys, "verify", *argv, "--format", "json")
-            assert plain[0] == 0
-            assert run(capsys, "verify", *argv, "--config", str(cfg), "--format", "json") == plain
 
     @pytest.mark.parametrize("eps", ["0.1,x", "", "0.1,,0.01", "0.1,0.1", "0.3,0.1,0.30"])
     def test_malformed_eps_exit_2(self, capsys, eps):
@@ -616,6 +601,15 @@ class TestStartup:
         assert report == {step: [] for step in report}
 
 
+#: one command per grid rule; each took --config and read CKN_CONFIG
+GRID_COMMANDS = [("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "0"),
+                 ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
+                 ("verify", "ode", "-N", "5", "-a", "1", "-b", "-2"),
+                 ("verify", "identities", "-N", "5", "-a", "1", "-b", "-2"),
+                 ("verify", "rellich-limit", "-N", "5")]
+GRID_IDS = ["spectrum", "minimize", "ode", "identities", "rellich-limit"]
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [
         ("constants", "-N", "5", "-a", "1", "-b", "-2", "--config", "ckn.conf"),
@@ -623,15 +617,29 @@ class TestParser:
         ("constants", "-N", "5", "-a", "1", "-b", "-2", "--t-max=12"),
         ("constants", "-N", "5", "-a", "1", "-b", "-2", "-n", "4"),
         ("region-map", "-N", "5", "--alpha-range=0:1", "--beta-range=-4:-1",
-         "--resolution", "2", "--config", "ckn.conf")],
+         "--resolution", "2", "--config", "ckn.conf"),
+        *((*cmd, "--config", "x") for cmd in GRID_COMMANDS)],
         ids=["constants-config", "constants-t-min", "constants-t-max", "constants-n",
-             "region-map-config"])
+             "region-map-config", *(f"{name}-config" for name in GRID_IDS)])
     def test_unread_options_are_usage_errors(self, argv):
         # constants reads no grid setting and region-map no config, yet both accepted them;
-        # this replaces the wide-grid cases of constants in TestWideGrids
+        # this replaces the wide-grid cases of constants in TestWideGrids.  No command reads
+        # a config file: the grid comes from -n, --t-min and --t-max alone
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cmd", GRID_COMMANDS, ids=GRID_IDS)
+    def test_config_environment_is_unread(self, capsys, tmp_path, monkeypatch, cmd):
+        # CKN_CONFIG named a key = value file of grid defaults; a missing or malformed one
+        # exited 2.  Nothing reads it now, so stdout is that of a run without it
+        plain = run(capsys, *cmd, "--format", "json")
+        assert plain[0] == 0
+        bad = tmp_path / "ckn.conf"
+        bad.write_text("n = abc\nt_max = x\n")
+        for path in (tmp_path / "missing.conf", bad):
+            monkeypatch.setenv("CKN_CONFIG", str(path))
+            assert run(capsys, *cmd, "--format", "json") == plain
 
     def test_cached_parser_output_matches_fresh(self, capsys):
         argvs = [("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "1",
@@ -1028,6 +1036,18 @@ class TestGridBounds:
         assert doc["error"] == "BadGridSpec"
         assert "709.78" in doc["message"]
 
+    @pytest.mark.parametrize("half,n", [("1e-100", "4001"), ("1e-150", "4001"), ("1e-150", "9")])
+    def test_narrow_grid_exit_2(self, capsys, half, n):
+        # a legal grid whose energy form, about h^-3, overflows: scipy's cholesky_banded
+        # raised a ValueError traceback with exit 1 (after an overflow RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-3",
+                            f"--t-min=-{half}", f"--t-max={half}", "-n", n, "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "BadGridSpec" and "energy form overflows" in doc["message"]
+
 
 def _leaves(doc, key=None):
     """Every leaf of a JSON document, with the key it sits under."""
@@ -1136,58 +1156,7 @@ class TestNearRellichBoundary:
         assert doc["perturbed_plus"] > doc["S_r"] and doc["perturbed_minus"] > doc["S_r"]
 
 
-class TestConfig:
-    def test_skipped_lines(self, tmp_path):
-        # blank lines, comments and lines without "=" are skipped; a value keeps later "="s
-        cfg = tmp_path / "ckn.conf"
-        cfg.write_text("\n  # n = 5\nnot a pair\n t_min =  -12 \nkey = a=b\n=orphan\n")
-        assert load_config(str(cfg)) == {"t_min": "-12", "key": "a=b", "": "orphan"}
-
+class TestEmit:
     def test_text_format_flattens_nested_values(self, capsys):
         emit({"b": [1.5, {"c": True}], "a": 2}, "text")
         assert capsys.readouterr().out == "a = 2\nb.0 = 1.5\nb.1.c = True\n"
-
-    def test_file_and_env_precedence(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "ckn.conf"
-        cfg.write_text("# grid\nn = 1001\nt_min = -12\nt_max = 12\n")
-        assert load_config(str(cfg)) == {"n": "1001", "t_min": "-12", "t_max": "12"}
-        monkeypatch.setenv("CKN_CONFIG", str(cfg))
-        assert load_config(None)["n"] == "1001"
-        # flags beat the config: an explicit -n overrides
-        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-2",
-                        "--kmax", "0", "-n", "801", "--format", "json")
-        assert code == 0
-
-    @pytest.mark.parametrize("argv", [
-        ("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "0"),
-        ("minimize", "-N", "5", "-a", "1", "-b", "-3"),
-        ("verify", "ode", "-N", "5", "-a", "1", "-b", "-2"),
-        ("verify", "rellich-limit", "-N", "5")], ids=["spectrum", "minimize", "ode", "rellich"])
-    @pytest.mark.parametrize("how", ["flag", "env"])
-    @pytest.mark.parametrize("content", [None, "n = abc\n", "t_max = x\n"],
-                             ids=["missing", "n-abc", "t_max-x"])
-    def test_config_errors_exit_2(self, capsys, tmp_path, monkeypatch, argv, how, content):
-        # a missing file or a malformed value was a FileNotFoundError or ValueError
-        # traceback with exit 1.  The config is parsed in one place, so a malformed t_max
-        # is an error also for the two suites that read only its n
-        cfg = tmp_path / "ckn.conf"
-        if content is not None:
-            cfg.write_text(content)
-        if how == "env":
-            monkeypatch.setenv("CKN_CONFIG", str(cfg))
-            extra = ()
-        else:
-            extra = ("--config", str(cfg))
-        code, out = run(capsys, *argv, *extra, "--format", "json")
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["error"] == "CknError" and "config" in doc["message"]
-
-    def test_config_is_parsed_whole(self, capsys, tmp_path):
-        # a malformed value is an error also where a flag overrides it
-        cfg = tmp_path / "ckn.conf"
-        cfg.write_text("n = abc\n")
-        code, out = run(capsys, "verify", "rellich-limit", "-N", "5", "-n", "1001",
-                        "--config", str(cfg), "--format", "json")
-        assert code == 2
-        assert "abc" in json.loads(out)["message"]
