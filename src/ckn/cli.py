@@ -113,35 +113,34 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _random_profiles(grid, seed: int, count: int) -> list:
-    """Seeded Gaussians in t, with the t-derivatives that every mode shares."""
+def _random_profiles(grid, seed: int, count: int, shift: float) -> list:
+    """Seeded Gaussians in t times r^-shift, with closed-form t-derivatives that all modes share."""
     if not 0 <= seed < 2 ** 32:
         raise CknError(f"need 0 <= seed < 2^32 for --seed, got {seed}")
-    rows = [numerics.diff_rows(grid.h, k) for k in (1, 2)]
     _legacy_rng().seed(seed)    # one generator: RandomState(seed) first seeds from OS entropy
     draws = _legacy_rng().uniform((-2.0, 0.6, 0.5), 2.0, (count, 3)).tolist()
-    return [RadialProfile(grid, v, *(numerics.apply_rows(r, v) for r in rows)) for v in
-            (amp * np.exp(-((grid.ts - centre) / width) ** 2) for centre, width, amp in draws)]
+    t = grid.ts
+    return [RadialProfile(grid, v, g * v, (g * g - 2.0 / (w * w)) * v) for c, w, amp in draws
+            for v in [amp * numerics.grid_exp(-((t - c) / w) ** 2 - shift * t, "a seeded draw")]
+            for g in [-2.0 * (t - c) / (w * w) - shift]]
 
 
 def cmd_verify(args) -> int:
-    if args.suite in ("ode", "linearized") and (args.n, args.t_min, args.t_max) != (None,) * 3:
-        raise BadGridSpec(f"verify {args.suite} runs on the domain derived from (N, alpha, beta) "
-                          "that spectrum solves on: it takes no -n, --t-min or --t-max")
-    if args.suite == "rellich-limit" and (args.t_min, args.t_max) != (None, None):
+    rellich = args.suite == "rellich-limit"
+    if (args.t_min, args.t_max, None if rellich else args.n) != (None,) * 3:
         own = closedform.rellich_limit_grid()
         raise BadGridSpec(f"verify rellich-limit keeps its own domain, t in [{own.t_min:g}, "
-                          f"{own.t_max:g}]: of the grid flags only -n applies")
+                          f"{own.t_max:g}]: of the grid flags only -n applies" if rellich else
+                          f"verify {args.suite} runs on a domain derived from (N, alpha, beta): "
+                          "it takes no -n, --t-min or --t-max")
     checks = []
 
     def check(name, value, tol, ok=None):
         ok = (value <= tol) if ok is None else ok
         checks.append({"check": name, "value": value, "tolerance": tol, "pass": bool(ok)})
 
-    if args.suite != "rellich-limit":
+    if not rellich:
         P = derive(args.dim, args.alpha, args.beta)
-    if args.suite in ("identities", "equivalence"):
-        grid = make_grid(**_grid_flags(args))
     if args.suite == "ode":
         r1, r2, r3 = transforms.cosh_ansatz_check(P)
         check("cosh_relation_1", r1, 1e-10)
@@ -149,7 +148,7 @@ def cmd_verify(args) -> int:
         check("cosh_relation_3", r3, 1e-10)
         check("ode_residual", spectral.linearized_residual(P, 0, 0), 1e-7)     # U, nu_00 = 1
     elif args.suite == "identities":
-        profs = _random_profiles(grid, args.seed, 20)
+        profs = _random_profiles(make_grid(), args.seed, 20, (P.N - 3.0) / 2.0)  # weights e^-+t
         # zip draws both in turn: tail checks fail in the order profile, mode, iid, hardy
         results = list(zip(identities.verify_iid(profs, range(4), P.N),
                            identities.verify_hardy_identity(profs, range(4), P.N)))
@@ -170,8 +169,8 @@ def cmd_verify(args) -> int:
         for k, n in ((0, 1), (1, 0), (2, 0)):
             check(f"linearized_residual_mode{k}", spectral.linearized_residual(P, k, n), 1e-7)
     elif args.suite == "equivalence":
-        ratios = list(identities.equivalence_ratio(_random_profiles(grid, args.seed, 20),
-                                                   range(4), P))
+        profs = _random_profiles(make_grid(), args.seed, 20, P.kappa1)     # a flat weight
+        ratios = list(identities.equivalence_ratio(profs, range(4), P))
         lo, hi = identities.equivalence_bounds(P)
         check("ratios_above_lower_bound", min(ratios), lo, ok=min(ratios) >= lo)
         check("ratios_below_upper_bound", max(ratios), hi)
@@ -312,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, grid=False)
     p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("verify", help="run a named verification suite", description="Grid flags: "
-                       "identities and equivalence take -n, --t-min and --t-max, rellich-limit "
-                       "only -n, ode and linearized none (their domain is derived).")
+    p = sub.add_parser("verify", help="run a named verification suite",
+                       description="Of the grid flags only rellich-limit takes -n.")
     p.add_argument("suite", choices=VERIFY_SUITES)
     add_common(p, params=False)
     p.add_argument("-a", "--alpha", type=float, default=0.0)

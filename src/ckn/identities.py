@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .errors import BadGridSpec, CknError, MaxIters, ScalarOverflow, WeightOutOfRange
-from .numerics import (RadialProfile, apply_rows, checked_sums, diff_rows, grid_power,
-                       quadrature_terms, tail_nodes, with_derivatives)
+from .numerics import RadialProfile, checked_sums, quadrature_terms, tail_nodes, with_derivatives
 from .params import CknParams, check_alpha, check_index
 
 __all__ = ["verify_iid", "verify_hardy_identity", "xi_sign",
@@ -78,16 +77,15 @@ def _relerr(lhs, rhs) -> tuple[float, float, float]:
 
 
 def verify_iid(v_mode, k, N: int):
-    """Check int |x|^4 |Delta u|^2 dx = int |Delta v|^2 dx for u = |x|^{-2} v, mode by
-    mode: (lhs, rhs, relative error) per profile and mode (_per_profile)."""
+    """Check int |x|^4 |Delta u|^2 dx = int |Delta v|^2 dx for u = |x|^{-2} v, mode by mode, with
+    u's t-derivatives from v's: (lhs, rhs, relative error) per profile and mode (_per_profile)."""
     def each(grid, profs, lams):
-        rows = quadrature_terms(np.ones(grid.n), grid, np.array([N - 1.0, N - 5.0]))
-        r2, d = grid_power(-2.0, grid, "r^-2"), [diff_rows(grid.h, j) for j in (1, 2)]
+        row = quadrature_terms(np.ones(grid.n), grid, N - 5.0)
 
-        def pairs(v, x):          # (L u)^2 r^{N+3} dr and (L v)^2 r^{N-1} dr
-            u = v.values * r2
-            yield _bracket(x, *(apply_rows(r, u) for r in d), N - 2.0), u, rows[0]
-            yield _bracket(x, v.d1, v.d2, N - 2.0), v.values, rows[1]
+        def pairs(v, x):          # (Delta u)^2 r^{N+3} dr = (r^2 [u])^2 r^{N-5} dr, [f] the
+            d1 = v.d1 - 2.0 * v.values     # bracket in t; r^2 u' = v' - 2 v, r^2 u'' = d1' - 2 d1
+            yield _bracket(x, d1, v.d2 - 2.0 * v.d1 - 2.0 * d1, N - 2.0), v.values, row
+            yield _bracket(x, v.d1, v.d2, N - 2.0), v.values, row
         S = _sums(profs, pairs, 2)
         for lhs, rhs in _squares(S, lams, ("verify_iid lhs", "verify_iid rhs")):
             yield _relerr(lhs, rhs)

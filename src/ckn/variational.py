@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _forms, numerics
 from .closedform import extremal_shape, omega_sphere
-from .errors import AmplitudeTooLarge, CknError, MaxIters
+from .errors import AmplitudeTooLarge, BadGridSpec, CknError, MaxIters
 from .numerics import LogGrid, RadialProfile, trapezoid_weights
 from .params import CknParams, check_index, is_index, require_subcritical
 
@@ -88,9 +88,9 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     Returns (quotient value, normalized profile), the value within 0.5% of radial_constant_sr.
     Raises CknError unless max_iters is an integer >= 1 (is_index) and 0 <= tol <= 1e-6, or when
     init, in scaled variables, is zero or not finite; BadGridSpec for init samples that fail
-    numerics.check_samples, MaxIters after max_iters solves, TailInadequate when the outermost
-    nodes carry more of the final energy integrand than numerics.TAIL_TOL (the grid cuts the
-    extremal off), and NoConvergence if rounding leaves A without a Cholesky factor.
+    numerics.check_samples or overflow the energy, MaxIters after max_iters solves, TailInadequate
+    when the outermost nodes carry more of the final energy integrand than numerics.TAIL_TOL (the
+    grid cuts the extremal off), and NoConvergence if rounding leaves A with no Cholesky factor.
     """
     require_subcritical(params, "minimize_radial")
     if not (is_index(max_iters) and max_iters >= 1 and 0.0 <= tol <= 1e-6):
@@ -99,7 +99,7 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     keep = _forms.keep_indices(grid.n)
     w_full = trapezoid_weights(grid.n, grid.h)
     w = w_full[keep]
-    solve = _forms.cholesky_solver(_forms.energy_band(params, 0.0, grid), "radial energy form")
+    band = _forms.energy_band(params, 0.0, grid)         # BadGridSpec where it overflows
     apply_b0, p = _forms.mode_applier(params, 0.0, grid), params.p
 
     def scaled(x: np.ndarray) -> np.ndarray:
@@ -115,7 +115,11 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     phi = _forms.to_scaled(params, grid, init.values)[keep]
     if not 0 < np.sum(w * np.abs(phi) ** p) < math.inf:
         raise CknError("init profile must be finite and nonzero")
-    phi, value, sq = valued(scaled(phi))
+    with np.errstate(over="ignore"):          # judged here, before A is factored
+        phi, value, sq = valued(scaled(phi))
+    if not value < math.inf:
+        raise BadGridSpec(f"the energy form overflows on the starting profile at h = {grid.h:.3g}")
+    solve = _forms.cholesky_solver(band, "radial energy form")
     s_prev = g_prev = None
     for _ in range(max_iters):
         s = scaled(solve(w * np.abs(phi) ** (p - 2.0) * phi))

@@ -57,12 +57,15 @@ def gaussian_profile(grid, center=0.0, width=1.0, amp=1.0) -> RadialProfile:
     return RadialProfile(grid=grid, values=amp * np.exp(-((t - center) / width) ** 2))
 
 
-def random_profiles(grid, seed, count):
-    rng = np.random.RandomState(seed)
+def random_profiles(grid, seed, count, shift=0.0):
+    """The CLI's seeded draws (cli._random_profiles), written out: Gaussians in t times
+    r^-shift, with their t-derivatives in closed form."""
+    rng, t = np.random.RandomState(seed), grid.ts
     for _ in range(count):
-        yield gaussian_profile(grid, center=rng.uniform(-2.0, 2.0),
-                               width=rng.uniform(0.6, 2.0),
-                               amp=rng.uniform(0.5, 2.0))
+        c, w, amp = rng.uniform(-2.0, 2.0), rng.uniform(0.6, 2.0), rng.uniform(0.5, 2.0)
+        v = amp * np.exp(-((t - c) / w) ** 2 - shift * t)
+        g = -2.0 * (t - c) / (w * w) - shift
+        yield RadialProfile(grid, v, g * v, (g * g - 2.0 / (w * w)) * v)
 
 
 def weighted_cosine(params, grid, f, g) -> float:

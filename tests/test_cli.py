@@ -142,11 +142,10 @@ class TestConstants:
 
 
 #: verify identities and verify equivalence --format json checks, (name, float.hex of value and
-#: tolerance, pass), as printed once every integral summed with trapezoid weights (re-taken when
-#: Simpson's rule went; no exit code or pass moved): the README lines, then 20 whole-region
-#: points (default_rng(4034): N = 5..8, alpha uniform in (2.05 - N, 4), beta uniform in
-#: [beta_lower, alpha - 2), a drawn --seed) under both suites.  9 of them exit 1 with
-#: TailInadequate, which is pinned as well.
+#: tolerance, pass), as printed once the seeded draws carried each suite's r^-shift and their
+#: closed-form derivatives (re-taken then: the 9 runs that exited 1 with TailInadequate pass):
+#: the README lines, then 20 whole-region points (default_rng(4034): N = 5..8, alpha uniform in
+#: (2.05 - N, 4), beta uniform in [beta_lower, alpha - 2), a drawn --seed) under both suites.
 IDENTITY_PINS = json.loads(Path(__file__).with_name("identity_pins.json").read_text())
 
 
@@ -205,17 +204,18 @@ class TestVerify:
         assert code == 1 and row["check"] == "ode_residual" and row["pass"] is False
 
     def test_derived_domain_suites_share_one_grid_rule(self, capsys):
-        # verify ode took -n on its own grid; it and verify linearized now reject each grid
-        # flag with one message that differs only in the suite's name
+        # verify ode took -n on its own grid, and identities and equivalence all three flags;
+        # each suite but rellich-limit now rejects each grid flag with one message that differs
+        # only in the suite's name
         for flag in (("-n", "1401"), ("--t-min=-3",), ("--t-max=3",)):
             said = []
-            for suite in ("ode", "linearized"):
+            for suite in ("ode", "linearized", "identities", "equivalence"):
                 code, out = run(capsys, "verify", suite, "-N", "5", "-a", "1", "-b", "-2", *flag,
                                 "--format", "json")
                 doc = json.loads(out)
                 assert code == 2 and doc["error"] == "BadGridSpec", (suite, flag)
                 said.append(doc["message"].replace(suite, "SUITE"))
-            assert said[0] == said[1], flag
+            assert len(set(said)) == 1, flag
 
     def test_identities_at_negative_alpha_check_the_coefficient_identities(self, capsys):
         code, out = run(capsys, "verify", "identities", "-N", "5", "-a", "-1", "-b", "-3.5",
@@ -791,7 +791,8 @@ class TestRegionMapOracle:
 
 class TestVerifyDeterminism:
     """The identities and equivalence suites depend on --seed only, and
-    their checks equal the library evaluated on the seeded profiles."""
+    their checks equal the library evaluated on the seeded profiles: Gaussians
+    in t times r^-(N-3)/2 for identities and r^-kappa1 for equivalence."""
 
     @pytest.mark.parametrize("seed", [42, 7, 20240918])
     def test_identities(self, capsys, seed):
@@ -803,7 +804,7 @@ class TestVerifyDeterminism:
         grid = ckn.make_grid()
         pairs = [(identities.verify_iid(prof, k, 5)[2],
                   identities.verify_hardy_identity(prof, k, 5)[2])
-                 for prof in random_profiles(grid, seed, 20) for k in range(4)]
+                 for prof in random_profiles(grid, seed, 20, shift=(5 - 3) / 2) for k in range(4)]
         assert checks["iid_worst_relerr"] == max(p[0] for p in pairs)
         assert checks["hardy_worst_relerr"] == max(p[1] for p in pairs)
 
@@ -816,7 +817,8 @@ class TestVerifyDeterminism:
         checks = {c["check"]: c["value"] for c in json.loads(serial)["checks"]}
         P = derive(5, -1.0, -3.5)
         ratios = [identities.equivalence_ratio(prof, k, P)
-                  for prof in random_profiles(ckn.make_grid(), seed, 20) for k in range(4)]
+                  for prof in random_profiles(ckn.make_grid(), seed, 20, shift=P.kappa1)
+                  for k in range(4)]
         assert checks["ratios_above_lower_bound"] == min(ratios)
         assert checks["ratios_below_upper_bound"] == max(ratios)
         tolerances = [c["tolerance"] for c in json.loads(serial)["checks"]]
@@ -826,7 +828,9 @@ class TestVerifyDeterminism:
 class TestVerifyModeBatch:
     """verify identities and equivalence evaluate the four modes of a profile
     in one call per identity, and report the failure the per-mode loop
-    (profile, then k, then iid lhs/rhs, then hardy lhs) would report."""
+    (profile, then k, then iid lhs/rhs, then hardy lhs) would report.  The
+    suites take no grid, so failures are forced on narrow grids through the
+    library calls that the suites make."""
 
     @staticmethod
     def per_mode_failure(suite, N, a, b, grid):
@@ -840,24 +844,29 @@ class TestVerifyModeBatch:
                     else:
                         identities.equivalence_ratio(prof, k, P)
         except ckn.errors.TailInadequate as exc:
-            return {"error": "TailInadequate", "message": str(exc)}
+            return str(exc)
         return None
 
-    # the N = 9 case fails the iid check first at k = 1 but the hardy check at
-    # k = 0, so one call per identity alone would report the wrong check
+    # on t in [-8, 8] at N = 5 the hardy check fails first at profile 0 and the iid check only
+    # at profile 11, so one call per identity alone would report the wrong check
     # on t in [-9, 9] profile 11 of seed 42 is the first to fail, in both suites: the tail rule,
     # applied once per suite, must still raise the failure of the first profile drawn
     @pytest.mark.parametrize("suite,N,a,b,t_max", [
         ("identities", 5, 1.0, -2.0, 6.0), ("identities", 9, 1.0, -2.0, 10.0),
         ("equivalence", 5, -1.0, -3.5, 6.0), ("identities", 5, 1.0, -2.0, 9.0),
-        ("equivalence", 5, -1.0, -3.5, 9.0)])
-    def test_same_first_failure(self, capsys, suite, N, a, b, t_max):
-        code, out = run(capsys, "verify", suite, "-N", str(N), f"--alpha={a}", f"--beta={b}",
-                        f"--t-min={-t_max}", f"--t-max={t_max}", "--format", "json")
-        expected = self.per_mode_failure(suite, N, a, b, ckn.make_grid(-t_max, t_max))
+        ("equivalence", 5, -1.0, -3.5, 9.0), ("identities", 5, 1.0, -2.0, 8.0)])
+    def test_same_first_failure(self, suite, N, a, b, t_max):
+        grid = ckn.make_grid(-t_max, t_max)
+        expected = self.per_mode_failure(suite, N, a, b, grid)
         assert expected is not None
-        assert code == 1
-        assert json.loads(out) == expected
+        profs = list(random_profiles(grid, 42, 20))
+        with pytest.raises(ckn.errors.TailInadequate) as got:     # cmd_verify's calls
+            if suite == "identities":
+                list(zip(identities.verify_iid(profs, range(4), N),
+                         identities.verify_hardy_identity(profs, range(4), N)))
+            else:
+                list(identities.equivalence_ratio(profs, range(4), derive(N, a, b)))
+        assert str(got.value) == expected
 
     @pytest.mark.parametrize("suite,point,per_profile", [
         ("identities", ("-N", "5", "-a", "1", "-b", "-2"), 4),
@@ -869,17 +878,16 @@ class TestVerifyModeBatch:
         assert calls["differentiate"] <= per_profile * 20
 
     @pytest.mark.parametrize("suite,point,per_suite", [
-        ("identities", ("-N", "5", "-a", "1", "-b", "-2"), 3),
+        ("identities", ("-N", "5", "-a", "1", "-b", "-2"), 2),
         ("equivalence", ("-N", "5", "-a", "-1", "-b", "-3.5"), 1)])
     def test_grid_powers_per_suite(self, capsys, monkeypatch, suite, point, per_suite):
-        # the quadrature rows and r^-2 are built once per suite, not once per profile
+        # the quadrature rows are built once per suite, not once per profile
         counts = []
         for count in (1, 20):
             profiles = functools.partial(random_profiles, count=count)
-            monkeypatch.setattr(cli, "_random_profiles",
-                                lambda grid, seed, _, p=profiles: list(p(grid, seed)))
-            calls = count_calls(monkeypatch, (ckn.numerics, "grid_power"),
-                                (identities, "grid_power"))
+            monkeypatch.setattr(cli, "_random_profiles", lambda grid, seed, _, shift,
+                                p=profiles: list(p(grid, seed, shift=shift)))
+            calls = count_calls(monkeypatch, (ckn.numerics, "grid_power"))
             assert run(capsys, "verify", suite, *point, "--format", "json")[0] == 0
             counts.append(calls["grid_power"])
         assert counts == [per_suite, per_suite]
@@ -891,6 +899,47 @@ class TestVerifyModeBatch:
         check = next(c for c in json.loads(out)["checks"]
                      if c["check"] == "rellich_closed_forms_agree")
         assert check["pass"] is True and check["value"] < 1e-14
+
+
+def _whole_region(count, seed):
+    """count points (N, alpha, beta) of default_rng(seed): N = 5..8, alpha uniform in
+    (2.05 - N, 4), beta uniform in [beta_lower, alpha - 2)."""
+    rng, points = np.random.default_rng(seed), []
+    for _ in range(count):
+        N = int(rng.integers(5, 9))
+        a = float(rng.uniform(2 - N + 0.05, 4.0))
+        points.append((N, a, float(rng.uniform(beta_lower(N, a), a - 2.0))))
+    return points
+
+
+class TestVerifyWholeRegion:
+    """verify identities and equivalence draw r^-shift times Gaussians in t, so each weighted
+    integrand sits inside the default grid wherever (N, alpha, beta) is.  With plain Gaussians
+    the weights e^{(w+1)t} pushed the mass off the grid's end: equivalence exited 1 with
+    TailInadequate at 60 of these 150 points, and both suites at N = 10, 20, 30 and 50."""
+
+    def test_every_point_passes(self, capsys):
+        for N, a, b in _whole_region(150, 11) + [(N, 1.0, -2.0) for N in (10, 20, 30, 50)]:
+            for suite in ("identities", "equivalence"):
+                code, out = run(capsys, "verify", suite, "-N", str(N), f"--alpha={a!r}",
+                                f"--beta={b!r}", "--format", "json")
+                doc = json.loads(out)
+                assert code == 0 and doc["pass"] is True, (suite, N, a, b, doc)
+                assert all(c["value"] <= 1e-13 for c in doc["checks"]
+                           if c["check"] in ("iid_worst_relerr", "hardy_worst_relerr")), doc
+
+    @pytest.mark.parametrize("suite,last,past", [
+        ("identities", "-N 52 -a 1 -b -2", "-N 53 -a 1 -b -2"),     # the Hardy weight s^(N-2)
+        ("equivalence", "-N 50 -a 1 -b -2", "-N 50 -a 2 -b -1")],   # kappa1 = 25, 25.5
+        ids=["identities-N", "equivalence-kappa1"])
+    def test_float_limit(self, capsys, suite, last, past):
+        # at the second point of each pair a weight on the default grid leaves the float range
+        # at t = 14; the first point is the last that passes
+        code, out = run(capsys, "verify", suite, *last.split(), "--format", "json")
+        assert code == 0 and json.loads(out)["pass"] is True
+        code, out = run(capsys, "verify", suite, *past.split(), "--format", "json")
+        doc = json.loads(out)
+        assert code == 2 and doc["error"] == "BadGridSpec" and "709.78" in doc["message"]
 
 
 def _address_space_cap(limit: int):
@@ -910,8 +959,6 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("argv,cap", [
         (("region-map", "-N", "5", "--alpha-range=0:1", "--beta-range=-4:-1",
           "--resolution", "100000"), 3_000_000_000),
-        (("verify", "identities", "-N", "5", "-a", "1", "-b", "-2", "-n", "200000001"),
-         1_000_000_000),
         (("minimize", "-N", "5", "-a", "1", "-b", "-3", "-n", "200000001"), 1_000_000_000),
         (("verify", "rellich-limit", "-N", "5", "-n", "200000001"), 1_000_000_000)])
     def test_exit_2_with_json_error(self, argv, cap):
@@ -1036,10 +1083,15 @@ class TestGridBounds:
         assert doc["error"] == "BadGridSpec"
         assert "709.78" in doc["message"]
 
-    @pytest.mark.parametrize("half,n", [("1e-100", "4001"), ("1e-150", "4001"), ("1e-150", "9")])
-    def test_narrow_grid_exit_2(self, capsys, half, n):
+    @pytest.mark.parametrize("half,n", [("1e-100", "4001"), ("1e-150", "4001"), ("1e-150", "9"),
+                                        ("1e-100", "9"), ("1e-100", "15"), ("1e-100", "31"),
+                                        ("1e-100", "101")])
+    def test_narrow_grid_exit_2(self, capsys, monkeypatch, half, n):
         # a legal grid whose energy form, about h^-3, overflows: scipy's cholesky_banded
-        # raised a ValueError traceback with exit 1 (after an overflow RuntimeWarning)
+        # raised a ValueError traceback with exit 1 (after an overflow RuntimeWarning).  In the
+        # last four the form is finite but the energy of every iterate overflows: 2000 solves
+        # ended in MaxIters, and in an overflow traceback under a warning filter
+        calls = count_calls(monkeypatch, (_forms, "cholesky_solver"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-3",
@@ -1047,6 +1099,7 @@ class TestGridBounds:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"] == "BadGridSpec" and "energy form overflows" in doc["message"]
+        assert calls == {"cholesky_solver": 0}        # judged before A is factored
 
 
 def _leaves(doc, key=None):
@@ -1087,15 +1140,15 @@ class TestWideGrids:
             assert leaf is not None and (not isinstance(leaf, float) or math.isfinite(leaf))
 
     @pytest.mark.parametrize("cmd", [
-        # verify linearized takes no --t-min (its domain is derived); the wide
-        # left end is held by equivalence, here in a second dimension
         ("verify", "equivalence", "-N", "6", "-a", "-1", "-b", "-4"),
-        # the tail of a node-count rule once spanned [-3.85, 14]
         ("verify", "equivalence", "-N", "5", "-a", "-1", "-b", "-3.5")])
     def test_true_statement_passes(self, capsys, cmd):
+        # both passed on t in [-700, 14]; the suite now places its draws by kappa1 on the
+        # default grid, and --t-min is a usage error
+        code, out = run(capsys, *cmd, "--format", "json")
+        assert code == 0 and json.loads(out)["pass"] is True
         code, out = run(capsys, *cmd, "--t-min=-700", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["pass"] is True
+        assert code == 2 and json.loads(out)["error"] == "BadGridSpec"
 
     def test_default_init_overflow_exit_2(self, capsys):
         # the default initial profile e^{-t^2} r^{-kappa1} at kappa1 = 100.5

@@ -191,9 +191,11 @@ class TestModeBatch:
             return abs(got - want) <= 1e-14 * abs(want if scale is None else scale)
 
         p = ckn.derive(N, -1.0, -3.5 - (N - 5) / 4.0)
+        r2 = np.exp(-2.0 * grid.ts)
         for prof in random_profiles(grid, seed=N, count=3):
             d = with_derivatives(prof)
-            u = RadialProfile(grid=grid, values=prof.values * np.exp(-2.0 * grid.ts))
+            v, v1, v2 = d.values, d.d1, d.d2      # u = r^-2 v: u' and u'' by the product rule
+            u = RadialProfile(grid, r2 * v, r2 * (v1 - 2.0 * v), r2 * (v2 - 4.0 * v1 + 4.0 * v))
             for k in range(12):
                 lam = float(k * (N - 2 + k))
                 lhs, rhs, rel = verify_iid(prof, k, N)
@@ -251,7 +253,6 @@ class TestModeBatch:
             calls.append(args[2])
             return _fn(*args)
         monkeypatch.setattr(numerics, "grid_power", counted)
-        monkeypatch.setattr(identities, "grid_power", counted)
         p = ckn.derive(5, -1.0, -3.5)
         counts = []
         for count in (1, 20):
@@ -260,7 +261,7 @@ class TestModeBatch:
             list(zip(verify_iid(profs, self.KS, 5), verify_hardy_identity(profs, self.KS, 5)))
             list(equivalence_ratio(profs, self.KS, p))
             counts.append(len(calls))
-        assert counts == [4, 4]
+        assert counts == [3, 3]
 
     def test_one_mode_shapes(self, grid):
         prof = gaussian_profile(grid)
@@ -408,7 +409,7 @@ class TestEquivalenceBounds:
     def test_cli_profiles_inside(self, grid, N, alpha, beta):
         P = ckn.derive(N, alpha, beta)
         lo, hi = equivalence_bounds(P)
-        for prof in _random_profiles(grid, 42, 20):
+        for prof in _random_profiles(grid, 42, 20, P.kappa1):
             for r in equivalence_ratio(prof, range(4), P):
                 assert lo <= r <= hi
 
