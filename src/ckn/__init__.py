@@ -8,8 +8,8 @@ that separates the symmetry and symmetry-breaking regions of the
 from .closedform import (ExtremalSpec, b_of_m, critical_constant, extremal_u,
                          linearized_degree, linearized_eigenvalue, linearized_mode, omega_sphere,
                          radial_constant_sr, rellich_constant, rellich_test_quotient, sobolev_s0)
-from .numerics import (LogGrid, RadialProfile, differentiate, gamma_fn,
-                       integrate, make_grid, sample, tail_fraction)
+from .numerics import (LogGrid, RadialProfile, differentiate, integrate, make_grid, sample,
+                       tail_fraction)
 from .params import (CknParams, RegionClass, beta_lower, classify, derive,
                      felli_schneider, region_of)
 from .spectral import (SpectralResult, linearized_residual, mode_eigenpairs, mode_eigenvalue,
@@ -26,7 +26,7 @@ __all__ = [
     "CknParams", "RegionClass", "derive", "felli_schneider", "classify",
     "region_of", "beta_lower",
     "LogGrid", "RadialProfile", "make_grid", "sample", "differentiate",
-    "integrate", "tail_fraction", "gamma_fn",
+    "integrate", "tail_fraction",
     "ExtremalSpec", "extremal_u", "linearized_mode", "linearized_degree", "linearized_eigenvalue",
     "sobolev_s0", "b_of_m", "radial_constant_sr", "rellich_constant", "critical_constant",
     "omega_sphere", "rellich_test_quotient",

@@ -211,7 +211,7 @@ def cmd_spectrum(args) -> int:
     _forms.scale_rule(P, make_grid(**_grid_flags(args)))      # the grid's rules, before any solve
     rows = []
     for mode in modes:      # eigenvalues only: no profile is printed, so none is sampled
-        nus, residuals, iters, _ = spectral._mode_solve(P, mode)
+        nus, residuals, iters, *_ = spectral._mode_solve(P, mode)
         rows += [[mode.k, i + 1, nus[i], residuals[i], iters] for i in range(len(nus))]
     doc = {"N": P.N, "alpha": P.alpha, "beta": P.beta, "p_minus_1": P.p - 1.0,
            "rows": [{"k": r[0], "index": r[1], "eigenvalue": r[2],

@@ -37,10 +37,6 @@ class GridTooSmall(CknError):
     """Grid has too few nodes for the requested stencil or cutoff ramp."""
 
 
-class NonPositiveArgument(CknError):
-    """Gamma function argument must be positive."""
-
-
 class NonPositiveRadius(CknError):
     """Radial coordinate must be positive."""
 

@@ -1,4 +1,4 @@
-"""Shared numerical infrastructure: log grids, quadrature, stencils, Gamma.
+"""Shared numerical infrastructure: log grids, quadrature, stencils.
 
 All radial calculus is carried out in the log variable t = ln s, so that
 power-law weights s^w become exponentials e^{(w+1)t} and the origin
@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
+from .errors import BadGridSpec, GridTooSmall, TailInadequate
 from .params import check_index, is_index
 
 DEFAULT_T_MIN = -14.0
@@ -118,11 +118,14 @@ def diff_rows(h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """The rows of d^order/dt^order on nodes h apart, in apply_rows' layout: the interior stencil
     on offsets -2..2, rows 0, 1, 2 on columns 0..6 and rows n-1, n-2, n-3 on columns n-7..n-1.
     Cached and read-only, as every grid with this h shares them; the rows for h = 1, used on
-    every miss, stay the most recently used entries."""
-    rows = ((_fd_weights(np.arange(-2, 3), order),
-             np.array([_fd_weights(np.arange(0, 7) - i, order) for i in range(3)]),
-             np.array([_fd_weights(np.arange(-6, 1) + i, order) for i in range(3)]))
-            if h == 1.0 else tuple(w / h ** order for w in diff_rows(1.0, order)))
+    every miss, stay the most recently used entries; BadGridSpec where a weight is not finite."""
+    with np.errstate(divide="ignore", over="ignore"):       # judged whole, below
+        rows = ((_fd_weights(np.arange(-2, 3), order),
+                 np.array([_fd_weights(np.arange(0, 7) - i, order) for i in range(3)]),
+                 np.array([_fd_weights(np.arange(-6, 1) + i, order) for i in range(3)]))
+                if h == 1.0 else tuple(w / h ** order for w in diff_rows(1.0, order)))
+    if not all(np.isfinite(w).all() for w in rows):
+        raise BadGridSpec(f"order-{order} stencil weights overflow at h = {h:.3g}; widen the grid")
     for w in rows:
         w.flags.writeable = False
     return rows
@@ -242,23 +245,6 @@ def tail_fraction(samples: np.ndarray, grid: LogGrid, weight_exp: float) -> floa
     TAIL_WIDTH of t at each end; samples under check_samples."""
     terms = quadrature_terms(np.abs(check_samples(samples, grid)), grid, weight_exp)
     return float(tail_share(*mass_and_tail(terms, grid.h)))
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for positive arguments.
-
-    Exact to ~1e-15 relative for x <= 170; above that it is exponentiated
-    log-Gamma and may overflow to inf, so large arguments should only ever
-    appear inside log-Gamma differences.
-    """
-    if not x > 0:
-        raise NonPositiveArgument(f"gamma_fn requires x > 0, got {x}")
-    if x <= 170.0:
-        return math.gamma(x)
-    try:
-        return math.exp(math.lgamma(x))
-    except OverflowError:
-        return math.inf
 
 
 def require_tail(samples: np.ndarray, grid: LogGrid, weight_exp: float, what: str) -> None:

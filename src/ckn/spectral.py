@@ -57,23 +57,36 @@ class SpectralResult:
     iters: int
 
 
-def _mode_pencil(params: CknParams, mode: ModeSpec):
+class _Pencil:
     """Mode k's one discretization, where mode_eigenpairs solves and linearized_residual checks:
     the decay a = l_k + (M-4)/2 of its eigenfunctions, cosh(nu t)^{-a} times a polynomial in
-    tanh(nu t); the nodes of their periodic domain [-L, L) (Boyd, Chebyshev and Fourier Spectral
+    tanh(nu t); the nodes ts of their periodic domain [-L, L) (Boyd, Chebyshev and Fourier Spectral
     Methods, 2nd ed., 2001, ch. 17), L = arccosh(eps^{-1/a})/nu cutting them at eps = DOMAIN_EPS,
     n the least power of two >= 2 L xi_max/pi and >= 64, xi_max = 1.5 nu max(sqrt(2a ln 1/eps),
     2 ln(1/eps)/pi) for the poles of sech at nu t = +-i pi/2 and the core of width 1/(nu sqrt a);
     the rfft frequencies xi; and B_k^* B_k's symbol (xi^2 + cal_B + lambda_k)^2 + 4 nu^2 xi^2."""
-    a = linearized_degree(params, mode.k) + (params.M_dim - 4.0) / 2.0
-    log_eps = -math.log(DOMAIN_EPS)
-    half = (log_eps / a + math.log1p(math.sqrt(-math.expm1(-2.0 * log_eps / a)))) / params.nu
-    xi_max = 1.5 * params.nu * max(math.sqrt(2.0 * a * log_eps), 2.0 * log_eps / math.pi)
-    n = max(64, 1 << math.ceil(math.log2(2.0 * half * xi_max / math.pi)))
-    h = 2.0 * half / n
-    xi = np.fft.rfftfreq(n, h / (2.0 * np.pi))
-    symbol = (xi * xi + params.cal_B + mode.lambda_k) ** 2 + (2.0 * params.nu * xi) ** 2
-    return a, h * np.arange(n) - half, xi, symbol
+
+    def __init__(self, params: CknParams, mode: ModeSpec):
+        self.a = a = linearized_degree(params, mode.k) + (params.M_dim - 4.0) / 2.0
+        log_eps = -math.log(DOMAIN_EPS)
+        L = (log_eps / a + math.log1p(math.sqrt(-math.expm1(-2.0 * log_eps / a)))) / params.nu
+        xi_max = 1.5 * params.nu * max(math.sqrt(2.0 * a * log_eps), 2.0 * log_eps / math.pi)
+        n = max(64, 1 << math.ceil(math.log2(2.0 * L * xi_max / math.pi)))
+        h = 2.0 * L / n
+        self.L, self.ts = L, h * np.arange(n) - L
+        self.xi = xi = np.fft.rfftfreq(n, h / (2.0 * np.pi))
+        self.symbol = (xi * xi + params.cal_B + mode.lambda_k) ** 2 + (2.0 * params.nu * xi) ** 2
+        self.w = _forms.mass_weight(params, self.ts)
+        self.parts = np.full(n // 2 + 1, 2.0 / n)                # Parseval over rfft halves
+        self.parts[0] = self.parts[-1] = 1.0 / n
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(self.symbol * np.fft.rfft(x), len(self.ts))
+
+    def sample(self, C: np.ndarray, grid: LogGrid) -> tuple[slice, np.ndarray]:
+        lo, hi = np.searchsorted(grid.ts, (-self.L, self.L)).tolist()       # the nodes in [-L, L)
+        shift = self.parts * np.exp(1j * self.xi * (grid.t_min + lo * grid.h + self.L))  # -L to lo
+        return slice(lo, hi), _chirp_z(shift[:, None] * C, self.xi[1] * grid.h, hi - lo).real
 
 
 def _chirp_z(b: np.ndarray, theta: float, m: int) -> np.ndarray:
@@ -125,30 +138,28 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _mode_solve(params: CknParams, mode: ModeSpec):
-    """Mode k's one Lanczos run, on the domain of _mode_pencil: _lanczos from _start_vector(n) on
-    W^{1/2} A^{-1} W^{1/2}, A by its symbol in Fourier space, finds the largest theta = 1/nu
-    to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative gap
-    1 - nu_{k,0}/nu_{k,1} = 4/(a+4).  nu is the Rayleigh quotient, by Parseval, of x = A^{-1}
-    W^{1/2} y, one inverse iteration beyond the Ritz vector y.  Returns the nu, their backward
-    errors, the matvec count, and L, xi, the Parseval weights and x's rfft to sample x with."""
-    a, ts, xi, symbol = _mode_pencil(params, mode)
-    n, root_w, wy = len(ts), np.sqrt(_forms.mass_weight(params, ts)), np.empty_like(ts)
+    """Mode k's one Lanczos run, on its _Pencil: _lanczos from _start_vector(n) on
+    W^{1/2} A^{-1} W^{1/2}, A by its symbol in Fourier space, W by the pencil's w, finds the
+    largest theta = 1/nu to a Ritz residual of LANCZOS_TOL min(1, 8/(a+4)), twice the relative
+    gap 1 - nu_{k,0}/nu_{k,1} = 4/(a+4).  nu is the Rayleigh quotient, by Parseval, of x =
+    A^{-1} W^{1/2} y, one inverse iteration beyond the Ritz vector y.  Returns the nu, their
+    backward errors, the matvec count, the pencil and x's rfft C, which pencil.sample samples."""
+    pencil = _Pencil(params, mode)
+    n, symbol, root_w, wy = len(pencil.w), pencil.symbol, np.sqrt(pencil.w), np.empty_like(pencil.w)
 
     def matvec(y):                          # root_w irfft(rfft(root_w y) / symbol), in place
         c = np.fft.rfft(np.multiply(root_w, y, out=wy))
         x = np.fft.irfft(np.divide(c, symbol, out=c), n)
         return np.multiply(x, root_w, out=x)
     _, Y, matvecs = _lanczos(matvec, _start_vector(n), 2 if mode.k == 0 else 1,
-                             LANCZOS_TOL * min(1.0, 8.0 / (a + 4.0)), mode.k)
+                             LANCZOS_TOL * min(1.0, 8.0 / (pencil.a + 4.0)), mode.k)
     Y = root_w[:, None] * Y                                    # W^{1/2} y, that is A x
     C = np.fft.rfft(Y, axis=0) / symbol[:, None]               # rfft of x
     X = np.fft.irfft(C, n, axis=0)
-    parts = np.full(n // 2 + 1, 2.0 / n)                       # Parseval over rfft halves
-    parts[0] = parts[-1] = 1.0 / n
-    nus = (parts * symbol) @ np.abs(C) ** 2 / ((root_w[:, None] * X) ** 2).sum(axis=0)
+    nus = (pencil.parts * symbol) @ np.abs(C) ** 2 / ((root_w[:, None] * X) ** 2).sum(axis=0)
     residuals = (np.linalg.norm(Y - nus * root_w[:, None] ** 2 * X, axis=0)
                  / ((symbol.max() + nus * root_w.max() ** 2) * np.linalg.norm(X, axis=0)))
-    return nus.tolist(), residuals.tolist(), matvecs, (-ts[0], xi, parts, C)
+    return nus.tolist(), residuals.tolist(), matvecs, pencil, C
 
 
 def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[SpectralResult]:
@@ -156,23 +167,21 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     int (B_k phi)^2 dt = nu int w phi^2 dt, w = _forms.mass_weight, in that order.
 
     B_k has constant coefficients, so one Lanczos run in Fourier space, _mode_solve (all that
-    ckn spectrum runs), finds them; the grid only samples the profiles: x's trigonometric
-    interpolants at its nodes, 0 outside [-L, L), mapped back by _forms.from_scaled, accurate to
-    first order in the Lanczos stop (SpectralResult); BadGridSpec where the grid misses them or
-    r^{-kappa1} overflows on it (before the solve)."""
+    ckn spectrum runs), finds them on the mode's _Pencil; the grid only samples the profiles:
+    pencil.sample gives x's trigonometric interpolants at its nodes, 0 outside [-L, L), mapped
+    back by _forms.from_scaled, accurate to first order in the Lanczos stop (SpectralResult);
+    BadGridSpec where the grid misses them or r^{-kappa1} overflows on it (before the solve)."""
     require_subcritical(params, "mode_eigenpairs")
     back = _forms.from_scaled(params, grid, 1.0)
-    nus, residuals, matvecs, (half, xi, parts, C) = _mode_solve(params, mode)
-    lo, hi = np.searchsorted(grid.ts, (-half, half)).tolist()  # the nodes in [-L, L)
-    shift = parts * np.exp(1j * xi * (grid.t_min + lo * grid.h + half))   # -L to node lo
-    vals = _chirp_z(shift[:, None] * C, xi[1] * grid.h, hi - lo).real
-    w = numerics.trapezoid_weights(grid.n, grid.h)[lo:hi]
-    mass = (w * _forms.mass_weight(params, grid.ts[lo:hi])) @ vals ** 2
+    nus, residuals, matvecs, pencil, C = _mode_solve(params, mode)
+    inside, vals = pencil.sample(C, grid)
+    w = numerics.trapezoid_weights(grid.n, grid.h)[inside]
+    mass = (w * _forms.mass_weight(params, grid.ts[inside])) @ vals ** 2
     if not mass.all():
-        raise BadGridSpec(f"the grid misses the mode-{mode.k} profiles, on |t| < {half:.4g}")
+        raise BadGridSpec(f"the grid misses the mode-{mode.k} profiles, on |t| < {pencil.L:.4g}")
     big = np.abs(vals) >= 1e-3 * np.abs(vals).max(axis=0)
     phi = np.zeros((grid.n, len(nus)))
-    phi[lo:hi] = vals / np.copysign(np.sqrt(mass), vals[big.argmax(axis=0), range(len(nus))])
+    phi[inside] = vals / np.copysign(np.sqrt(mass), vals[big.argmax(axis=0), range(len(nus))])
     return [SpectralResult(eigenvalue=nu, profile=RadialProfile(grid, col * back),
                            residual=res, iters=matvecs)
             for nu, col, res in zip(nus, phi.T, residuals)]
@@ -227,8 +236,8 @@ def second_variation_sign(params: CknParams) -> int:
 
 
 def linearized_residual(params: CknParams, k: int, n: int) -> float:
-    """sup|A X - nu w X| / sup|nu w X| on the nodes of _mode_pencil, where mode_eigenpairs
-    solves, with A = B_k^* B_k by rfft and irfft, w = _forms.mass_weight and nu = nu_{k,n}, at
+    """sup|A X - nu w X| / sup|nu w X| on the nodes of the mode's _Pencil, where mode_eigenpairs
+    solves, with A = B_k^* B_k by pencil.apply, w the pencil's mass weight and nu = nu_{k,n}, at
     X_{k,n} = cosh(nu t)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}(-tanh nu t) (in dimension M,
     s^{l_k}(1+s^2)^{-(M-4)/2-l_k} C_n^{l_k+(M-1)/2}((1-s^2)/(1+s^2))), exact at every subcritical
     point for any k, n >= 0 (check_index: ValueError before any work); (0, 1) is the scaling
@@ -238,15 +247,14 @@ def linearized_residual(params: CknParams, k: int, n: int) -> float:
     commutes with A and w as nu -> 0 at k >= 1 and as M grows: X (1 + 0.01 tanh nu t) reads
     3.9e-10 in mode (2, 0) at (5, -2.998, -4.99804), nu = 2e-5, and 2.6e-10 in (0, 1) at M = 8e5.
     (0, 0) is U's Emden-Fowler ODE, verify ode: B_0^* B_0 = d^4 - K2 d^2 + K0, w = phi_U^{p-2}."""
-    nu_kn = linearized_eigenvalue(params, k, n)
-    a, ts, _, symbol = _mode_pencil(params, make_mode(params, k))
-    lam, c = linearized_degree(params, k) + (params.M_dim - 1.0) / 2.0, -np.tanh(params.nu * ts)
-    prev, x = 0.0, extremal_shape(params, ts, -a)             # C_{-1} and C_0, times the shape
+    nu_kn, pencil = linearized_eigenvalue(params, k, n), _Pencil(params, make_mode(params, k))
+    lam = linearized_degree(params, k) + (params.M_dim - 1.0) / 2.0
+    c = -np.tanh(params.nu * pencil.ts)
+    prev, x = 0.0, extremal_shape(params, pencil.ts, -pencil.a)   # C_{-1} and C_0, times the shape
     for j in range(1, n + 1):
         prev, x = x, (2.0 * c * (j + lam - 1.0) * x - (j + 2.0 * lam - 2.0) * prev) / j
-    rhs = nu_kn * _forms.mass_weight(params, ts) * x
-    return float(np.abs(np.fft.irfft(symbol * np.fft.rfft(x), len(ts)) - rhs).max()
-                 / np.abs(rhs).max())
+    rhs = nu_kn * pencil.w * x
+    return float(np.abs(pencil.apply(x) - rhs).max() / np.abs(rhs).max())
 
 
 def spectral_gap(params: CknParams, grid: LogGrid) -> float:

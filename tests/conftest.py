@@ -25,7 +25,6 @@ ORACLE = {
           10: 331.34030324294946380542075246793911267121511644721,
           13.5: 1282.7432543487736992592136189656461541156841373908},
     "critical_5_-1": 27.972867094209949114561674165231195720541016739735,
-    "gamma_2_5": 1.3293403881791370204736256125058588870981620920918,
     "beta_integral_M10": 0.0035714285714285714285714285714285714285714285714286,
     "C_5_1_-2": 82.6469584798115807656130369564132631800001572025,
     "U_at_1_5_1_-2": 10.330869809976447595701629619551657897500019650313,

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 
 import ckn
 from ckn.closedform import ExtremalSpec, linearized_mode, scaling_direction
-from ckn.errors import BadGridSpec, GridTooSmall, NonPositiveArgument, TailInadequate
+from ckn.errors import BadGridSpec, GridTooSmall, TailInadequate
 from ckn.numerics import (RESIDUAL_MARGIN, T_LIMIT, RadialProfile, _fd_weights,
                           checked_integrals, checked_sums, diff_matrix, differentiate,
-                          even_residual, gamma_fn, grid_exp, grid_power, integrate, make_grid,
+                          even_residual, grid_exp, grid_power, integrate, make_grid,
                           quadrature_terms, require_tail, tail_fraction, tail_nodes,
                           trapezoid_weights, with_derivatives)
 from ckn.transforms import rayleigh_m, to_dimension_m, to_emden_fowler
@@ -101,6 +101,14 @@ class TestDifferentiate:
         g = make_grid(-1.0, 1.0, 5)
         with pytest.raises(GridTooSmall):
             differentiate(RadialProfile(grid=g, values=np.zeros(5)), 2)
+
+    def test_underflowing_step(self):
+        # h = 2.5e-301: h**2 underflows to 0, and the order-2 weights went inf and nan with a
+        # divide-by-zero RuntimeWarning; h itself still gives finite order-1 weights
+        prof = RadialProfile(grid=make_grid(-1e-300, 1e-300, 9), values=np.ones(9))
+        with pytest.raises(BadGridSpec, match="order-2 stencil weights overflow"):
+            differentiate(prof, 2)
+        assert np.isfinite(differentiate(prof, 1).values).all()
 
 
 def loop_diff_matrix(n, h, order):
@@ -385,28 +393,3 @@ class TestGridExp:
         }
         _finite_or_bad_grid(calls[what])
 
-
-class TestGammaFn:
-    def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-    def test_factorial(self):
-        assert gamma_fn(5.0) == 24.0
-
-    def test_oracle(self):
-        assert gamma_fn(2.5) == pytest.approx(ORACLE["gamma_2_5"], rel=1e-14)
-
-    def test_recurrence_sweep(self):
-        for x in np.linspace(0.1, 80.0, 100):
-            assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-    def test_above_170_through_log_gamma(self):
-        # exponentiated log-Gamma past 170, and inf where Gamma leaves the float range
-        assert gamma_fn(171.0) == pytest.approx(math.gamma(171.0), rel=1e-12)
-        assert gamma_fn(200.0) == math.inf
-
-    def test_nonpositive(self):
-        with pytest.raises(NonPositiveArgument):
-            gamma_fn(0.0)
-        with pytest.raises(NonPositiveArgument):
-            gamma_fn(-1.5)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,7 +236,8 @@ class TestClosedFormSpectrum:
         # alpha and beta.
         P = ckn.derive(7, 0.053, (0.053 - 2.0) - 1.947e-12)
         for k in range(3):
-            for n, nu in enumerate(spectral._mode_solve(P, make_mode(P, k))[0]):
+            nus, *_ = spectral._mode_solve(P, make_mode(P, k))
+            for n, nu in enumerate(nus):
                 exact = linearized_eigenvalue(P, k, n)
                 assert abs(nu - exact) <= 1e-12 * exact, (k, n)
         assert linearized_eigenvalue(P, 1) == pytest.approx(3.7634722836505932626, rel=1e-14)
@@ -295,7 +298,7 @@ class TestRightSizedLanczos:
         for values, b, c in zip(kept, second, third):
             assert np.array_equal(b.profile.values, values)
             assert np.array_equal(c.profile.values, values)
-        v0 = spectral._start_vector(len(spectral._mode_pencil(p513, mode)[1]))
+        v0 = spectral._start_vector(len(spectral._Pencil(p513, mode).ts))
         assert not v0.flags.writeable
         with pytest.raises(ValueError):
             v0[0] = 0.0
@@ -318,6 +321,27 @@ class TestRightSizedLanczos:
                 assert abs(pair.eigenvalue - exact) <= 1e-12 * exact, (k, index)
 
 
+PENCIL_PINS = json.loads(Path(__file__).with_name("pencil_pins.json").read_text())
+
+
+class TestPencilPins:
+    """The derived-domain results bit for bit, as float.hex: for k = 0..2 on the default grid,
+    each eigenvalue, residual, matvec count and every 50th profile sample of mode_eigenpairs,
+    and linearized_residual at the indices of verify ode, (0, 0), and of verify linearized.  A
+    change to the mode's _Pencil or to the order of its operations shows here first."""
+
+    @pytest.mark.parametrize("pin", PENCIL_PINS, ids=[str(p["point"]) for p in PENCIL_PINS])
+    def test_bit_for_bit(self, grid, pin):
+        P = ckn.derive(*pin["point"])
+        for k, pairs in enumerate(pin["modes"]):
+            got = [[r.eigenvalue.hex(), r.residual.hex(), r.iters,
+                    [v.hex() for v in r.profile.values[::50].tolist()]]
+                   for r in ckn.mode_eigenpairs(P, make_mode(P, k), grid)]
+            assert got == pairs, k
+        for k, n, want in pin["residuals"]:
+            assert linearized_residual(P, k, n).hex() == want, (k, n)
+
+
 def _direct_chirp_z(b, theta, m):
     """The O(Km) sum that spectral._chirp_z evaluates by one FFT convolution."""
     return np.exp(1j * theta * np.outer(np.arange(m), np.arange(len(b)))) @ b
@@ -337,7 +361,7 @@ class TestProfileSampling:
         fast = ckn.mode_eigenpairs(p513, mode, grid)
         monkeypatch.setattr(spectral, "_chirp_z", _direct_chirp_z)
         slow = ckn.mode_eigenpairs(p513, mode, grid)
-        half = -spectral._mode_pencil(p513, mode)[1][0]
+        half = spectral._Pencil(p513, mode).L
         for a, b in zip(fast, slow):
             assert a.eigenvalue == b.eigenvalue
             # compared in the scaled variable, where the profiles are bounded
@@ -557,16 +581,14 @@ class TestGegenbauerRecurrence:
     def test_matches_eval_gegenbauer(self, p513, lam, monkeypatch):
         from scipy.special import eval_gegenbauer     # test-only: slow to import
         # on nodes where c = -tanh(nu t) covers (-1, 1), with a unit shape and degree lam, the
-        # residual's X is C_n^lam(c): read it where the residual transforms it
+        # residual's X is C_n^lam(c): read it where the pencil applies A to it
         c = np.cos(np.linspace(0.0, np.pi, 257))[1:-1]
-        ts = -np.arctanh(c) / p513.nu
-        monkeypatch.setattr(spectral, "_mode_pencil",
-                            lambda P, mode: (0.0, ts, None, np.ones(len(ts) // 2 + 1)))
+        ts, seen = -np.arctanh(c) / p513.nu, []
+        monkeypatch.setattr(spectral, "_Pencil", lambda P, mode: SimpleNamespace(
+            a=0.0, ts=ts, w=np.ones_like(ts), apply=lambda x: seen.append(x) or x))
         monkeypatch.setattr(spectral, "extremal_shape", lambda P, t, m: np.ones_like(t))
         monkeypatch.setattr(spectral, "linearized_degree",
                             lambda P, k: lam - (P.M_dim - 1.0) / 2.0)
-        rfft, seen = np.fft.rfft, []
-        monkeypatch.setattr(np.fft, "rfft", lambda x: seen.append(x) or rfft(x))
         for n in range(9):
             linearized_residual(p513, 0, n)
             want = eval_gegenbauer(n, lam, c)
@@ -595,13 +617,14 @@ class TestSpectralGap:
 
     def test_one_mode_solve(self, grid, monkeypatch):
         # one Lanczos run, on mode 1 (nu_{k,0} rises with k), and no profile sampled
-        solve, chirp_z, calls = spectral._mode_solve, spectral._chirp_z, []
+        solve, sample, calls = spectral._mode_solve, spectral._Pencil.sample, []
 
         def counted(P, mode):
             calls.append(mode.k)
             return solve(P, mode)
         monkeypatch.setattr(spectral, "_mode_solve", counted)
-        monkeypatch.setattr(spectral, "_chirp_z", lambda *a: calls.append("chirp_z") or chirp_z(*a))
+        monkeypatch.setattr(spectral._Pencil, "sample",
+                            lambda *a: calls.append("sample") or sample(*a))
         spectral_gap(ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0)), grid)
         assert calls == [1]
 

@@ -234,6 +234,18 @@ class TestMinimizeRadial:
                 minimize_radial(p513, scaled_gaussian(p513, grid))
         assert not factored
 
+    def test_underflowing_step_raises_before_any_solve(self, p513, monkeypatch):
+        # h = 2.5e-301, where h**2 underflows to 0: the difference weights went inf and nan
+        # with a divide-by-zero RuntimeWarning, a traceback under the warning filter
+        factored = []
+        monkeypatch.setattr(_forms, "cholesky_solver", lambda *args: factored.append(1))
+        grid = ckn.make_grid(-1e-300, 1e-300, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadGridSpec, match="stencil weights overflow"):
+                minimize_radial(p513, scaled_gaussian(p513, grid))
+        assert not factored
+
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_max_iters_below_one(self, p513, grid, monkeypatch, max_iters):
         # a typed error before the energy form is factored
