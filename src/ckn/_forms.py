@@ -5,6 +5,8 @@ mode operator f'' + (N-1+alpha)/r f' - lambda_k/r^2 f of spherical mode k conjug
 constant-coefficient B_k phi = phi'' - 2 nu phi' - (cal_B + lambda_k) phi and the energy weight
 r^{N+2 alpha - beta - 1} dr becomes plain dt: no form carries the e^{+-T t} dynamic range.  The
 mass form's weight in t, mass_weight = (Gamma_M nu^4/16) sech^4(nu t), needs no amplitude.
+to_scaled and from_scaled form r^{+-kappa1} by numerics.grid_power, whose exact test at the
+grid's two ends is the one overflow rule: BadGridSpec only where the power they form overflows.
 
 The spectrum uses no grid form: B_k is diagonal in Fourier space, so spectral.mode_eigenpairs
 divides by its symbol on a domain derived from the decay of the eigenfunctions, with
@@ -27,7 +29,7 @@ import numpy as np
 
 from .closedform import extremal_shape
 from .errors import BadGridSpec, GridTooSmall, NoConvergence
-from .numerics import (LogGrid, apply_rows, check_samples, diff_matrix, diff_rows, grid_exp,
+from .numerics import (LogGrid, apply_rows, check_samples, diff_matrix, diff_rows, grid_power,
                        trapezoid_weights)
 from .params import CknParams
 
@@ -46,20 +48,14 @@ def mode_operator(params: CknParams, lambda_k: float, grid: LogGrid):
             - (params.cal_B + lambda_k) * sp.identity(n, format="csr")).tocsr()
 
 
-def scale_rule(params: CknParams, grid: LogGrid, what: str = "r^-kappa1") -> None:
-    """grid_exp's BadGridSpec where r^{+-kappa1} overflows: |kappa1| max(-t_min, t_max) > T_LIMIT"""
-    grid_exp(None, what, abs(params.kappa1) * max(-grid.t_min, grid.t_max))
-
-
 def to_scaled(params: CknParams, grid: LogGrid, values: np.ndarray) -> np.ndarray:
-    """phi samples r^{kappa1} f(r) from radial samples f(r), under scale_rule and check_samples."""
-    scale_rule(params, grid, "r^kappa1")
-    return check_samples(values, grid) * np.exp(params.kappa1 * grid.ts)
+    """phi = r^{kappa1} f(r) from samples f(r) (check_samples), by grid_power's overflow rule."""
+    return check_samples(values, grid) * grid_power(params.kappa1, grid, "r^kappa1")
 
 
 def from_scaled(params: CknParams, grid: LogGrid, phi: np.ndarray) -> np.ndarray:
-    scale_rule(params, grid)
-    return phi * np.exp(-params.kappa1 * grid.ts)
+    """f = r^{-kappa1} phi, to_scaled's inverse, by grid_power's overflow rule."""
+    return phi * grid_power(-params.kappa1, grid, "r^-kappa1")
 
 
 def keep_indices(n: int) -> np.ndarray:

@@ -208,7 +208,7 @@ def cmd_spectrum(args) -> int:
         raise CknError(f"need --kmax >= 0, got {args.kmax}")
     P = derive(args.dim, args.alpha, args.beta)
     modes = [variational.make_mode(P, k) for k in range(args.kmax + 1)]
-    _forms.scale_rule(P, make_grid(**_grid_flags(args)))      # the grid's rules, before any solve
+    make_grid(**_grid_flags(args))          # the flags' rules only: no printed number reads a grid
     rows = []
     for mode in modes:      # eigenvalues only: no profile is printed, so none is sampled
         nus, residuals, iters, *_ = spectral._mode_solve(P, mode)
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="per-mode linearized eigenvalues",
                        description="Eigenvalues on a domain derived from (N, alpha, beta). -n, "
-                       "--t-min and --t-max must pass make_grid's rules and keep r^(-kappa1) "
-                       "finite, but sample nothing: no printed number depends on them.")
+                       "--t-min and --t-max must pass make_grid's rules, but sample nothing: "
+                       "no printed number depends on them.")
     add_common(p)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(fn=cmd_spectrum)

@@ -101,9 +101,9 @@ def scaling_direction(spec: ExtremalSpec, r) -> np.ndarray | float:
     return -_family(P, r, spec.lam, log_c, 1.0, True, "scaling direction")
 
 
-def omega_sphere(N: int) -> float:
-    """Surface area of the unit sphere in R^N: 2 pi^{N/2} / Gamma(N/2)."""
-    return math.exp(math.log(2.0) + N / 2.0 * math.log(math.pi) - math.lgamma(N / 2.0))
+def omega_sphere(N: int, e: float = 1.0) -> float:
+    """(2 pi^{N/2} / Gamma(N/2))^e, the unit sphere's area in R^N to the power e, by its log."""
+    return math.exp(e * (math.log(2.0) + N / 2.0 * math.log(math.pi) - math.lgamma(N / 2.0)))
 
 
 def sobolev_s0(N: int) -> float:
@@ -138,7 +138,7 @@ def radial_constant_sr(params: CknParams) -> float:
     anb2 = 2.0 * params.nu                    # derive's alpha - beta - 2, the one M is made of
     T = 2.0 * params.kappa1
     e = 2.0 * anb2 / T
-    return ((2.0 / anb2) ** (e - 4.0) * omega_sphere(params.N) ** e * b_of_m(params.M_dim))
+    return ((2.0 / anb2) ** (e - 4.0) * omega_sphere(params.N, e) * b_of_m(params.M_dim))
 
 
 def rellich_constant(N: int, alpha: float) -> float:

@@ -76,20 +76,19 @@ def make_grid(t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
 
 
 def grid_exp(x, what: str, top=None):
-    """e^x for x that grows with the grid: the one overflow rule.  BadGridSpec
-    before exp runs when top, max x unless the caller knows it, passes T_LIMIT;
-    x = None tests top alone.  An exponent that only underflows is legal."""
+    """e^x for x that grows with the grid, under the one overflow rule: BadGridSpec before exp
+    runs when top (max x unless the caller knows it) passes T_LIMIT; underflow is legal."""
     top = np.max(x) if top is None else top
     if top > T_LIMIT:
         raise BadGridSpec(f"{what} overflows: log {top:.4g} > {T_LIMIT:.2f}; narrow the grid")
-    return None if x is None else np.exp(x)
+    return np.exp(x)
 
 
 def grid_power(c, grid: LogGrid, what: str) -> np.ndarray:
     """s^c = e^{ct} at the nodes, one row per entry of c.  ct is monotone in t, so
     grid_exp's test at the two ends of the grid is exact and costs O(len(c))."""
     x = np.multiply.outer(c, grid.ts)
-    return grid_exp(x, what, np.max(x[..., ::grid.n - 1]))
+    return grid_exp(x, what, x[..., ::grid.n - 1].max())
 
 
 def anchored_ts(grid: LogGrid) -> np.ndarray:

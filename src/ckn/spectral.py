@@ -170,7 +170,7 @@ def mode_eigenpairs(params: CknParams, mode: ModeSpec, grid: LogGrid) -> list[Sp
     ckn spectrum runs), finds them on the mode's _Pencil; the grid only samples the profiles:
     pencil.sample gives x's trigonometric interpolants at its nodes, 0 outside [-L, L), mapped
     back by _forms.from_scaled, accurate to first order in the Lanczos stop (SpectralResult);
-    BadGridSpec where the grid misses them or r^{-kappa1} overflows on it (before the solve)."""
+    BadGridSpec where the grid misses them or r^{-kappa1}, formed before the solve, overflows."""
     require_subcritical(params, "mode_eigenpairs")
     back = _forms.from_scaled(params, grid, 1.0)
     nus, residuals, matvecs, pencil, C = _mode_solve(params, mode)
@@ -263,11 +263,10 @@ def spectral_gap(params: CknParams, grid: LogGrid) -> float:
     l_k with k, so mode 1 is the lowest nonradial mode.  It is not the third eigenvalue
     counted over all modes: the radial nu_{0,2} = (M+4)(M+6)/((M-4)(M-2)) lies below it at
     (5, -2), (6, -1.5) and (7, -3).  mode_eigenvalue's value bit for bit, by _mode_solve alone:
-    the grid meets only the r^{-kappa1} rule (BadGridSpec), and one missing the profile gets it."""
+    the value reads no grid, so every grid, one that misses the profile too, gets it."""
     if params.region is not RegionClass.CRITICAL_UPPER_ALPHA_NEG:
         raise WrongRegion("spectral_gap is defined on the critical lower "
                           "boundary with 2 - N < alpha < 0")
-    _forms.scale_rule(params, grid)
     value = _mode_solve(params, make_mode(params, 1))[0][0]
     if value <= params.p - 1.0:
         raise NoConvergence(f"gap surrogate {value} does not exceed p-1 = {params.p - 1.0}")

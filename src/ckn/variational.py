@@ -44,8 +44,7 @@ def make_mode(params: CknParams, k: int) -> ModeSpec:
     require_subcritical(params, "make_mode")
     N = params.N
     lam = float(k * (N - 2 + k))
-    mult = 1 if k == 0 else ((N + 2 * k - 2) * math.factorial(N + k - 3)
-                             // (math.factorial(N - 2) * math.factorial(k)))
+    mult = (N + 2 * k - 2) * math.comb(N + k - 3, k) // (N - 2)
     return ModeSpec(k=k, lambda_k=lam, q2lambda_k=params.q_pow ** 2 * lam, multiplicity=mult)
 
 
@@ -87,15 +86,16 @@ def minimize_radial(params: CknParams, init: RadialProfile,
 
     Returns (quotient value, normalized profile), the value within 0.5% of radial_constant_sr.
     Raises CknError unless max_iters is an integer >= 1 (is_index) and 0 <= tol <= 1e-6, or when
-    init, in scaled variables, is zero or not finite; BadGridSpec for init samples that fail
-    numerics.check_samples or overflow the energy, MaxIters after max_iters solves, TailInadequate
-    when the outermost nodes carry more of the final energy integrand than numerics.TAIL_TOL (the
-    grid cuts the extremal off), and NoConvergence if rounding leaves A with no Cholesky factor.
+    init, in scaled variables, is zero or not finite; BadGridSpec before any solve where init fails
+    check_samples or r^{+-kappa1} or the starting energy overflows, MaxIters after max_iters solves,
+    TailInadequate when the outermost nodes carry more of the final energy integrand than TAIL_TOL
+    (the grid cuts the extremal off), NoConvergence if rounding leaves A with no Cholesky factor.
     """
     require_subcritical(params, "minimize_radial")
     if not (is_index(max_iters) and max_iters >= 1 and 0.0 <= tol <= 1e-6):
         raise CknError(f"need integer max_iters >= 1, 0 <= tol <= 1e-6: got {max_iters!r}, {tol!r}")
     grid = init.grid
+    back = _forms.from_scaled(params, grid, 1.0)         # BadGridSpec where r^-kappa1 overflows
     keep = _forms.keep_indices(grid.n)
     w_full = trapezoid_weights(grid.n, grid.h)
     w = w_full[keep]
@@ -139,8 +139,7 @@ def minimize_radial(params: CknParams, init: RadialProfile,
     else:
         raise MaxIters(f"no stationary point within {max_iters} solves")
     numerics.checked_integrals(w_full * sq, grid.h, ("radial minimizer",))
-    profile = RadialProfile(grid=grid, values=_forms.from_scaled(
-        params, grid, np.pad(phi, _forms.N_CLAMP)))
+    profile = RadialProfile(grid=grid, values=np.pad(phi, _forms.N_CLAMP) * back)
     return omega_sphere(params.N) ** (1.0 - 2.0 / p) * value, profile
 
 

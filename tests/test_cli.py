@@ -406,17 +406,19 @@ class TestSpectrum:
         assert code == 0 and len(grids) == 1
         assert "ts" not in vars(grids[0]) and "nodes" not in vars(grids[0])
 
-    @pytest.mark.parametrize("step, code", [(1e-9, 2), (-1e-9, 0)])
-    def test_overflow_rule_at_its_edge(self, capsys, monkeypatch, step, code):
-        # kappa1 = 3 at (5, 1, -3): r^{-kappa1} overflows past t = T_LIMIT/3, and on that side no
-        # Lanczos step runs
+    @pytest.mark.parametrize("flag", [f"--t-max={ckn.numerics.T_LIMIT / 3.0 + 1e-9!r}",
+                                      f"--t-max={ckn.numerics.T_LIMIT / 3.0 - 1e-9!r}",
+                                      "--t-max=700", "--t-min=-700"],
+                             ids=["past-t-limit-over-3", "short-of-it", "t-max-700", "t-min-700"])
+    def test_answers_where_a_power_of_r_overflows(self, capsys, monkeypatch, flag):
+        # kappa1 = 3 at (5, 1, -3): r^{+-kappa1} overflows on each grid but the second, which
+        # spectrum never samples.  A grid rule exited 2 on the first, third and fourth before any
+        # Lanczos step; now each prints the default grid's rows after one run per mode
+        argv = ("spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "1", "--format", "json")
+        code, plain = run(capsys, *argv)
         runs = count_matvecs(monkeypatch)
-        got, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--kmax", "0",
-                       f"--t-max={ckn.numerics.T_LIMIT / 3.0 + step!r}", "--format", "json")
-        assert got == code and (runs == []) == (code == 2)
-        if code == 2:
-            assert json.loads(out) == {"error": "BadGridSpec", "message":
-                                       "r^-kappa1 overflows: log 709.8 > 709.78; narrow the grid"}
+        assert (code, *run(capsys, *argv, flag)) == (0, 0, plain)
+        assert len(runs) == 2 and min(runs) > 0
 
     def test_start_vector_is_drawn_once(self, capsys, monkeypatch):
         # the fixed Lanczos start is cached per node count: a second run at the same node
@@ -550,16 +552,19 @@ class TestSpectrum:
         assert code == 1
         assert json.loads(out)["error"] == "NoConvergence"
 
-    def test_overflowing_map_back_raises_before_the_solve(self, capsys, monkeypatch):
-        # r^{-kappa1} overflows on t in [-14, 700]; it was found only when the profiles were
-        # mapped back, after a factorization and a Lanczos run
-        calls = count_calls(monkeypatch, (_forms, "cholesky_solver"), (spectral, "_lanczos"))
-        code, out = run(capsys, "spectrum", "-N", "5", "-a", "1", "-b", "-3", "--t-max=700",
+    @pytest.mark.parametrize("N", [101, 1000, 10 ** 4, 10 ** 5, 10 ** 6])
+    def test_large_dimension_meets_the_closed_form(self, capsys, N):
+        # kappa1 = (N + 1)/2 at (N, 1, -3), beta in [beta_lower, alpha - 2): from N = 101
+        # kappa1 t passes T_LIMIT on the default grid, which spectrum never samples, and a grid
+        # rule exited 2; at N = 10^6 make_mode's factorials took 17 s (--kmax 1) before that exit
+        code, out = run(capsys, "spectrum", "-N", str(N), "-a", "1", "-b", "-3",
                         "--format", "json")
-        assert code == 2
-        doc = json.loads(out)
-        assert doc["error"] == "BadGridSpec" and "r^-kappa1" in doc["message"]
-        assert calls == {"cholesky_solver": 0, "_lanczos": 0}
+        assert code == 0
+        P, rows = derive(N, 1.0, -3.0), json.loads(out)["rows"]
+        assert [(r["k"], r["index"]) for r in rows] == [(0, 1), (0, 2), (1, 1), (2, 1)]
+        for r in rows:
+            exact = ckn.linearized_eigenvalue(P, r["k"], r["index"] - 1)
+            assert abs(r["eigenvalue"] - exact) <= 1e-12 * exact
 
 
 #: Run in a fresh interpreter: import ckn, then every command that calls no solver, and print
@@ -1067,14 +1072,16 @@ class TestMinimize:
 
 
 class TestGridBounds:
-    # the last four grids have finite nodes, but r^kappa1, r^-kappa1 or the
-    # extremal overflows on them
+    # make_grid's bound on t, which spectrum's flags still meet, and two grids with finite
+    # nodes on which minimize's r^kappa1 and r^-kappa1 overflow (spectrum answers on those:
+    # TestSpectrum.test_answers_where_a_power_of_r_overflows)
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--t-max=inf"), ("spectrum", "--t-max=800"),
         ("minimize", "--t-min=-1e308", "--t-max=1e308"),
-        ("spectrum", "--t-max=700"), ("spectrum", "--t-min=-700"),
-        ("minimize", "--t-max=700"), ("minimize", "--t-min=-700")])
-    def test_overflowing_grid_exit_2(self, capsys, argv):
+        ("minimize", "--t-max=700"), ("minimize", "--t-min=-700"),
+        ("spectrum", "--t-min=-inf"), ("spectrum", "--t-min=-800")])
+    def test_overflowing_grid_exit_2(self, capsys, monkeypatch, argv):
+        calls = count_calls(monkeypatch, (_forms, "cholesky_solver"), (spectral, "_lanczos"))
         cmd, *grid = argv
         code, out = run(capsys, cmd, "-N", "5", "-a", "1", "-b", "-3", *grid,
                         "--format", "json")
@@ -1082,6 +1089,17 @@ class TestGridBounds:
         doc = json.loads(out)
         assert doc["error"] == "BadGridSpec"
         assert "709.78" in doc["message"]
+        assert calls == {"cholesky_solver": 0, "_lanczos": 0}        # before any solve
+
+    @pytest.mark.parametrize("grid, what", [("--t-max=700", "r^kappa1"),
+                                            ("--t-min=-700", "r^-kappa1")])
+    def test_minimize_names_the_power_that_overflows(self, capsys, grid, what):
+        # at t = -700 the returned profile's r^-kappa1 overflows, not r^kappa1, which the
+        # message named when one symmetric rule stood for both
+        code, out = run(capsys, "minimize", "-N", "5", "-a", "1", "-b", "-3", grid,
+                        "--format", "json")
+        message = f"{what} overflows: log 2100 > 709.78; narrow the grid"
+        assert code == 2 and json.loads(out) == {"error": "BadGridSpec", "message": message}
 
     @pytest.mark.parametrize("half,n", [("1e-100", "4001"), ("1e-150", "4001"), ("1e-150", "9"),
                                         ("1e-100", "9"), ("1e-100", "15"), ("1e-100", "31"),

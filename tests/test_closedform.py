@@ -219,6 +219,28 @@ class TestRadialConstant:
             val = radial_constant_sr(ckn.derive(5, 1.0, beta))
             assert math.isfinite(val) and val > 0
 
+    @pytest.mark.parametrize("N", [446, 1000, 10 ** 4, 10 ** 5, 10 ** 6])
+    def test_finite_where_the_sphere_area_underflows(self, N):
+        # omega_N is subnormal from N = 439 and 0 from N = 456: omega_N^e, taken as a power of
+        # the float area, printed S_r = 0 at N = 1000 (true value 1.8406e7)
+        for alpha in (1.0, 0.5, 2.5 - N / 2.0):
+            P = ckn.derive(N, alpha, (beta_lower(N, alpha) + alpha - 2.0) / 2.0)
+            assert math.isfinite(radial_constant_sr(P)) and radial_constant_sr(P) > 0.0
+        assert radial_constant_sr(ckn.derive(1000, 1.0, -3.0)) == pytest.approx(1.8406e7,
+                                                                                   rel=1e-4)
+
+    def test_power_of_the_area_where_it_is_normal(self):
+        # omega^e by its log against the product with the float area, on 5 seeded whole-region
+        # points per N = 5..438 (measured 6.7e-16 at worst)
+        rng = np.random.default_rng(5)
+        for N in range(5, 439):
+            for _ in range(5):
+                alpha = rng.uniform(2.05 - N, 4.0)
+                P = ckn.derive(N, alpha, rng.uniform(beta_lower(N, alpha), alpha - 2.0))
+                e = 2.0 * P.nu / P.kappa1
+                product = ((1.0 / P.nu) ** (e - 4.0) * omega_sphere(N) ** e * b_of_m(P.M_dim))
+                assert abs(radial_constant_sr(P) - product) <= 1e-15 * product
+
     def test_near_the_rellich_line(self):
         # M = 5.19e12, where alpha - beta rounds near 2: the power of 2/(alpha - beta - 2)
         # and B(M) must share derive's one difference (mixed, they read 3.3e-4 off).

@@ -103,16 +103,21 @@ def test_mass_vector_finite_where_the_amplitude_overflows():
 
 @pytest.mark.parametrize("step", [1e-9, -1e-9])
 def test_scale_rule_at_its_edge(step):
-    # |kappa1| max(-t_min, t_max) against T_LIMIT, from the grid's ends: kappa1 = 3 at
-    # (5, 1, -3), so just past T_LIMIT/3 it raises from_scaled's message, and just short of it
-    # from_scaled is finite
-    P = ckn.derive(5, 1.0, -3.0)
-    grid = ckn.make_grid(-3.0, numerics.T_LIMIT / 3.0 + step, 11)
-    if step < 0:
-        _forms.scale_rule(P, grid)
-        assert np.isfinite(_forms.from_scaled(P, grid, 1.0)).all()
-        return
-    for rule in (_forms.scale_rule, lambda *a: _forms.from_scaled(*a, 1.0)):
+    # the scale maps' one rule is grid_power's, one-sided: kappa1 = 3 at (5, 1, -3), so
+    # r^{kappa1} overflows just past t_max = T_LIMIT/3 and r^{-kappa1} just past t_min =
+    # -T_LIMIT/3, each map raising only at its own end, bit for bit np.exp(+-kappa1 t) short
+    # of it.  A symmetric rule raised from_scaled's message at both ends
+    P, edge = ckn.derive(5, 1.0, -3.0), numerics.T_LIMIT / 3.0 + step
+    up, down = ckn.make_grid(-3.0, edge, 11), ckn.make_grid(-edge, 3.0, 11)
+    ones = np.ones(11)
+    assert np.array_equal(_forms.from_scaled(P, up, 1.0), np.exp(-P.kappa1 * up.ts))
+    assert np.array_equal(_forms.to_scaled(P, down, ones), np.exp(P.kappa1 * down.ts))
+    cases = ((lambda: _forms.to_scaled(P, up, ones), "r^kappa1", up.ts),
+             (lambda: _forms.from_scaled(P, down, 1.0), "r^-kappa1", -down.ts))
+    for scale, what, ts in cases:
+        if step < 0:
+            assert np.array_equal(scale(), np.exp(P.kappa1 * ts))
+            continue
         with pytest.raises(BadGridSpec) as err:
-            rule(P, grid)
-        assert str(err.value) == "r^-kappa1 overflows: log 709.8 > 709.78; narrow the grid"
+            scale()
+        assert str(err.value) == f"{what} overflows: log 709.8 > 709.78; narrow the grid"

@@ -386,6 +386,24 @@ class TestProfileSampling:
         with pytest.raises(BadGridSpec, match="misses the mode-0 profiles"):
             ckn.mode_eigenpairs(p513, make_mode(p513, 0), ckn.make_grid(40.0, 60.0, 11))
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_wide_grid_gives_finite_profiles(self, p513, monkeypatch, k):
+        # on t in [-14, 700] r^{-kappa1} = e^{-3t} only underflows: the profiles are finite, 0
+        # past the derived domain, with the default grid's eigenvalues.  A symmetric rule raised
+        # BadGridSpec here; on [-700, 14], where e^{-3t} overflows, it still comes before the solve
+        mode = make_mode(p513, k)
+        wide = ckn.mode_eigenpairs(p513, mode, ckn.make_grid(-14.0, 700.0, 4001))
+        assert [r.eigenvalue for r in wide] == [
+            r.eigenvalue for r in ckn.mode_eigenpairs(p513, mode, ckn.make_grid())]
+        for r in wide:
+            vals = r.profile.values
+            assert np.isfinite(vals).all() and np.abs(vals).max() > 0.0
+            assert not vals[r.profile.grid.ts > spectral._Pencil(p513, mode).L].any()
+        runs = count_matvecs(monkeypatch)
+        with pytest.raises(BadGridSpec, match="r\\^-kappa1 overflows"):
+            ckn.mode_eigenpairs(p513, mode, ckn.make_grid(-700.0, 14.0, 4001))
+        assert runs == []
+
 
 class TestSecondVariation:
     def test_zero_on_fs_curve(self):
@@ -637,12 +655,12 @@ class TestSpectralGap:
         assert spectral_gap(p, far) == mode_eigenvalue(p, make_mode(p, 1), 1,
                                                        ckn.make_grid()).eigenvalue
 
-    def test_overflowing_grid_raises_before_the_solve(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(spectral, "_mode_solve", lambda *a: calls.append(a))
-        with pytest.raises(BadGridSpec, match="r\\^-kappa1"):
-            spectral_gap(ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0)), ckn.make_grid(-14.0, 700.0))
-        assert calls == []
+    def test_overflowing_grid_gets_the_value(self):
+        # r^{-kappa1} overflows at t = -700, where a grid rule raised BadGridSpec before the
+        # solve; the value reads no grid, so this grid gets the default grid's, bit for bit
+        p = ckn.derive(5, -1.0, ckn.beta_lower(5, -1.0))
+        assert spectral_gap(p, ckn.make_grid(-700.0, 14.0)) == spectral_gap(p, ckn.make_grid())
+        assert spectral_gap(p, ckn.make_grid(-14.0, 700.0)) == spectral_gap(p, ckn.make_grid())
 
     @pytest.mark.parametrize("N, alpha, below", [(5, -1.0, False), (5, -2.0, True),
                                                  (6, -1.5, True), (7, -3.0, True)])

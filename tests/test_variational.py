@@ -46,6 +46,24 @@ class TestModeSpec:
         N = p512.N
         assert make_mode(p512, 2).multiplicity == (N + 2) * (N - 1) // 2
 
+    @pytest.mark.parametrize("N", range(5, 41))
+    def test_multiplicity_is_the_factorial_formula(self, N):
+        # (N + 2k - 2) (N + k - 3)! / ((N - 2)! k!), the formula the binomial one replaced
+        P = ckn.derive(N, 1.0, -3.0)
+        for k in range(7):
+            want = (N + 2 * k - 2) * math.factorial(N + k - 3) // (
+                math.factorial(N - 2) * math.factorial(k))
+            assert make_mode(P, k).multiplicity == want
+
+    def test_multiplicity_at_a_billion_dimensions(self):
+        # dim H_k = C(N+k-1, k) - C(N+k-3, k-2), exact in integers; the factorials of N + k - 3
+        # took 17 s at N = 10^6
+        N = 10 ** 9
+        P = ckn.derive(N, 1.0, -3.0)
+        for k in range(7):
+            want = math.comb(N + k - 1, k) - (math.comb(N + k - 3, k - 2) if k >= 2 else 0)
+            assert make_mode(P, k).multiplicity == want
+
     def test_mode_comparison_inequality(self):
         # q^2 lambda_k = l_k (l_k + M - 2) against the integer degree's k (k + M - 2): l_1 = 1
         # exactly on the Felli-Schneider curve, above 1 over it and below 1 under it
